@@ -60,6 +60,8 @@ from .lattice import (
     BlowupSchedule,
     BlowupStep,
     DivisorClass,
+    INITIAL_TYPES,
+    RealizationState,
     SurfaceLattice,
     adjunction_genus,
     anticanonical_class,
@@ -82,12 +84,14 @@ from .classify import (
     anticanonical_degrees,
     check_report,
     classify,
+    classify_leaf,
     enumerate_configurations,
     h0_pluri_fundamental,
     is_nef,
     model_from_document,
     model_from_schedule,
     negative_curves,
+    walk_schedules,
 )
 
 __version__ = "0.1.0"
@@ -109,11 +113,13 @@ __all__ = [
     "SurfaceLattice", "DivisorClass", "intersect", "anticanonical_class",
     "adjunction_genus", "strict_transform", "real_involution", "BlowupStep",
     "BlowupSchedule", "AnticanonicalCycle", "smooth_anticanonical_cycle",
-    "realize_cycle", "elementary_transform",
+    "INITIAL_TYPES", "RealizationState", "realize_cycle",
+    "elementary_transform",
     # classification
     "CASE_NEF", "CASE_REAL_MINUS_2", "CASE_PAIR_MINUS_2", "CASE_PAIRS_MINUS_1",
     "ClassificationReport", "TwistorModel", "anticanonical_degrees", "is_nef",
     "negative_curves", "check_report", "classify", "model_from_schedule",
     "model_from_document", "h0_pluri_fundamental", "EnumeratedEntry",
-    "EnumerationResult", "enumerate_configurations",
+    "EnumerationResult", "walk_schedules", "classify_leaf",
+    "enumerate_configurations",
 ]

@@ -20,14 +20,13 @@ from .classify import (
     CASE_PAIR_MINUS_2,
     CASE_PAIRS_MINUS_1,
     CASE_REAL_MINUS_2,
-    TwistorModel,
-    _schedules,
     check_report,
     classify,
+    classify_leaf,
     enumerate_configurations,
-    is_nef,
     model_from_document,
     model_from_schedule,
+    walk_schedules,
 )
 from .cohomology import (
     c1_class,
@@ -50,6 +49,7 @@ from .errors import HypothesisError, TorsionRequiredError
 from .lattice import (
     BlowupSchedule,
     BlowupStep,
+    RealizationState,
     SurfaceLattice,
     anticanonical_class,
     realize_cycle,
@@ -327,17 +327,15 @@ def _report_signature(report):
 
 def _criterion_elementary_transform():
     count = 0
-    prefix = (BlowupStep.node(("A", "Abar")),)
-    for schedule in _schedules("III", 4, prefix=prefix):
-        direct_cycle = realize_cycle(schedule)
-        torsion = TorsionSpec.finite(1) if is_nef(direct_cycle) else None
-        direct = classify(
-            TwistorModel(
-                schedule, direct_cycle.with_torsion(torsion), chern_numbers(4)
-            )
-        )
-        routed = classify(model_from_schedule(schedule, torsion))
-        if _report_signature(direct) != _report_signature(routed):
+    nodes_first = RealizationState("III", 4).extend(BlowupStep.node(("A", "Abar")))
+    for schedule, leaf in walk_schedules(nodes_first):
+        # direct realization, as the enumerator classifies it; the emitted
+        # document routes through the elementary transform
+        direct = classify_leaf(schedule, leaf)
+        routed = classify(model_from_document(direct.document))
+        if direct.report is None or (
+            _report_signature(direct.report) != _report_signature(routed)
+        ):
             return False, f"schedule {schedule} classifies differently"
         count += 1
     if count == 0:

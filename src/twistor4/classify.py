@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 
 from . import schema
 from .cohomology import ChernData, chern_numbers
@@ -37,8 +38,7 @@ from .errors import RealizabilityError, ScheduleError, TorsionRequiredError
 from .lattice import (
     AnticanonicalCycle,
     BlowupSchedule,
-    BlowupStep,
-    _realize_prefix,
+    RealizationState,
     elementary_transform,
     realize_cycle,
     smooth_anticanonical_cycle,
@@ -61,6 +61,8 @@ __all__ = [
     "h0_pluri_fundamental",
     "EnumeratedEntry",
     "EnumerationResult",
+    "walk_schedules",
+    "classify_leaf",
     "enumerate_configurations",
 ]
 
@@ -163,10 +165,8 @@ class ClassificationReport:
     def as_dict(self) -> dict:
         out = {}
         for f in fields(self):
-            value = getattr(self, f.name)
-            if value == math.inf:
-                value = "infinite"
-            elif isinstance(value, tuple):
+            value = schema.encode_infinite(getattr(self, f.name))
+            if isinstance(value, tuple):
                 value = [list(item) if isinstance(item, tuple) else item
                          for item in value]
             out[f.name] = value
@@ -374,57 +374,19 @@ def _shape_key(cycle: AnticanonicalCycle) -> tuple:
     )
 
 
-def _candidate_steps(state) -> list[BlowupStep]:
-    """All step locations available on the current cycle, one per
-    conjugation orbit."""
-    initial = state.schedule.initial_type
-    out = []
-    for name in state.order:
-        if initial == "II" and name == "F":
-            continue
-        if state.conj[name] < name:
-            continue
-        out.append(BlowupStep.smooth(name))
-    m = len(state.order)
-    if m == 2:
-        out.append(BlowupStep.node(tuple(state.order)))
-    else:
-        seen = set()
-        for i in range(m):
-            c, d = state.order[i], state.order[(i + 1) % m]
-            edge = tuple(sorted((c, d)))
-            if edge in seen:
-                continue
-            seen.add(edge)
-            mirror = tuple(sorted((state.conj[c], state.conj[d])))
-            if mirror == edge or mirror < edge:
-                continue
-            out.append(BlowupStep.node(edge))
-    for j in sorted(state.hosts):
-        host = state.hosts[j]
-        if host is None:  # node step: its exceptional is itself a component
-            continue
-        if j in state.consumed:
-            continue
-        out.append(BlowupStep.infinitely_near(j, host))
-    return out
+def walk_schedules(root: RealizationState):
+    """Depth-first walk over every schedule that completes ``root``,
+    yielding ``(schedule, leaf state)``; each node extends its parent once."""
+    if len(root.steps) == root.lattice.pairs:
+        yield BlowupSchedule(root.initial_type, root.steps), root
+        return
+    for step in root.candidates():
+        yield from walk_schedules(root.extend(step))
 
 
-def _schedules(initial_type: str, depth: int, prefix=()):
-    """DFS over all schedules of the given depth starting from a prefix."""
-    def rec(steps):
-        if len(steps) == depth:
-            yield BlowupSchedule(initial_type, tuple(steps))
-            return
-        state = _realize_prefix(initial_type, steps)
-        for candidate in _candidate_steps(state):
-            yield from rec(steps + [candidate])
-
-    yield from rec(list(prefix))
-
-
-def _classify_schedule(schedule: BlowupSchedule) -> EnumeratedEntry:
-    cycle = realize_cycle(schedule)
+def classify_leaf(schedule: BlowupSchedule, leaf: RealizationState) -> EnumeratedEntry:
+    """Classify a walked schedule from its leaf state's cycle."""
+    cycle = leaf.cycle()
     shape = _shape_key(cycle)
     # a nef configuration needs a torsion choice; tau = 1 is the generic
     # free-pencil representative and keeps emitted documents classifiable
@@ -471,10 +433,9 @@ def _entry_sort_key(entry: EnumeratedEntry):
 def enumerate_configurations(
     max_reports: int | None = None,
     initial_types: tuple[str, ...] = ("I", "II"),
-    depth: int = 4,
 ) -> EnumerationResult:
-    """Walk every schedule of the given depth over the two stable initial
-    cycles, classify each, and keep one representative per distinct
+    """Walk every n = 4 schedule over the two stable initial cycles,
+    classify each, and keep one representative per distinct
     (initial type, weighted-shape, case) key.
 
     The two-conjugate-(1,1)-curves initial cycle is omitted by default:
@@ -488,19 +449,14 @@ def enumerate_configurations(
     found: dict[tuple, EnumeratedEntry] = {}
     visited = 0
     exhausted = True
-    for initial in initial_types:
-        for schedule in _schedules(initial, depth):
-            if max_reports is not None and len(found) >= max_reports:
-                exhausted = False
-                break
-            visited += 1
-            entry = _classify_schedule(schedule)
-            case = entry.report.case if entry.report else f"error:{entry.error}"
-            key = (initial, entry.shape, case)
-            if key not in found:
-                found[key] = entry
-        else:
-            continue
-        break
+    roots = [RealizationState(initial, 4) for initial in initial_types]
+    for schedule, leaf in chain.from_iterable(map(walk_schedules, roots)):
+        if max_reports is not None and len(found) >= max_reports:
+            exhausted = False
+            break
+        visited += 1
+        entry = classify_leaf(schedule, leaf)
+        case = entry.report.case if entry.report else f"error:{entry.error}"
+        found.setdefault((schedule.initial_type, entry.shape, case), entry)
     entries = tuple(sorted(found.values(), key=_entry_sort_key))
     return EnumerationResult(entries=entries, visited=visited, exhausted=exhausted)

@@ -10,7 +10,6 @@ Results go to stdout, diagnoses to stderr, so output can be piped.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -55,10 +54,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _print_json(obj):
     print(schema.canonical_json(obj))
-
-
-def _json_degree_one(value):
-    return "infinite" if value == math.inf else value
 
 
 def _resolve_seed(explicit):
@@ -256,10 +251,11 @@ def _report_lines(report):
         lines.append(f"negative components: {negs}")
     else:
         lines.append("negative components: none")
-    lines.append(f"degree-one count: {_json_degree_one(report.degree_one_count)}")
+    deg1 = schema.encode_infinite(report.degree_one_count)
+    lines.append(f"degree-one count: {deg1}")
     lines.append(f"lebrun: {'yes' if report.lebrun else 'no'}")
     if report.tau is not None:
-        lines.append(f"tau: {_json_degree_one(report.tau)}")
+        lines.append(f"tau: {schema.encode_infinite(report.tau)}")
     if report.dim_minus2KS is not None:
         lines.append(f"dim |-2K_S|: {report.dim_minus2KS}")
         lines.append(f"dim |-K_Z|: {report.dim_antican_Z}")
@@ -311,7 +307,7 @@ def _cmd_enumerate(args):
             print(
                 f"{entry.digest:<12}  {r.case:<24}  {r.h0_fundamental:>2}  "
                 f"{r.dim_fundamental_system:>3}  {r.algebraic_dimension:>1}  "
-                f"{_json_degree_one(r.degree_one_count)}"
+                f"{schema.encode_infinite(r.degree_one_count)}"
             )
         else:
             print(

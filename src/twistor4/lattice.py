@@ -23,15 +23,19 @@ pair sits (the other location is implied by equivariance):
     passes through it (a tangency direction), or is None for a generic
     point of the exceptional curve.
 
-``realize_cycle`` turns a schedule into the anticanonical cycle it produces,
-maintaining component classes, cyclic order and the conjugation, and
-checking the cycle axioms at the end.
+A ``RealizationState`` is the cycle after the first k steps: component
+classes, cyclic order and the conjugation.  ``extend`` places one more
+pair and returns a new state, ``candidates`` lists the locations the next
+step may take, and ``cycle`` checks the cycle axioms and returns the
+validated cycle.  ``realize_cycle`` is the fold of ``extend`` over a
+schedule's steps; the enumerator in ``classify`` walks the same states
+depth-first, extending each parent once per child.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from functools import reduce
 
 from .cycles import TorsionSpec
 from .errors import RealizabilityError, ScheduleError
@@ -48,6 +52,8 @@ __all__ = [
     "BlowupSchedule",
     "AnticanonicalCycle",
     "smooth_anticanonical_cycle",
+    "INITIAL_TYPES",
+    "RealizationState",
     "realize_cycle",
     "elementary_transform",
 ]
@@ -288,7 +294,22 @@ def strict_transform(lattice, a, b, multiplicities, infinitely_near=()):
 
 # -- blow-up schedules ------------------------------------------------------
 
-_INITIAL_TYPES = ("I", "II", "III")
+INITIAL_TYPES = ("I", "II", "III")
+
+
+def _check_initial_type(initial_type):
+    if initial_type not in INITIAL_TYPES:
+        raise ScheduleError(
+            f"initial_type must be one of {INITIAL_TYPES}, got {initial_type!r}"
+        )
+
+
+def _check_step_index(idx, step):
+    if step.kind == "infinitely_near" and step.over_pair >= idx:
+        raise ScheduleError(
+            f"step {idx} is infinitely near over pair {step.over_pair}, "
+            "which is not strictly earlier"
+        )
 
 
 @dataclass(frozen=True)
@@ -368,42 +389,17 @@ class BlowupSchedule:
     steps: tuple[BlowupStep, ...]
 
     def __post_init__(self):
-        if self.initial_type not in _INITIAL_TYPES:
-            raise ScheduleError(
-                f"initial_type must be one of {_INITIAL_TYPES}, "
-                f"got {self.initial_type!r}"
-            )
+        _check_initial_type(self.initial_type)
         steps = tuple(self.steps)
         for idx, step in enumerate(steps, start=1):
             if not isinstance(step, BlowupStep):
                 raise ScheduleError("steps must be BlowupStep values")
-            if step.kind == "infinitely_near" and step.over_pair >= idx:
-                raise ScheduleError(
-                    f"step {idx} is infinitely near over pair {step.over_pair}, "
-                    "which is not strictly earlier"
-                )
+            _check_step_index(idx, step)
         object.__setattr__(self, "steps", steps)
 
     @property
     def pairs(self):
         return len(self.steps)
-
-
-def _initial_cycle(initial_type, lattice):
-    l, f = lattice.line(), lattice.fibre()
-    if initial_type == "I":
-        order = ("F", "G", "Fbar", "Gbar")
-        classes = {"F": f, "G": l, "Fbar": f, "Gbar": l}
-        conj = {"F": "Fbar", "Fbar": "F", "G": "Gbar", "Gbar": "G"}
-    elif initial_type == "II":
-        order = ("F", "C0")
-        classes = {"F": f, "C0": 2 * l + f}
-        conj = {"F": "F", "C0": "C0"}
-    else:  # III
-        order = ("A", "Abar")
-        classes = {"A": l + f, "Abar": l + f}
-        conj = {"A": "Abar", "Abar": "A"}
-    return list(order), dict(classes), dict(conj)
 
 
 @dataclass
@@ -514,23 +510,73 @@ def smooth_anticanonical_cycle(pairs, torsion=None):
     return cycle.validate()
 
 
-class _RealizeState:
-    """Evolving cycle state while a schedule is applied step by step."""
+class RealizationState:
+    """The cycle after the first k steps of a schedule on ``pairs`` pairs.
 
-    def __init__(self, schedule: BlowupSchedule):
-        self.schedule = schedule
-        self.lattice = SurfaceLattice(schedule.pairs)
-        order, classes, conj = _initial_cycle(schedule.initial_type, self.lattice)
-        self.order = order
-        self.classes = classes
-        self.conj = conj
+    ``extend`` returns a new state and leaves this one untouched, so a
+    depth-first walk shares each prefix with its whole subtree.
+    """
+
+    def __init__(self, initial_type: str, pairs: int):
+        _check_initial_type(initial_type)
+        self.initial_type = initial_type
+        self.lattice = SurfaceLattice(pairs)
+        self.steps: tuple[BlowupStep, ...] = ()
+        l, f = self.lattice.line(), self.lattice.fibre()
+        if initial_type == "I":
+            self.order = ["F", "G", "Fbar", "Gbar"]
+            self.classes = {"F": f, "G": l, "Fbar": f, "Gbar": l}
+            self.conj = {"F": "Fbar", "Fbar": "F", "G": "Gbar", "Gbar": "G"}
+        elif initial_type == "II":
+            self.order = ["F", "C0"]
+            self.classes = {"F": f, "C0": 2 * l + f}
+            self.conj = {"F": "F", "C0": "C0"}
+        else:  # III
+            self.order = ["A", "Abar"]
+            self.classes = {"A": l + f, "Abar": l + f}
+            self.conj = {"A": "Abar", "Abar": "A"}
         self.hosts: dict[int, str | None] = {}
-        self.consumed: set[int] = set()
-        self.node_steps: set[int] = set()
+        self.consumed: frozenset[int] = frozenset()
+
+    def extend(self, step: BlowupStep) -> RealizationState:
+        """The state with pair k + 1 placed at ``step``; a step beyond
+        ``pairs`` finds no exceptional class and raises ValueError."""
+        k = len(self.steps) + 1
+        _check_step_index(k, step)
+        # copy the containers a step mutates in place; the frozenset
+        # ``consumed`` is rebound, never mutated
+        child = object.__new__(RealizationState)
+        child.__dict__ = dict(
+            self.__dict__,
+            steps=self.steps + (step,),
+            order=list(self.order),
+            classes=dict(self.classes),
+            conj=dict(self.conj),
+            hosts=dict(self.hosts),
+        )
+        getattr(child, f"_apply_{step.kind}")(k, step)
+        return child
+
+    def cycle(self) -> AnticanonicalCycle:
+        """The validated cycle, in the lattice of the pairs placed so far."""
+        lattice, classes = SurfaceLattice(len(self.steps)), dict(self.classes)
+        if lattice != self.lattice:  # a prefix: drop the pairs not yet placed
+            classes = {
+                name: DivisorClass(lattice, c.coeffs[: lattice.rank])
+                for name, c in classes.items()
+            }
+        result = AnticanonicalCycle(lattice, tuple(self.order), classes, dict(self.conj))
+        return result.validate()
 
     # -- helpers ---------------------------------------------------------
     def _subtract(self, name, e_index):
         self.classes[name] = self.classes[name] - self.lattice.exceptional(e_index)
+
+    def _place(self, k, name):
+        """Pair k at a smooth point of ``name`` and its conjugate point."""
+        self._subtract(name, 2 * k - 1)
+        self._subtract(self.conj[name], 2 * k)
+        self.hosts[k] = name
 
     def _require_component(self, name):
         if name not in self.classes:
@@ -545,33 +591,50 @@ class _RealizeState:
                 return i
         return None
 
-    # -- one step ---------------------------------------------------------
-    def apply(self, pair_index, step: BlowupStep):
-        k = pair_index
-        e_primary, e_conj = 2 * k - 1, 2 * k
-        if step.kind == "smooth":
-            self._apply_smooth(k, step.component, e_primary, e_conj)
-        elif step.kind == "node":
-            self._apply_node(k, step.components, e_primary, e_conj)
-        else:
-            self._apply_infinitely_near(k, step, e_primary, e_conj)
+    # -- the next step ------------------------------------------------------
+    def _on_real_fibre(self, name):
+        return self.initial_type == "II" and name == "F"
 
-    def _apply_smooth(self, k, name, e_primary, e_conj):
-        self._require_component(name)
-        if self.schedule.initial_type == "II" and name == "F":
+    def candidates(self) -> list[BlowupStep]:
+        """Every location for the next step, one per conjugation orbit;
+        smooth points of the real fibre are left out, as ``_apply_smooth``
+        rejects them."""
+        order, conj = self.order, self.conj
+        out = [
+            BlowupStep.smooth(name)
+            for name in order
+            if not self._on_real_fibre(name) and name <= conj[name]
+        ]
+        if len(order) == 2:  # its two nodes are one conjugate pair
+            out.append(BlowupStep.node(tuple(order)))
+        else:
+            for c, d in zip(order, order[1:] + order[:1]):
+                edge = tuple(sorted((c, d)))
+                if edge < tuple(sorted((conj[c], conj[d]))):
+                    out.append(BlowupStep.node(edge))
+        out.extend(
+            BlowupStep.infinitely_near(j, host)
+            for j, host in sorted(self.hosts.items())
+            # the exceptional of a node step is itself a component
+            if host is not None and j not in self.consumed
+        )
+        return out
+
+    def _apply_smooth(self, k, step):
+        self._require_component(step.component)
+        if self._on_real_fibre(step.component):
             raise RealizabilityError(
                 "real-fibre-location",
                 "no blown-up point may lie on a smooth point of the real "
                 "fibre F; only its nodes with C0 can be blown",
             )
-        self._subtract(name, e_primary)
-        self._subtract(self.conj[name], e_conj)
-        self.hosts[k] = name
+        self._place(k, step.component)
 
-    def _apply_node(self, k, comps, e_primary, e_conj):
-        c, d = comps
+    def _apply_node(self, k, step):
+        c, d = step.components
         self._require_component(c)
         self._require_component(d)
+        e_primary, e_conj = 2 * k - 1, 2 * k
         primary_name, conj_name = f"E{e_primary}", f"E{e_conj}"
         if len(self.order) == 2:
             if {c, d} != set(self.order):
@@ -610,25 +673,20 @@ class _RealizeState:
         self.conj[primary_name] = conj_name
         self.conj[conj_name] = primary_name
         self.hosts[k] = None
-        self.node_steps.add(k)
 
-    def _apply_infinitely_near(self, k, step, e_primary, e_conj):
+    def _apply_infinitely_near(self, k, step):
         j = step.over_pair
         target = step.on_strict_transform
-        if j in self.node_steps:
+        host = self.hosts[j]
+        if host is None:  # pair j blew a node: its exceptional is a component
             if target is not None:
                 raise ScheduleError(
                     f"the exceptional curve of pair {j} is a cycle component "
                     f"and meets {target!r} in a node; encode that point as a "
                     "node location"
                 )
-            # generic point of the exceptional component
-            name = f"E{2 * j - 1}"
-            self._subtract(name, e_primary)
-            self._subtract(self.conj[name], e_conj)
-            self.hosts[k] = name
+            self._place(k, f"E{2 * j - 1}")  # a generic point of it
             return
-        host = self.hosts[j]
         if target is None:
             raise RealizabilityError(
                 "point-off-anticanonical-cycle",
@@ -647,40 +705,19 @@ class _RealizeState:
                 f"of pair {j}'s exceptional curve with {host!r} was already "
                 "blown up"
             )
-        self.consumed.add(j)
-        self._subtract(target, e_primary)
-        self._subtract(self.conj[target], e_conj)
-        self.hosts[k] = target
-
-    def cycle(self) -> AnticanonicalCycle:
-        result = AnticanonicalCycle(
-            lattice=self.lattice,
-            order=tuple(self.order),
-            classes=dict(self.classes),
-            conjugate_names=dict(self.conj),
-        )
-        return result.validate()
+        self.consumed = self.consumed | {j}
+        self._place(k, target)
 
 
 def realize_cycle(schedule: BlowupSchedule) -> AnticanonicalCycle:
-    """Apply every step of the schedule and return the validated cycle.
+    """Apply every step of the schedule and return the validated cycle:
+    a fold of ``RealizationState.extend`` over the steps.
 
     The component count grows by 2 per node step; smooth and
     infinitely-near steps keep it fixed.
     """
-    state = _RealizeState(schedule)
-    for k, step in enumerate(schedule.steps, start=1):
-        state.apply(k, step)
-    return state.cycle()
-
-
-def _realize_prefix(initial_type, steps: Iterable[BlowupStep]) -> _RealizeState:
-    """State after a (possibly partial) schedule; used by the enumerator."""
-    steps = tuple(steps)
-    state = _RealizeState(BlowupSchedule(initial_type, steps))
-    for k, step in enumerate(steps, start=1):
-        state.apply(k, step)
-    return state
+    start = RealizationState(schedule.initial_type, schedule.pairs)
+    return reduce(RealizationState.extend, schedule.steps, start).cycle()
 
 
 _ELEMENTARY_MAP = {"A": "G", "Abar": "Gbar", "E1": "F", "E2": "Fbar"}

@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .cycles import TorsionSpec
 from .errors import ScheduleError
-from .lattice import BlowupSchedule, BlowupStep
+from .lattice import INITIAL_TYPES, BlowupSchedule, BlowupStep
 
 __all__ = [
     "ParsedDocument",
@@ -43,6 +44,7 @@ __all__ = [
     "parse_torsion",
     "document_for",
     "torsion_document",
+    "encode_infinite",
     "canonical_json",
     "document_digest",
     "loads_document",
@@ -52,7 +54,6 @@ __all__ = [
 _DOCUMENT_KEYS = frozenset(
     {"n", "initial_type", "steps", "torsion", "smooth_anticanonical"}
 )
-_INITIAL_TYPES = ("I", "II", "III")
 
 
 @dataclass(frozen=True)
@@ -151,9 +152,9 @@ def parse_document(obj) -> ParsedDocument:
     _check_fields(obj, _DOCUMENT_KEYS, ("n", "initial_type", "steps"), "document")
     n = _plain_int(obj["n"], "n", minimum=0)
     initial_type = obj["initial_type"]
-    if initial_type not in _INITIAL_TYPES:
+    if initial_type not in INITIAL_TYPES:
         raise ScheduleError(
-            f"initial_type must be one of {_INITIAL_TYPES}, got {initial_type!r}"
+            f"initial_type must be one of {INITIAL_TYPES}, got {initial_type!r}"
         )
     steps_raw = obj["steps"]
     if not isinstance(steps_raw, list):
@@ -197,6 +198,11 @@ def torsion_document(spec: TorsionSpec) -> dict:
     if spec.kind == "finite":
         return {"kind": "finite", "order": spec.order}
     return {"kind": "infinite"}
+
+
+def encode_infinite(value):
+    """Output form of a count or order: ``math.inf`` reads "infinite"."""
+    return "infinite" if value == math.inf else value
 
 
 def document_for(

@@ -20,6 +20,7 @@ from twistor4.classify import (
     model_from_document,
     model_from_schedule,
     negative_curves,
+    walk_schedules,
 )
 from twistor4.cycles import TorsionSpec
 from twistor4.errors import (
@@ -31,6 +32,7 @@ from twistor4.lattice import (
     AnticanonicalCycle,
     BlowupSchedule,
     BlowupStep,
+    RealizationState,
     SurfaceLattice,
     realize_cycle,
 )
@@ -285,6 +287,49 @@ def test_type_iii_without_node_realizes_directly():
     report = classify(model)
     assert report.case == CASE_NEF
     assert report.h0_fundamental == 3
+
+
+# -- the walk -------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "initial, prefix, leaves",
+    [("I", (), 1266), ("II", (), 214), ("III", (N(("A", "Abar")),), 152)],
+)
+def test_walk_leaf_states_match_realize_cycle(initial, prefix, leaves):
+    root = RealizationState(initial, 4)
+    for step in prefix:
+        root = root.extend(step)
+    before = root.cycle()
+    count = 0
+    for schedule, leaf in walk_schedules(root):
+        assert schedule.steps[: len(prefix)] == prefix
+        assert leaf.steps == schedule.steps
+        direct = realize_cycle(schedule)
+        cycle = leaf.cycle()
+        assert cycle.order == direct.order
+        assert cycle.classes == direct.classes
+        assert cycle.conjugate_names == direct.conjugate_names
+        count += 1
+    assert count == leaves
+    assert root.cycle() == before
+
+
+def test_walk_leaves_a_deep_parent_untouched():
+    parent = RealizationState("I", 4).extend(N(("F", "G"))).extend(S("G"))
+    parent = parent.extend(INF(2, "G"))
+    before = parent.cycle()
+    first = [(s, leaf.cycle()) for s, leaf in walk_schedules(parent)]
+    assert len(first) == len(parent.candidates())
+    assert parent.cycle() == before
+    assert [(s, leaf.cycle()) for s, leaf in walk_schedules(parent)] == first
+
+
+def test_walk_of_a_complete_state_yields_it():
+    schedule = BlowupSchedule("II", (S("C0"),) * 4)
+    state = RealizationState("II", 4)
+    for step in schedule.steps:
+        state = state.extend(step)
+    assert list(walk_schedules(state)) == [(schedule, state)]
 
 
 # -- enumeration -----------------------------------------------------------------

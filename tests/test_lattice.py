@@ -8,6 +8,7 @@ from twistor4.lattice import (
     AnticanonicalCycle,
     BlowupSchedule,
     BlowupStep,
+    RealizationState,
     SurfaceLattice,
     adjunction_genus,
     anticanonical_class,
@@ -414,6 +415,64 @@ def test_smooth_anticanonical_cycle():
     assert cycle.component_class("C").coeffs == (2, 2) + (-1,) * 8
     assert cycle.self_intersections() == (0,)
     assert adjunction_genus(cycle.component_class("C")) == 1
+
+
+# -- realization: the incremental state ----------------------------------------
+
+def test_realization_state_extend_leaves_the_parent_untouched():
+    parent = RealizationState("I", 2)
+    child = parent.extend(BlowupStep.node(("F", "G")))
+    assert parent.steps == () and child.steps == (BlowupStep.node(("F", "G")),)
+    assert parent.order == ["F", "G", "Fbar", "Gbar"]
+    assert child.order == ["F", "E1", "G", "Fbar", "E2", "Gbar"]
+    assert parent.classes["F"] == SurfaceLattice(2).fibre()
+    grandchild = child.extend(BlowupStep.smooth("E1"))
+    assert "E1" not in parent.classes
+    assert child.classes["E1"] == SurfaceLattice(2).exceptional(1)
+    assert grandchild.cycle() == realize_cycle(
+        BlowupSchedule("I", grandchild.steps)
+    )
+
+
+def test_realization_state_cycle_of_a_prefix():
+    state = RealizationState("I", 4)
+    steps = (BlowupStep.smooth("G"), BlowupStep.infinitely_near(1, "G"))
+    for step in steps:
+        state = state.extend(step)
+    cycle = state.cycle()
+    assert cycle.lattice == SurfaceLattice(2)
+    assert cycle == realize_cycle(BlowupSchedule("I", steps))
+    assert RealizationState("III", 0).cycle().order == ("A", "Abar")
+
+
+def test_realization_state_candidates_one_per_orbit():
+    S, N = BlowupStep.smooth, BlowupStep.node
+    assert RealizationState("I", 1).candidates() == [
+        S("F"), S("G"), N(("F", "G")), N(("F", "Gbar")),
+    ]
+    # smooth points of the real fibre F are never offered
+    assert RealizationState("II", 1).candidates() == [S("C0"), N(("F", "C0"))]
+    assert RealizationState("III", 1).candidates() == [
+        S("A"), N(("A", "Abar")),
+    ]
+    state = RealizationState("I", 3).extend(S("G"))
+    assert state.candidates()[-1] == BlowupStep.infinitely_near(1, "G")
+    consumed = state.extend(BlowupStep.infinitely_near(1, "G"))
+    assert BlowupStep.infinitely_near(1, "G") not in consumed.candidates()
+    assert BlowupStep.infinitely_near(2, "G") in consumed.candidates()
+
+
+def test_realization_state_rejections():
+    with pytest.raises(ScheduleError, match="initial_type"):
+        RealizationState("IV", 4)
+    full = RealizationState("I", 1).extend(BlowupStep.smooth("G"))
+    with pytest.raises(ValueError, match="E3 does not exist"):
+        full.extend(BlowupStep.smooth("G"))
+    with pytest.raises(ScheduleError, match="not strictly earlier"):
+        RealizationState("I", 2).extend(BlowupStep.infinitely_near(1))
+    with pytest.raises(RealizabilityError) as info:
+        RealizationState("II", 1).extend(BlowupStep.smooth("F"))
+    assert info.value.tag == "real-fibre-location"
 
 
 # -- realization: rejection paths --------------------------------------------

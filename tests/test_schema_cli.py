@@ -1,5 +1,6 @@
 """Schedule-document schema and the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -428,6 +429,14 @@ def test_cli_enumerate_json_round_trip(capsys):
     # emitted JSON is byte-stable across runs
     data_again = _run_json(capsys, "enumerate", "--json")
     assert data_again == data
+
+
+def test_cli_enumerate_json_bytes_are_pinned(capsys):
+    code, out, _ = _run(capsys, "enumerate", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "918cee63dc80362a4b3a22f0ab34c4348b0d58c2054960c37e84f306afb0a4bb"
+    )
 
 
 # -- CLI: usage errors -----------------------------------------------------------------
