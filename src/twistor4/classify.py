@@ -97,7 +97,11 @@ def negative_curves(cycle: AnticanonicalCycle) -> tuple[tuple[str, int], ...]:
     cycle of this kind; a single real -2, one conjugate -2 pair, or up to
     three conjugate -1 pairs are the only other options.
     """
-    degrees = anticanonical_degrees(cycle)
+    return _negatives(cycle, anticanonical_degrees(cycle))
+
+
+def _negatives(cycle, degrees):
+    """``negative_curves`` from the cycle's already computed degrees."""
     negatives = [
         (name, d) for name, d in zip(cycle.order, degrees) if d < 0
     ]
@@ -254,7 +258,7 @@ def classify(model: TwistorModel) -> ClassificationReport:
             f"got n = {cycle.lattice.pairs}"
         )
     degrees = anticanonical_degrees(cycle)
-    negatives = negative_curves(cycle)
+    negatives = _negatives(cycle, degrees)
     m = cycle.m
     nef = not negatives
     tau = None
@@ -366,12 +370,8 @@ class EnumerationResult:
 
 
 def _shape_key(cycle: AnticanonicalCycle) -> tuple:
-    return tuple(
-        sorted(
-            (cycle.classes[name].self_intersection, cycle.is_real(name))
-            for name in cycle.order
-        )
-    )
+    weights = zip(cycle.self_intersections(), map(cycle.is_real, cycle.order))
+    return tuple(sorted(weights))
 
 
 def walk_schedules(root: RealizationState):
@@ -389,10 +389,11 @@ def classify_leaf(schedule: BlowupSchedule, leaf: RealizationState) -> Enumerate
     cycle = leaf.cycle()
     shape = _shape_key(cycle)
     # a nef configuration needs a torsion choice; tau = 1 is the generic
-    # free-pencil representative and keeps emitted documents classifiable
-    torsion = TorsionSpec.finite(1) if is_nef(cycle) else None
+    # free-pencil representative and keeps emitted documents classifiable.
+    # classify reads it on the nef branch only; the document keeps it there
+    tau_one = TorsionSpec.finite(1)
     model = TwistorModel(
-        schedule, cycle.with_torsion(torsion), chern_numbers(schedule.pairs)
+        schedule, cycle.with_torsion(tau_one), chern_numbers(schedule.pairs)
     )
     try:
         report = classify(model)
@@ -400,6 +401,7 @@ def classify_leaf(schedule: BlowupSchedule, leaf: RealizationState) -> Enumerate
     except RealizabilityError as exc:
         report = None
         error = exc.tag
+    torsion = tau_one if report is not None and report.nef else None
     doc = schema.document_for(schedule=schedule, torsion=torsion)
     return EnumeratedEntry(
         schedule=schedule,

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 malformed input (bad flags, JSON, schema,
-references to missing components, n != 4 for classify); 2 a hypothesis or
-realizability violation — the input parsed but describes a configuration
-the theory refuses (with a one-line structured diagnosis on stderr).
+references to missing components, n != 4 for classify, an input above its
+cap); 2 a hypothesis or realizability violation — the input parsed but
+describes a configuration the theory refuses (with a one-line structured
+diagnosis on stderr).
 Results go to stdout, diagnoses to stderr, so output can be piped.
 """
 
@@ -43,6 +44,11 @@ from .errors import (
 )
 
 __all__ = ["main"]
+
+# caps on the inputs whose cost grows without bound: the Bareiss pairing
+# at ``pairing --n`` and the kernel oracle at the total degree it is given
+_PAIRING_MAX_N = 150
+_ORACLE_MAX_DEGREE = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,6 +98,8 @@ def _cmd_chern(args):
 
 
 def _cmd_pairing(args):
+    if args.n > _PAIRING_MAX_N:
+        raise DegreeError(f"--n is capped at {_PAIRING_MAX_N}, got {args.n}")
     data = pairing_matrix(args.n)
     kernel = pairing_kernel(args.n)
     if args.json:
@@ -187,6 +195,10 @@ def _parse_degrees(text):
 
 def _cmd_cycle_h0(args):
     bundle = CycleLineBundle(_parse_degrees(args.degrees))
+    total = sum(map(abs, bundle.degrees))
+    if args.oracle and total > _ORACLE_MAX_DEGREE:
+        cap = _ORACLE_MAX_DEGREE
+        raise DegreeError(f"--oracle is capped at sum(|deg|) = {cap}, got {total}")
     formula_value = None
     violation = None
     try:

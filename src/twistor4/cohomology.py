@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 from . import linalg
@@ -246,12 +247,13 @@ class ChernData(NamedTuple):
     c3: int
 
 
+@cache
 def chern_numbers(n: int) -> ChernData:
     """Chern numbers (c_1^3, c_1 c_2, c_3) = (16(4-n), 24, 2(n+2)).
 
-    The first two are also recomputed through the ring and asserted equal;
-    c_3 lives in odd-degree data the ring model does not carry, so the
-    closed form is authoritative.
+    The first two are also recomputed through the ring and asserted equal,
+    once per n (the result is memoised); c_3 lives in odd-degree data the
+    ring model does not carry, so the closed form is authoritative.
     """
     if n < 1:
         raise DegreeError("n must be a positive integer")

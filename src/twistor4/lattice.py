@@ -24,18 +24,20 @@ pair sits (the other location is implied by equivariance):
     point of the exceptional curve.
 
 A ``RealizationState`` is the cycle after the first k steps: component
-classes, cyclic order and the conjugation.  ``extend`` places one more
-pair and returns a new state, ``candidates`` lists the locations the next
-step may take, and ``cycle`` checks the cycle axioms and returns the
-validated cycle.  ``realize_cycle`` is the fold of ``extend`` over a
-schedule's steps; the enumerator in ``classify`` walks the same states
-depth-first, extending each parent once per child.
+classes as plain coefficient tuples, cyclic order and the conjugation.
+``extend`` places one more pair and returns a new state, ``candidates``
+lists the locations the next step may take, and ``cycle`` wraps each class
+once in a ``DivisorClass``, the boundary type, and validates the cycle on
+the tuples.  ``realize_cycle`` is the fold of ``extend`` over a schedule's
+steps; the enumerator in ``classify`` walks the same states depth-first,
+extending each parent once per child.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
+from operator import mul, sub
 
 from .cycles import TorsionSpec
 from .errors import RealizabilityError, ScheduleError
@@ -96,12 +98,14 @@ class SurfaceLattice:
 
     def exceptional(self, i):
         """E_i, 1-based, i in 1..2*pairs."""
+        return DivisorClass(self, self._exceptional_coeffs(i))
+
+    def _exceptional_coeffs(self, i):
         if not 1 <= i <= 2 * self.pairs:
             raise ValueError(f"E{i} does not exist (pairs={self.pairs})")
-        coeffs = [0] * self.rank
-        coeffs[1 + i] = 1
-        return DivisorClass(self, tuple(coeffs))
+        return (0,) * (1 + i) + (1,) + (0,) * (2 * self.pairs - i)
 
+    @cache
     def anticanonical(self):
         return self.divisor(2, 2, (-1,) * (2 * self.pairs))
 
@@ -136,7 +140,7 @@ class DivisorClass:
                 f"class needs {self.lattice.rank} coefficients, "
                 f"got {len(self.coeffs)}"
             )
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
 
     @property
     def a(self):
@@ -153,8 +157,7 @@ class DivisorClass:
     def dot(self, other: "DivisorClass") -> int:
         if self.lattice != other.lattice:
             raise ValueError("classes live in different lattices")
-        s, o = self.coeffs, other.coeffs
-        return s[0] * o[1] + s[1] * o[0] - sum(x * y for x, y in zip(s[2:], o[2:]))
+        return _dot(self.coeffs, other.coeffs)
 
     @property
     def self_intersection(self):
@@ -208,6 +211,16 @@ class DivisorClass:
         return ("l", "f") + tuple(f"E{i}" for i in range(1, 2 * self.lattice.pairs + 1))
 
 
+def _dot(s, o):
+    """The intersection pairing of two coefficient tuples (Gram form)."""
+    return s[0] * o[1] + s[1] * o[0] - sum(map(mul, s[2:], o[2:]))
+
+
+def _involute(c):
+    """The real involution on a coefficient tuple (see ``real_involution``)."""
+    return c[:2] + tuple(m for pair in zip(c[3::2], c[2::2]) for m in pair)
+
+
 def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
     """The intersection pairing (bilinear, from the fixed Gram data)."""
     return d1.dot(d2)
@@ -234,11 +247,7 @@ def real_involution(d: DivisorClass, lattice: SurfaceLattice | None = None) -> D
     """Swap each E_{2k-1} with E_{2k}; fixes l and f.  An isometry."""
     if lattice is not None and lattice != d.lattice:
         raise ValueError("class does not belong to that lattice")
-    coeffs = list(d.coeffs)
-    for k in range(d.lattice.pairs):
-        i, j = 2 + 2 * k, 3 + 2 * k
-        coeffs[i], coeffs[j] = coeffs[j], coeffs[i]
-    return DivisorClass(d.lattice, tuple(coeffs))
+    return DivisorClass(d.lattice, _involute(d.coeffs))
 
 
 def strict_transform(lattice, a, b, multiplicities, infinitely_near=()):
@@ -433,8 +442,8 @@ class AnticanonicalCycle:
         return tuple(self.classes[name].self_intersection for name in self.order)
 
     def degrees(self):
-        minus_k = self.lattice.anticanonical()
-        return tuple(self.classes[name].dot(minus_k) for name in self.order)
+        minus_k = self.lattice.anticanonical().coeffs
+        return tuple(_dot(self.classes[name].coeffs, minus_k) for name in self.order)
 
     def edges(self):
         """Cyclic adjacencies as ordered pairs; an m=2 cycle has two nodes."""
@@ -449,40 +458,38 @@ class AnticanonicalCycle:
         return replace(self, torsion=torsion)
 
     def validate(self):
-        assert len(set(self.order)) == self.m, "component names must be unique"
-        assert set(self.classes) == set(self.order), "classes must match order"
-        minus_k = self.lattice.anticanonical()
-        total = self.lattice.zero()
-        for name in self.order:
-            total = total + self.classes[name]
-        assert total.coeffs == minus_k.coeffs, (
-            f"cycle classes sum to {total}, expected {minus_k}"
-        )
+        order, m = self.order, self.m
+        assert len(set(order)) == m, "component names must be unique"
+        assert set(self.classes) == set(order), "classes must match order"
+        if any(c.lattice != self.lattice for c in self.classes.values()):
+            raise ValueError("classes live in different lattices")
+        coeffs = {name: c.coeffs for name, c in self.classes.items()}
+        minus_k = self.lattice.anticanonical().coeffs
+        total = tuple(map(sum, zip(*(coeffs[name] for name in order))))
+        assert total == minus_k, f"cycle classes sum to {total}, expected {minus_k}"
         conj = self.conjugate_names
-        assert set(conj) == set(self.order), "conjugation must cover all components"
+        assert set(conj) == set(order), "conjugation must cover all components"
         for name, other in conj.items():
             assert conj[other] == name, "conjugation must be an involution"
-            assert (
-                real_involution(self.classes[name]).coeffs
-                == self.classes[other].coeffs
-            ), f"class of {other} must be the conjugate of {name}"
+            assert _involute(coeffs[name]) == coeffs[other], (
+                f"class of {other} must be the conjugate of {name}"
+            )
         if self.smooth_variant:
-            assert self.m == 1, "smooth variant is a single component"
-            assert self.classes[self.order[0]].coeffs == minus_k.coeffs
-            assert adjunction_genus(self.classes[self.order[0]]) == 1
+            assert m == 1, "smooth variant is a single component"
+            assert coeffs[order[0]] == minus_k
+            assert adjunction_genus(self.classes[order[0]]) == 1
             return self
-        assert self.m >= 2, "a cycle has at least two components"
-        for name in self.order:
-            c = self.classes[name]
-            assert c.dot(minus_k) == c.self_intersection + 2, (
+        assert m >= 2, "a cycle has at least two components"
+        for name in order:
+            c = coeffs[name]
+            assert _dot(c, minus_k) == _dot(c, c) + 2, (
                 f"component {name} must have arithmetic genus 0"
             )
         edge_set = {frozenset(e) for e in self.edges()}
-        for i, ni in enumerate(self.order):
-            for j in range(i + 1, self.m):
-                nj = self.order[j]
-                product = self.classes[ni].dot(self.classes[nj])
-                if self.m == 2:
+        for i, ni in enumerate(order):
+            for nj in order[i + 1:]:
+                product = _dot(coeffs[ni], coeffs[nj])
+                if m == 2:
                     expected = 2
                 else:
                     expected = 1 if frozenset((ni, nj)) in edge_set else 0
@@ -522,18 +529,19 @@ class RealizationState:
         self.initial_type = initial_type
         self.lattice = SurfaceLattice(pairs)
         self.steps: tuple[BlowupStep, ...] = ()
-        l, f = self.lattice.line(), self.lattice.fibre()
+        pad = (0,) * (2 * pairs)
+        l, f = (1, 0) + pad, (0, 1) + pad
         if initial_type == "I":
             self.order = ["F", "G", "Fbar", "Gbar"]
             self.classes = {"F": f, "G": l, "Fbar": f, "Gbar": l}
             self.conj = {"F": "Fbar", "Fbar": "F", "G": "Gbar", "Gbar": "G"}
         elif initial_type == "II":
             self.order = ["F", "C0"]
-            self.classes = {"F": f, "C0": 2 * l + f}
+            self.classes = {"F": f, "C0": (2, 1) + pad}
             self.conj = {"F": "F", "C0": "C0"}
         else:  # III
             self.order = ["A", "Abar"]
-            self.classes = {"A": l + f, "Abar": l + f}
+            self.classes = {"A": (1, 1) + pad, "Abar": (1, 1) + pad}
             self.conj = {"A": "Abar", "Abar": "A"}
         self.hosts: dict[int, str | None] = {}
         self.consumed: frozenset[int] = frozenset()
@@ -559,18 +567,16 @@ class RealizationState:
 
     def cycle(self) -> AnticanonicalCycle:
         """The validated cycle, in the lattice of the pairs placed so far."""
-        lattice, classes = SurfaceLattice(len(self.steps)), dict(self.classes)
-        if lattice != self.lattice:  # a prefix: drop the pairs not yet placed
-            classes = {
-                name: DivisorClass(lattice, c.coeffs[: lattice.rank])
-                for name, c in classes.items()
-            }
+        lattice = SurfaceLattice(len(self.steps))
+        rank = lattice.rank  # a prefix drops the pairs not yet placed
+        classes = {n: DivisorClass(lattice, c[:rank]) for n, c in self.classes.items()}
         result = AnticanonicalCycle(lattice, tuple(self.order), classes, dict(self.conj))
         return result.validate()
 
     # -- helpers ---------------------------------------------------------
     def _subtract(self, name, e_index):
-        self.classes[name] = self.classes[name] - self.lattice.exceptional(e_index)
+        e = self.lattice._exceptional_coeffs(e_index)
+        self.classes[name] = tuple(map(sub, self.classes[name], e))
 
     def _place(self, k, name):
         """Pair k at a smooth point of ``name`` and its conjugate point."""
@@ -668,8 +674,8 @@ class RealizationState:
             self._subtract(cc, e_conj)
             self._subtract(cd, e_conj)
             self.order.insert(j + 1, conj_name)
-        self.classes[primary_name] = self.lattice.exceptional(e_primary)
-        self.classes[conj_name] = self.lattice.exceptional(e_conj)
+        self.classes[primary_name] = self.lattice._exceptional_coeffs(e_primary)
+        self.classes[conj_name] = self.lattice._exceptional_coeffs(e_conj)
         self.conj[primary_name] = conj_name
         self.conj[conj_name] = primary_name
         self.hosts[k] = None

@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from dataclasses import replace
+
 from twistor4.lattice import (
     AnticanonicalCycle,
     BlowupSchedule,
     BlowupStep,
+    DivisorClass,
     RealizationState,
     SurfaceLattice,
     adjunction_genus,
@@ -408,6 +411,85 @@ def test_validate_rejects_tampered_cycle():
         broken.validate()
 
 
+# Tampered versions of the 4-cycle F, G, Fbar, Gbar after four smooth
+# points on G (F = Fbar = f, G = l - E1 - E3 - E5 - E7, Gbar its
+# conjugate); classes are given as coefficient tuples (l, f, E1..E8).
+_L, _F = (1, 0) + (0,) * 8, (0, 1) + (0,) * 8
+
+
+def _classes(**coeffs):
+    return lambda cycle: {
+        "classes": {
+            **cycle.classes,
+            **{name: DivisorClass(cycle.lattice, c) for name, c in coeffs.items()},
+        }
+    }
+
+
+_TAMPERED = {
+    "sum-is-not-minus-K": (_classes(G=_L), AssertionError, "sum to"),
+    "class-is-not-its-partners-conjugate": (
+        # E1 moves from G to F: the sum is kept, conj(F) = f - E2 != Fbar
+        _classes(F=(0, 1, -1) + (0,) * 7, G=(1, 0, 0, 0, -1, 0, -1, 0, -1, 0)),
+        AssertionError,
+        "class of Fbar must be the conjugate of F",
+    ),
+    "conjugation-is-not-an-involution": (
+        lambda cycle: {"conjugate_names": {"F": "Fbar", "Fbar": "G", "G": "Gbar",
+                                           "Gbar": "F"}},
+        AssertionError,
+        "involution",
+    ),
+    "arithmetic-genus-is-not-0": (
+        # 2f has genus -1; G and Gbar give up an f each to keep the sum
+        _classes(
+            F=(0, 2) + (0,) * 8,
+            Fbar=(0, 2) + (0,) * 8,
+            G=(1, -1, -1, 0, -1, 0, -1, 0, -1, 0),
+            Gbar=(1, -1, 0, -1, 0, -1, 0, -1, 0, -1),
+        ),
+        AssertionError,
+        "component F must have arithmetic genus 0",
+    ),
+    "adjacent-product-is-wrong": (
+        lambda cycle: {"order": ("F", "Fbar", "G", "Gbar")},
+        AssertionError,
+        r"F\.Fbar = 0, expected 1",
+    ),
+    "non-adjacent-product-is-nonzero": (
+        lambda cycle: {"order": ("F", "G", "Gbar", "Fbar")},
+        AssertionError,
+        r"F\.Gbar = 1, expected 0",
+    ),
+    # swapping F and G sends the edge G-Fbar to F-Fbar, which is not an
+    # edge.  The conjugate-class check fires first: once classes follow
+    # the involution (an isometry) and the products match the adjacency,
+    # every conjugation preserves it.
+    "conjugation-breaks-adjacency": (
+        lambda cycle: {"conjugate_names": {"F": "G", "G": "F", "Fbar": "Fbar",
+                                           "Gbar": "Gbar"}},
+        AssertionError,
+        "class of G must be the conjugate of F",
+    ),
+    "classes-from-another-lattice": (
+        lambda cycle: {"classes": {**cycle.classes,
+                                   "F": SurfaceLattice(3).fibre()}},
+        ValueError,
+        "different lattices",
+    ),
+}
+
+
+@pytest.mark.parametrize("tamper, error, message", list(_TAMPERED.values()),
+                         ids=list(_TAMPERED))
+def test_validate_rejects_each_kind_of_tampering(tamper, error, message):
+    cycle = realize_cycle(BlowupSchedule("I", (BlowupStep.smooth("G"),) * 4))
+    assert cycle.classes["G"].coeffs == (1, 0, -1, 0, -1, 0, -1, 0, -1, 0)
+    broken = replace(cycle, **tamper(cycle))
+    with pytest.raises(error, match=message):
+        broken.validate()
+
+
 def test_smooth_anticanonical_cycle():
     cycle = smooth_anticanonical_cycle(4)
     assert cycle.smooth_variant
@@ -425,10 +507,10 @@ def test_realization_state_extend_leaves_the_parent_untouched():
     assert parent.steps == () and child.steps == (BlowupStep.node(("F", "G")),)
     assert parent.order == ["F", "G", "Fbar", "Gbar"]
     assert child.order == ["F", "E1", "G", "Fbar", "E2", "Gbar"]
-    assert parent.classes["F"] == SurfaceLattice(2).fibre()
+    assert parent.classes["F"] == SurfaceLattice(2).fibre().coeffs
     grandchild = child.extend(BlowupStep.smooth("E1"))
     assert "E1" not in parent.classes
-    assert child.classes["E1"] == SurfaceLattice(2).exceptional(1)
+    assert child.classes["E1"] == SurfaceLattice(2).exceptional(1).coeffs
     assert grandchild.cycle() == realize_cycle(
         BlowupSchedule("I", grandchild.steps)
     )

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +218,13 @@ def test_cli_pairing(capsys):
     assert data["matrix"][4] == [-1, -1, -1, -1, -2]
 
 
+def test_cli_pairing_n_is_capped(capsys):
+    assert _run(capsys, "pairing", "--n", "150")[0] == 0
+    code, out, err = _run(capsys, "pairing", "--n", "151")
+    assert code == 1 and out == ""
+    assert err == "error: --n is capped at 150, got 151\n"
+
+
 def test_cli_euler(capsys):
     code, out, _ = _run(capsys, "euler", "--n", "4", "--m", "7")
     assert code == 0 and out.strip() == "8"
@@ -272,6 +283,18 @@ def test_cli_cycle_h0_malformed_degrees(capsys):
     assert code == 1 and "comma-separated" in err
     code, _, err = _run(capsys, "cycle-h0", "--degrees", "5")
     assert code == 1 and "at least two" in err
+
+
+def test_cli_cycle_h0_oracle_total_degree_is_capped(capsys):
+    assert _run(capsys, "cycle-h0", "--degrees", "250,-250,250,-250", "--oracle")[0] == 0
+    code, out, err = _run(
+        capsys, "cycle-h0", "--degrees", "250,-250,250,-251", "--oracle",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: --oracle is capped at sum(|deg|) = 1000, got 1001\n"
+    # the closed formula alone costs nothing and is not capped
+    code, out, _ = _run(capsys, "cycle-h0", "--degrees", "250,-250,250,-251")
+    assert code == 0 and out.startswith("formula: ")
 
 
 def test_cli_seed_resolution(capsys, monkeypatch):
@@ -431,12 +454,35 @@ def test_cli_enumerate_json_round_trip(capsys):
     assert data_again == data
 
 
+_ENUMERATE_JSON_SHA256 = (
+    "918cee63dc80362a4b3a22f0ab34c4348b0d58c2054960c37e84f306afb0a4bb"
+)
+
+
 def test_cli_enumerate_json_bytes_are_pinned(capsys):
     code, out, _ = _run(capsys, "enumerate", "--json")
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "918cee63dc80362a4b3a22f0ab34c4348b0d58c2054960c37e84f306afb0a4bb"
-    )
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _ENUMERATE_JSON_SHA256
+
+
+def test_cli_under_python_O_keeps_its_results():
+    # with asserts stripped, nothing the program computes may change: no
+    # control flow rests on an assert
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "twistor4.cli", *argv],
+            capture_output=True, env=env, check=True,
+        ).stdout
+
+    selftest = run("selftest").decode("utf-8")
+    assert selftest.count(": PASS - ") == 10
+    assert selftest.strip().endswith("10/10 criteria passed")
+    enumerated = run("enumerate", "--json")
+    assert hashlib.sha256(enumerated).hexdigest() == _ENUMERATE_JSON_SHA256
 
 
 # -- CLI: usage errors -----------------------------------------------------------------
