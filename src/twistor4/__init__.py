@@ -50,6 +50,7 @@ from .cycles import (
 from .errors import (
     DegreeError,
     HypothesisError,
+    InvariantError,
     RealizabilityError,
     ScheduleError,
     TorsionRequiredError,
@@ -108,7 +109,7 @@ __all__ = [
     "euler_char_cycle", "h0_formula", "h0_oracle", "torsion_tau",
     # errors
     "TwistorError", "ScheduleError", "DegreeError", "RealizabilityError",
-    "HypothesisError", "TorsionRequiredError",
+    "HypothesisError", "TorsionRequiredError", "InvariantError",
     # lattice
     "SurfaceLattice", "DivisorClass", "intersect", "anticanonical_class",
     "adjunction_genus", "strict_transform", "real_involution", "BlowupStep",

@@ -3,8 +3,9 @@
 Exit codes: 0 success; 1 malformed input (bad flags, JSON, schema,
 references to missing components, n != 4 for classify, an input above its
 cap); 2 a hypothesis or realizability violation — the input parsed but
-describes a configuration the theory refuses (with a one-line structured
-diagnosis on stderr).
+describes a configuration the theory refuses — or a failed internal
+invariant (``invariant-<name>``), each with a one-line structured
+diagnosis on stderr.
 Results go to stdout, diagnoses to stderr, so output can be piped.
 """
 
@@ -38,6 +39,7 @@ from .cycles import (
 from .errors import (
     DegreeError,
     HypothesisError,
+    InvariantError,
     RealizabilityError,
     ScheduleError,
     TorsionRequiredError,
@@ -45,8 +47,9 @@ from .errors import (
 
 __all__ = ["main"]
 
-# caps on the inputs whose cost grows without bound: the Bareiss pairing
-# at ``pairing --n`` and the kernel oracle at the total degree it is given
+# caps on the inputs whose cost grows without bound: the pairing
+# determinant at ``pairing --n`` and the kernel oracle at the total degree
+# it is given
 _PAIRING_MAX_N = 150
 _ORACLE_MAX_DEGREE = 1000
 
@@ -425,7 +428,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (RealizabilityError, HypothesisError, TorsionRequiredError) as exc:
+    except (RealizabilityError, HypothesisError, TorsionRequiredError,
+            InvariantError) as exc:
         print(f"violation: {exc.tag}: {exc}", file=sys.stderr)
         return 2
     except (ScheduleError, DegreeError) as exc:

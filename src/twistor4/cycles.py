@@ -176,10 +176,11 @@ def _default_placements(m):
 def _evaluate_section_row(l, point):
     """Row of the evaluation functional at (alpha:beta) on H^0(P^1, O(l)).
 
-    Basis: u^l, u^(l-1) v, ..., v^l.
+    Basis: u^l, u^(l-1) v, ..., v^l.  Exact ints for an integral point,
+    Fractions otherwise.
     """
-    alpha, beta = point
-    return [Fraction(alpha) ** (l - j) * Fraction(beta) ** j for j in range(l + 1)]
+    alpha, beta = (c if type(c) is int else Fraction(c) for c in point)
+    return [alpha ** (l - j) * beta ** j for j in range(l + 1)]
 
 
 def _kernel_dim(degrees, gluing, placements):
@@ -187,7 +188,9 @@ def _kernel_dim(degrees, gluing, placements):
 
     rho sends (s_1..s_m) to the m-tuple of mismatches
     s_i(P_i on C_i) - g_i * s_{i+1}(P_i on C_{i+1}); the scalar g_i weights
-    the side of node i belonging to component i+1.
+    the side of node i belonging to component i+1, and is given as the
+    pair (num, den).  Row i is scaled by den, so it reads
+    den * ev_out - num * ev_in and is integral whenever the placements are.
     """
     m = len(degrees)
     offsets = []
@@ -196,29 +199,25 @@ def _kernel_dim(degrees, gluing, placements):
         offsets.append(total)
         total += max(0, l + 1)
     rows = []
-    for i in range(m):
+    for i, (num, den) in enumerate(gluing):
         nxt = (i + 1) % m
-        row = [Fraction(0)] * total
+        row = [0] * total
         out_point, in_point = placements[i]
         if degrees[i] >= 0:
             ev = _evaluate_section_row(degrees[i], out_point)
-            for j, v in enumerate(ev):
-                row[offsets[i] + j] += v
+            for j, v in enumerate(ev, offsets[i]):
+                row[j] += den * v
         if degrees[nxt] >= 0:
             ev = _evaluate_section_row(degrees[nxt], in_point)
-            for j, v in enumerate(ev):
-                row[offsets[nxt] + j] -= gluing[i] * v
+            for j, v in enumerate(ev, offsets[nxt]):
+                row[j] -= num * v
         rows.append(row)
     return total - linalg.rank(rows)
 
 
 def _draw_gluing(rng, m):
-    out = []
-    for _ in range(m):
-        num = rng.randint(1, 10**6)
-        den = rng.randint(1, 10**6)
-        out.append(Fraction(num, den))
-    return tuple(out)
+    """m random gluing scalars, each as a (numerator, denominator) pair."""
+    return [(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(m)]
 
 
 def h0_oracle(bundle: CycleLineBundle, seed: int | None = None, *, draws: int = 3,
@@ -239,7 +238,8 @@ def h0_oracle(bundle: CycleLineBundle, seed: int | None = None, *, draws: int = 
     m = len(degrees)
     placements = _placements if _placements is not None else _default_placements(m)
     if bundle.gluing is not None:
-        return _kernel_dim(degrees, bundle.gluing, placements)
+        gluing = [(g.numerator, g.denominator) for g in bundle.gluing]
+        return _kernel_dim(degrees, gluing, placements)
     rng = random.Random(DEFAULT_ORACLE_SEED if seed is None else seed)
     dims = [_kernel_dim(degrees, _draw_gluing(rng, m), placements)
             for _ in range(draws)]

@@ -9,6 +9,8 @@ Two families matter to callers (and to the CLI's exit codes):
   These are ``RealizabilityError`` / ``HypothesisError`` / the nef branch's
   ``TorsionRequiredError``, and each carries a short machine ``tag`` plus a
   readable message.
+
+``InvariantError`` means a computed value contradicts its closed form.
 """
 
 
@@ -54,3 +56,15 @@ class TorsionRequiredError(TwistorError):
     """The nef branch needs torsion data that the input did not provide."""
 
     tag = "torsion-required"
+
+
+class InvariantError(TwistorError):
+    """A consistency check failed; raised explicitly, so ``-O`` keeps it.
+
+    ``tag`` is ``invariant-<name>``: ``fundamental-class``,
+    ``chern-c1-cubed``, ``chern-c1-c2`` or ``pairing-determinant``.
+    """
+
+    def __init__(self, name, message):
+        super().__init__(message)
+        self.tag = f"invariant-{name}"

@@ -1,102 +1,98 @@
 """Exact linear algebra over Z and Q.
 
-Everything here is fraction-free where it matters: determinants use the
-one-step Bareiss scheme (all intermediate divisions are exact), ranks are
-computed on denominator-cleared integer rows with cross-multiplication
-updates.  No floats anywhere.
+One fraction-free elimination serves the determinant, the rank and the
+nullspace.  Rows are made integral once (denominators cleared), and each
+elimination step replaces a row by the primitive part of
+``p*row - f*pivot_row``; rows with a zero in the pivot column are not
+touched, so sparse matrices such as the pairing's arrowhead cost O(n^2)
+rather than O(n^3).  No floats anywhere.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
+
+
+def _integral(row):
+    """``row`` as a list of ints times 1/scale: (ints, scale)."""
+    if set(map(type, row)) <= {int}:
+        return list(row), 1
+    fr = [Fraction(x) for x in row]
+    scale = lcm(*(x.denominator for x in fr))
+    return [x.numerator * (scale // x.denominator) for x in fr], scale
+
+
+def _eliminate(rows, *, reduced=False, determinant=False):
+    """Echelon form over Z of an int/Fraction matrix.
+
+    Returns ``(rows, pivots, factor)``: the integer rows after elimination
+    (reduced echelon form when ``reduced``: every pivot column is zero
+    outside its pivot row), the pivot column of each of the first
+    ``len(pivots)`` rows, and, when ``determinant``, the Fraction ``factor``
+    with det(input) = factor * det(output) (``None`` otherwise).  A square
+    matrix that turns out singular stops early with factor 0.
+    """
+    m, sign, factor = [], 1, Fraction(1)
+    for row in rows:
+        ints, scale = _integral(row)
+        m.append(ints)
+        if scale != 1:
+            factor /= scale
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        for i in range(r, len(m)):
+            if m[i][col]:
+                break
+        else:
+            if determinant:
+                return m, pivots, Fraction(0)
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            sign = -sign
+        prow = m[r]
+        p = prow[col]
+        contents, updated = 1, 0
+        for i in range(0 if reduced else r + 1, len(m)):
+            f = m[i][col]
+            if f and i != r:
+                new = [p * x - f * y for x, y in zip(m[i], prow)]
+                g = gcd(*new)
+                if g > 1:
+                    new = [x // g for x in new]
+                m[i] = new
+                contents *= g
+                updated += 1
+        if determinant and updated:
+            factor *= Fraction(contents, p ** updated)
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots, sign * factor if determinant else None
 
 
 def bareiss_determinant(rows):
-    """Determinant of a square matrix of ints/Fractions (Bareiss).
+    """Determinant of a square matrix of ints/Fractions.
 
-    Rows are scaled integral first, so all intermediate divisions are
-    exact integer divisions; the scaling is divided back out at the end.
-    Returns an int when the result is integral, else a Fraction.
+    Computed by the content-reducing elimination of this module, not by
+    Bareiss's scheme any more; the name stays because callers and tools
+    look the function up by it.  Every step's factor p/g and every row
+    swap is recorded, so the result is exact: an int when it is integral,
+    else a Fraction.
     """
     n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    a = []
-    scale = 1
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        s = 1
-        for v in fr:
-            s = s * v.denominator // gcd(s, v.denominator)
-        a.append([int(v * s) for v in fr])
-        scale *= s
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact by Sylvester's identity
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    det = Fraction(sign * a[n - 1][n - 1], scale)
-    return int(det) if det.denominator == 1 else det
-
-
-def _integer_rows(rows):
-    """Scale each row by the lcm of its denominators, then divide out the gcd."""
-    out = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        scale = 1
-        for x in fr:
-            d = x.denominator
-            scale = scale * d // gcd(scale, d)
-        ints = [int(x * scale) for x in fr]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
-    return out
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    m, _, factor = _eliminate(rows, determinant=True)
+    factor *= prod(m[k][k] for k in range(n))
+    return int(factor) if factor.denominator == 1 else factor
 
 
 def rank(rows):
     """Rank over Q of a matrix with int/Fraction entries."""
-    m = _integer_rows(rows)
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r][col]
-        for i in range(r + 1, len(m)):
-            f = m[i][col]
-            if f:
-                new = [p * x - f * y for x, y in zip(m[i], m[r])]
-                g = 0
-                for x in new:
-                    g = gcd(g, x)
-                if g > 1:
-                    new = [x // g for x in new]
-                m[i] = new
-        r += 1
-        if r == len(m):
-            break
-    return r
+    return len(_eliminate(rows)[1])
 
 
 def nullspace(rows):
@@ -105,54 +101,26 @@ def nullspace(rows):
     Returned vectors are tuples of ints with content 1 and first nonzero
     entry positive, listed in order of their free column.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
-    if not a:
+    m, pivots, _ = _eliminate(rows, reduced=True)
+    if not m:
         return []
-    ncols = len(a[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(a):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+    for fc in range(len(m[0])):
+        if fc in pivot_set:
+            continue
+        # with the other free entries 0, pivot row i reads
+        # m[i][pc] * x[pc] + m[i][fc] * x[fc] = 0
+        scale = lcm(*(m[i][pc] for i, pc in enumerate(pivots) if m[i][fc]))
+        v = [0] * len(m[0])
+        v[fc] = scale
         for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
-        scale = 1
-        for x in v:
-            d = x.denominator
-            scale = scale * d // gcd(scale, d)
-        ints = [int(x * scale) for x in v]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-        lead = next(x for x in ints if x != 0)
-        if lead < 0:
-            ints = [-x for x in ints]
-        basis.append(tuple(ints))
+            v[pc] = -m[i][fc] * scale // m[i][pc]
+        g = gcd(*v) if next(x for x in v if x) > 0 else -gcd(*v)
+        basis.append(tuple(x // g for x in v))
     return basis
 
 
 def left_nullspace(rows):
     """Primitive integer basis of {v : v.A = 0} (nullspace of the transpose)."""
-    if not rows:
-        return []
-    transpose = [list(col) for col in zip(*rows)]
-    return nullspace(transpose)
+    return nullspace(list(zip(*rows)))

@@ -10,11 +10,16 @@ consequence of the quadratic relations, but for n = 1 it is independent
 and must be imposed for H^6 to be a single copy of Z.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
 
+from twistor4 import cohomology
 from twistor4.cohomology import (
     c1_class,
     c2_class,
@@ -33,7 +38,7 @@ from twistor4.cohomology import (
     x,
     zero,
 )
-from twistor4.errors import DegreeError
+from twistor4.errors import DegreeError, InvariantError
 
 
 def _ring(n):
@@ -201,7 +206,7 @@ def test_pairing_matrix_layout_small_n():
 
 def test_pairing_kernel_only_at_four():
     assert pairing_kernel(4) == ((1, 1, 1, 1, 2),)
-    for n in (1, 2, 3, 5, 6):
+    for n in (1, 2, 3, 5, 6, 7, 8, 9, 10, 40, 80):
         assert pairing_kernel(n) == ()
 
 
@@ -210,6 +215,42 @@ def test_kernel_vector_kills_the_pairing():
     v = pairing_kernel(4)[0]
     for j in range(len(matrix[0])):
         assert sum(v[i] * matrix[i][j] for i in range(len(matrix))) == 0
+
+
+# -- invariants are explicit raises ------------------------------------------------
+
+def test_chern_and_fundamental_class_checks_raise(monkeypatch):
+    monkeypatch.setattr(cohomology, "evaluate", lambda c: 7)
+    chern_numbers.cache_clear()
+    try:
+        with pytest.raises(InvariantError) as err:
+            chern_numbers(3)
+        assert err.value.tag == "invariant-chern-c1-cubed"
+    finally:
+        chern_numbers.cache_clear()
+    monkeypatch.setattr(cohomology, "c1_class", lambda n: w(n))
+    with pytest.raises(InvariantError) as err:
+        fundamental_class(4)
+    assert err.value.tag == "invariant-fundamental-class"
+
+
+def test_invariants_survive_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = (
+        "from twistor4 import cohomology, linalg\n"
+        "from twistor4.errors import InvariantError\n"
+        "assert False, 'asserts are on'\n"
+        "linalg.bareiss_determinant = lambda rows: 4\n"
+        "try:\n"
+        "    cohomology.pairing_matrix(2)\n"
+        "except InvariantError as exc:\n"
+        "    print(exc.tag)\n"
+    )
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, env=env, check=True)
+    assert result.stdout == b"invariant-pairing-determinant\n"
 
 
 def test_euler_char_fundamental():

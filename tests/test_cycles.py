@@ -184,3 +184,49 @@ def test_torsion_spec():
 
 def test_euler_char_cycle_is_degree_sum():
     assert euler_char_cycle(CycleLineBundle((2, -1, 0))) == 1
+
+
+# -- the oracle's row builder -----------------------------------------------------
+
+_RATIONAL_PLACEMENTS = (
+    ((Fraction(1, 3), Fraction(2, 5)), (Fraction(-3, 7), 1)),
+    ((2, Fraction(1, 2)), (Fraction(5, 4), Fraction(-1, 9))),
+    ((Fraction(7, 2), 3), (1, Fraction(3, 8))),
+    ((Fraction(-2, 3), Fraction(1, 6)), (Fraction(4, 5), 2)),
+)
+
+
+@pytest.mark.parametrize(
+    "degrees,gluing,expected",
+    [
+        ((0, 0, 0), (1, 1, 1), 1),
+        ((0, 0, 0), (2, 1, 1), 0),
+        ((0, 0, 0), (2, Fraction(1, 2), 1), 1),
+        ((1, 2, 1), (Fraction(3, 7), Fraction(-5, 2), 4), 4),
+        ((2, -2, 2, -2), (Fraction(2, 3), Fraction(9, 4), Fraction(-1, 5), 7), 2),
+        ((1, -1, 1, -1), (Fraction(5, 3), 2, Fraction(1, 8), Fraction(-4, 9)), 0),
+        ((0, 0), (3, 1), 0),
+    ],
+)
+def test_oracle_with_rational_placements_and_gluings(degrees, gluing, expected):
+    # non-integral placements keep the rows in Fractions
+    bundle = CycleLineBundle(degrees, gluing=gluing)
+    placements = _RATIONAL_PLACEMENTS[:len(degrees)]
+    assert h0_oracle(bundle, _placements=placements) == expected
+    assert h0_oracle(bundle) == expected
+
+
+def test_formula_matches_oracle_on_large_band_cycles():
+    # every cycle length 3..16 four times, degrees up to 24 in absolute value
+    rng = random.Random(2417)
+    for i in range(56):
+        m = 3 + i % 14
+        while True:
+            degrees = tuple(rng.randint(-24, 24) for _ in range(m))
+            bundle = CycleLineBundle(degrees)
+            try:
+                value = h0_formula(bundle)
+            except HypothesisError:
+                continue
+            break
+        assert value == h0_oracle(bundle, seed=rng.randrange(1 << 30)), degrees

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from twistor4 import schema
+from twistor4 import cohomology, schema
 from twistor4.classify import classify, model_from_document
 from twistor4.cli import main
 from twistor4.cycles import DEFAULT_ORACLE_SEED, TorsionSpec
@@ -223,6 +223,21 @@ def test_cli_pairing_n_is_capped(capsys):
     code, out, err = _run(capsys, "pairing", "--n", "151")
     assert code == 1 and out == ""
     assert err == "error: --n is capped at 150, got 151\n"
+
+
+def test_cli_pairing_json_at_the_cap(capsys):
+    data = _run_json(capsys, "pairing", "--n", "150", "--json")
+    assert data["n"] == 150 and data["kernel"] == []
+    assert data["det"] == 2 ** 149 * 146
+
+
+def test_cli_reports_a_failed_invariant_as_a_violation(capsys, monkeypatch):
+    # |det| is right, the sign is not: the signed closed form refuses it
+    monkeypatch.setattr(cohomology.linalg, "bareiss_determinant", lambda rows: 4)
+    code, out, err = _run(capsys, "pairing", "--n", "2")
+    assert code == 2 and out == ""
+    assert err == ("violation: invariant-pairing-determinant: "
+                   "computed 4, closed form -4 at n=2\n")
 
 
 def test_cli_euler(capsys):
