@@ -81,7 +81,6 @@ from .classify import (
     ClassificationReport,
     EnumeratedEntry,
     EnumerationResult,
-    TwistorModel,
     anticanonical_degrees,
     check_report,
     classify,
@@ -118,7 +117,7 @@ __all__ = [
     "elementary_transform",
     # classification
     "CASE_NEF", "CASE_REAL_MINUS_2", "CASE_PAIR_MINUS_2", "CASE_PAIRS_MINUS_1",
-    "ClassificationReport", "TwistorModel", "anticanonical_degrees", "is_nef",
+    "ClassificationReport", "anticanonical_degrees", "is_nef",
     "negative_curves", "check_report", "classify", "model_from_schedule",
     "model_from_document", "h0_pluri_fundamental", "EnumeratedEntry",
     "EnumerationResult", "walk_schedules", "classify_leaf",

@@ -179,15 +179,15 @@ def _criterion_h0_oracle():
 
 
 def _criterion_case_a():
-    model = model_from_schedule(golden_case_a())
-    c0 = model.cycle.classes["C0"]
-    minus_k = anticanonical_class(model.cycle.lattice)
+    cycle = model_from_schedule(golden_case_a())
+    c0 = cycle.classes["C0"]
+    minus_k = anticanonical_class(cycle.lattice)
     if c0.self_intersection != -4 or c0.dot(minus_k) != -2:
         return False, (
             f"C0^2 = {c0.self_intersection}, C0.(-K) = {c0.dot(minus_k)}, "
             "expected -4 and -2"
         )
-    r = classify(model)
+    r = classify(cycle)
     expected = (CASE_REAL_MINUS_2, 3, 2, 3, 0, "C0", False)
     got = (
         r.case,
@@ -204,15 +204,15 @@ def _criterion_case_a():
 
 
 def _criterion_case_b():
-    model = model_from_schedule(golden_case_b())
-    g = model.cycle.classes["G"]
-    gbar = model.cycle.classes["Gbar"]
+    cycle = model_from_schedule(golden_case_b())
+    g = cycle.classes["G"]
+    gbar = cycle.classes["Gbar"]
     if g.self_intersection != -4 or g.dot(gbar) != 0:
         return False, (
             f"A^2 = {g.self_intersection}, A.Abar = {g.dot(gbar)}, "
             "expected -4 and 0"
         )
-    r = classify(model)
+    r = classify(cycle)
     expected = (CASE_PAIR_MINUS_2, 4, 3, 3, math.inf, "A+Abar", True)
     got = (
         r.case,
@@ -242,12 +242,12 @@ def _is_rotation(seq, target):
 
 
 def _criterion_case_c():
-    model = model_from_schedule(golden_case_c())
-    selfs = model.cycle.self_intersections()
+    cycle = model_from_schedule(golden_case_c())
+    selfs = cycle.self_intersections()
     wanted = (-2, -3, -2, -1, -2, -3, -2, -1)
     if not _is_rotation(selfs, wanted):
         return False, f"self-intersections {selfs} are not a rotation of {wanted}"
-    r = classify(model)
+    r = classify(cycle)
     expected = (CASE_PAIRS_MINUS_1, 2, 1, 3, 8, "C", 2, 4)
     got = (
         r.case,

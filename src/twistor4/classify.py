@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 from itertools import chain
 
 from . import schema
-from .cohomology import ChernData, chern_numbers
+from .cohomology import chern_numbers
 from .cycles import CycleLineBundle, TorsionSpec, cyclic_arcs, h0_formula, torsion_tau
 from .errors import RealizabilityError, ScheduleError, TorsionRequiredError
 from .lattice import (
@@ -54,7 +54,6 @@ __all__ = [
     "negative_curves",
     "ClassificationReport",
     "check_report",
-    "TwistorModel",
     "model_from_schedule",
     "model_from_document",
     "classify",
@@ -210,48 +209,30 @@ def check_report(report: ClassificationReport) -> ClassificationReport:
     return report
 
 
-@dataclass
-class TwistorModel:
-    """A realized configuration: schedule (if any), cycle, Chern numbers."""
-
-    schedule: BlowupSchedule | None
-    cycle: AnticanonicalCycle
-    chern: ChernData | None
-
-    @property
-    def torsion(self) -> TorsionSpec | None:
-        return self.cycle.torsion
-
-
 def model_from_schedule(
     schedule: BlowupSchedule, torsion: TorsionSpec | None = None
-) -> TwistorModel:
+) -> AnticanonicalCycle:
     """Realize a schedule, routing the nodes-first two-component form
     through the elementary transform to its four-component equivalent."""
-    realized_from = schedule
     if (
         schedule.initial_type == "III"
         and schedule.steps
         and schedule.steps[0].kind == "node"
     ):
-        realized_from = elementary_transform(schedule)
-    cycle = realize_cycle(realized_from).with_torsion(torsion)
-    chern = chern_numbers(schedule.pairs) if schedule.pairs >= 1 else None
-    return TwistorModel(schedule, cycle, chern)
+        schedule = elementary_transform(schedule)
+    return realize_cycle(schedule).with_torsion(torsion)
 
 
-def model_from_document(doc: dict) -> TwistorModel:
+def model_from_document(doc: dict) -> AnticanonicalCycle:
+    """The realized cycle of a schedule document, with its torsion record."""
     parsed = schema.parse_document(doc)
     if parsed.smooth_anticanonical:
-        cycle = smooth_anticanonical_cycle(parsed.n, parsed.torsion)
-        chern = chern_numbers(parsed.n) if parsed.n >= 1 else None
-        return TwistorModel(None, cycle, chern)
+        return smooth_anticanonical_cycle(parsed.n, parsed.torsion)
     return model_from_schedule(parsed.schedule, parsed.torsion)
 
 
-def classify(model: TwistorModel) -> ClassificationReport:
+def classify(cycle: AnticanonicalCycle) -> ClassificationReport:
     """The full classification for n = 4 (eight blown-up points)."""
-    cycle = model.cycle
     if cycle.lattice.pairs != 4:
         raise ScheduleError(
             f"classification requires n = 4 conjugate pairs, "
@@ -317,11 +298,10 @@ def classify(model: TwistorModel) -> ClassificationReport:
         assert dim_minus2ks == len(positive)
         dim_antican_z = 2 + dim_minus2ks
         h0, base, a, deg1, lebrun = 2, "C", 3, m, False
-    chern = model.chern if model.chern is not None else chern_numbers(4)
     report = ClassificationReport(
         case=case,
         nef=nef,
-        nef_and_big=nef and chern.c1_cubed > 0,
+        nef_and_big=nef and chern_numbers(4).c1_cubed > 0,
         negative_curves=negatives,
         cycle_length=m,
         smooth_anticanonical=cycle.smooth_variant,
@@ -392,17 +372,14 @@ def classify_leaf(schedule: BlowupSchedule, leaf: RealizationState) -> Enumerate
     # free-pencil representative and keeps emitted documents classifiable.
     # classify reads it on the nef branch only; the document keeps it there
     tau_one = TorsionSpec.finite(1)
-    model = TwistorModel(
-        schedule, cycle.with_torsion(tau_one), chern_numbers(schedule.pairs)
-    )
     try:
-        report = classify(model)
+        report = classify(cycle.with_torsion(tau_one))
         error = None
     except RealizabilityError as exc:
         report = None
         error = exc.tag
     torsion = tau_one if report is not None and report.nef else None
-    doc = schema.document_for(schedule=schedule, torsion=torsion)
+    doc = schema.document_for(schedule, torsion)
     return EnumeratedEntry(
         schedule=schedule,
         document=doc,
@@ -432,26 +409,23 @@ def _entry_sort_key(entry: EnumeratedEntry):
     )
 
 
-def enumerate_configurations(
-    max_reports: int | None = None,
-    initial_types: tuple[str, ...] = ("I", "II"),
-) -> EnumerationResult:
+def enumerate_configurations(max_reports: int | None = None) -> EnumerationResult:
     """Walk every n = 4 schedule over the two stable initial cycles,
     classify each, and keep one representative per distinct
     (initial type, weighted-shape, case) key.
 
-    The two-conjugate-(1,1)-curves initial cycle is omitted by default:
-    blowing its nodes first is the elementary transform of a type I
-    schedule, and never blowing them realizes configurations already
-    covered.  ``max_reports`` caps the number of kept entries; the result
-    records whether the walk exhausted the space.
+    The two-conjugate-(1,1)-curves initial cycle is omitted: blowing its
+    nodes first is the elementary transform of a type I schedule, and never
+    blowing them realizes configurations already covered.  ``max_reports``
+    caps the number of kept entries; the result records whether the walk
+    exhausted the space.
     """
     if max_reports is not None and max_reports < 1:
         raise ValueError("max_reports must be positive when given")
     found: dict[tuple, EnumeratedEntry] = {}
     visited = 0
     exhausted = True
-    roots = [RealizationState(initial, 4) for initial in initial_types]
+    roots = [RealizationState(initial, 4) for initial in ("I", "II")]
     for schedule, leaf in chain.from_iterable(map(walk_schedules, roots)):
         if max_reports is not None and len(found) >= max_reports:
             exhausted = False

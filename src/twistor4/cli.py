@@ -432,13 +432,8 @@ def main(argv=None) -> int:
             InvariantError) as exc:
         print(f"violation: {exc.tag}: {exc}", file=sys.stderr)
         return 2
-    except (ScheduleError, DegreeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # ScheduleError and DegreeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -37,6 +37,9 @@ from .errors import HypothesisError
 #: consults the environment; the CLI layers --seed / TWISTOR_SEED on top.
 DEFAULT_ORACLE_SEED = 20260816
 
+#: Independent gluings the oracle draws when the bundle fixes none.
+ORACLE_DRAWS = 3
+
 
 @dataclass(frozen=True)
 class CycleLineBundle:
@@ -220,12 +223,12 @@ def _draw_gluing(rng, m):
     return [(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(m)]
 
 
-def h0_oracle(bundle: CycleLineBundle, seed: int | None = None, *, draws: int = 3,
+def h0_oracle(bundle: CycleLineBundle, seed: int | None = None, *,
               _placements=None) -> int:
     """Brute-force h^0 via exact kernel computation.
 
     With explicit ``bundle.gluing`` the computation is done once.  Otherwise
-    ``draws`` independent gluings come from a seeded generator and the
+    ``ORACLE_DRAWS`` independent gluings come from a seeded generator and the
     minimum (= generic) value is returned; disagreement between draws is
     surfaced as a warning since under the formula's hypotheses it must not
     happen.
@@ -242,7 +245,7 @@ def h0_oracle(bundle: CycleLineBundle, seed: int | None = None, *, draws: int = 
         return _kernel_dim(degrees, gluing, placements)
     rng = random.Random(DEFAULT_ORACLE_SEED if seed is None else seed)
     dims = [_kernel_dim(degrees, _draw_gluing(rng, m), placements)
-            for _ in range(draws)]
+            for _ in range(ORACLE_DRAWS)]
     if len(set(dims)) > 1:
         warnings.warn(
             f"h0_oracle draws disagree for degrees {degrees}: {dims}; "

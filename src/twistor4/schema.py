@@ -54,6 +54,12 @@ __all__ = [
 _DOCUMENT_KEYS = frozenset(
     {"n", "initial_type", "steps", "torsion", "smooth_anticanonical"}
 )
+#: Step kind -> its fields besides ``kind``; the first one is required.
+_STEP_FIELDS = {
+    "smooth": ("component",),
+    "node": ("components",),
+    "infinitely_near": ("over_pair", "on_strict_transform"),
+}
 
 
 @dataclass(frozen=True)
@@ -92,12 +98,6 @@ def _plain_int(value, what, minimum=None):
     return value
 
 
-def _plain_str(value, what):
-    if not isinstance(value, str):
-        raise ScheduleError(f"{what} must be a string, got {_kind(value)}")
-    return value
-
-
 def parse_torsion(obj) -> TorsionSpec:
     """Parse a torsion record; accepts "infinite" or the alias "non_torsion"."""
     _require_object(obj, "torsion")
@@ -115,36 +115,24 @@ def parse_torsion(obj) -> TorsionSpec:
 
 
 def _parse_step(obj, position) -> BlowupStep:
+    """JSON shape only; ``BlowupStep`` checks the field values."""
     what = f"step {position}"
     _require_object(obj, what)
     kind = obj.get("kind")
-    if kind == "smooth":
-        _check_fields(obj, ("kind", "component"), ("kind", "component"), what)
-        return BlowupStep.smooth(_plain_str(obj["component"], f"{what} component"))
-    if kind == "node":
-        _check_fields(obj, ("kind", "components"), ("kind", "components"), what)
-        comps = obj["components"]
-        if not isinstance(comps, list) or len(comps) != 2:
-            raise ScheduleError(f"{what} components must be a list of two ids")
-        a = _plain_str(comps[0], f"{what} component")
-        b = _plain_str(comps[1], f"{what} component")
-        return BlowupStep.node((a, b))
-    if kind == "infinitely_near":
-        _check_fields(
-            obj,
-            ("kind", "over_pair", "on_strict_transform"),
-            ("kind", "over_pair"),
-            what,
+    names = _STEP_FIELDS.get(kind) if isinstance(kind, str) else None
+    if names is None:
+        raise ScheduleError(
+            f"{what} kind must be 'smooth', 'node' or 'infinitely_near', "
+            f"got {kind!r}"
         )
-        over = _plain_int(obj["over_pair"], f"{what} over_pair", minimum=1)
-        target = obj.get("on_strict_transform")
-        if target is not None:
-            target = _plain_str(target, f"{what} on_strict_transform")
-        return BlowupStep.infinitely_near(over, target)
-    raise ScheduleError(
-        f"{what} kind must be 'smooth', 'node' or 'infinitely_near', "
-        f"got {kind!r}"
-    )
+    _check_fields(obj, ("kind",) + names, ("kind", names[0]), what)
+    fields = {name: obj[name] for name in names if name in obj}
+    if kind == "node" and not isinstance(fields["components"], list):
+        raise ScheduleError(f"{what}: components must be a list of two ids")
+    try:
+        return BlowupStep(kind, **fields)
+    except ScheduleError as exc:
+        raise ScheduleError(f"{what}: {exc}") from None
 
 
 def parse_document(obj) -> ParsedDocument:
@@ -183,15 +171,11 @@ def parse_document(obj) -> ParsedDocument:
 
 
 def _step_document(step: BlowupStep) -> dict:
-    if step.kind == "smooth":
-        return {"kind": "smooth", "component": step.component}
-    if step.kind == "node":
-        return {"kind": "node", "components": list(step.components)}
-    return {
-        "kind": "infinitely_near",
-        "over_pair": step.over_pair,
-        "on_strict_transform": step.on_strict_transform,
-    }
+    doc = {"kind": step.kind}
+    for name in _STEP_FIELDS[step.kind]:
+        value = getattr(step, name)
+        doc[name] = list(value) if isinstance(value, tuple) else value
+    return doc
 
 
 def torsion_document(spec: TorsionSpec) -> dict:
@@ -206,33 +190,14 @@ def encode_infinite(value):
 
 
 def document_for(
-    schedule: BlowupSchedule | None = None,
-    *,
-    n: int | None = None,
-    initial_type: str = "I",
-    torsion: TorsionSpec | None = None,
-    smooth_anticanonical: bool = False,
+    schedule: BlowupSchedule, torsion: TorsionSpec | None = None
 ) -> dict:
-    """Build the document dict for a schedule (or the smooth variant)."""
-    if smooth_anticanonical:
-        if schedule is not None:
-            raise ValueError("smooth variant takes n, not a schedule")
-        if n is None:
-            raise ValueError("smooth variant needs n")
-        doc = {
-            "n": n,
-            "initial_type": initial_type,
-            "steps": [],
-            "smooth_anticanonical": True,
-        }
-    else:
-        if schedule is None:
-            raise ValueError("a schedule is required unless smooth_anticanonical")
-        doc = {
-            "n": schedule.pairs,
-            "initial_type": schedule.initial_type,
-            "steps": [_step_document(s) for s in schedule.steps],
-        }
+    """The document dict for a schedule, with an optional torsion record."""
+    doc = {
+        "n": schedule.pairs,
+        "initial_type": schedule.initial_type,
+        "steps": [_step_document(s) for s in schedule.steps],
+    }
     if torsion is not None:
         doc["torsion"] = torsion_document(torsion)
     return doc

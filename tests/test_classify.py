@@ -132,11 +132,13 @@ def test_nef_without_torsion_is_refused():
 
 
 def test_smooth_anticanonical_documents_classify_as_nef():
-    doc = schema.document_for(
-        n=4,
-        smooth_anticanonical=True,
-        torsion=TorsionSpec.finite(2),
-    )
+    doc = {
+        "n": 4,
+        "initial_type": "I",
+        "steps": [],
+        "smooth_anticanonical": True,
+        "torsion": {"kind": "finite", "order": 2},
+    }
     report = classify(model_from_document(doc))
     assert report.case == CASE_NEF
     assert report.smooth_anticanonical
@@ -147,12 +149,12 @@ def test_smooth_anticanonical_documents_classify_as_nef():
 
 
 def test_classification_requires_four_pairs():
-    model = model_from_schedule(BlowupSchedule("I", (S("G"),)))
+    cycle = model_from_schedule(BlowupSchedule("I", (S("G"),)))
     with pytest.raises(ScheduleError):
-        classify(model)
-    model = model_from_schedule(BlowupSchedule("I", (S("G"),) * 5))
+        classify(cycle)
+    cycle = model_from_schedule(BlowupSchedule("I", (S("G"),) * 5))
     with pytest.raises(ScheduleError):
-        classify(model)
+        classify(cycle)
 
 
 # -- degree helpers ------------------------------------------------------------
@@ -227,10 +229,8 @@ def test_meeting_minus_two_pair_rejected():
         conjugate_names={"F": "Fbar", "Fbar": "F", "G": "Gbar", "Gbar": "G"},
     )
     assert sum(cycle.degrees()) == 0
-    model = model_from_schedule(_schedule_case_b())
-    model.cycle = cycle
     with pytest.raises(RealizabilityError) as info:
-        classify(model)
+        classify(cycle)
     assert info.value.tag == "pair-not-disjoint"
 
 
@@ -271,10 +271,10 @@ def test_h0_pluri_fundamental():
 
 def test_nodes_first_schedule_routes_through_the_transform():
     schedule = BlowupSchedule("III", (N(("A", "Abar")), S("A"), S("A"), S("A")))
-    model = model_from_schedule(schedule)
+    cycle = model_from_schedule(schedule)
     # the realized cycle is the four-component form, not the direct one
-    assert set(model.cycle.order) == {"F", "G", "Fbar", "Gbar"}
-    report = classify(model)
+    assert set(cycle.order) == {"F", "G", "Fbar", "Gbar"}
+    report = classify(cycle)
     assert report.case == CASE_PAIRS_MINUS_1
     assert report.cycle_length == 4
     assert report.dim_minus2KS == 2
@@ -282,9 +282,9 @@ def test_nodes_first_schedule_routes_through_the_transform():
 
 def test_type_iii_without_node_realizes_directly():
     schedule = BlowupSchedule("III", (S("A"),) * 4)
-    model = model_from_schedule(schedule, torsion=TorsionSpec.finite(1))
-    assert set(model.cycle.order) == {"A", "Abar"}
-    report = classify(model)
+    cycle = model_from_schedule(schedule, torsion=TorsionSpec.finite(1))
+    assert set(cycle.order) == {"A", "Abar"}
+    report = classify(cycle)
     assert report.case == CASE_NEF
     assert report.h0_fundamental == 3
 

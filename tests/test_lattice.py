@@ -461,10 +461,15 @@ _TAMPERED = {
         AssertionError,
         r"F\.Gbar = 1, expected 0",
     ),
+    "conjugation-leaves-the-components": (
+        lambda cycle: {"conjugate_names": {**cycle.conjugate_names, "F": "X"}},
+        AssertionError,
+        "conjugation must map components to components",
+    ),
     # swapping F and G sends the edge G-Fbar to F-Fbar, which is not an
-    # edge.  The conjugate-class check fires first: once classes follow
-    # the involution (an isometry) and the products match the adjacency,
-    # every conjugation preserves it.
+    # edge.  The conjugate-class check rejects it: once classes follow the
+    # involution (an isometry) and the products match the adjacency, every
+    # conjugation preserves it, so validate has no adjacency check of its own.
     "conjugation-breaks-adjacency": (
         lambda cycle: {"conjugate_names": {"F": "G", "G": "F", "Fbar": "Fbar",
                                            "Gbar": "Gbar"}},

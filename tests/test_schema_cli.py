@@ -1,6 +1,7 @@
 """Schedule-document schema and the command-line interface."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,7 +15,8 @@ from twistor4.classify import classify, model_from_document
 from twistor4.cli import main
 from twistor4.cycles import DEFAULT_ORACLE_SEED, TorsionSpec
 from twistor4.errors import ScheduleError
-from twistor4.lattice import BlowupSchedule, BlowupStep
+from twistor4.classify import walk_schedules
+from twistor4.lattice import BlowupSchedule, BlowupStep, RealizationState
 
 S, N, INF = BlowupStep.smooth, BlowupStep.node, BlowupStep.infinitely_near
 
@@ -45,16 +47,34 @@ def test_document_round_trip_through_json_text():
     assert schema.parse_document(schema.loads_document(text)).schedule == schedule
 
 
-def test_smooth_variant_document_round_trip():
-    doc = schema.document_for(
-        n=4, smooth_anticanonical=True, torsion=TorsionSpec.non_torsion(),
-    )
-    assert doc["steps"] == [] and doc["smooth_anticanonical"] is True
-    assert doc["torsion"] == {"kind": "infinite"}
+def test_smooth_variant_document_parses():
+    doc = {
+        "n": 4,
+        "initial_type": "I",
+        "steps": [],
+        "smooth_anticanonical": True,
+        "torsion": {"kind": "infinite"},
+    }
     parsed = schema.parse_document(doc)
     assert parsed.smooth_anticanonical
     assert parsed.schedule is None
     assert parsed.torsion == TorsionSpec.non_torsion()
+
+
+def test_every_walked_schedule_round_trips_through_its_document():
+    # types I and II, plus the type III schedules that blow the nodes first
+    roots = [RealizationState("I", 4), RealizationState("II", 4),
+             RealizationState("III", 4).extend(N(("A", "Abar")))]
+    schedules = [s for root in roots for s, _ in walk_schedules(root)]
+    assert len(schedules) == 1480 + 152
+    torsions = (None, TorsionSpec.finite(2), TorsionSpec.non_torsion())
+    for i, schedule in enumerate(schedules):
+        torsion = torsions[i % 3]
+        text = schema.canonical_json(schema.document_for(schedule, torsion))
+        parsed = schema.parse_document(schema.loads_document(text))
+        assert (parsed.schedule, parsed.torsion) == (schedule, torsion)
+        again = schema.document_for(parsed.schedule, parsed.torsion)
+        assert schema.canonical_json(again) == text
 
 
 def test_torsion_alias_and_emission():
@@ -69,16 +89,6 @@ def test_torsion_alias_and_emission():
         "kind": "finite",
         "order": 4,
     }
-
-
-def test_document_for_argument_validation():
-    schedule = BlowupSchedule("I", (S("G"),))
-    with pytest.raises(ValueError):
-        schema.document_for(schedule, n=4, smooth_anticanonical=True)
-    with pytest.raises(ValueError):
-        schema.document_for(smooth_anticanonical=True)
-    with pytest.raises(ValueError):
-        schema.document_for()
 
 
 # -- schema: strictness ----------------------------------------------------------
@@ -164,6 +174,37 @@ def test_malformed_documents_rejected():
         schema.parse_document(doc)
     with pytest.raises(ScheduleError):
         schema.parse_torsion({"kind": "sometimes"})
+
+
+@pytest.mark.parametrize("step, message", [
+    ({"kind": "smooth", "component": 5}, "needs a component id"),
+    ({"kind": "smooth", "component": None}, "needs a component id"),
+    ({"kind": "node", "components": ["F", "F"]}, "two distinct component ids"),
+    ({"kind": "node", "components": ["F", 7]}, "two distinct component ids"),
+    ({"kind": "node", "components": ["F"]}, "two distinct component ids"),
+    ({"kind": "node", "components": "FG"}, "must be a list of two ids"),
+    ({"kind": "infinitely_near", "over_pair": 0}, "positive over_pair"),
+    ({"kind": "infinitely_near", "over_pair": True}, "positive over_pair"),
+    ({"kind": "infinitely_near", "over_pair": 1.0}, "positive over_pair"),
+    ({"kind": "infinitely_near", "over_pair": 1, "on_strict_transform": 3},
+     "on_strict_transform is a component id"),
+])
+def test_malformed_step_value_names_its_position(step, message):
+    doc = _base_doc()
+    doc["n"] = 2
+    doc["steps"].append(step)
+    with pytest.raises(ScheduleError) as info:
+        schema.parse_document(doc)
+    assert str(info.value).startswith("step 2: ")
+    assert message in str(info.value)
+
+
+def test_step_kind_must_be_a_known_string():
+    for kind in ("teleport", None, ["smooth"], {"smooth": 1}):
+        doc = _base_doc()
+        doc["steps"][0]["kind"] = kind
+        with pytest.raises(ScheduleError, match="step 1 kind must be"):
+            schema.parse_document(doc)
 
 
 def test_canonical_json_and_digest():
@@ -498,6 +539,25 @@ def test_cli_under_python_O_keeps_its_results():
     assert selftest.strip().endswith("10/10 criteria passed")
     enumerated = run("enumerate", "--json")
     assert hashlib.sha256(enumerated).hexdigest() == _ENUMERATE_JSON_SHA256
+
+
+# -- the names the benchmark traces ---------------------------------------------------
+
+def test_every_traced_name_resolves():
+    # the benchmark wraps these by name; a deleted or renamed one would
+    # break its traced runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer, names in spans.FUNCTIONS.items():
+        module = importlib.import_module(f"twistor4.{layer}")
+        for name in names:
+            assert callable(getattr(module, name)), f"{layer}.{name}"
+    for layer, methods in spans.METHODS.items():
+        module = importlib.import_module(f"twistor4.{layer}")
+        for cls, name in methods:
+            assert callable(getattr(getattr(module, cls), name)), f"{cls}.{name}"
 
 
 # -- CLI: usage errors -----------------------------------------------------------------
