@@ -45,7 +45,6 @@ from .cycles import (
     euler_char_cycle,
     h0_formula,
     h0_oracle,
-    torsion_tau,
 )
 from .errors import (
     DegreeError,
@@ -67,7 +66,6 @@ from .lattice import (
     adjunction_genus,
     anticanonical_class,
     elementary_transform,
-    intersect,
     real_involution,
     realize_cycle,
     smooth_anticanonical_cycle,
@@ -105,12 +103,12 @@ __all__ = [
     "x", "w", "c1_class", "c2_class", "fundamental_class",
     # cycles
     "CycleLineBundle", "TorsionSpec", "DEFAULT_ORACLE_SEED", "cyclic_arcs",
-    "euler_char_cycle", "h0_formula", "h0_oracle", "torsion_tau",
+    "euler_char_cycle", "h0_formula", "h0_oracle",
     # errors
     "TwistorError", "ScheduleError", "DegreeError", "RealizabilityError",
     "HypothesisError", "TorsionRequiredError", "InvariantError",
     # lattice
-    "SurfaceLattice", "DivisorClass", "intersect", "anticanonical_class",
+    "SurfaceLattice", "DivisorClass", "anticanonical_class",
     "adjunction_genus", "strict_transform", "real_involution", "BlowupStep",
     "BlowupSchedule", "AnticanonicalCycle", "smooth_anticanonical_cycle",
     "INITIAL_TYPES", "RealizationState", "realize_cycle",

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import chain
 
 from . import schema
 from .cohomology import chern_numbers
-from .cycles import CycleLineBundle, TorsionSpec, cyclic_arcs, h0_formula, torsion_tau
+from .cycles import CycleLineBundle, TorsionSpec, cyclic_arcs, h0_formula
 from .errors import RealizabilityError, ScheduleError, TorsionRequiredError
 from .lattice import (
     AnticanonicalCycle,
@@ -252,7 +253,7 @@ def classify(cycle: AnticanonicalCycle) -> ClassificationReport:
                 "on the torsion order tau of the normal sheaf on the "
                 "cycle; supply a torsion record"
             )
-        tau = torsion_tau(cycle.torsion)
+        tau = cycle.torsion.tau
         case = CASE_NEF
         h0 = 3 if tau == 1 else 2
         base = "free" if tau == 1 else "C"
@@ -330,16 +331,32 @@ def h0_pluri_fundamental(m: int, h1: int = 0) -> int:
 # -- enumeration ------------------------------------------------------------
 
 
+# a nef configuration needs a torsion choice; tau = 1 is the generic
+# free-pencil representative and keeps emitted documents classifiable.
+# classify reads it on the nef branch only; the document keeps it there
+_TAU_ONE = TorsionSpec.finite(1)
+
+
 @dataclass(frozen=True)
 class EnumeratedEntry:
-    """One representative configuration discovered by the enumerator."""
+    """One representative configuration discovered by the enumerator.
+
+    The document and its digest are built on first use, so the enumerator
+    pays for them only on the entries it keeps."""
 
     schedule: BlowupSchedule
-    document: dict
-    digest: str
     shape: tuple
     report: ClassificationReport | None
     error: str | None
+
+    @cached_property
+    def document(self) -> dict:
+        nef = self.report is not None and self.report.nef
+        return schema.document_for(self.schedule, _TAU_ONE if nef else None)
+
+    @cached_property
+    def digest(self) -> str:
+        return schema.document_digest(self.document)
 
 
 @dataclass(frozen=True)
@@ -367,27 +384,13 @@ def walk_schedules(root: RealizationState):
 def classify_leaf(schedule: BlowupSchedule, leaf: RealizationState) -> EnumeratedEntry:
     """Classify a walked schedule from its leaf state's cycle."""
     cycle = leaf.cycle()
-    shape = _shape_key(cycle)
-    # a nef configuration needs a torsion choice; tau = 1 is the generic
-    # free-pencil representative and keeps emitted documents classifiable.
-    # classify reads it on the nef branch only; the document keeps it there
-    tau_one = TorsionSpec.finite(1)
     try:
-        report = classify(cycle.with_torsion(tau_one))
+        report = classify(cycle.with_torsion(_TAU_ONE))
         error = None
     except RealizabilityError as exc:
         report = None
         error = exc.tag
-    torsion = tau_one if report is not None and report.nef else None
-    doc = schema.document_for(schedule, torsion)
-    return EnumeratedEntry(
-        schedule=schedule,
-        document=doc,
-        digest=schema.document_digest(doc),
-        shape=shape,
-        report=report,
-        error=error,
-    )
+    return EnumeratedEntry(schedule, _shape_key(cycle), report, error)
 
 
 _CASE_ORDER = {
@@ -418,7 +421,7 @@ def enumerate_configurations(max_reports: int | None = None) -> EnumerationResul
     nodes first is the elementary transform of a type I schedule, and never
     blowing them realizes configurations already covered.  ``max_reports``
     caps the number of kept entries; the result records whether the walk
-    exhausted the space.
+    exhausted the space.  Only kept entries build their document.
     """
     if max_reports is not None and max_reports < 1:
         raise ValueError("max_reports must be positive when given")

@@ -96,11 +96,6 @@ class TorsionSpec:
         return self.order if self.kind == "finite" else math.inf
 
 
-def torsion_tau(spec: TorsionSpec):
-    """finite(k) -> k, non_torsion -> math.inf."""
-    return spec.tau
-
-
 def euler_char_cycle(bundle: CycleLineBundle) -> int:
     """chi(C, L) = sum(l_i): the m section-spaces (l_i + 1 each) lose one
     condition per node, and chi(O_C) = 0."""

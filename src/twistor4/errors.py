@@ -62,7 +62,9 @@ class InvariantError(TwistorError):
     """A consistency check failed; raised explicitly, so ``-O`` keeps it.
 
     ``tag`` is ``invariant-<name>``: ``fundamental-class``,
-    ``chern-c1-cubed``, ``chern-c1-c2`` or ``pairing-determinant``.
+    ``chern-c1-cubed``, ``chern-c1-c2``, ``pairing-determinant``,
+    ``anticanonical-square``, ``realization-fresh-pair`` or
+    ``realization-conjugate-edge``.
     """
 
     def __init__(self, name, message):

@@ -24,28 +24,34 @@ pair sits (the other location is implied by equivariance):
     point of the exceptional curve.
 
 A ``RealizationState`` is the cycle after the first k steps: component
-classes as plain coefficient tuples, cyclic order and the conjugation.
-``extend`` places one more pair and returns a new state, ``candidates``
-lists the locations the next step may take, and ``cycle`` wraps each class
-once in a ``DivisorClass``, the boundary type, and validates the cycle on
-the tuples.  ``realize_cycle`` is the fold of ``extend`` over a schedule's
-steps; the enumerator in ``classify`` walks the same states depth-first,
-extending each parent once per child.
+classes as plain coefficient tuples, their self-intersections, cyclic order
+and the conjugation.  ``extend`` places one more pair and returns a new
+state, ``candidates`` lists the locations the next step may take, and
+``cycle`` wraps each class once in a ``DivisorClass``, the boundary type.
+``realize_cycle`` is the fold of ``extend`` over a schedule's steps; the
+enumerator in ``classify`` walks the same states depth-first, extending each
+parent once per child.
+
+A realized cycle is valid by construction.  Step k subtracts only the fresh
+classes E_{2k-1} and E_{2k}, so ``extend`` checks just that every component
+has coefficient 0 at both (O(m)), and each invariant ``validate`` tests
+carries over from the parent (see ``RealizationState``).  ``cycle`` therefore
+validates only the root, a literal; ``AnticanonicalCycle.validate`` stays the
+full oracle for cycles built elsewhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache, reduce
 from operator import mul, sub
 
 from .cycles import TorsionSpec
-from .errors import RealizabilityError, ScheduleError
+from .errors import InvariantError, RealizabilityError, ScheduleError
 
 __all__ = [
     "SurfaceLattice",
     "DivisorClass",
-    "intersect",
     "anticanonical_class",
     "adjunction_genus",
     "strict_transform",
@@ -221,15 +227,22 @@ def _involute(c):
     return c[:2] + tuple(m for pair in zip(c[3::2], c[2::2]) for m in pair)
 
 
-def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
-    """The intersection pairing (bilinear, from the fixed Gram data)."""
-    return d1.dot(d2)
+def _check(ok, message, *args, invariant=None):
+    """Raise unless ``ok``: ``InvariantError(invariant)`` when the program
+    broke one of its own invariants, else ``ScheduleError`` (a cycle a
+    caller built).  ``message`` is formatted with ``args`` only on failure,
+    so a passing check costs one comparison; either way ``-O`` keeps it."""
+    if not ok:
+        text = message.format(*args)
+        raise InvariantError(invariant, text) if invariant else ScheduleError(text)
 
 
 def anticanonical_class(lattice: SurfaceLattice) -> DivisorClass:
     """-K = 2l + 2f - sum(E_i); self-intersection 8 - 2n."""
     k = lattice.anticanonical()
-    assert k.self_intersection == 8 - 2 * lattice.pairs
+    _check(k.self_intersection == 8 - 2 * lattice.pairs,
+           "(-K)^2 = {}, closed form {}", k.self_intersection,
+           8 - 2 * lattice.pairs, invariant="anticanonical-square")
     return k
 
 
@@ -342,7 +355,7 @@ class BlowupStep:
         elif self.kind == "node":
             comps = self.components
             if (
-                comps is None
+                not isinstance(comps, (tuple, list))
                 or len(comps) != 2
                 or not all(isinstance(c, str) for c in comps)
                 or comps[0] == comps[1]
@@ -379,7 +392,7 @@ class BlowupStep:
 
     @classmethod
     def node(cls, components):
-        return cls("node", components=tuple(components))
+        return cls("node", components=components)
 
     @classmethod
     def infinitely_near(cls, over_pair, on_strict_transform=None):
@@ -416,9 +429,11 @@ class AnticanonicalCycle:
     """The realized cycle C = sum C_i in |-K_S| (or its smooth variant).
 
     ``order`` is the cyclic component order; ``conjugate_names`` the real
-    involution on component ids.  The constructor performs no validation so
-    tests can build synthetic cycles; ``validate()`` is the invariant oracle
-    that ``realize_cycle`` and the document builders always run.
+    involution on component ids.  ``squares`` holds the self-intersections
+    in cycle order when the realization engine carried them along, else
+    None.  The constructor performs no validation so tests can build
+    synthetic cycles; ``validate()`` is the invariant oracle for a cycle
+    built outside the engine, whose cycles are valid by construction.
     """
 
     lattice: SurfaceLattice
@@ -427,6 +442,7 @@ class AnticanonicalCycle:
     conjugate_names: dict[str, str]
     torsion: TorsionSpec | None = None
     smooth_variant: bool = False
+    squares: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def m(self):
@@ -439,66 +455,66 @@ class AnticanonicalCycle:
         return self.conjugate_names[name] == name
 
     def self_intersections(self):
+        if self.squares is not None:
+            return self.squares
         return tuple(self.classes[name].self_intersection for name in self.order)
 
     def degrees(self):
+        if self.squares is not None:  # genus 0: C.(-K) = C^2 + 2
+            return tuple(c2 + 2 for c2 in self.squares)
         minus_k = self.lattice.anticanonical().coeffs
         return tuple(_dot(self.classes[name].coeffs, minus_k) for name in self.order)
-
-    def edges(self):
-        """Cyclic adjacencies as ordered pairs; an m=2 cycle has two nodes."""
-        m = self.m
-        if m < 2:
-            return ()
-        return tuple(
-            (self.order[i], self.order[(i + 1) % m]) for i in range(m)
-        )
 
     def with_torsion(self, torsion):
         return replace(self, torsion=torsion)
 
     def validate(self):
+        """Check every cycle invariant on the classes; raise ScheduleError
+        at the first that fails.  O(m^2): it compares all component pairs."""
         order, m = self.order, self.m
-        assert len(set(order)) == m, "component names must be unique"
-        assert set(self.classes) == set(order), "classes must match order"
-        if any(c.lattice != self.lattice for c in self.classes.values()):
-            raise ValueError("classes live in different lattices")
+        _check(len(set(order)) == m, "component names must be unique")
+        _check(set(self.classes) == set(order), "classes must match order")
+        _check(all(c.lattice == self.lattice for c in self.classes.values()),
+               "classes live in different lattices")
         coeffs = {name: c.coeffs for name, c in self.classes.items()}
         minus_k = self.lattice.anticanonical().coeffs
         total = tuple(map(sum, zip(*(coeffs[name] for name in order))))
-        assert total == minus_k, f"cycle classes sum to {total}, expected {minus_k}"
+        _check(total == minus_k, "cycle classes sum to {}, expected {}",
+               total, minus_k)
         conj = self.conjugate_names
-        assert set(conj) == set(order), "conjugation must cover all components"
-        assert set(conj.values()) <= set(order), (
-            "conjugation must map components to components"
-        )
+        _check(set(conj) == set(order), "conjugation must cover all components")
+        _check(set(conj.values()) <= set(order),
+               "conjugation must map components to components")
         for name, other in conj.items():
-            assert conj[other] == name, "conjugation must be an involution"
-            assert _involute(coeffs[name]) == coeffs[other], (
-                f"class of {other} must be the conjugate of {name}"
-            )
+            _check(conj[other] == name, "conjugation must be an involution")
+            _check(_involute(coeffs[name]) == coeffs[other],
+                   "class of {} must be the conjugate of {}", other, name)
         if self.smooth_variant:
-            assert m == 1, "smooth variant is a single component"
-            assert coeffs[order[0]] == minus_k
-            assert adjunction_genus(self.classes[order[0]]) == 1
-            return self
-        assert m >= 2, "a cycle has at least two components"
-        for name in order:
-            c = coeffs[name]
-            assert _dot(c, minus_k) == _dot(c, c) + 2, (
-                f"component {name} must have arithmetic genus 0"
-            )
-        edge_set = {frozenset(e) for e in self.edges()}
-        for i, ni in enumerate(order):
-            for nj in order[i + 1:]:
-                product = _dot(coeffs[ni], coeffs[nj])
-                if m == 2:
-                    expected = 2
-                else:
-                    expected = 1 if frozenset((ni, nj)) in edge_set else 0
-                assert product == expected, (
-                    f"{ni}.{nj} = {product}, expected {expected}"
-                )
+            _check(m == 1, "smooth variant is a single component")
+            _check(coeffs[order[0]] == minus_k,
+                   "smooth variant's class must be -K")
+            _check(adjunction_genus(self.classes[order[0]]) == 1,
+                   "smooth variant must have arithmetic genus 1")
+        else:
+            _check(m >= 2, "a cycle has at least two components")
+            for name in order:
+                c = coeffs[name]
+                _check(_dot(c, minus_k) == _dot(c, c) + 2,
+                       "component {} must have arithmetic genus 0", name)
+            # components i < j meet once per cyclic edge between them: twice
+            # on a two-component cycle, else once if adjacent and never if not
+            for i, ni in enumerate(order):
+                ci = coeffs[ni]
+                for j in range(i + 1, m):
+                    product = _dot(ci, coeffs[order[j]])
+                    expected = (j - i == 1) + (j - i == m - 1)
+                    _check(product == expected, "{}.{} = {}, expected {}",
+                           ni, order[j], product, expected)
+        if self.squares is not None:
+            squares = tuple(_dot(coeffs[name], coeffs[name]) for name in order)
+            _check(self.squares == squares,
+                   "carried self-intersections {} disagree with the classes, "
+                   "which give {}", self.squares, squares)
         return self
 
 
@@ -521,6 +537,32 @@ class RealizationState:
 
     ``extend`` returns a new state and leaves this one untouched, so a
     depth-first walk shares each prefix with its whole subtree.
+
+    Every state's cycle passes ``AnticanonicalCycle.validate``; ``extend``
+    checks only that the pair it places is fresh.  Step k removes
+    E = E_{2k-1} and E' = E_{2k} from some components and adds E, E' as new
+    components after a node step.  If every class has coefficient 0 at E and
+    E' (checked, O(m)), then X.E = X.E' = 0 for each component X, and:
+
+      * (X - E)^2 = X^2 - 1 and (X - E).(-K) drops by 1 as well, since -K
+        loses E and E'; so each removal lowers the carried square by 1, a
+        real component losing both drops by 2, and genus 0
+        (X.(-K) = X^2 + 2) carries over.  A new E has E^2 = -1, E.(-K) = 1.
+      * (X - a).(Y - b) = X.Y + a.b, so X.Y falls by 1 for each new class
+        that X and Y both lost and is unchanged otherwise.  A smooth or
+        infinitely-near step removes E from the component its point lies on
+        and E' from that component's conjugate (both from a real one): no
+        product changes, only those squares.  A node step removes E
+        from c and d, so c.d falls from 1 to 0 (from 2 to 0 on a
+        two-component cycle, which loses E and E' on both), and E, inserted
+        between them, meets each with product 1 and the rest with 0; E'
+        does the same at the conjugate node.  The products again match the
+        adjacency.
+      * A step removes E + E' in total net of the new components, as -K
+        does, so the classes still sum to -K; E' is placed wherever the
+        involution sends E, so conjugate classes stay conjugate.
+
+    The root is a literal: ``cycle`` validates it and no other state.
     """
 
     def __init__(self, initial_type: str, pairs: int):
@@ -542,14 +584,21 @@ class RealizationState:
             self.order = ["A", "Abar"]
             self.classes = {"A": (1, 1) + pad, "Abar": (1, 1) + pad}
             self.conj = {"A": "Abar", "Abar": "A"}
+        self.squares = {name: _dot(c, c) for name, c in self.classes.items()}
         self.hosts: dict[int, str | None] = {}
         self.consumed: frozenset[int] = frozenset()
 
     def extend(self, step: BlowupStep) -> RealizationState:
-        """The state with pair k + 1 placed at ``step``; a step beyond
-        ``pairs`` finds no exceptional class and raises ValueError."""
+        """The state with pair k + 1 placed at ``step``, once no component
+        is found to meet that pair's classes yet (the one check a step
+        needs); a step beyond ``pairs`` finds no exceptional class and
+        raises ValueError."""
         k = len(self.steps) + 1
         _check_step_index(k, step)
+        lo = 2 * k  # E_{2k-1} and E_{2k} sit at coefficients 2k and 2k + 1
+        stale = [name for name, c in self.classes.items() if any(c[lo:lo + 2])]
+        _check(not stale, "components {} already meet E{} or E{} before step {}",
+               stale, 2 * k - 1, 2 * k, k, invariant="realization-fresh-pair")
         # copy the containers a step mutates in place; the frozenset
         # ``consumed`` is rebound, never mutated
         child = object.__new__(RealizationState)
@@ -558,6 +607,7 @@ class RealizationState:
             steps=self.steps + (step,),
             order=list(self.order),
             classes=dict(self.classes),
+            squares=dict(self.squares),
             conj=dict(self.conj),
             hosts=dict(self.hosts),
         )
@@ -565,17 +615,22 @@ class RealizationState:
         return child
 
     def cycle(self) -> AnticanonicalCycle:
-        """The validated cycle, in the lattice of the pairs placed so far."""
+        """The cycle in the lattice of the pairs placed so far, carrying its
+        self-intersections; valid by construction past the root."""
         lattice = SurfaceLattice(len(self.steps))
         rank = lattice.rank  # a prefix drops the pairs not yet placed
         classes = {n: DivisorClass(lattice, c[:rank]) for n, c in self.classes.items()}
-        result = AnticanonicalCycle(lattice, tuple(self.order), classes, dict(self.conj))
-        return result.validate()
+        squares = tuple(map(self.squares.__getitem__, self.order))
+        result = AnticanonicalCycle(
+            lattice, tuple(self.order), classes, dict(self.conj), squares=squares
+        )
+        return result if self.steps else result.validate()
 
     # -- helpers ---------------------------------------------------------
     def _subtract(self, name, e_index):
         e = self.lattice._exceptional_coeffs(e_index)
         self.classes[name] = tuple(map(sub, self.classes[name], e))
+        self.squares[name] -= 1  # the pair is fresh: name.E = 0, E^2 = -1
 
     def _place(self, k, name):
         """Pair k at a smooth point of ``name`` and its conjugate point."""
@@ -669,12 +724,14 @@ class RealizationState:
             self._subtract(d, e_primary)
             self.order.insert(i + 1, primary_name)
             j = self._edge_index(cc, cd)
-            assert j is not None, "conjugate edge must exist in a valid cycle"
+            _check(j is not None, "conjugate edge ({},{}) of ({},{}) is missing",
+                   cc, cd, c, d, invariant="realization-conjugate-edge")
             self._subtract(cc, e_conj)
             self._subtract(cd, e_conj)
             self.order.insert(j + 1, conj_name)
         self.classes[primary_name] = self.lattice._exceptional_coeffs(e_primary)
         self.classes[conj_name] = self.lattice._exceptional_coeffs(e_conj)
+        self.squares[primary_name] = self.squares[conj_name] = -1
         self.conj[primary_name] = conj_name
         self.conj[conj_name] = primary_name
         self.hosts[k] = None
@@ -715,8 +772,8 @@ class RealizationState:
 
 
 def realize_cycle(schedule: BlowupSchedule) -> AnticanonicalCycle:
-    """Apply every step of the schedule and return the validated cycle:
-    a fold of ``RealizationState.extend`` over the steps.
+    """Apply every step of the schedule and return its cycle, valid by
+    construction: a fold of ``RealizationState.extend`` over the steps.
 
     The component count grows by 2 per node step; smooth and
     infinitely-near steps keep it fixed.

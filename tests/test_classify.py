@@ -314,6 +314,29 @@ def test_walk_leaf_states_match_realize_cycle(initial, prefix, leaves):
     assert root.cycle() == before
 
 
+@pytest.mark.parametrize(
+    "initial, pairs, leaves",
+    [("I", 4, 1266), ("II", 4, 214), ("III", 4, 214), ("I", 5, 12374),
+     ("II", 5, 1667)],
+)
+def test_every_walked_leaf_is_valid_with_its_carried_squares(initial, pairs, leaves):
+    # leaves skip validate(); the full oracle and a recomputation of every
+    # self-intersection and degree must agree with what the engine carried
+    count = 0
+    for _, leaf in walk_schedules(RealizationState(initial, pairs)):
+        cycle = leaf.cycle()
+        assert cycle.validate() is cycle
+        minus_k = cycle.lattice.anticanonical()
+        classes = [cycle.classes[name] for name in cycle.order]
+        assert cycle.squares is not None
+        assert cycle.self_intersections() == tuple(
+            c.self_intersection for c in classes
+        )
+        assert cycle.degrees() == tuple(c.dot(minus_k) for c in classes)
+        count += 1
+    assert count == leaves
+
+
 def test_walk_leaves_a_deep_parent_untouched():
     parent = RealizationState("I", 4).extend(N(("F", "G"))).extend(S("G"))
     parent = parent.extend(INF(2, "G"))
@@ -343,6 +366,26 @@ def test_enumeration_exhausts_the_depth_four_space(enumeration):
     assert enumeration.exhausted
     assert enumeration.visited == 1480
     assert len(enumeration.entries) == 58
+
+
+def test_enumeration_builds_documents_only_for_kept_entries(monkeypatch):
+    calls = {"document_for": 0, "validate": 0}
+    document_for, validate = schema.document_for, AnticanonicalCycle.validate
+
+    def counting_document_for(*args, **kwargs):
+        calls["document_for"] += 1
+        return document_for(*args, **kwargs)
+
+    def counting_validate(self):
+        calls["validate"] += 1
+        return validate(self)
+
+    monkeypatch.setattr(schema, "document_for", counting_document_for)
+    monkeypatch.setattr(AnticanonicalCycle, "validate", counting_validate)
+    result = enumerate_configurations()
+    assert result.visited == 1480
+    assert calls == {"document_for": len(result.entries), "validate": 0}
+    assert len(result.entries) == 58
 
 
 def test_enumeration_case_census(enumeration):

@@ -14,7 +14,6 @@ from twistor4.cycles import (
     euler_char_cycle,
     h0_formula,
     h0_oracle,
-    torsion_tau,
 )
 from twistor4.errors import HypothesisError
 
@@ -173,7 +172,7 @@ def test_torsion_spec():
     assert TorsionSpec.finite(1).tau == 1
     assert TorsionSpec.finite(5).tau == 5
     assert TorsionSpec.non_torsion().tau == math.inf
-    assert torsion_tau(TorsionSpec.finite(2)) == 2
+    assert TorsionSpec.finite(2).tau == 2
     with pytest.raises(ValueError):
         TorsionSpec.finite(0)
     with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 """Picard lattice, blow-up schedules, and anticanonical-cycle realization."""
 
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
-
-from dataclasses import replace
 
 from twistor4.lattice import (
     AnticanonicalCycle,
@@ -16,14 +19,13 @@ from twistor4.lattice import (
     adjunction_genus,
     anticanonical_class,
     elementary_transform,
-    intersect,
     real_involution,
     realize_cycle,
     smooth_anticanonical_cycle,
     strict_transform,
 )
 from twistor4.linalg import bareiss_determinant
-from twistor4.errors import RealizabilityError, ScheduleError
+from twistor4.errors import InvariantError, RealizabilityError, ScheduleError
 
 
 def _random_class(lattice, rng, bound=5):
@@ -91,7 +93,7 @@ def test_divisor_arithmetic():
     assert (-d).coeffs == (-2, -1, 1, 0, 1, 0)
     assert (3 * d).coeffs == (6, 3, -3, 0, -3, 0)
     assert (d * 3).coeffs == (3 * d).coeffs
-    assert intersect(d, e) == d.dot(e)
+    assert d.dot(e) == e.dot(d) == 2
     with pytest.raises(TypeError):
         d + lattice  # type: ignore[operator]
 
@@ -244,6 +246,21 @@ def test_step_constructors_validate():
         BlowupStep("smooth", component="F", over_pair=1)
     with pytest.raises(ScheduleError):
         BlowupStep("teleport", component="F")
+
+
+@pytest.mark.parametrize("components", ["FG", "F", "FGH", {"F", "G"}, None])
+def test_node_step_needs_a_tuple_or_list_of_two_ids(components):
+    # a string is not split into characters
+    with pytest.raises(ScheduleError, match="two distinct component ids"):
+        BlowupStep.node(components)
+    with pytest.raises(ScheduleError, match="two distinct component ids"):
+        BlowupStep("node", components=components)
+
+
+def test_node_step_accepts_a_list_and_stores_a_tuple():
+    step = BlowupStep("node", components=["F", "G"])
+    assert step.components == ("F", "G")
+    assert step == BlowupStep.node(["F", "G"]) == BlowupStep.node(("F", "G"))
 
 
 def test_schedule_validation():
@@ -407,7 +424,7 @@ def test_validate_rejects_tampered_cycle():
         classes={**cycle.classes, "G": cycle.lattice.line()},
         conjugate_names=dict(cycle.conjugate_names),
     )
-    with pytest.raises(AssertionError):
+    with pytest.raises(ScheduleError):
         broken.validate()
 
 
@@ -427,17 +444,17 @@ def _classes(**coeffs):
 
 
 _TAMPERED = {
-    "sum-is-not-minus-K": (_classes(G=_L), AssertionError, "sum to"),
+    "sum-is-not-minus-K": (_classes(G=_L), ScheduleError, "sum to"),
     "class-is-not-its-partners-conjugate": (
         # E1 moves from G to F: the sum is kept, conj(F) = f - E2 != Fbar
         _classes(F=(0, 1, -1) + (0,) * 7, G=(1, 0, 0, 0, -1, 0, -1, 0, -1, 0)),
-        AssertionError,
+        ScheduleError,
         "class of Fbar must be the conjugate of F",
     ),
     "conjugation-is-not-an-involution": (
         lambda cycle: {"conjugate_names": {"F": "Fbar", "Fbar": "G", "G": "Gbar",
                                            "Gbar": "F"}},
-        AssertionError,
+        ScheduleError,
         "involution",
     ),
     "arithmetic-genus-is-not-0": (
@@ -448,22 +465,22 @@ _TAMPERED = {
             G=(1, -1, -1, 0, -1, 0, -1, 0, -1, 0),
             Gbar=(1, -1, 0, -1, 0, -1, 0, -1, 0, -1),
         ),
-        AssertionError,
+        ScheduleError,
         "component F must have arithmetic genus 0",
     ),
     "adjacent-product-is-wrong": (
         lambda cycle: {"order": ("F", "Fbar", "G", "Gbar")},
-        AssertionError,
+        ScheduleError,
         r"F\.Fbar = 0, expected 1",
     ),
     "non-adjacent-product-is-nonzero": (
         lambda cycle: {"order": ("F", "G", "Gbar", "Fbar")},
-        AssertionError,
+        ScheduleError,
         r"F\.Gbar = 1, expected 0",
     ),
     "conjugation-leaves-the-components": (
         lambda cycle: {"conjugate_names": {**cycle.conjugate_names, "F": "X"}},
-        AssertionError,
+        ScheduleError,
         "conjugation must map components to components",
     ),
     # swapping F and G sends the edge G-Fbar to F-Fbar, which is not an
@@ -473,13 +490,18 @@ _TAMPERED = {
     "conjugation-breaks-adjacency": (
         lambda cycle: {"conjugate_names": {"F": "G", "G": "F", "Fbar": "Fbar",
                                            "Gbar": "Gbar"}},
-        AssertionError,
+        ScheduleError,
         "class of G must be the conjugate of F",
+    ),
+    "carried-squares-disagree-with-the-classes": (
+        lambda cycle: {"squares": (0, 0, 0, 0)},
+        ScheduleError,
+        r"carried self-intersections \(0, 0, 0, 0\) disagree",
     ),
     "classes-from-another-lattice": (
         lambda cycle: {"classes": {**cycle.classes,
                                    "F": SurfaceLattice(3).fibre()}},
-        ValueError,
+        ScheduleError,
         "different lattices",
     ),
 }
@@ -493,6 +515,45 @@ def test_validate_rejects_each_kind_of_tampering(tamper, error, message):
     broken = replace(cycle, **tamper(cycle))
     with pytest.raises(error, match=message):
         broken.validate()
+
+
+def test_anticanonical_square_is_checked(monkeypatch):
+    monkeypatch.setattr(SurfaceLattice, "anticanonical",
+                        lambda self: self.divisor(2, 2))
+    with pytest.raises(InvariantError) as info:
+        anticanonical_class(SurfaceLattice(1))
+    assert info.value.tag == "invariant-anticanonical-square"
+
+
+def test_cycle_validation_survives_python_O():
+    # a tampered cycle and a state whose next pair is not fresh are refused
+    # with the same errors when asserts are stripped
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = (
+        "from dataclasses import replace\n"
+        "from twistor4.errors import InvariantError, ScheduleError\n"
+        "from twistor4.lattice import (BlowupSchedule, BlowupStep,\n"
+        "                              RealizationState, realize_cycle)\n"
+        "assert False, 'asserts are on'\n"
+        "cycle = realize_cycle(BlowupSchedule('I', (BlowupStep.smooth('G'),) * 4))\n"
+        "try:\n"
+        "    replace(cycle, order=('F', 'Fbar', 'G', 'Gbar')).validate()\n"
+        "except ScheduleError as exc:\n"
+        "    print(exc)\n"
+        "state = RealizationState('I', 2)\n"
+        "state.classes['F'] = (0, 1, 1, 0, 0, 0)\n"
+        "try:\n"
+        "    state.extend(BlowupStep.smooth('G'))\n"
+        "except InvariantError as exc:\n"
+        "    print(exc.tag)\n"
+    )
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, env=env, check=True)
+    assert result.stdout == (
+        b"F.Fbar = 0, expected 1\ninvariant-realization-fresh-pair\n"
+    )
 
 
 def test_smooth_anticanonical_cycle():
@@ -547,6 +608,35 @@ def test_realization_state_candidates_one_per_orbit():
     consumed = state.extend(BlowupStep.infinitely_near(1, "G"))
     assert BlowupStep.infinitely_near(1, "G") not in consumed.candidates()
     assert BlowupStep.infinitely_near(2, "G") in consumed.candidates()
+
+
+def test_realization_state_carries_self_intersections():
+    state = RealizationState("II", 2)
+    assert state.cycle().squares == (0, 4)
+    state = state.extend(BlowupStep.node(("F", "C0")))
+    # each original component loses both new exceptionals: -2 apiece
+    assert state.squares == {"F": -2, "C0": 2, "E1": -1, "E2": -1}
+    state = state.extend(BlowupStep.smooth("C0"))
+    cycle = state.cycle()
+    assert cycle.squares == (-2, -1, 0, -1)
+    assert cycle.degrees() == (0, 1, 2, 1)
+    assert cycle.validate() is cycle
+
+
+def test_extend_refuses_a_pair_that_is_not_fresh():
+    state = RealizationState("I", 2).extend(BlowupStep.smooth("G"))
+    state.classes["F"] = (0, 1, 0, 0, 0, -1)  # F already meets E4
+    with pytest.raises(InvariantError, match=r"\['F'\] already meet E3 or E4") as info:
+        state.extend(BlowupStep.smooth("G"))
+    assert info.value.tag == "invariant-realization-fresh-pair"
+
+
+def test_node_step_needs_the_conjugate_edge():
+    state = RealizationState("I", 1)
+    state.conj.update(F="Fbar", G="F")  # F-G's conjugate Fbar-F is no edge
+    with pytest.raises(InvariantError) as info:
+        state.extend(BlowupStep.node(("F", "G")))
+    assert info.value.tag == "invariant-realization-conjugate-edge"
 
 
 def test_realization_state_rejections():
