@@ -12,6 +12,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import schema
@@ -178,93 +179,60 @@ def _criterion_h0_oracle():
     )
 
 
-def _criterion_case_a():
-    cycle = model_from_schedule(golden_case_a())
+def _case_a_precheck(cycle):
     c0 = cycle.classes["C0"]
-    minus_k = anticanonical_class(cycle.lattice)
-    if c0.self_intersection != -4 or c0.dot(minus_k) != -2:
-        return False, (
-            f"C0^2 = {c0.self_intersection}, C0.(-K) = {c0.dot(minus_k)}, "
-            "expected -4 and -2"
-        )
-    r = classify(cycle)
-    expected = (CASE_REAL_MINUS_2, 3, 2, 3, 0, "C0", False)
-    got = (
-        r.case,
-        r.h0_fundamental,
-        r.dim_fundamental_system,
-        r.algebraic_dimension,
-        r.degree_one_count,
-        r.base_locus,
-        r.lebrun,
-    )
-    if got != expected:
-        return False, f"report {got} != {expected}"
-    return True, "C0^2=-4, degree -2; h0=3, dim|F|=2, a=3, deg-one=0, base C0"
+    got = (c0.self_intersection, c0.dot(anticanonical_class(cycle.lattice)))
+    if got != (-4, -2):
+        return "C0^2 = {}, C0.(-K) = {}, expected -4 and -2".format(*got)
 
 
-def _criterion_case_b():
-    cycle = model_from_schedule(golden_case_b())
+def _case_b_precheck(cycle):
     g = cycle.classes["G"]
-    gbar = cycle.classes["Gbar"]
-    if g.self_intersection != -4 or g.dot(gbar) != 0:
-        return False, (
-            f"A^2 = {g.self_intersection}, A.Abar = {g.dot(gbar)}, "
-            "expected -4 and 0"
-        )
-    r = classify(cycle)
-    expected = (CASE_PAIR_MINUS_2, 4, 3, 3, math.inf, "A+Abar", True)
-    got = (
-        r.case,
-        r.h0_fundamental,
-        r.dim_fundamental_system,
-        r.algebraic_dimension,
-        r.degree_one_count,
-        r.base_locus,
-        r.lebrun,
-    )
-    if got != expected:
-        return False, f"report {got} != {expected}"
-    return True, (
-        "A^2=-4, A.Abar=0; h0=4, dim|F|=3, a=3, infinitely many degree-one "
-        "divisors (LeBrun)"
-    )
+    got = (g.self_intersection, g.dot(cycle.classes["Gbar"]))
+    if got != (-4, 0):
+        return "A^2 = {}, A.Abar = {}, expected -4 and 0".format(*got)
 
 
-def _is_rotation(seq, target):
-    m = len(seq)
-    if len(target) != m:
-        return False
-    return any(
-        tuple(seq[(i + k) % m] for k in range(m)) == tuple(target)
-        for i in range(m)
-    )
-
-
-def _criterion_case_c():
-    cycle = model_from_schedule(golden_case_c())
+def _case_c_precheck(cycle):
     selfs = cycle.self_intersections()
     wanted = (-2, -3, -2, -1, -2, -3, -2, -1)
-    if not _is_rotation(selfs, wanted):
-        return False, f"self-intersections {selfs} are not a rotation of {wanted}"
-    r = classify(cycle)
-    expected = (CASE_PAIRS_MINUS_1, 2, 1, 3, 8, "C", 2, 4)
-    got = (
-        r.case,
-        r.h0_fundamental,
-        r.dim_fundamental_system,
-        r.algebraic_dimension,
-        r.degree_one_count,
-        r.base_locus,
-        r.dim_minus2KS,
-        r.dim_antican_Z,
-    )
+    if all(selfs != wanted[i:] + wanted[:i] for i in range(len(wanted))):
+        return f"self-intersections {selfs} are not a rotation of {wanted}"
+
+
+_GOLDEN_FIELDS = ("case", "h0_fundamental", "dim_fundamental_system",
+                  "algebraic_dimension", "degree_one_count", "base_locus")
+
+#: (number, name, schedule, lattice precheck returning a failure or None,
+#:  compared report fields, expected values, detail)
+_GOLDENS = (
+    (5, "case-a-golden", golden_case_a, _case_a_precheck,
+     _GOLDEN_FIELDS + ("lebrun",),
+     (CASE_REAL_MINUS_2, 3, 2, 3, 0, "C0", False),
+     "C0^2=-4, degree -2; h0=3, dim|F|=2, a=3, deg-one=0, base C0"),
+    (6, "case-b-golden", golden_case_b, _case_b_precheck,
+     _GOLDEN_FIELDS + ("lebrun",),
+     (CASE_PAIR_MINUS_2, 4, 3, 3, math.inf, "A+Abar", True),
+     "A^2=-4, A.Abar=0; h0=4, dim|F|=3, a=3, infinitely many degree-one "
+     "divisors (LeBrun)"),
+    (7, "case-c-golden", golden_case_c, _case_c_precheck,
+     _GOLDEN_FIELDS + ("dim_minus2KS", "dim_antican_Z"),
+     (CASE_PAIRS_MINUS_1, 2, 1, 3, 8, "C", 2, 4),
+     "8-cycle (-2,-3,-2,-1)x2; h0=2, dim|F|=1, a=3, deg-one=8, "
+     "dim|-2K_S|=2, dim|-K_Z|=4"),
+)
+
+
+def _criterion_golden(schedule, precheck, fields, expected, detail):
+    cycle = model_from_schedule(schedule())
+    failure = precheck(cycle)
+    if failure:
+        return False, failure
+    report = classify(cycle)
+    got = tuple(getattr(report, name) for name in fields)
     if got != expected:
         return False, f"report {got} != {expected}"
-    return True, (
-        "8-cycle (-2,-3,-2,-1)x2; h0=2, dim|F|=1, a=3, deg-one=8, "
-        "dim|-2K_S|=2, dim|-K_Z|=4"
-    )
+    return True, detail
 
 
 def _criterion_nef():
@@ -368,9 +336,8 @@ CRITERIA = (
     Criterion(2, "pairing-determinant", 1.0, _criterion_pairing),
     Criterion(3, "riemann-roch", None, _criterion_riemann_roch),
     Criterion(4, "cycle-h0-formula-vs-oracle", 10.0, _criterion_h0_oracle),
-    Criterion(5, "case-a-golden", None, _criterion_case_a),
-    Criterion(6, "case-b-golden", None, _criterion_case_b),
-    Criterion(7, "case-c-golden", None, _criterion_case_c),
+    *(Criterion(number, name, None, partial(_criterion_golden, *golden))
+      for number, name, *golden in _GOLDENS),
     Criterion(8, "nef-goldens", None, _criterion_nef),
     Criterion(9, "enumeration-invariants", 60.0, _criterion_enumeration),
     Criterion(10, "elementary-transform", None, _criterion_elementary_transform),

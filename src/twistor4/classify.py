@@ -28,6 +28,7 @@ raises ``RealizabilityError``.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
@@ -35,7 +36,7 @@ from itertools import chain
 from . import schema
 from .cohomology import chern_numbers
 from .cycles import CycleLineBundle, TorsionSpec, cyclic_arcs, h0_formula
-from .errors import RealizabilityError, ScheduleError, TorsionRequiredError
+from .errors import RealizabilityError, ScheduleError, TorsionRequiredError, check
 from .lattice import (
     AnticanonicalCycle,
     BlowupSchedule,
@@ -71,17 +72,23 @@ CASE_REAL_MINUS_2 = "REAL_MINUS_2"
 CASE_PAIR_MINUS_2 = "PAIR_MINUS_2"
 CASE_PAIRS_MINUS_1 = "PAIRS_MINUS_1"
 
-_CASE_LETTER = {
-    CASE_REAL_MINUS_2: "a",
-    CASE_PAIR_MINUS_2: "b",
-    CASE_PAIRS_MINUS_1: "c",
+#: Each case's letter, its rank in the enumeration order and, off the nef
+#: branch, its fixed (h0(F), base locus, a(Z), LeBrun flag).
+_Case = namedtuple("_Case", "letter rank fixed")
+_CASES = {
+    CASE_NEF: _Case(None, 0, None),
+    CASE_REAL_MINUS_2: _Case("a", 1, (3, "C0", 3, False)),
+    CASE_PAIR_MINUS_2: _Case("b", 2, (4, "A+Abar", 3, True)),
+    CASE_PAIRS_MINUS_1: _Case("c", 3, (2, "C", 3, False)),
 }
 
 
 def anticanonical_degrees(cycle: AnticanonicalCycle) -> tuple[int, ...]:
     """deg(F|_{C_i}) = C_i.(-K) per component, in cycle order."""
     degrees = cycle.degrees()
-    assert sum(degrees) == 8 - 2 * cycle.lattice.pairs
+    total, expected = sum(degrees), 8 - 2 * cycle.lattice.pairs
+    check(total == expected, "degrees {} sum to {}, closed form {}",
+          degrees, total, expected, invariant="anticanonical-degree-sum")
     return degrees
 
 
@@ -97,14 +104,14 @@ def negative_curves(cycle: AnticanonicalCycle) -> tuple[tuple[str, int], ...]:
     cycle of this kind; a single real -2, one conjugate -2 pair, or up to
     three conjugate -1 pairs are the only other options.
     """
-    return _negatives(cycle, anticanonical_degrees(cycle))
+    return _match_case(cycle, anticanonical_degrees(cycle))[1]
 
 
-def _negatives(cycle, degrees):
-    """``negative_curves`` from the cycle's already computed degrees."""
-    negatives = [
+def _match_case(cycle, degrees):
+    """``(case, negative_curves)`` from the cycle's already computed degrees."""
+    negatives = tuple(
         (name, d) for name, d in zip(cycle.order, degrees) if d < 0
-    ]
+    )
     for name, d in negatives:
         if d <= -3:
             raise RealizabilityError(
@@ -113,30 +120,25 @@ def _negatives(cycle, degrees):
                 "below -2 can appear on an anticanonical cycle here",
             )
     if not negatives:
-        return ()
+        return CASE_NEF, negatives
     names = [name for name, _ in negatives]
     degs = [d for _, d in negatives]
-    conj_closed = {cycle.conjugate_names[name] for name in names} == set(names)
-    any_real = any(cycle.is_real(name) for name in names)
-    if len(negatives) == 1 and degs == [-2] and cycle.is_real(names[0]):
-        return tuple(negatives)
-    if (
-        len(negatives) == 2
-        and degs == [-2, -2]
-        and not any_real
-        and cycle.conjugate_names[names[0]] == names[1]
-    ):
-        return tuple(negatives)
+    conj = cycle.conjugate_names
+    real = [cycle.is_real(name) for name in names]
+    if degs == [-2] and real == [True]:
+        return CASE_REAL_MINUS_2, negatives
+    if degs == [-2, -2] and not any(real) and conj[names[0]] == names[1]:
+        return CASE_PAIR_MINUS_2, negatives
     if (
         len(negatives) in (2, 4, 6)
         and all(d == -1 for d in degs)
-        and not any_real
-        and conj_closed
+        and not any(real)
+        and {conj[name] for name in names} == set(names)
     ):
-        return tuple(negatives)
+        return CASE_PAIRS_MINUS_1, negatives
     raise RealizabilityError(
         "negative-pattern",
-        f"negative components {negatives} match none of the realizable "
+        f"negative components {list(negatives)} match none of the realizable "
         "patterns (one real -2, a conjugate -2 pair, or 1-3 conjugate "
         "-1 pairs)",
     )
@@ -164,7 +166,7 @@ class ClassificationReport:
 
     @property
     def case_letter(self) -> str | None:
-        return _CASE_LETTER.get(self.case)
+        return _CASES[self.case].letter
 
     def as_dict(self) -> dict:
         out = {}
@@ -178,35 +180,48 @@ class ClassificationReport:
 
 
 def check_report(report: ClassificationReport) -> ClassificationReport:
-    """Consistency oracle run on every report before it is returned."""
-    a = report.algebraic_dimension
-    dim = report.dim_fundamental_system
-    assert report.h0_fundamental == dim + 1
-    assert a >= dim, "a(Z) bounds dim|F| from above"
-    has_negative = bool(report.negative_curves)
-    assert report.nef == (not has_negative)
-    assert (a == 3) == has_negative, "a(Z)=3 exactly when F is not nef"
-    assert report.lebrun == (dim == 3) == (report.case == CASE_PAIR_MINUS_2)
-    if dim >= 2:
-        assert (a == 2) == report.nef == (report.base_locus == "free")
-    if report.base_locus == "free":
-        assert a == 2
-    assert not report.nef_and_big, "F is never nef and big when n = 4"
-    if report.case == CASE_NEF:
-        assert report.tau is not None
-        assert report.h0_fundamental == (3 if report.tau == 1 else 2)
-        assert a == (1 if report.tau == math.inf else 2)
+    """Consistency oracle run on every report before it is returned: the
+    first fact of the classification that the report breaks raises
+    ``InvariantError`` tagged ``invariant-report-<fact>``."""
+    r, a, dim = report, report.algebraic_dimension, report.dim_fundamental_system
+    negative, free = bool(r.negative_curves), r.base_locus == "free"
+    check(r.case in _CASES, "{!r} is not a case", r.case, invariant="report-case")
+    check(r.h0_fundamental == dim + 1, "h0(F) = dim|F| + 1", invariant="report-h0")
+    check(a >= dim, "a(Z) bounds dim|F| from above",
+          invariant="report-dimension-bound")
+    check(r.nef != negative, "F is nef exactly when no component is negative",
+          invariant="report-nef")
+    check((a == 3) == negative, "a(Z)=3 exactly when F is not nef",
+          invariant="report-moishezon")
+    check(r.lebrun == (dim == 3) == (r.case == CASE_PAIR_MINUS_2),
+          "LeBrun exactly when dim|F| = 3, exactly in case b",
+          invariant="report-lebrun")
+    check((dim < 2 or (a == 2) == r.nef == free) and (a == 2 or not free),
+          "a(Z) = 2 when F is free; for dim|F| >= 2, exactly when F is nef",
+          invariant="report-free-pencil")
+    check(not r.nef_and_big, "F is never nef and big when n = 4",
+          invariant="report-nef-and-big")
+    if r.case == CASE_NEF:
+        check(r.tau is not None, "a nef report carries tau", invariant="report-tau")
+        check((r.h0_fundamental, a)
+              == (3 if r.tau == 1 else 2, 1 if r.tau == math.inf else 2),
+              "on the nef branch tau fixes h0(F) and a(Z)",
+              invariant="report-nef-torsion")
     else:
-        assert report.tau is None
-    if report.case == CASE_PAIRS_MINUS_1:
-        assert len(report.negative_curves) in (2, 4, 6)
-        assert 4 <= report.cycle_length <= 12
-        assert report.degree_one_count == report.cycle_length
-        assert report.dim_minus2KS is not None and report.dim_minus2KS >= 2
-        assert report.dim_antican_Z == 2 + report.dim_minus2KS
+        check(r.tau is None, "only a nef report carries tau", invariant="report-tau")
+    if r.case == CASE_PAIRS_MINUS_1:
+        check(len(r.negative_curves) in (2, 4, 6)
+              and 4 <= r.cycle_length <= 12
+              and r.degree_one_count == r.cycle_length
+              and r.dim_minus2KS is not None and r.dim_minus2KS >= 2
+              and r.dim_antican_Z == 2 + r.dim_minus2KS,
+              "case c has 1-3 negative pairs on a 4- to 12-cycle, m degree-one "
+              "divisors, dim|-2K_S| >= 2 and dim|-K_Z| = 2 + dim|-2K_S|",
+              invariant="report-case-c")
     else:
-        assert report.dim_minus2KS is None
-        assert report.dim_antican_Z is None
+        check(r.dim_minus2KS is None and r.dim_antican_Z is None,
+              "only case c reports dim|-2K_S| and dim|-K_Z|",
+              invariant="report-case-c-only")
     return report
 
 
@@ -240,12 +255,9 @@ def classify(cycle: AnticanonicalCycle) -> ClassificationReport:
             f"got n = {cycle.lattice.pairs}"
         )
     degrees = anticanonical_degrees(cycle)
-    negatives = _negatives(cycle, degrees)
-    m = cycle.m
-    nef = not negatives
-    tau = None
-    dim_minus2ks = None
-    dim_antican_z = None
+    case, negatives = _match_case(cycle, degrees)
+    nef, m = case == CASE_NEF, cycle.m
+    tau = dim_minus2ks = dim_antican_z = None
     if nef:
         if cycle.torsion is None:
             raise TorsionRequiredError(
@@ -254,16 +266,14 @@ def classify(cycle: AnticanonicalCycle) -> ClassificationReport:
                 "cycle; supply a torsion record"
             )
         tau = cycle.torsion.tau
-        case = CASE_NEF
-        h0 = 3 if tau == 1 else 2
-        base = "free" if tau == 1 else "C"
+        h0, base = (3, "free") if tau == 1 else (2, "C")
         a = 1 if tau == math.inf else 2
         deg1 = 0 if (tau == 1 or cycle.smooth_variant) else m
         lebrun = False
-    elif len(negatives) == 1:
-        case = CASE_REAL_MINUS_2
-        h0, base, a, deg1, lebrun = 3, "C0", 3, 0, False
-    elif len(negatives) == 2 and negatives[0][1] == -2:
+    else:
+        h0, base, a, lebrun = _CASES[case].fixed
+        deg1 = 0  # case a; cases b and c set theirs below
+    if case == CASE_PAIR_MINUS_2:
         first, second = negatives[0][0], negatives[1][0]
         if cycle.classes[first].dot(cycle.classes[second]) != 0:
             raise RealizabilityError(
@@ -271,10 +281,8 @@ def classify(cycle: AnticanonicalCycle) -> ClassificationReport:
                 f"the degree -2 conjugate pair {first}, {second} must be "
                 "disjoint",
             )
-        case = CASE_PAIR_MINUS_2
-        h0, base, a, deg1, lebrun = 4, "A+Abar", 3, math.inf, True
-    else:
-        case = CASE_PAIRS_MINUS_1
+        deg1 = math.inf
+    elif case == CASE_PAIRS_MINUS_1:
         positive_idx = [i for i, d in enumerate(degrees) if d > 0]
         positive = [cycle.order[i] for i in positive_idx]
         for i, p in enumerate(positive):
@@ -296,9 +304,11 @@ def classify(cycle: AnticanonicalCycle) -> ClassificationReport:
                 )
         doubled = CycleLineBundle(tuple(2 * d for d in degrees))
         dim_minus2ks = h0_formula(doubled)
-        assert dim_minus2ks == len(positive)
+        check(dim_minus2ks == len(positive),
+              "dim|-2K_S| = {}, but the cycle has {} positive components",
+              dim_minus2ks, len(positive), invariant="case-c-minus-2k")
         dim_antican_z = 2 + dim_minus2ks
-        h0, base, a, deg1, lebrun = 2, "C", 3, m, False
+        deg1 = m
     report = ClassificationReport(
         case=case,
         nef=nef,
@@ -393,16 +403,8 @@ def classify_leaf(schedule: BlowupSchedule, leaf: RealizationState) -> Enumerate
     return EnumeratedEntry(schedule, _shape_key(cycle), report, error)
 
 
-_CASE_ORDER = {
-    CASE_NEF: 0,
-    CASE_REAL_MINUS_2: 1,
-    CASE_PAIR_MINUS_2: 2,
-    CASE_PAIRS_MINUS_1: 3,
-}
-
-
 def _entry_sort_key(entry: EnumeratedEntry):
-    rank = _CASE_ORDER.get(entry.report.case, 5) if entry.report else 6
+    rank = _CASES[entry.report.case].rank if entry.report else len(_CASES)
     return (
         rank,
         entry.error or "",

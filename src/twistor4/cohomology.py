@@ -34,9 +34,11 @@ from functools import cache
 from typing import NamedTuple
 
 from . import linalg
-from .errors import DegreeError, InvariantError
+from .errors import DegreeError, check
 
 _BASIS_LEN = {0: lambda n: 1, 2: lambda n: n + 1, 4: lambda n: n + 1, 6: lambda n: 1}
+#: message of every check of a computed value against its closed form
+_CLOSED_FORM = "computed {}, closed form {} at n={}"
 
 
 @dataclass(frozen=True)
@@ -174,14 +176,9 @@ def fundamental_class(n):
     (1, 1, 1, 1, 2)
     """
     result = CohomologyClass(n, 2, (1,) * n + (2,))
-    _check("fundamental-class", (2 * result).coeffs, c1_class(n).coeffs, n)
+    doubled, c1 = (2 * result).coeffs, c1_class(n).coeffs
+    check(doubled == c1, _CLOSED_FORM, doubled, c1, n, invariant="fundamental-class")
     return result
-
-
-def _check(name, got, want, n):
-    """Raise InvariantError unless a computed value equals its closed form."""
-    if got != want:
-        raise InvariantError(name, f"computed {got}, closed form {want} at n={n}")
 
 
 # -- ring structure -------------------------------------------------------
@@ -265,8 +262,11 @@ def chern_numbers(n: int) -> ChernData:
         raise DegreeError("n must be a positive integer")
     data = ChernData(16 * (4 - n), 24, 2 * (n + 2))
     c1 = c1_class(n)
-    _check("chern-c1-cubed", evaluate(cup(c1, cup(c1, c1))), data.c1_cubed, n)
-    _check("chern-c1-c2", evaluate(cup(c1, c2_class(n))), data.c1_c2, n)
+    cubed, c1_c2 = evaluate(cup(c1, cup(c1, c1))), evaluate(cup(c1, c2_class(n)))
+    check(cubed == data.c1_cubed, _CLOSED_FORM, cubed, data.c1_cubed, n,
+          invariant="chern-c1-cubed")
+    check(c1_c2 == data.c1_c2, _CLOSED_FORM, c1_c2, data.c1_c2, n,
+          invariant="chern-c1-c2")
     return data
 
 
@@ -288,16 +288,18 @@ def pairing_matrix(n: int) -> PairingData:
         ( 0 0 .. 2 | 1 )
         (-1 -1 .. -1|-2 )
 
-    The determinant is found by fraction-free elimination, never floats,
-    and checked against the signed closed form.
+    The matrix is written down in this closed form (the tests rebuild it
+    from the cups); its determinant is found by fraction-free elimination,
+    never floats, and checked against the signed closed form.
     """
     if n < 1:
         raise DegreeError("n must be a positive integer")
-    s = fundamental_class(n)
-    basis = [x(n, i) for i in range(1, n + 1)] + [w(n)]
-    matrix = tuple(cup(alpha, s).coeffs for alpha in basis)
-    det = linalg.bareiss_determinant(matrix)
-    _check("pairing-determinant", det, 2 ** (n - 1) * (n - 4), n)
+    matrix = tuple(
+        (0,) * i + (2,) + (0,) * (n - 1 - i) + (1,) for i in range(n)
+    ) + ((-1,) * n + (-2,),)
+    det, closed = linalg.bareiss_determinant(matrix), 2 ** (n - 1) * (n - 4)
+    check(det == closed, _CLOSED_FORM, det, closed, n,
+          invariant="pairing-determinant")
     return PairingData(matrix, det)
 
 

@@ -11,6 +11,8 @@ Two families matter to callers (and to the CLI's exit codes):
   readable message.
 
 ``InvariantError`` means a computed value contradicts its closed form.
+``check`` is the one helper for invariants and for checks of the cycles
+and states a caller built: an explicit raise, so ``python -O`` keeps every check.
 """
 
 
@@ -63,10 +65,24 @@ class InvariantError(TwistorError):
 
     ``tag`` is ``invariant-<name>``: ``fundamental-class``,
     ``chern-c1-cubed``, ``chern-c1-c2``, ``pairing-determinant``,
-    ``anticanonical-square``, ``realization-fresh-pair`` or
-    ``realization-conjugate-edge``.
+    ``anticanonical-square``, ``realization-fresh-pair``,
+    ``realization-conjugate-edge``, ``anticanonical-degree-sum``,
+    ``case-c-minus-2k`` or ``report-<fact>``, where a classification report
+    breaks a fact ``classify.check_report`` lists: ``case``, ``h0``,
+    ``dimension-bound``, ``nef``, ``moishezon``, ``lebrun``, ``free-pencil``,
+    ``nef-and-big``, ``tau``, ``nef-torsion``, ``case-c`` or ``case-c-only``.
     """
 
     def __init__(self, name, message):
         super().__init__(message)
         self.tag = f"invariant-{name}"
+
+
+def check(ok, message, *args, invariant=None):
+    """Raise unless ``ok``: ``InvariantError(invariant)`` when the program
+    broke one of its own invariants, else ``ScheduleError`` (a cycle, state
+    or schedule a caller built).  ``message`` is formatted with ``args`` only on
+    failure, so a passing check costs one comparison."""
+    if not ok:
+        text = message.format(*args)
+        raise InvariantError(invariant, text) if invariant else ScheduleError(text)

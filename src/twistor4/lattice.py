@@ -47,7 +47,7 @@ from functools import cache, reduce
 from operator import mul, sub
 
 from .cycles import TorsionSpec
-from .errors import InvariantError, RealizabilityError, ScheduleError
+from .errors import RealizabilityError, ScheduleError, check
 
 __all__ = [
     "SurfaceLattice",
@@ -61,6 +61,7 @@ __all__ = [
     "AnticanonicalCycle",
     "smooth_anticanonical_cycle",
     "INITIAL_TYPES",
+    "STEP_FIELDS",
     "RealizationState",
     "realize_cycle",
     "elementary_transform",
@@ -227,22 +228,12 @@ def _involute(c):
     return c[:2] + tuple(m for pair in zip(c[3::2], c[2::2]) for m in pair)
 
 
-def _check(ok, message, *args, invariant=None):
-    """Raise unless ``ok``: ``InvariantError(invariant)`` when the program
-    broke one of its own invariants, else ``ScheduleError`` (a cycle a
-    caller built).  ``message`` is formatted with ``args`` only on failure,
-    so a passing check costs one comparison; either way ``-O`` keeps it."""
-    if not ok:
-        text = message.format(*args)
-        raise InvariantError(invariant, text) if invariant else ScheduleError(text)
-
-
 def anticanonical_class(lattice: SurfaceLattice) -> DivisorClass:
     """-K = 2l + 2f - sum(E_i); self-intersection 8 - 2n."""
     k = lattice.anticanonical()
-    _check(k.self_intersection == 8 - 2 * lattice.pairs,
-           "(-K)^2 = {}, closed form {}", k.self_intersection,
-           8 - 2 * lattice.pairs, invariant="anticanonical-square")
+    check(k.self_intersection == 8 - 2 * lattice.pairs,
+          "(-K)^2 = {}, closed form {}", k.self_intersection,
+          8 - 2 * lattice.pairs, invariant="anticanonical-square")
     return k
 
 
@@ -256,10 +247,8 @@ def adjunction_genus(d: DivisorClass) -> int:
     return num // 2 + 1
 
 
-def real_involution(d: DivisorClass, lattice: SurfaceLattice | None = None) -> DivisorClass:
+def real_involution(d: DivisorClass) -> DivisorClass:
     """Swap each E_{2k-1} with E_{2k}; fixes l and f.  An isometry."""
-    if lattice is not None and lattice != d.lattice:
-        raise ValueError("class does not belong to that lattice")
     return DivisorClass(d.lattice, _involute(d.coeffs))
 
 
@@ -317,6 +306,18 @@ def strict_transform(lattice, a, b, multiplicities, infinitely_near=()):
 # -- blow-up schedules ------------------------------------------------------
 
 INITIAL_TYPES = ("I", "II", "III")
+#: Step kind -> its fields besides ``kind``; the first one is required.
+STEP_FIELDS = {
+    "smooth": ("component",),
+    "node": ("components",),
+    "infinitely_near": ("over_pair", "on_strict_transform"),
+}
+#: Step kind -> the other kinds' fields, which a step of that kind leaves None
+_FOREIGN_FIELDS = {
+    kind: tuple(name for names in STEP_FIELDS.values() for name in names
+                if name not in own)
+    for kind, own in STEP_FIELDS.items()
+}
 
 
 def _check_initial_type(initial_type):
@@ -345,13 +346,14 @@ class BlowupStep:
     on_strict_transform: str | None = None
 
     def __post_init__(self):
+        foreign = (
+            _FOREIGN_FIELDS.get(self.kind) if isinstance(self.kind, str) else None
+        )
+        if foreign is None:
+            raise ScheduleError(f"unknown step kind {self.kind!r}")
         if self.kind == "smooth":
             if not isinstance(self.component, str):
                 raise ScheduleError("smooth step needs a component id")
-            if (self.components, self.over_pair, self.on_strict_transform) != (
-                None, None, None,
-            ):
-                raise ScheduleError("smooth step carries only a component id")
         elif self.kind == "node":
             comps = self.components
             if (
@@ -362,29 +364,20 @@ class BlowupStep:
             ):
                 raise ScheduleError("node step needs two distinct component ids")
             object.__setattr__(self, "components", (comps[0], comps[1]))
-            if (self.component, self.over_pair, self.on_strict_transform) != (
-                None, None, None,
-            ):
-                raise ScheduleError("node step carries only its two component ids")
-        elif self.kind == "infinitely_near":
-            if (
-                not isinstance(self.over_pair, int)
-                or isinstance(self.over_pair, bool)
-                or self.over_pair < 1
-            ):
+        else:
+            over = self.over_pair
+            if not isinstance(over, int) or isinstance(over, bool) or over < 1:
                 raise ScheduleError(
                     "infinitely_near step needs a positive over_pair index"
                 )
-            if self.on_strict_transform is not None and not isinstance(
-                self.on_strict_transform, str
-            ):
+            if not isinstance(self.on_strict_transform, (str, type(None))):
                 raise ScheduleError("on_strict_transform is a component id or None")
-            if (self.component, self.components) != (None, None):
+        for name in foreign:
+            if getattr(self, name) is not None:
                 raise ScheduleError(
-                    "infinitely_near step carries over_pair and on_strict_transform"
+                    f"{self.kind} step carries only "
+                    f"{' and '.join(STEP_FIELDS[self.kind])}, not {name}"
                 )
-        else:
-            raise ScheduleError(f"unknown step kind {self.kind!r}")
 
     @classmethod
     def smooth(cls, component):
@@ -472,35 +465,35 @@ class AnticanonicalCycle:
         """Check every cycle invariant on the classes; raise ScheduleError
         at the first that fails.  O(m^2): it compares all component pairs."""
         order, m = self.order, self.m
-        _check(len(set(order)) == m, "component names must be unique")
-        _check(set(self.classes) == set(order), "classes must match order")
-        _check(all(c.lattice == self.lattice for c in self.classes.values()),
-               "classes live in different lattices")
+        check(len(set(order)) == m, "component names must be unique")
+        check(set(self.classes) == set(order), "classes must match order")
+        check(all(c.lattice == self.lattice for c in self.classes.values()),
+              "classes live in different lattices")
         coeffs = {name: c.coeffs for name, c in self.classes.items()}
         minus_k = self.lattice.anticanonical().coeffs
         total = tuple(map(sum, zip(*(coeffs[name] for name in order))))
-        _check(total == minus_k, "cycle classes sum to {}, expected {}",
-               total, minus_k)
+        check(total == minus_k, "cycle classes sum to {}, expected {}",
+              total, minus_k)
         conj = self.conjugate_names
-        _check(set(conj) == set(order), "conjugation must cover all components")
-        _check(set(conj.values()) <= set(order),
-               "conjugation must map components to components")
+        check(set(conj) == set(order), "conjugation must cover all components")
+        check(set(conj.values()) <= set(order),
+              "conjugation must map components to components")
         for name, other in conj.items():
-            _check(conj[other] == name, "conjugation must be an involution")
-            _check(_involute(coeffs[name]) == coeffs[other],
-                   "class of {} must be the conjugate of {}", other, name)
+            check(conj[other] == name, "conjugation must be an involution")
+            check(_involute(coeffs[name]) == coeffs[other],
+                  "class of {} must be the conjugate of {}", other, name)
         if self.smooth_variant:
-            _check(m == 1, "smooth variant is a single component")
-            _check(coeffs[order[0]] == minus_k,
-                   "smooth variant's class must be -K")
-            _check(adjunction_genus(self.classes[order[0]]) == 1,
-                   "smooth variant must have arithmetic genus 1")
+            check(m == 1, "smooth variant is a single component")
+            check(coeffs[order[0]] == minus_k,
+                  "smooth variant's class must be -K")
+            check(adjunction_genus(self.classes[order[0]]) == 1,
+                  "smooth variant must have arithmetic genus 1")
         else:
-            _check(m >= 2, "a cycle has at least two components")
+            check(m >= 2, "a cycle has at least two components")
             for name in order:
                 c = coeffs[name]
-                _check(_dot(c, minus_k) == _dot(c, c) + 2,
-                       "component {} must have arithmetic genus 0", name)
+                check(_dot(c, minus_k) == _dot(c, c) + 2,
+                      "component {} must have arithmetic genus 0", name)
             # components i < j meet once per cyclic edge between them: twice
             # on a two-component cycle, else once if adjacent and never if not
             for i, ni in enumerate(order):
@@ -508,13 +501,13 @@ class AnticanonicalCycle:
                 for j in range(i + 1, m):
                     product = _dot(ci, coeffs[order[j]])
                     expected = (j - i == 1) + (j - i == m - 1)
-                    _check(product == expected, "{}.{} = {}, expected {}",
-                           ni, order[j], product, expected)
+                    check(product == expected, "{}.{} = {}, expected {}",
+                          ni, order[j], product, expected)
         if self.squares is not None:
             squares = tuple(_dot(coeffs[name], coeffs[name]) for name in order)
-            _check(self.squares == squares,
-                   "carried self-intersections {} disagree with the classes, "
-                   "which give {}", self.squares, squares)
+            check(self.squares == squares,
+                  "carried self-intersections {} disagree with the classes, "
+                  "which give {}", self.squares, squares)
         return self
 
 
@@ -591,14 +584,17 @@ class RealizationState:
     def extend(self, step: BlowupStep) -> RealizationState:
         """The state with pair k + 1 placed at ``step``, once no component
         is found to meet that pair's classes yet (the one check a step
-        needs); a step beyond ``pairs`` finds no exceptional class and
-        raises ValueError."""
+        needs); a step beyond ``pairs`` raises ScheduleError."""
         k = len(self.steps) + 1
+        if k > self.lattice.pairs:
+            raise ScheduleError(
+                f"step {k} exceeds the {self.lattice.pairs} pairs of this state"
+            )
         _check_step_index(k, step)
         lo = 2 * k  # E_{2k-1} and E_{2k} sit at coefficients 2k and 2k + 1
         stale = [name for name, c in self.classes.items() if any(c[lo:lo + 2])]
-        _check(not stale, "components {} already meet E{} or E{} before step {}",
-               stale, 2 * k - 1, 2 * k, k, invariant="realization-fresh-pair")
+        check(not stale, "components {} already meet E{} or E{} before step {}",
+              stale, 2 * k - 1, 2 * k, k, invariant="realization-fresh-pair")
         # copy the containers a step mutates in place; the frozenset
         # ``consumed`` is rebound, never mutated
         child = object.__new__(RealizationState)
@@ -724,8 +720,8 @@ class RealizationState:
             self._subtract(d, e_primary)
             self.order.insert(i + 1, primary_name)
             j = self._edge_index(cc, cd)
-            _check(j is not None, "conjugate edge ({},{}) of ({},{}) is missing",
-                   cc, cd, c, d, invariant="realization-conjugate-edge")
+            check(j is not None, "conjugate edge ({},{}) of ({},{}) is missing",
+                  cc, cd, c, d, invariant="realization-conjugate-edge")
             self._subtract(cc, e_conj)
             self._subtract(cd, e_conj)
             self.order.insert(j + 1, conj_name)

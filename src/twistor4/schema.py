@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .cycles import TorsionSpec
 from .errors import ScheduleError
-from .lattice import INITIAL_TYPES, BlowupSchedule, BlowupStep
+from .lattice import INITIAL_TYPES, STEP_FIELDS, BlowupSchedule, BlowupStep
 
 __all__ = [
     "ParsedDocument",
@@ -54,12 +54,6 @@ __all__ = [
 _DOCUMENT_KEYS = frozenset(
     {"n", "initial_type", "steps", "torsion", "smooth_anticanonical"}
 )
-#: Step kind -> its fields besides ``kind``; the first one is required.
-_STEP_FIELDS = {
-    "smooth": ("component",),
-    "node": ("components",),
-    "infinitely_near": ("over_pair", "on_strict_transform"),
-}
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,7 @@ def _parse_step(obj, position) -> BlowupStep:
     what = f"step {position}"
     _require_object(obj, what)
     kind = obj.get("kind")
-    names = _STEP_FIELDS.get(kind) if isinstance(kind, str) else None
+    names = STEP_FIELDS.get(kind) if isinstance(kind, str) else None
     if names is None:
         raise ScheduleError(
             f"{what} kind must be 'smooth', 'node' or 'infinitely_near', "
@@ -172,7 +166,7 @@ def parse_document(obj) -> ParsedDocument:
 
 def _step_document(step: BlowupStep) -> dict:
     doc = {"kind": step.kind}
-    for name in _STEP_FIELDS[step.kind]:
+    for name in STEP_FIELDS[step.kind]:
         value = getattr(step, name)
         doc[name] = list(value) if isinstance(value, tuple) else value
     return doc

@@ -24,6 +24,7 @@ from twistor4.classify import (
 )
 from twistor4.cycles import TorsionSpec
 from twistor4.errors import (
+    InvariantError,
     RealizabilityError,
     ScheduleError,
     TorsionRequiredError,
@@ -237,16 +238,28 @@ def test_meeting_minus_two_pair_rejected():
 # -- report consistency ---------------------------------------------------------
 
 def test_check_report_rejects_inconsistent_reports():
-    good = classify(model_from_schedule(_schedule_case_a()))
-    assert check_report(good) is good
-    with pytest.raises(AssertionError):
-        check_report(dataclasses.replace(good, algebraic_dimension=2))
-    with pytest.raises(AssertionError):
-        check_report(dataclasses.replace(good, nef=True))
-    with pytest.raises(AssertionError):
-        check_report(dataclasses.replace(good, h0_fundamental=5))
-    with pytest.raises(AssertionError):
-        check_report(dataclasses.replace(good, nef_and_big=True))
+    case_a = classify(model_from_schedule(_schedule_case_a()))
+    nef = classify(model_from_schedule(_schedule_nef(), TorsionSpec.finite(2)))
+    case_c = classify(model_from_schedule(_schedule_case_c()))
+    for good in (case_a, nef, case_c):
+        assert check_report(good) is good
+    for good, change, fact in (
+        (case_a, {"case": "BOGUS"}, "case"),
+        (case_a, {"algebraic_dimension": 2}, "moishezon"),
+        (case_a, {"nef": True}, "nef"),
+        (case_a, {"h0_fundamental": 5}, "h0"),
+        (case_a, {"nef_and_big": True}, "nef-and-big"),
+        (case_a, {"algebraic_dimension": 1}, "dimension-bound"),
+        (case_a, {"lebrun": True}, "lebrun"),
+        (case_a, {"base_locus": "free"}, "free-pencil"),
+        (case_a, {"tau": 2}, "tau"),
+        (case_a, {"dim_minus2KS": 2}, "case-c-only"),
+        (nef, {"algebraic_dimension": 1}, "nef-torsion"),
+        (case_c, {"degree_one_count": 7}, "case-c"),
+    ):
+        with pytest.raises(InvariantError) as info:
+            check_report(dataclasses.replace(good, **change))
+        assert info.value.tag == f"invariant-report-{fact}", change
 
 
 def test_report_as_dict_round_trips_fields():

@@ -10,6 +10,7 @@ consequence of the quadratic relations, but for n = 1 it is independent
 and must be imposed for H^6 to be a single copy of Z.
 """
 
+import ast
 import os
 import random
 import subprocess
@@ -204,6 +205,15 @@ def test_pairing_matrix_layout_small_n():
     assert det == -4
 
 
+def test_pairing_matrix_is_the_cup_matrix_up_to_150():
+    # oracle: row i is the i-th H^2 basis vector cupped with s = 2w + sum(x_i)
+    for n in range(1, 151):
+        s = fundamental_class(n)
+        basis = [x(n, i) for i in range(1, n + 1)] + [w(n)]
+        cups = tuple(cup(alpha, s).coeffs for alpha in basis)
+        assert pairing_matrix(n).matrix == cups, n
+
+
 def test_pairing_kernel_only_at_four():
     assert pairing_kernel(4) == ((1, 1, 1, 1, 2),)
     for n in (1, 2, 3, 5, 6, 7, 8, 9, 10, 40, 80):
@@ -239,9 +249,20 @@ def test_invariants_survive_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     script = (
+        "import dataclasses\n"
         "from twistor4 import cohomology, linalg\n"
+        "from twistor4.acceptance import golden_case_a\n"
+        "from twistor4.classify import check_report, classify, "
+        "model_from_schedule\n"
         "from twistor4.errors import InvariantError\n"
         "assert False, 'asserts are on'\n"
+        "good = classify(model_from_schedule(golden_case_a()))\n"
+        "bad = dataclasses.replace(good, h0_fundamental=99,\n"
+        "                          algebraic_dimension=0)\n"
+        "try:\n"
+        "    check_report(bad)\n"
+        "except InvariantError as exc:\n"
+        "    print(exc.tag)\n"
         "linalg.bareiss_determinant = lambda rows: 4\n"
         "try:\n"
         "    cohomology.pairing_matrix(2)\n"
@@ -250,7 +271,21 @@ def test_invariants_survive_python_O():
     )
     result = subprocess.run([sys.executable, "-O", "-c", script],
                             capture_output=True, env=env, check=True)
-    assert result.stdout == b"invariant-pairing-determinant\n"
+    assert result.stdout == (
+        b"invariant-report-h0\ninvariant-pairing-determinant\n"
+    )
+
+
+def test_package_has_no_assert_statements():
+    # every check must survive ``python -O``, so none may be an assert
+    package = Path(cohomology.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
 
 
 def test_euler_char_fundamental():

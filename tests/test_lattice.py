@@ -242,10 +242,16 @@ def test_step_constructors_validate():
         BlowupStep.infinitely_near(0)
     with pytest.raises(ScheduleError):
         BlowupStep.infinitely_near(True)
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ScheduleError, match="carries only component, not over_pair"):
         BlowupStep("smooth", component="F", over_pair=1)
+    with pytest.raises(ScheduleError, match="carries only components, not component"):
+        BlowupStep("node", components=("F", "G"), component="F")
+    with pytest.raises(ScheduleError, match="not components"):
+        BlowupStep("infinitely_near", over_pair=1, components=("F", "G"))
     with pytest.raises(ScheduleError):
         BlowupStep("teleport", component="F")
+    with pytest.raises(ScheduleError, match="unknown step kind"):
+        BlowupStep(["smooth"], component="F")
 
 
 @pytest.mark.parametrize("components", ["FG", "F", "FGH", {"F", "G"}, None])
@@ -643,7 +649,7 @@ def test_realization_state_rejections():
     with pytest.raises(ScheduleError, match="initial_type"):
         RealizationState("IV", 4)
     full = RealizationState("I", 1).extend(BlowupStep.smooth("G"))
-    with pytest.raises(ValueError, match="E3 does not exist"):
+    with pytest.raises(ScheduleError, match="step 2 exceeds the 1 pairs"):
         full.extend(BlowupStep.smooth("G"))
     with pytest.raises(ScheduleError, match="not strictly earlier"):
         RealizationState("I", 2).extend(BlowupStep.infinitely_near(1))
