@@ -22,7 +22,12 @@ components:
                  dimension of the anticanonical system of Z itself.
 
 Anything else is not realizable by a conjugate-pair blow-up schedule and
-raises ``RealizabilityError``.
+raises ``RealizabilityError``.  The case and its realizability are read off
+the weighted necklace alone (the degrees in cycle order and the
+conjugation), never off the divisor classes: in a valid cycle two
+components meet exactly when they are adjacent, so the -2 pair of case b
+must not be adjacent, and the nonzero degrees of case c must alternate in
+sign round the cycle.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from itertools import chain
 
 from . import schema
 from .cohomology import chern_numbers
-from .cycles import CycleLineBundle, TorsionSpec, cyclic_arcs, h0_formula
+from .cycles import CycleLineBundle, TorsionSpec, h0_formula
 from .errors import RealizabilityError, ScheduleError, TorsionRequiredError, check
 from .lattice import (
     AnticanonicalCycle,
@@ -274,8 +279,10 @@ def classify(cycle: AnticanonicalCycle) -> ClassificationReport:
         h0, base, a, lebrun = _CASES[case].fixed
         deg1 = 0  # case a; cases b and c set theirs below
     if case == CASE_PAIR_MINUS_2:
-        first, second = negatives[0][0], negatives[1][0]
-        if cycle.classes[first].dot(cycle.classes[second]) != 0:
+        # components of a valid cycle meet exactly when adjacent
+        i, j = (k for k, d in enumerate(degrees) if d < 0)
+        if (j - i) % m in (1, m - 1):
+            first, second = negatives[0][0], negatives[1][0]
             raise RealizabilityError(
                 "pair-not-disjoint",
                 f"the degree -2 conjugate pair {first}, {second} must be "
@@ -283,30 +290,21 @@ def classify(cycle: AnticanonicalCycle) -> ClassificationReport:
             )
         deg1 = math.inf
     elif case == CASE_PAIRS_MINUS_1:
-        positive_idx = [i for i, d in enumerate(degrees) if d > 0]
-        positive = [cycle.order[i] for i in positive_idx]
-        for i, p in enumerate(positive):
-            for q in positive[i + 1:]:
-                if cycle.classes[p].dot(cycle.classes[q]) != 0:
-                    raise RealizabilityError(
-                        "case-c-structure",
-                        f"positive components must be pairwise disjoint; "
-                        f"{p}.{q} != 0",
-                    )
-        negative_names = {name for name, _ in negatives}
-        for arc in cyclic_arcs(m, set(positive_idx)):
-            in_arc = sum(1 for i in arc if cycle.order[i] in negative_names)
-            if in_arc != 1:
-                raise RealizabilityError(
-                    "case-c-structure",
-                    "between consecutive positive components the cycle must "
-                    f"carry exactly one negative component, found {in_arc}",
-                )
+        # disjoint positive components, one negative between neighbours
+        signs = [d > 0 for d in degrees if d]
+        if any(p == q for p, q in zip(signs, signs[1:] + signs[:1])):
+            raise RealizabilityError(
+                "case-c-structure",
+                "going round the cycle the nonzero degrees must alternate in "
+                "sign, one negative component between consecutive positive "
+                f"ones; the degrees are {degrees}",
+            )
+        positive = signs.count(True)
         doubled = CycleLineBundle(tuple(2 * d for d in degrees))
         dim_minus2ks = h0_formula(doubled)
-        check(dim_minus2ks == len(positive),
+        check(dim_minus2ks == positive,
               "dim|-2K_S| = {}, but the cycle has {} positive components",
-              dim_minus2ks, len(positive), invariant="case-c-minus-2k")
+              dim_minus2ks, positive, invariant="case-c-minus-2k")
         dim_antican_z = 2 + dim_minus2ks
         deg1 = m
     report = ClassificationReport(

@@ -80,7 +80,7 @@ class SurfaceLattice:
 
     def __post_init__(self):
         if self.pairs < 0:
-            raise ValueError("pairs must be non-negative")
+            raise ScheduleError("pairs must be non-negative")
 
     @property
     def rank(self):
@@ -90,7 +90,7 @@ class SurfaceLattice:
         """The class a*l + b*f + sum(m_i E_i); multiplicities as stored."""
         ms = tuple(int(m) for m in multiplicities)
         if len(ms) > 2 * self.pairs:
-            raise ValueError("more multiplicities than exceptional classes")
+            raise ScheduleError("more multiplicities than exceptional classes")
         ms = ms + (0,) * (2 * self.pairs - len(ms))
         return DivisorClass(self, (int(a), int(b)) + ms)
 
@@ -109,7 +109,7 @@ class SurfaceLattice:
 
     def _exceptional_coeffs(self, i):
         if not 1 <= i <= 2 * self.pairs:
-            raise ValueError(f"E{i} does not exist (pairs={self.pairs})")
+            raise ScheduleError(f"E{i} does not exist (pairs={self.pairs})")
         return (0,) * (1 + i) + (1,) + (0,) * (2 * self.pairs - i)
 
     @cache
@@ -143,7 +143,7 @@ class DivisorClass:
 
     def __post_init__(self):
         if len(self.coeffs) != self.lattice.rank:
-            raise ValueError(
+            raise ScheduleError(
                 f"class needs {self.lattice.rank} coefficients, "
                 f"got {len(self.coeffs)}"
             )
@@ -163,7 +163,7 @@ class DivisorClass:
 
     def dot(self, other: "DivisorClass") -> int:
         if self.lattice != other.lattice:
-            raise ValueError("classes live in different lattices")
+            raise ScheduleError("classes live in different lattices")
         return _dot(self.coeffs, other.coeffs)
 
     @property
@@ -174,7 +174,7 @@ class DivisorClass:
         if not isinstance(other, DivisorClass):
             return NotImplemented
         if self.lattice != other.lattice:
-            raise ValueError("classes live in different lattices")
+            raise ScheduleError("classes live in different lattices")
         return DivisorClass(
             self.lattice, tuple(x + y for x, y in zip(self.coeffs, other.coeffs))
         )
@@ -290,9 +290,6 @@ def strict_transform(lattice, a, b, multiplicities, infinitely_near=()):
             )
         over_of[point] = over
     eff = list(ms)
-    for point in sorted(over_of, reverse=True):
-        over = over_of[point]
-        eff[over - 1] = max(eff[over - 1], eff[point - 1])
     # a chain contributes its full stack: close upward by direct sums
     direct = {}
     for point, over in over_of.items():
@@ -693,10 +690,6 @@ class RealizationState:
         e_primary, e_conj = 2 * k - 1, 2 * k
         primary_name, conj_name = f"E{e_primary}", f"E{e_conj}"
         if len(self.order) == 2:
-            if {c, d} != set(self.order):
-                raise ScheduleError(
-                    f"node ({c},{d}) does not exist; cycle is {tuple(self.order)}"
-                )
             # the two nodes are a conjugate pair: one step blows both
             for name in (c, d):
                 self._subtract(name, e_primary)

@@ -212,6 +212,8 @@ def loads_document(text: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScheduleError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ScheduleError("invalid JSON: nested too deeply to parse") from None
     return obj
 
 

@@ -1,7 +1,11 @@
 """Algebraic-dimension classification and the configuration enumerator."""
 
+import ast
 import dataclasses
 import math
+from collections import Counter
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +26,7 @@ from twistor4.classify import (
     negative_curves,
     walk_schedules,
 )
-from twistor4.cycles import TorsionSpec
+from twistor4.cycles import TorsionSpec, cyclic_arcs
 from twistor4.errors import (
     InvariantError,
     RealizabilityError,
@@ -30,6 +34,7 @@ from twistor4.errors import (
     TorsionRequiredError,
 )
 from twistor4.lattice import (
+    INITIAL_TYPES,
     AnticanonicalCycle,
     BlowupSchedule,
     BlowupStep,
@@ -39,6 +44,7 @@ from twistor4.lattice import (
 )
 
 S, N, INF = BlowupStep.smooth, BlowupStep.node, BlowupStep.infinitely_near
+TAU_ONE = TorsionSpec.finite(1)
 
 
 def _schedule_case_a():
@@ -217,22 +223,88 @@ def test_broken_case_c_structure_rejected():
 
 def test_meeting_minus_two_pair_rejected():
     # no blow-up schedule produces a meeting conjugate -2 pair, so build the
-    # configuration synthetically: classify must still refuse it
+    # configuration synthetically: classify must still refuse it.  G and
+    # Gbar meet, so they are adjacent in the cycle order, also across its end
     lattice = SurfaceLattice(4)
     f = lattice.fibre()
     g = lattice.divisor(1, 0, (-1, -1, -1, 0, 0, 0, -1, 0))
     gbar = lattice.divisor(1, 0, (-1, -1, 0, -1, 0, 0, 0, -1))
     assert g.dot(gbar) == -2
-    cycle = AnticanonicalCycle(
-        lattice=lattice,
-        order=("F", "G", "Fbar", "Gbar"),
-        classes={"F": f, "G": g, "Fbar": f, "Gbar": gbar},
-        conjugate_names={"F": "Fbar", "Fbar": "F", "G": "Gbar", "Gbar": "G"},
-    )
-    assert sum(cycle.degrees()) == 0
-    with pytest.raises(RealizabilityError) as info:
-        classify(cycle)
-    assert info.value.tag == "pair-not-disjoint"
+    classes = {"F": f, "G": g, "Fbar": f, "Gbar": gbar}
+    conjugate = {"F": "Fbar", "Fbar": "F", "G": "Gbar", "Gbar": "G"}
+    for order in (("F", "G", "Gbar", "Fbar"), ("G", "F", "Fbar", "Gbar")):
+        cycle = AnticanonicalCycle(lattice, order, classes, conjugate)
+        assert sum(cycle.degrees()) == 0
+        with pytest.raises(RealizabilityError) as info:
+            classify(cycle)
+        assert info.value.tag == "pair-not-disjoint"
+    # the old order, with the meeting pair not adjacent, is no cycle at all
+    with pytest.raises(ScheduleError):
+        AnticanonicalCycle(lattice, ("F", "G", "Fbar", "Gbar"), classes,
+                           conjugate).validate()
+
+
+def _walked_leaf_cycles():
+    """Every n = 4 leaf the walk reaches from each initial cycle, and the
+    nodes-first type III leaves through the elementary transform."""
+    for initial in INITIAL_TYPES:
+        for _, leaf in walk_schedules(RealizationState(initial, 4)):
+            yield leaf.cycle().with_torsion(TAU_ONE)
+    nodes_first = RealizationState("III", 4).extend(N(("A", "Abar")))
+    for schedule, _ in walk_schedules(nodes_first):
+        yield model_from_schedule(schedule, TAU_ONE)
+
+
+def _reference_rejection(cycle):
+    """The tag classify must raise, from products of the classes and the
+    negatives on each arc between positive components, or None."""
+    try:
+        negatives = negative_curves(cycle)
+    except RealizabilityError as exc:
+        return exc.tag
+    if [d for _, d in negatives] == [-2, -2]:  # the conjugate pair
+        first, second = (cycle.classes[name] for name, _ in negatives)
+        return "pair-not-disjoint" if first.dot(second) != 0 else None
+    if negatives and all(d == -1 for _, d in negatives):
+        degrees = cycle.degrees()
+        classes = [cycle.classes[name] for name in cycle.order]
+        positive = [i for i, d in enumerate(degrees) if d > 0]
+        if any(classes[i].dot(classes[j]) for i, j in combinations(positive, 2)):
+            return "case-c-structure"
+        if any(sum(degrees[i] < 0 for i in arc) != 1
+               for arc in cyclic_arcs(cycle.m, positive)):
+            return "case-c-structure"
+    return None
+
+
+def test_necklace_rules_match_the_lattice_reference_on_every_leaf():
+    outcomes = Counter()
+    for cycle in _walked_leaf_cycles():
+        try:
+            outcome, tag = classify(cycle).case, None
+        except RealizabilityError as exc:
+            outcome = tag = exc.tag
+        assert tag == _reference_rejection(cycle), (cycle.order, cycle.degrees())
+        outcomes[outcome] += 1
+    assert sum(outcomes.values()) == 1846
+    assert outcomes[CASE_PAIR_MINUS_2] == 465
+    assert outcomes[CASE_PAIRS_MINUS_1] == 1061
+    assert outcomes["case-c-structure"] == 37
+
+
+def test_classify_reads_no_divisor_classes():
+    # realizability comes from the weighted necklace; the intersection
+    # theory stays behind the lattice module
+    source = Path(schema.__file__).with_name("classify.py")
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    offenders = [
+        f"classify.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("dot", "classes")
+        or isinstance(node, ast.ImportFrom)
+        and any(alias.name == "cyclic_arcs" for alias in node.names)
+    ]
+    assert offenders == []
 
 
 # -- report consistency ---------------------------------------------------------

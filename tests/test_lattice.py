@@ -114,6 +114,24 @@ def test_mixed_lattice_dot_rejected():
         d.dot(e)
 
 
+_TWO, _THREE = SurfaceLattice(2), SurfaceLattice(3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _TWO.exceptional(0), "E0 does not exist"),
+    (lambda: _TWO.exceptional(5), "E5 does not exist"),
+    (lambda: _TWO.divisor(1, 0, (0,) * 5), "more multiplicities"),
+    (lambda: SurfaceLattice(-1), "pairs must be non-negative"),
+    (lambda: DivisorClass(_TWO, (1, 0, 0)), "class needs 6 coefficients"),
+    (lambda: _TWO.line().dot(_THREE.line()), "different lattices"),
+    (lambda: _TWO.line() + _THREE.line(), "different lattices"),
+    (lambda: _TWO.line() - _THREE.line(), "different lattices"),
+])
+def test_lattice_input_errors_are_schedule_errors(build, message):
+    with pytest.raises(ScheduleError, match=message):
+        build()
+
+
 # -- involution and adjunction ----------------------------------------------
 
 def test_involution_swaps_conjugate_exceptionals():

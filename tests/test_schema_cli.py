@@ -219,9 +219,14 @@ def test_canonical_json_and_digest():
     assert schema.document_digest(other) != digest
 
 
+_DEEP_JSON = '{"a":' * 5000 + "1" + "}" * 5000
+
+
 def test_loads_document_rejects_bad_json():
     with pytest.raises(ScheduleError, match="invalid JSON"):
         schema.loads_document("{not json")
+    with pytest.raises(ScheduleError, match="invalid JSON: nested too deeply"):
+        schema.loads_document(_DEEP_JSON)
 
 
 # -- CLI: helpers -----------------------------------------------------------------
@@ -252,6 +257,8 @@ def test_cli_pairing(capsys):
     code, out, _ = _run(capsys, "pairing", "--n", "2", "--matrix")
     assert code == 0
     assert "det = -4" in out and "kernel: trivial" in out
+    code, out, _ = _run(capsys, "pairing", "--n", "4")
+    assert code == 0 and "kernel: (1, 1, 1, 1, 2)\n" in out
     data = _run_json(capsys, "pairing", "--n", "4", "--json")
     assert data["det"] == 0
     assert data["kernel"] == [[1, 1, 1, 1, 2]]
@@ -297,6 +304,8 @@ def test_cli_ring(capsys):
     assert data["degree"] == 6
     assert data["evaluation"] == 1 - 4
     assert data["pretty"] == "3*w*x1^2"
+    code, out, _ = _run(capsys, "ring", "--n", "4", "--expr", "w*w*w")
+    assert code == 0 and "evaluation: -3\n" in out
     code, out, _ = _run(capsys, "ring", "--n", "2", "--expr", "x1 x1")
     assert code == 0 and "degree: 4" in out
     code, _, err = _run(capsys, "ring", "--n", "2", "--expr", "x3")
@@ -409,6 +418,12 @@ def test_cli_classify_error_paths(tmp_path, capsys):
     code, _, err = _run(capsys, "classify", str(bad))
     assert code == 1 and "invalid JSON" in err
 
+    deep = tmp_path / "deep.json"
+    deep.write_text(_DEEP_JSON, encoding="utf-8")
+    code, out, err = _run(capsys, "classify", str(deep))
+    assert code == 1 and out == ""
+    assert err == "error: invalid JSON: nested too deeply to parse\n"
+
     wrong_n = tmp_path / "wrong_n.json"
     wrong_n.write_text(
         json.dumps(
@@ -519,6 +534,20 @@ def test_cli_enumerate_json_bytes_are_pinned(capsys):
     code, out, _ = _run(capsys, "enumerate", "--json")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _ENUMERATE_JSON_SHA256
+
+
+_ENUMERATE_TABLE_SHA256 = (
+    "c5adad34bd8cb68f5d162fc5ab052dc62abc5223c0245be696cdbe011e0bdfe6"
+)
+
+
+def test_cli_enumerate_table_bytes_are_pinned(capsys):
+    # the full text table, error rows included
+    code, out, _ = _run(capsys, "enumerate")
+    assert code == 0
+    assert "error:case-c-structure" in out
+    assert out.endswith("visited 1480 schedules; 58 entries; exhausted: yes\n")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _ENUMERATE_TABLE_SHA256
 
 
 def test_cli_under_python_O_keeps_its_results():
