@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import chain
 
@@ -330,9 +330,9 @@ def classify(cycle: AnticanonicalCycle) -> ClassificationReport:
 def h0_pluri_fundamental(m: int, h1: int = 0) -> int:
     """h0(F^m) = chi + h1 = (m + 1) + h1 on the n = 4 twistor space."""
     if m < 1:
-        raise ValueError("the power m must be positive")
+        raise ScheduleError("the power m must be positive")
     if h1 < 0:
-        raise ValueError("h1 is non-negative")
+        raise ScheduleError("h1 is non-negative")
     return m + 1 + h1
 
 
@@ -374,9 +374,20 @@ class EnumerationResult:
     exhausted: bool
 
 
-def _shape_key(cycle: AnticanonicalCycle) -> tuple:
-    weights = zip(cycle.self_intersections(), map(cycle.is_real, cycle.order))
-    return tuple(sorted(weights))
+def _necklace(leaf: RealizationState) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A state's weighted necklace, read off without building its cycle:
+    the self-intersections in cycle order and, for each component, the
+    position of its conjugate (its own when real)."""
+    position = {name: i for i, name in enumerate(leaf.order)}
+    return (tuple(map(leaf.squares.__getitem__, leaf.order)),
+            tuple(position[leaf.conj[name]] for name in leaf.order))
+
+
+def _shape_key(squares: tuple[int, ...], partners: tuple[int, ...]) -> tuple:
+    """The weighted shape of a necklace: its sorted (self-intersection,
+    is real) pairs, forgetting the cycle order."""
+    real = (p == i for i, p in enumerate(partners))
+    return tuple(sorted(zip(squares, real)))
 
 
 def walk_schedules(root: RealizationState):
@@ -391,14 +402,48 @@ def walk_schedules(root: RealizationState):
 
 def classify_leaf(schedule: BlowupSchedule, leaf: RealizationState) -> EnumeratedEntry:
     """Classify a walked schedule from its leaf state's cycle."""
-    cycle = leaf.cycle()
     try:
-        report = classify(cycle.with_torsion(_TAU_ONE))
+        report = classify(leaf.cycle().with_torsion(_TAU_ONE))
         error = None
     except RealizabilityError as exc:
         report = None
         error = exc.tag
-    return EnumeratedEntry(schedule, _shape_key(cycle), report, error)
+    return EnumeratedEntry(schedule, _shape_key(*_necklace(leaf)), report, error)
+
+
+def _first_with_necklace(
+    outcomes: dict, schedule: BlowupSchedule, leaf: RealizationState
+) -> EnumeratedEntry:
+    """The entry of the first leaf seen with ``leaf``'s necklace; ``leaf``
+    is classified only when it is that first leaf.  ``outcomes`` maps each
+    necklace seen so far to its first entry."""
+    necklace = _necklace(leaf)
+    first = outcomes.get(necklace)
+    if first is None:
+        first = outcomes[necklace] = classify_leaf(schedule, leaf)
+    return first
+
+
+def _entry_for_leaf(
+    first: EnumeratedEntry, schedule: BlowupSchedule, leaf: RealizationState
+) -> EnumeratedEntry:
+    """``classify_leaf(schedule, leaf)``, rebuilt from ``first``, the entry
+    of a leaf with the same necklace.
+
+    ``classify`` reads a leaf's cycle through its necklace and its pairs,
+    torsion and smooth flag, which are the same on every leaf; the
+    component names show only in ``negative_curves``, so those alone are
+    read off ``leaf``."""
+    if first.schedule is schedule:
+        return first
+    report = first.report
+    if report is not None and report.negative_curves:
+        squares = leaf.squares
+        negatives = tuple(
+            (name, squares[name] + 2) for name in leaf.order if squares[name] < -2
+        )
+        report = replace(report, negative_curves=negatives)
+    return EnumeratedEntry(schedule, first.shape, report, first.error)
 
 
 def _entry_sort_key(entry: EnumeratedEntry):
@@ -421,11 +466,14 @@ def enumerate_configurations(max_reports: int | None = None) -> EnumerationResul
     nodes first is the elementary transform of a type I schedule, and never
     blowing them realizes configurations already covered.  ``max_reports``
     caps the number of kept entries; the result records whether the walk
-    exhausted the space.  Only kept entries build their document.
+    exhausted the space.  Each distinct necklace is classified once, on
+    the first leaf that has it; later leaves reuse that outcome.  Only kept
+    entries build their document.
     """
     if max_reports is not None and max_reports < 1:
-        raise ValueError("max_reports must be positive when given")
+        raise ScheduleError("max_reports must be positive when given")
     found: dict[tuple, EnumeratedEntry] = {}
+    outcomes: dict[tuple, EnumeratedEntry] = {}
     visited = 0
     exhausted = True
     roots = [RealizationState(initial, 4) for initial in ("I", "II")]
@@ -434,8 +482,10 @@ def enumerate_configurations(max_reports: int | None = None) -> EnumerationResul
             exhausted = False
             break
         visited += 1
-        entry = classify_leaf(schedule, leaf)
-        case = entry.report.case if entry.report else f"error:{entry.error}"
-        found.setdefault((schedule.initial_type, entry.shape, case), entry)
+        first = _first_with_necklace(outcomes, schedule, leaf)
+        case = first.report.case if first.report else f"error:{first.error}"
+        key = (schedule.initial_type, first.shape, case)
+        if key not in found:
+            found[key] = _entry_for_leaf(first, schedule, leaf)
     entries = tuple(sorted(found.values(), key=_entry_sort_key))
     return EnumerationResult(entries=entries, visited=visited, exhausted=exhausted)

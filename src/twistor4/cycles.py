@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import HypothesisError
+from .errors import HypothesisError, ScheduleError
 
 #: Default seed for the oracle's gluing draws.  The library itself never
 #: consults the environment; the CLI layers --seed / TWISTOR_SEED on top.
@@ -51,14 +51,14 @@ class CycleLineBundle:
     def __post_init__(self):
         degrees = tuple(int(d) for d in self.degrees)
         if len(degrees) < 2:
-            raise ValueError("a cycle has at least two components")
+            raise ScheduleError("a cycle has at least two components")
         object.__setattr__(self, "degrees", degrees)
         if self.gluing is not None:
             gl = tuple(Fraction(g) for g in self.gluing)
             if len(gl) != len(degrees):
-                raise ValueError("need one gluing scalar per node")
+                raise ScheduleError("need one gluing scalar per node")
             if any(g == 0 for g in gl):
-                raise ValueError("gluing scalars must be nonzero")
+                raise ScheduleError("gluing scalars must be nonzero")
             object.__setattr__(self, "gluing", gl)
 
     @property
@@ -76,12 +76,12 @@ class TorsionSpec:
     def __post_init__(self):
         if self.kind == "finite":
             if self.order is None or self.order < 1:
-                raise ValueError("finite torsion needs an order k >= 1")
+                raise ScheduleError("finite torsion needs an order k >= 1")
         elif self.kind == "non_torsion":
             if self.order is not None:
-                raise ValueError("non-torsion spec carries no order")
+                raise ScheduleError("non-torsion spec carries no order")
         else:
-            raise ValueError(f"unknown torsion kind {self.kind!r}")
+            raise ScheduleError(f"unknown torsion kind {self.kind!r}")
 
     @classmethod
     def finite(cls, k):

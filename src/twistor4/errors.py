@@ -2,8 +2,9 @@
 
 Two families matter to callers (and to the CLI's exit codes):
 
-* malformed input — bad schedules, bad references, bad documents.  These are
-  ``ScheduleError`` (a ``ValueError``).
+* malformed input — bad schedules, bad references, bad documents, bad
+  arguments to a library call.  These are ``ScheduleError`` (a
+  ``ValueError``).
 * mathematically meaningful rejections — the configuration violates a
   constraint that actual twistor spaces obey, or a formula's hypotheses fail.
   These are ``RealizabilityError`` / ``HypothesisError`` / the nef branch's
@@ -21,7 +22,7 @@ class TwistorError(Exception):
 
 
 class ScheduleError(TwistorError, ValueError):
-    """Malformed schedule, document, or reference (CLI exit code 1)."""
+    """Malformed schedule, document, reference or argument (CLI exit code 1)."""
 
 
 class DegreeError(TwistorError, ValueError):
@@ -65,12 +66,13 @@ class InvariantError(TwistorError):
 
     ``tag`` is ``invariant-<name>``: ``fundamental-class``,
     ``chern-c1-cubed``, ``chern-c1-c2``, ``pairing-determinant``,
-    ``anticanonical-square``, ``realization-fresh-pair``,
-    ``realization-conjugate-edge``, ``anticanonical-degree-sum``,
-    ``case-c-minus-2k`` or ``report-<fact>``, where a classification report
-    breaks a fact ``classify.check_report`` lists: ``case``, ``h0``,
-    ``dimension-bound``, ``nef``, ``moishezon``, ``lebrun``, ``free-pencil``,
-    ``nef-and-big``, ``tau``, ``nef-torsion``, ``case-c`` or ``case-c-only``.
+    ``anticanonical-square``, ``adjunction-integral``,
+    ``realization-fresh-pair``, ``realization-conjugate-edge``,
+    ``anticanonical-degree-sum``, ``case-c-minus-2k`` or ``report-<fact>``,
+    where a classification report breaks a fact ``classify.check_report``
+    lists: ``case``, ``h0``, ``dimension-bound``, ``nef``, ``moishezon``,
+    ``lebrun``, ``free-pencil``, ``nef-and-big``, ``tau``, ``nef-torsion``,
+    ``case-c`` or ``case-c-only``.
     """
 
     def __init__(self, name, message):

@@ -241,9 +241,9 @@ def adjunction_genus(d: DivisorClass) -> int:
     """Arithmetic genus (d^2 - d.(-K))/2 + 1 of a curve of class d."""
     minus_k = d.lattice.anticanonical()
     num = d.self_intersection - d.dot(minus_k)
-    if num % 2 != 0:
-        # cannot happen on this even-pairing lattice; kept as a tripwire
-        raise ValueError(f"adjunction is not integral for {d}")
+    # cannot fail on this even-pairing lattice; kept as a tripwire
+    check(num % 2 == 0, "adjunction is not integral for {}", d,
+          invariant="adjunction-integral")
     return num // 2 + 1
 
 

@@ -11,6 +11,8 @@ rather than O(n^3).  No floats anywhere.
 from fractions import Fraction
 from math import gcd, lcm, prod
 
+from .errors import ScheduleError
+
 
 def _integral(row):
     """``row`` as a list of ints times 1/scale: (ints, scale)."""
@@ -84,7 +86,7 @@ def bareiss_determinant(rows):
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
+        raise ScheduleError("matrix is not square")
     m, _, factor = _eliminate(rows, determinant=True)
     factor *= prod(m[k][k] for k in range(n))
     return int(factor) if factor.denominator == 1 else factor

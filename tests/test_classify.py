@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import math
 from collections import Counter
 from itertools import combinations
@@ -18,6 +19,7 @@ from twistor4.classify import (
     anticanonical_degrees,
     check_report,
     classify,
+    classify_leaf,
     enumerate_configurations,
     h0_pluri_fundamental,
     is_nef,
@@ -26,7 +28,7 @@ from twistor4.classify import (
     negative_curves,
     walk_schedules,
 )
-from twistor4.cycles import TorsionSpec, cyclic_arcs
+from twistor4.cycles import CycleLineBundle, TorsionSpec, cyclic_arcs
 from twistor4.errors import (
     InvariantError,
     RealizabilityError,
@@ -42,7 +44,10 @@ from twistor4.lattice import (
     SurfaceLattice,
     realize_cycle,
 )
+from twistor4.linalg import bareiss_determinant
 
+# the package exports the function ``classify`` under the module's name
+classify_module = importlib.import_module("twistor4.classify")
 S, N, INF = BlowupStep.smooth, BlowupStep.node, BlowupStep.infinitely_near
 TAU_ONE = TorsionSpec.finite(1)
 
@@ -352,6 +357,26 @@ def test_h0_pluri_fundamental():
         h0_pluri_fundamental(2, h1=-1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_configurations(max_reports=0),
+    lambda: h0_pluri_fundamental(0),
+    lambda: h0_pluri_fundamental(2, h1=-1),
+    lambda: TorsionSpec.finite(0),
+    lambda: TorsionSpec("non_torsion", 3),
+    lambda: TorsionSpec("cyclic", 2),
+    lambda: CycleLineBundle((3,)),
+    lambda: CycleLineBundle((1, 1), gluing=(1,)),
+    lambda: CycleLineBundle((1, 1), gluing=(1, 0)),
+    lambda: bareiss_determinant([[1, 2], [3, 4], [5, 6]]),
+], ids=["max-reports", "pluri-power", "pluri-h1", "torsion-order",
+        "non-torsion-order", "torsion-kind", "one-component", "gluing-count",
+        "gluing-zero", "non-square"])
+def test_bad_library_arguments_raise_schedule_error(call):
+    # a ScheduleError is a TwistorError and still a ValueError
+    with pytest.raises(ScheduleError):
+        call()
+
+
 # -- the nodes-first route through the elementary transform ---------------------
 
 def test_nodes_first_schedule_routes_through_the_transform():
@@ -441,6 +466,66 @@ def test_walk_of_a_complete_state_yields_it():
 
 
 # -- enumeration -----------------------------------------------------------------
+
+def _walked_leaves():
+    """``(schedule, leaf)`` for every n = 4 leaf of types I and II, then
+    the nodes-first type III leaves, realized directly."""
+    roots = [RealizationState(initial, 4) for initial in ("I", "II")]
+    roots.append(RealizationState("III", 4).extend(N(("A", "Abar"))))
+    for root in roots:
+        yield from walk_schedules(root)
+
+
+def test_necklace_is_read_off_the_leaf_cycle():
+    for schedule, leaf in _walked_leaves():
+        squares, partners = classify_module._necklace(leaf)
+        cycle = leaf.cycle()
+        assert squares == cycle.self_intersections()
+        assert tuple(cycle.order[p] for p in partners) == tuple(
+            map(cycle.conjugate_names.__getitem__, cycle.order)
+        ), schedule
+
+
+def test_memoized_entries_match_a_fresh_classification_on_every_leaf():
+    # one memo shared by all three roots, as the enumerator shares one
+    # across types I and II
+    outcomes, leaves = {}, 0
+    for schedule, leaf in _walked_leaves():
+        first = classify_module._first_with_necklace(outcomes, schedule, leaf)
+        entry = classify_module._entry_for_leaf(first, schedule, leaf)
+        fresh = classify_leaf(schedule, leaf)
+        assert entry.schedule is schedule
+        assert (entry.report, entry.error, entry.shape) == (
+            fresh.report, fresh.error, fresh.shape), schedule
+        leaves += 1
+    assert leaves == 1480 + 152
+    assert len(outcomes) == 124
+
+
+def test_enumeration_classifies_each_necklace_once(monkeypatch):
+    calls = Counter()
+    classify_, cycle = classify_module.classify, RealizationState.cycle
+
+    def counting_classify(*args):
+        calls["classify"] += 1
+        return classify_(*args)
+
+    def counting_cycle(self):
+        calls["cycle"] += 1
+        return cycle(self)
+
+    monkeypatch.setattr(classify_module, "classify", counting_classify)
+    monkeypatch.setattr(RealizationState, "cycle", counting_cycle)
+    result = enumerate_configurations()
+    assert result.visited == 1480
+    # 1,480 leaves, 124 distinct necklaces in cycle order
+    assert calls == {"classify": 124, "cycle": 124}
+
+
+def _found_key(entry):
+    case = entry.report.case if entry.report else f"error:{entry.error}"
+    return entry.schedule.initial_type, entry.shape, case
+
 
 @pytest.fixture(scope="module")
 def enumeration():
@@ -535,6 +620,17 @@ def test_enumeration_cap(enumeration):
     assert capped.visited < enumeration.visited
     with pytest.raises(ValueError):
         enumerate_configurations(max_reports=0)
+
+
+@pytest.mark.parametrize("cap", [1, 10, 30, 57])
+def test_capped_walks_keep_the_full_runs_representatives(enumeration, cap):
+    full = {_found_key(entry): entry for entry in enumeration.entries}
+    capped = enumerate_configurations(max_reports=cap)
+    assert len(capped.entries) == cap
+    for entry in capped.entries:
+        kept = full[_found_key(entry)]
+        assert (entry.digest, entry.report, entry.error) == (
+            kept.digest, kept.report, kept.error)
 
 
 def test_enumeration_distinct_degree_one_counts(enumeration):

@@ -180,6 +180,14 @@ def test_adjunction_values_and_parity():
         adjunction_genus(d)  # must not raise
 
 
+def test_adjunction_tripwire_is_a_tagged_invariant(monkeypatch):
+    # unreachable on this lattice, so fake an odd square to trip it
+    monkeypatch.setattr(DivisorClass, "self_intersection", property(lambda d: 1))
+    with pytest.raises(InvariantError) as info:
+        adjunction_genus(SurfaceLattice(1).zero())
+    assert info.value.tag == "invariant-adjunction-integral"
+
+
 # -- strict transforms -------------------------------------------------------
 
 def test_strict_transform_basic_classes():

@@ -550,6 +550,19 @@ def test_cli_enumerate_table_bytes_are_pinned(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _ENUMERATE_TABLE_SHA256
 
 
+_ENUMERATE_LIMIT_10_JSON_SHA256 = (
+    "438eb58696d5ae852ef35d968bc307afcf74254376f4aefa2a188faac2ac73d2"
+)
+
+
+def test_cli_enumerate_limit_json_bytes_are_pinned(capsys):
+    # a capped walk keeps the same first representatives
+    code, out, _ = _run(capsys, "enumerate", "--limit", "10", "--json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == _ENUMERATE_LIMIT_10_JSON_SHA256
+
+
 def test_cli_under_python_O_keeps_its_results():
     # with asserts stripped, nothing the program computes may change: no
     # control flow rests on an assert
