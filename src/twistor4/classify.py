@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 
@@ -411,41 +411,6 @@ def classify_leaf(schedule: BlowupSchedule, leaf: RealizationState) -> Enumerate
     return EnumeratedEntry(schedule, _shape_key(*_necklace(leaf)), report, error)
 
 
-def _first_with_necklace(
-    outcomes: dict, schedule: BlowupSchedule, leaf: RealizationState
-) -> EnumeratedEntry:
-    """The entry of the first leaf seen with ``leaf``'s necklace; ``leaf``
-    is classified only when it is that first leaf.  ``outcomes`` maps each
-    necklace seen so far to its first entry."""
-    necklace = _necklace(leaf)
-    first = outcomes.get(necklace)
-    if first is None:
-        first = outcomes[necklace] = classify_leaf(schedule, leaf)
-    return first
-
-
-def _entry_for_leaf(
-    first: EnumeratedEntry, schedule: BlowupSchedule, leaf: RealizationState
-) -> EnumeratedEntry:
-    """``classify_leaf(schedule, leaf)``, rebuilt from ``first``, the entry
-    of a leaf with the same necklace.
-
-    ``classify`` reads a leaf's cycle through its necklace and its pairs,
-    torsion and smooth flag, which are the same on every leaf; the
-    component names show only in ``negative_curves``, so those alone are
-    read off ``leaf``."""
-    if first.schedule is schedule:
-        return first
-    report = first.report
-    if report is not None and report.negative_curves:
-        squares = leaf.squares
-        negatives = tuple(
-            (name, squares[name] + 2) for name in leaf.order if squares[name] < -2
-        )
-        report = replace(report, negative_curves=negatives)
-    return EnumeratedEntry(schedule, first.shape, report, first.error)
-
-
 def _entry_sort_key(entry: EnumeratedEntry):
     rank = _CASES[entry.report.case].rank if entry.report else len(_CASES)
     return (
@@ -466,14 +431,15 @@ def enumerate_configurations(max_reports: int | None = None) -> EnumerationResul
     nodes first is the elementary transform of a type I schedule, and never
     blowing them realizes configurations already covered.  ``max_reports``
     caps the number of kept entries; the result records whether the walk
-    exhausted the space.  Each distinct necklace is classified once, on
-    the first leaf that has it; later leaves reuse that outcome.  Only kept
-    entries build their document.
+    exhausted the space.  Only the first leaf of each (initial type,
+    necklace) is classified: the shape and the case come from the necklace
+    alone, so a later leaf with the same one maps to a key already found.
+    Only kept entries build their document.
     """
     if max_reports is not None and max_reports < 1:
         raise ScheduleError("max_reports must be positive when given")
     found: dict[tuple, EnumeratedEntry] = {}
-    outcomes: dict[tuple, EnumeratedEntry] = {}
+    seen: set[tuple] = set()
     visited = 0
     exhausted = True
     roots = [RealizationState(initial, 4) for initial in ("I", "II")]
@@ -482,10 +448,12 @@ def enumerate_configurations(max_reports: int | None = None) -> EnumerationResul
             exhausted = False
             break
         visited += 1
-        first = _first_with_necklace(outcomes, schedule, leaf)
-        case = first.report.case if first.report else f"error:{first.error}"
-        key = (schedule.initial_type, first.shape, case)
-        if key not in found:
-            found[key] = _entry_for_leaf(first, schedule, leaf)
+        necklace = (schedule.initial_type, _necklace(leaf))
+        if necklace in seen:
+            continue
+        seen.add(necklace)
+        entry = classify_leaf(schedule, leaf)
+        case = entry.report.case if entry.report else f"error:{entry.error}"
+        found.setdefault((schedule.initial_type, entry.shape, case), entry)
     entries = tuple(sorted(found.values(), key=_entry_sort_key))
     return EnumerationResult(entries=entries, visited=visited, exhausted=exhausted)

@@ -5,7 +5,7 @@ import dataclasses
 import importlib
 import math
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
@@ -486,20 +486,33 @@ def test_necklace_is_read_off_the_leaf_cycle():
         ), schedule
 
 
-def test_memoized_entries_match_a_fresh_classification_on_every_leaf():
-    # one memo shared by all three roots, as the enumerator shares one
-    # across types I and II
+def test_a_leafs_necklace_fixes_its_shape_and_case():
+    # the enumerator classifies only the first leaf of each (initial type,
+    # necklace), so every leaf with that key must land on the same
+    # (shape, case) key as that first leaf
     outcomes, leaves = {}, 0
     for schedule, leaf in _walked_leaves():
-        first = classify_module._first_with_necklace(outcomes, schedule, leaf)
-        entry = classify_module._entry_for_leaf(first, schedule, leaf)
         fresh = classify_leaf(schedule, leaf)
-        assert entry.schedule is schedule
-        assert (entry.report, entry.error, entry.shape) == (
-            fresh.report, fresh.error, fresh.shape), schedule
+        key = schedule.initial_type, classify_module._necklace(leaf)
+        outcome = _found_key(fresh)
+        assert outcomes.setdefault(key, outcome) == outcome, schedule
         leaves += 1
     assert leaves == 1480 + 152
-    assert len(outcomes) == 124
+    assert Counter(initial for initial, _ in outcomes) == {
+        "I": 73, "II": 51, "III": 43}
+
+
+def test_enumeration_keeps_what_classifying_every_leaf_keeps(enumeration):
+    found = {}
+    roots = [RealizationState(initial, 4) for initial in ("I", "II")]
+    for schedule, leaf in chain.from_iterable(map(walk_schedules, roots)):
+        entry = classify_leaf(schedule, leaf)
+        found.setdefault(_found_key(entry), entry)
+    assert len(found) == len(enumeration.entries)
+    for entry in enumeration.entries:
+        every = found[_found_key(entry)]
+        assert entry.schedule == every.schedule
+        assert (entry.report, entry.error) == (every.report, every.error)
 
 
 def test_enumeration_classifies_each_necklace_once(monkeypatch):
