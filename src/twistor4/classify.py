@@ -36,7 +36,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
 
 from . import schema
 from .cohomology import chern_numbers
@@ -374,13 +373,28 @@ class EnumerationResult:
     exhausted: bool
 
 
+def _state_key(state: RealizationState) -> tuple:
+    """A state's positional key, read off without building its cycle: the
+    initial type; the weighted necklace, that is the self-intersections in
+    cycle order and, for each component, the position of its conjugate (its
+    own when real); the position of each placed pair's host component
+    (None for a node pair); and the pairs whose exceptional curve's point
+    on its host has been blown up (``consumed``)."""
+    position = {name: i for i, name in enumerate(state.order)}
+    return (
+        state.initial_type,
+        tuple(map(state.squares.__getitem__, state.order)),
+        tuple(map(position.__getitem__, map(state.conj.__getitem__, state.order))),
+        tuple(None if host is None else position[host]
+              for host in state.hosts.values()),
+        state.consumed,
+    )
+
+
 def _necklace(leaf: RealizationState) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A state's weighted necklace, read off without building its cycle:
-    the self-intersections in cycle order and, for each component, the
-    position of its conjugate (its own when real)."""
-    position = {name: i for i, name in enumerate(leaf.order)}
-    return (tuple(map(leaf.squares.__getitem__, leaf.order)),
-            tuple(position[leaf.conj[name]] for name in leaf.order))
+    """A state's weighted necklace: the self-intersections in cycle order
+    and each component's conjugate position."""
+    return _state_key(leaf)[1:3]
 
 
 def _shape_key(squares: tuple[int, ...], partners: tuple[int, ...]) -> tuple:
@@ -411,6 +425,81 @@ def classify_leaf(schedule: BlowupSchedule, leaf: RealizationState) -> Enumerate
     return EnumeratedEntry(schedule, _shape_key(*_necklace(leaf)), report, error)
 
 
+class _CapReached(Exception):
+    """Stops the walk at a leaf met with ``max_reports`` entries kept."""
+
+
+class _Walk:
+    """One enumeration's depth-first walk: the entries kept, the (initial
+    type, necklace) pairs classified, the leaf count below each interior
+    state's positional key, and the leaves visited.
+
+    The leaves below a state, as a count and as a set of necklaces, depend
+    only on its positional key (``_state_key``).  ``candidates`` and
+    ``extend`` act on positions: one smooth step per conjugate orbit of
+    components, leaving out the real fibre F of type II, which sits at
+    position 0 in every state; one node step per conjugate orbit of edges
+    that are not their own conjugate; one infinitely-near step per pair
+    placed at a smooth point and not yet consumed.  Each step lowers
+    squares at positions, inserts -1 components next to positions, and
+    records its host's position and the consumed pair.  Names enter only in
+    which member of a conjugate orbit a candidate picks, and the other
+    member gives the mirror-image state: the same squares, the same
+    conjugate positions, hosts at the conjugate positions, hence the same
+    subtree up to mirror image, with the same leaf count and necklaces.
+    The classes enter only ``extend``'s fresh-pair check, which every
+    walked step passes, and ``cycle()``, and ``classify`` reads only the
+    necklace.
+
+    The key holds the depth (one host per placed pair), so a state's
+    subtree is walked in full before any later state with its key is met.
+    The walk then adds the stored count to ``visited`` and skips that
+    subtree: each of its leaves has a necklace already classified, so it
+    could never be kept, as in a plain walk that skips such leaves one by
+    one.  The cap is checked first, as the plain walk would at the
+    subtree's first leaf (every subtree has one: an interior state always
+    has a smooth step on G or C0).  These are module-level classes with no
+    back-references, so a walk leaves no reference cycle behind.
+    """
+
+    def __init__(self, max_reports: int | None):
+        self.max_reports = max_reports
+        self.found: dict[tuple, EnumeratedEntry] = {}
+        self.seen: set[tuple] = set()
+        self.below: dict[tuple, int] = {}
+        self.visited = 0
+
+    def _count(self, leaves: int) -> None:
+        """Visit ``leaves`` more leaves, stopping first once the cap is met."""
+        if self.max_reports is not None and len(self.found) >= self.max_reports:
+            raise _CapReached
+        self.visited += leaves
+
+    def visit(self, state: RealizationState) -> int:
+        """Walk ``state``'s subtree, classifying the first leaf of each
+        (initial type, necklace); returns the subtree's leaf count."""
+        key = _state_key(state)
+        if len(state.steps) == state.lattice.pairs:
+            self._count(1)
+            necklace = key[:3]
+            if necklace not in self.seen:
+                self.seen.add(necklace)
+                schedule = BlowupSchedule(state.initial_type, state.steps)
+                entry = classify_leaf(schedule, state)
+                case = entry.report.case if entry.report else f"error:{entry.error}"
+                self.found.setdefault((state.initial_type, entry.shape, case), entry)
+            return 1
+        leaves = self.below.get(key)
+        if leaves is not None:
+            self._count(leaves)
+            return leaves
+        leaves = 0
+        for step in state.candidates():
+            leaves += self.visit(state.extend(step))
+        self.below[key] = leaves
+        return leaves
+
+
 def _entry_sort_key(entry: EnumeratedEntry):
     rank = _CASES[entry.report.case].rank if entry.report else len(_CASES)
     return (
@@ -434,26 +523,18 @@ def enumerate_configurations(max_reports: int | None = None) -> EnumerationResul
     exhausted the space.  Only the first leaf of each (initial type,
     necklace) is classified: the shape and the case come from the necklace
     alone, so a later leaf with the same one maps to a key already found.
-    Only kept entries build their document.
+    A subtree whose root's positional key was met before is counted and
+    skipped (see ``_Walk``).  Only kept entries build their document.
     """
     if max_reports is not None and max_reports < 1:
         raise ScheduleError("max_reports must be positive when given")
-    found: dict[tuple, EnumeratedEntry] = {}
-    seen: set[tuple] = set()
-    visited = 0
+    walk = _Walk(max_reports)
     exhausted = True
-    roots = [RealizationState(initial, 4) for initial in ("I", "II")]
-    for schedule, leaf in chain.from_iterable(map(walk_schedules, roots)):
-        if max_reports is not None and len(found) >= max_reports:
-            exhausted = False
-            break
-        visited += 1
-        necklace = (schedule.initial_type, _necklace(leaf))
-        if necklace in seen:
-            continue
-        seen.add(necklace)
-        entry = classify_leaf(schedule, leaf)
-        case = entry.report.case if entry.report else f"error:{entry.error}"
-        found.setdefault((schedule.initial_type, entry.shape, case), entry)
-    entries = tuple(sorted(found.values(), key=_entry_sort_key))
-    return EnumerationResult(entries=entries, visited=visited, exhausted=exhausted)
+    try:
+        for initial in ("I", "II"):
+            walk.visit(RealizationState(initial, 4))
+    except _CapReached:
+        exhausted = False
+    entries = tuple(sorted(walk.found.values(), key=_entry_sort_key))
+    return EnumerationResult(entries=entries, visited=walk.visited,
+                             exhausted=exhausted)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import gc
 import importlib
 import math
 from collections import Counter
@@ -518,6 +519,7 @@ def test_enumeration_keeps_what_classifying_every_leaf_keeps(enumeration):
 def test_enumeration_classifies_each_necklace_once(monkeypatch):
     calls = Counter()
     classify_, cycle = classify_module.classify, RealizationState.cycle
+    extend, post_init = RealizationState.extend, BlowupSchedule.__post_init__
 
     def counting_classify(*args):
         calls["classify"] += 1
@@ -527,12 +529,27 @@ def test_enumeration_classifies_each_necklace_once(monkeypatch):
         calls["cycle"] += 1
         return cycle(self)
 
+    def counting_extend(self, step):
+        child = extend(self, step)
+        calls["extend"] += 1
+        calls["leaf"] += len(child.steps) == child.lattice.pairs
+        return child
+
+    def counting_post_init(self):
+        calls["schedule"] += 1
+        post_init(self)
+
     monkeypatch.setattr(classify_module, "classify", counting_classify)
     monkeypatch.setattr(RealizationState, "cycle", counting_cycle)
+    monkeypatch.setattr(RealizationState, "extend", counting_extend)
+    monkeypatch.setattr(BlowupSchedule, "__post_init__", counting_post_init)
     result = enumerate_configurations()
     assert result.visited == 1480
-    # 1,480 leaves, 124 distinct necklaces in cycle order
-    assert calls == {"classify": 124, "cycle": 124}
+    # 1,480 leaves, 124 distinct necklaces in cycle order; the skipped
+    # subtrees save 707 of the 1,701 extends and 641 of the 1,480 leaf
+    # states a plain walk builds, and a schedule is built per classified leaf
+    assert calls == {"classify": 124, "cycle": 124, "extend": 994, "leaf": 839,
+                     "schedule": 124}
 
 
 def _found_key(entry):
@@ -635,15 +652,96 @@ def test_enumeration_cap(enumeration):
         enumerate_configurations(max_reports=0)
 
 
-@pytest.mark.parametrize("cap", [1, 10, 30, 57])
-def test_capped_walks_keep_the_full_runs_representatives(enumeration, cap):
-    full = {_found_key(entry): entry for entry in enumeration.entries}
-    capped = enumerate_configurations(max_reports=cap)
-    assert len(capped.entries) == cap
-    for entry in capped.entries:
-        kept = full[_found_key(entry)]
-        assert (entry.digest, entry.report, entry.error) == (
-            kept.digest, kept.report, kept.error)
+def _interior_states(state):
+    """``state`` and every interior state below it, parents first."""
+    if len(state.steps) < state.lattice.pairs:
+        yield state
+        for step in state.candidates():
+            yield from _interior_states(state.extend(step))
+
+
+def _key_census(subtrees, key):
+    """The number of distinct keys, and the number of states whose subtree
+    differs from that of the first state with their key."""
+    first, mismatches = {}, 0
+    for state, subtree in subtrees:
+        mismatches += first.setdefault(key(state), subtree) != subtree
+    return len(first), mismatches
+
+
+def test_a_states_positional_key_fixes_its_subtree():
+    # the enumerator skips a subtree whose root's key it has met, so every
+    # state with that key must have the same leaf count and leaf necklaces
+    subtrees = []
+    for initial in ("I", "II"):
+        for state in _interior_states(RealizationState(initial, 4)):
+            necklaces = [classify_module._necklace(leaf)
+                         for _, leaf in walk_schedules(state)]
+            subtrees.append((state, (len(necklaces), frozenset(necklaces))))
+    assert len(subtrees) == 223
+    state_key = classify_module._state_key
+    assert _key_census(subtrees, state_key) == (156, 0)
+    # each field has teeth: a key without ``consumed``, or the (initial
+    # type, necklace) alone, merges subtrees that differ
+    assert _key_census(subtrees, lambda state: state_key(state)[:4]) == (124, 39)
+    assert _key_census(subtrees, lambda state: state_key(state)[:3]) == (58, 39)
+
+
+@pytest.fixture(scope="module")
+def plain_walk():
+    """The walk without subtree skips: for each leaf in depth-first order,
+    the number of entries kept before it, and the kept entries in the order
+    they were found.  The first leaf of each (initial type, necklace) is
+    classified, as in the enumerator."""
+    kept_before, found, seen = [], {}, set()
+    roots = [RealizationState(initial, 4) for initial in ("I", "II")]
+    for schedule, leaf in chain.from_iterable(map(walk_schedules, roots)):
+        kept_before.append(len(found))
+        necklace = schedule.initial_type, classify_module._necklace(leaf)
+        if necklace not in seen:
+            seen.add(necklace)
+            entry = classify_leaf(schedule, leaf)
+            found.setdefault(_found_key(entry), entry)
+    return kept_before, list(found.values())
+
+
+@pytest.mark.parametrize("cap", [*range(1, 59), None])
+def test_capped_walks_keep_the_full_runs_representatives(plain_walk, cap):
+    kept_before, found = plain_walk
+    # the plain walk stops at the first leaf met with ``cap`` entries kept
+    stop = next((i for i, kept in enumerate(kept_before)
+                 if cap is not None and kept >= cap), len(kept_before))
+    result = enumerate_configurations(max_reports=cap)
+    assert (result.visited, result.exhausted) == (stop, stop == len(kept_before))
+    expected = sorted(found[:cap], key=classify_module._entry_sort_key)
+    assert [(e.digest, e.report, e.error) for e in result.entries] == [
+        (e.digest, e.report, e.error) for e in expected]
+
+
+def test_a_skipped_subtree_counts_its_leaves_unless_the_cap_is_met():
+    state = RealizationState("I", 4).extend(S("F"))
+    walk = classify_module._Walk(max_reports=1)
+    walk.below[classify_module._state_key(state)] = 7
+    assert walk.visit(state) == 7
+    assert walk.visited == 7
+    # with the cap met, the plain walk stops at the subtree's first leaf
+    walk.found["kept"] = None
+    with pytest.raises(classify_module._CapReached):
+        walk.visit(state)
+    assert walk.visited == 7
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    # a walk's dicts must be freed when it returns, not left for the
+    # cyclic collector, or they pile up between collections
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_configurations()
+        enumerate_configurations(max_reports=10)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumeration_distinct_degree_one_counts(enumeration):
