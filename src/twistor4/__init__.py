@@ -25,14 +25,12 @@ from .cohomology import (
     c2_class,
     chern_numbers,
     cup,
-    degree_map,
     euler_char_fundamental,
     evaluate,
     fundamental_class,
     pairing_kernel,
     pairing_matrix,
     scalar,
-    vanishing_profile,
     w,
     x,
     zero,
@@ -69,7 +67,6 @@ from .lattice import (
     real_involution,
     realize_cycle,
     smooth_anticanonical_cycle,
-    strict_transform,
 )
 from .classify import (
     CASE_NEF,
@@ -84,8 +81,6 @@ from .classify import (
     classify,
     classify_leaf,
     enumerate_configurations,
-    h0_pluri_fundamental,
-    is_nef,
     model_from_document,
     model_from_schedule,
     negative_curves,
@@ -99,8 +94,8 @@ __all__ = [
     # cohomology
     "CohomologyClass", "ChernData", "PairingData", "chern_numbers",
     "pairing_matrix", "pairing_kernel", "euler_char_fundamental",
-    "vanishing_profile", "cup", "evaluate", "degree_map", "scalar", "zero",
-    "x", "w", "c1_class", "c2_class", "fundamental_class",
+    "cup", "evaluate", "scalar", "zero", "x", "w", "c1_class", "c2_class",
+    "fundamental_class",
     # cycles
     "CycleLineBundle", "TorsionSpec", "DEFAULT_ORACLE_SEED", "cyclic_arcs",
     "euler_char_cycle", "h0_formula", "h0_oracle",
@@ -109,15 +104,13 @@ __all__ = [
     "HypothesisError", "TorsionRequiredError", "InvariantError",
     # lattice
     "SurfaceLattice", "DivisorClass", "anticanonical_class",
-    "adjunction_genus", "strict_transform", "real_involution", "BlowupStep",
-    "BlowupSchedule", "AnticanonicalCycle", "smooth_anticanonical_cycle",
-    "INITIAL_TYPES", "RealizationState", "realize_cycle",
-    "elementary_transform",
+    "adjunction_genus", "real_involution", "BlowupStep", "BlowupSchedule",
+    "AnticanonicalCycle", "smooth_anticanonical_cycle", "INITIAL_TYPES",
+    "RealizationState", "realize_cycle", "elementary_transform",
     # classification
     "CASE_NEF", "CASE_REAL_MINUS_2", "CASE_PAIR_MINUS_2", "CASE_PAIRS_MINUS_1",
-    "ClassificationReport", "anticanonical_degrees", "is_nef",
-    "negative_curves", "check_report", "classify", "model_from_schedule",
-    "model_from_document", "h0_pluri_fundamental", "EnumeratedEntry",
-    "EnumerationResult", "walk_schedules", "classify_leaf",
+    "ClassificationReport", "anticanonical_degrees", "negative_curves",
+    "check_report", "classify", "model_from_schedule", "model_from_document",
+    "EnumeratedEntry", "EnumerationResult", "walk_schedules", "classify_leaf",
     "enumerate_configurations",
 ]

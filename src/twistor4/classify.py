@@ -56,14 +56,12 @@ __all__ = [
     "CASE_PAIR_MINUS_2",
     "CASE_PAIRS_MINUS_1",
     "anticanonical_degrees",
-    "is_nef",
     "negative_curves",
     "ClassificationReport",
     "check_report",
     "model_from_schedule",
     "model_from_document",
     "classify",
-    "h0_pluri_fundamental",
     "EnumeratedEntry",
     "EnumerationResult",
     "walk_schedules",
@@ -94,10 +92,6 @@ def anticanonical_degrees(cycle: AnticanonicalCycle) -> tuple[int, ...]:
     check(total == expected, "degrees {} sum to {}, closed form {}",
           degrees, total, expected, invariant="anticanonical-degree-sum")
     return degrees
-
-
-def is_nef(cycle: AnticanonicalCycle) -> bool:
-    return all(d >= 0 for d in anticanonical_degrees(cycle))
 
 
 def negative_curves(cycle: AnticanonicalCycle) -> tuple[tuple[str, int], ...]:
@@ -324,15 +318,6 @@ def classify(cycle: AnticanonicalCycle) -> ClassificationReport:
         dim_antican_Z=dim_antican_z,
     )
     return check_report(report)
-
-
-def h0_pluri_fundamental(m: int, h1: int = 0) -> int:
-    """h0(F^m) = chi + h1 = (m + 1) + h1 on the n = 4 twistor space."""
-    if m < 1:
-        raise ScheduleError("the power m must be positive")
-    if h1 < 0:
-        raise ScheduleError("h1 is non-negative")
-    return m + 1 + h1
 
 
 # -- enumeration ------------------------------------------------------------

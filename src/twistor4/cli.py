@@ -47,10 +47,10 @@ from .errors import (
 
 __all__ = ["main"]
 
-# caps on the inputs whose cost grows without bound: the pairing
-# determinant at ``pairing --n`` and the kernel oracle at the total degree
-# it is given
-_PAIRING_MAX_N = 150
+# caps on the inputs whose cost grows without bound: ``--n`` of chern,
+# pairing and ring (coefficient tuples of length n, and the pairing
+# determinant) and the kernel oracle at the total degree it is given
+_MAX_N = 150
 _ORACLE_MAX_DEGREE = 1000
 
 
@@ -82,7 +82,13 @@ def _resolve_seed(explicit):
 # -- subcommands -------------------------------------------------------------
 
 
+def _check_n(n):
+    if n > _MAX_N:
+        raise DegreeError(f"--n is capped at {_MAX_N}, got {n}")
+
+
 def _cmd_chern(args):
+    _check_n(args.n)
     data = chern_numbers(args.n)
     if args.json:
         _print_json(
@@ -101,8 +107,7 @@ def _cmd_chern(args):
 
 
 def _cmd_pairing(args):
-    if args.n > _PAIRING_MAX_N:
-        raise DegreeError(f"--n is capped at {_PAIRING_MAX_N}, got {args.n}")
+    _check_n(args.n)
     data = pairing_matrix(args.n)
     kernel = pairing_kernel(args.n)
     if args.json:
@@ -162,6 +167,7 @@ def _parse_ring_expr(n, expr):
 
 
 def _cmd_ring(args):
+    _check_n(args.n)
     product = _parse_ring_expr(args.n, args.expr)
     value = evaluate(product) if product.degree == 6 else None
     if args.json:

@@ -105,25 +105,7 @@ class CohomologyClass:
         return all(c == 0 for c in self.coeffs)
 
     def __str__(self):
-        names = _basis_names(self.n, self.degree)
-        terms = []
-        for c, name in zip(self.coeffs, names):
-            if c == 0:
-                continue
-            if name == "1":
-                terms.append(f"{c}")
-            elif c == 1:
-                terms.append(name)
-            elif c == -1:
-                terms.append(f"-{name}")
-            else:
-                terms.append(f"{c}*{name}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return linalg.format_combination(self.coeffs, _basis_names(self.n, self.degree))
 
 
 def _basis_names(n, degree):
@@ -230,18 +212,6 @@ def evaluate(c: CohomologyClass) -> int:
     return -c.coeffs[0]
 
 
-def degree_map(c: CohomologyClass) -> int:
-    """Degree of the corresponding line bundle on a real twistor line.
-
-    Sends each x_i to 0 and w to 1, i.e. returns the w-coefficient.
-    """
-    if not isinstance(c, CohomologyClass):
-        raise TypeError("expected a CohomologyClass")
-    if c.degree != 2:
-        raise DegreeError(f"degree_map needs a degree-2 class, got degree {c.degree}")
-    return c.coeffs[-1]
-
-
 # -- derived invariants ----------------------------------------------------
 
 class ChernData(NamedTuple):
@@ -325,26 +295,3 @@ def euler_char_fundamental(n: int, m: int) -> int:
         raise DegreeError("m must be non-negative")
     return m + 1 + 2 * (4 - n) * math.comb(m + 2, 3)
 
-
-def vanishing_profile(line_bundle_degree: int) -> frozenset[int]:
-    """Cohomology indices forced to vanish for a line bundle of given degree.
-
-    On a twistor space of positive type: h^0 dies for degree <= -1, h^1 for
-    degree <= -2, h^2 for degree >= -2, h^3 for degree >= -3.
-
-    >>> sorted(vanishing_profile(-2))
-    [0, 1, 2, 3]
-    >>> sorted(vanishing_profile(0))
-    [2, 3]
-    """
-    d = int(line_bundle_degree)
-    out = set()
-    if d <= -1:
-        out.add(0)
-    if d <= -2:
-        out.add(1)
-    if d >= -2:
-        out.add(2)
-    if d >= -3:
-        out.add(3)
-    return frozenset(out)

@@ -48,13 +48,13 @@ from operator import mul, sub
 
 from .cycles import TorsionSpec
 from .errors import RealizabilityError, ScheduleError, check
+from .linalg import format_combination
 
 __all__ = [
     "SurfaceLattice",
     "DivisorClass",
     "anticanonical_class",
     "adjunction_genus",
-    "strict_transform",
     "real_involution",
     "BlowupStep",
     "BlowupSchedule",
@@ -120,19 +120,6 @@ class SurfaceLattice:
         """The exceptional index paired with i under the real involution."""
         return i + 1 if i % 2 == 1 else i - 1
 
-    def gram_matrix(self):
-        rows = []
-        for i in range(self.rank):
-            row = [0] * self.rank
-            if i == 0:
-                row[1] = 1
-            elif i == 1:
-                row[0] = 1
-            else:
-                row[i] = -1
-            rows.append(tuple(row))
-        return tuple(rows)
-
 
 @dataclass(frozen=True)
 class DivisorClass:
@@ -148,18 +135,6 @@ class DivisorClass:
                 f"got {len(self.coeffs)}"
             )
         object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
-
-    @property
-    def a(self):
-        return self.coeffs[0]
-
-    @property
-    def b(self):
-        return self.coeffs[1]
-
-    @property
-    def multiplicities(self):
-        return self.coeffs[2:]
 
     def dot(self, other: "DivisorClass") -> int:
         if self.lattice != other.lattice:
@@ -193,29 +168,10 @@ class DivisorClass:
     def __mul__(self, k):
         return self.__rmul__(k)
 
-    def conjugate(self):
-        return real_involution(self)
-
     def __str__(self):
-        parts = []
-        for c, name in zip(self.coeffs, self._names()):
-            if c == 0:
-                continue
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{c}*{name}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-    def _names(self):
-        return ("l", "f") + tuple(f"E{i}" for i in range(1, 2 * self.lattice.pairs + 1))
+        pairs = self.lattice.pairs
+        names = ("l", "f") + tuple(f"E{i}" for i in range(1, 2 * pairs + 1))
+        return format_combination(self.coeffs, names)
 
 
 def _dot(s, o):
@@ -250,54 +206,6 @@ def adjunction_genus(d: DivisorClass) -> int:
 def real_involution(d: DivisorClass) -> DivisorClass:
     """Swap each E_{2k-1} with E_{2k}; fixes l and f.  An isometry."""
     return DivisorClass(d.lattice, _involute(d.coeffs))
-
-
-def strict_transform(lattice, a, b, multiplicities, infinitely_near=()):
-    """Strict transform of an O(a,b)-curve through the blown-up points.
-
-    ``multiplicities`` (length 2n, non-negative) are the multiplicities of
-    the curve at the points; ``infinitely_near`` is a set of 1-based pairs
-    (point, over) meaning that point lies on the exceptional curve of
-    ``over``.  A curve through an infinitely near point necessarily passes
-    through every point below it in the chain, so multiplicities are closed
-    upward: eff(j) = max(given j, sum of eff over the points directly over
-    j).  The class returned is a*l + b*f - sum(eff_i E_i) in the
-    total-transform basis.
-    """
-    ms = [int(m) for m in multiplicities]
-    if len(ms) != 2 * lattice.pairs:
-        raise ScheduleError(
-            f"need {2 * lattice.pairs} multiplicities, got {len(ms)}"
-        )
-    if any(m < 0 for m in ms):
-        raise ScheduleError("multiplicities are non-negative")
-    over_of = {}
-    for entry in infinitely_near:
-        try:
-            point, over = entry
-        except (TypeError, ValueError):
-            raise ScheduleError(
-                "infinitely_near entries are (point, over) index pairs"
-            ) from None
-        point, over = int(point), int(over)
-        if not (1 <= over < point <= 2 * lattice.pairs):
-            raise ScheduleError(
-                f"inconsistent infinitely-near reference ({point} over {over})"
-            )
-        if point in over_of:
-            raise ScheduleError(
-                f"point {point} is infinitely near over two points"
-            )
-        over_of[point] = over
-    eff = list(ms)
-    # a chain contributes its full stack: close upward by direct sums
-    direct = {}
-    for point, over in over_of.items():
-        direct.setdefault(over, []).append(point)
-    for j in sorted(direct, reverse=True):
-        total = sum(eff[p - 1] for p in direct[j])
-        eff[j - 1] = max(eff[j - 1], total)
-    return lattice.divisor(a, b, tuple(-m for m in eff))
 
 
 # -- blow-up schedules ------------------------------------------------------
@@ -437,9 +345,6 @@ class AnticanonicalCycle:
     @property
     def m(self):
         return len(self.order)
-
-    def component_class(self, name):
-        return self.classes[name]
 
     def is_real(self, name):
         return self.conjugate_names[name] == name

@@ -5,7 +5,8 @@ nullspace.  Rows are made integral once (denominators cleared), and each
 elimination step replaces a row by the primitive part of
 ``p*row - f*pivot_row``; rows with a zero in the pivot column are not
 touched, so sparse matrices such as the pairing's arrowhead cost O(n^2)
-rather than O(n^3).  No floats anywhere.
+rather than O(n^3).  No floats anywhere.  ``format_combination`` prints an
+integer combination of basis names, for every class type's ``str()``.
 """
 
 from fractions import Fraction
@@ -126,3 +127,19 @@ def nullspace(rows):
 def left_nullspace(rows):
     """Primitive integer basis of {v : v.A = 0} (nullspace of the transpose)."""
     return nullspace(list(zip(*rows)))
+
+
+def format_combination(coeffs, names):
+    """``sum(c * name)`` as text, e.g. ``"2*l - f + E3"``; ``"0"`` when
+    every coefficient is 0.  A basis name ``"1"`` is the constant term."""
+    out = ""
+    for c, name in zip(coeffs, names):
+        if c == 0:
+            continue
+        k = abs(c)
+        term = str(k) if name == "1" else name if k == 1 else f"{k}*{name}"
+        if out:
+            out += (" - " if c < 0 else " + ") + term
+        else:
+            out = ("-" if c < 0 else "") + term
+    return out or "0"

@@ -27,14 +27,11 @@ from twistor4.cohomology import (
     chern_numbers,
     CohomologyClass,
     cup,
-    degree_map,
     euler_char_fundamental,
     evaluate,
     fundamental_class,
     pairing_kernel,
     pairing_matrix,
-    scalar,
-    vanishing_profile,
     w,
     x,
     zero,
@@ -182,14 +179,7 @@ def test_fundamental_class_is_half_of_c1(n):
     f = fundamental_class(n)
     assert (2 * f).coeffs == c1_class(n).coeffs
     assert evaluate(f @ f @ f) == 2 * (4 - n)
-    assert degree_map(f) == 2
-
-
-def test_degree_map_reads_fibre_degree():
-    assert degree_map(w(4)) == 1
-    assert degree_map(x(4, 2)) == 0
-    with pytest.raises(DegreeError):
-        degree_map(scalar(4, 1))
+    assert f.coeffs[-1] == 2
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -302,15 +292,6 @@ def test_euler_char_fundamental():
         euler_char_fundamental(0, 1)
     with pytest.raises(DegreeError):
         euler_char_fundamental(4, -1)
-
-
-def test_vanishing_profile_bands():
-    assert vanishing_profile(-4) == frozenset({0, 1})
-    assert vanishing_profile(-3) == frozenset({0, 1, 3})
-    assert vanishing_profile(-2) == frozenset({0, 1, 2, 3})
-    assert vanishing_profile(-1) == frozenset({0, 2, 3})
-    assert vanishing_profile(0) == frozenset({2, 3})
-    assert vanishing_profile(7) == frozenset({2, 3})
 
 
 def test_cup_degree_overflow_errors():

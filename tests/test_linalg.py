@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from twistor4.cohomology import pairing_matrix
+from twistor4.cohomology import CohomologyClass, pairing_matrix
+from twistor4.lattice import SurfaceLattice
 from twistor4.linalg import bareiss_determinant, left_nullspace, nullspace, rank
 
 
@@ -184,3 +185,32 @@ def test_zero_and_empty_shapes():
 def test_pairing_determinant_is_the_signed_closed_form_up_to_150():
     for n in range(1, 151):
         assert pairing_matrix(n).det == 2 ** (n - 1) * (n - 4), n
+
+
+# -- printing a class: one term printer for divisors and cohomology ------------
+
+def test_str_of_a_class():
+    l1, l2 = SurfaceLattice(1), SurfaceLattice(2)
+    table = [
+        (l2.zero(), "0"),
+        (SurfaceLattice(0).divisor(0, -1), "-f"),
+        (l2.divisor(-1, 0, (0, 0, 0, 1)), "-l + E4"),
+        (l2.divisor(-3, 2, (1, -1, 0, -2)), "-3*l + 2*f + E1 - E2 - 2*E4"),
+        (l2.divisor(1, 1), "l + f"),
+        (l1.divisor(0, 1, (-1,)), "f - E1"),
+        (l1.divisor(0, 0, (0, 12)), "12*E2"),
+        (CohomologyClass(3, 2, (0, 0, 0, 0)), "0"),
+        (CohomologyClass(4, 0, (0,)), "0"),
+        (CohomologyClass(4, 0, (-1,)), "-1"),
+        (CohomologyClass(4, 0, (1,)), "1"),
+        (CohomologyClass(4, 0, (3,)), "3"),
+        (CohomologyClass(2, 0, (-12,)), "-12"),
+        (CohomologyClass(2, 4, (-1, -1, -1)), "-w*x1 - w*x2 - x1^2"),
+        (CohomologyClass(2, 2, (2, 2, 4)), "2*x1 + 2*x2 + 4*w"),
+        (CohomologyClass(3, 2, (0, -1, 5, -2)), "-x2 + 5*x3 - 2*w"),
+        (CohomologyClass(2, 4, (1, 0, -7)), "w*x1 - 7*x1^2"),
+        (CohomologyClass(1, 6, (3,)), "3*w*x1^2"),
+        (CohomologyClass(1, 6, (-1,)), "-w*x1^2"),
+    ]
+    for value, text in table:
+        assert str(value) == text, value

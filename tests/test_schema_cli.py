@@ -1,15 +1,18 @@
 """Schedule-document schema and the command-line interface."""
 
+import ast
 import hashlib
-import importlib.util
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import twistor4
 from twistor4 import cohomology, schema
 from twistor4.classify import classify, model_from_document
 from twistor4.cli import main
@@ -267,10 +270,13 @@ def test_cli_pairing(capsys):
 
 
 def test_cli_pairing_n_is_capped(capsys):
-    assert _run(capsys, "pairing", "--n", "150")[0] == 0
-    code, out, err = _run(capsys, "pairing", "--n", "151")
-    assert code == 1 and out == ""
-    assert err == "error: --n is capped at 150, got 151\n"
+    # chern and ring share the cap: each builds tuples of length n
+    for command, *rest in (("pairing",), ("chern",), ("ring", "--expr", "w w w")):
+        assert _run(capsys, command, "--n", "150", *rest)[0] == 0
+        for n in (151, 10 ** 6):
+            code, out, err = _run(capsys, command, "--n", str(n), *rest)
+            assert code == 1 and out == ""
+            assert err == f"error: --n is capped at 150, got {n}\n"
 
 
 def test_cli_pairing_json_at_the_cap(capsys):
@@ -587,19 +593,33 @@ def test_cli_under_python_O_keeps_its_results():
 
 def test_every_traced_name_resolves():
     # the benchmark wraps these by name; a deleted or renamed one would
-    # break its traced runs
+    # break its traced runs (read, not run: the tables are literals)
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    for layer, names in spans.FUNCTIONS.items():
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) in ("FUNCTIONS", "METHODS")
+    }
+    for layer, names in tables["FUNCTIONS"].items():
         module = importlib.import_module(f"twistor4.{layer}")
         for name in names:
             assert callable(getattr(module, name)), f"{layer}.{name}"
-    for layer, methods in spans.METHODS.items():
+    for layer, methods in tables["METHODS"].items():
         module = importlib.import_module(f"twistor4.{layer}")
         for cls, name in methods:
-            assert callable(getattr(getattr(module, cls), name)), f"{cls}.{name}"
+            # the tracer replaces the method in the class's own namespace
+            assert callable(vars(getattr(module, cls))[name]), f"{cls}.{name}"
+
+
+@pytest.mark.parametrize("module", ["twistor4"] + [
+    f"twistor4.{info.name}" for info in pkgutil.iter_modules(twistor4.__path__)])
+def test_every_exported_name_resolves(module):
+    # a name deleted from a module but left in an ``__all__`` would break
+    # ``from twistor4 import *`` and every caller that trusts the list
+    namespace = importlib.import_module(module)
+    for name in getattr(namespace, "__all__", ()):
+        assert hasattr(namespace, name), f"{module}.{name}"
 
 
 # -- CLI: usage errors -----------------------------------------------------------------
