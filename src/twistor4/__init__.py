@@ -50,6 +50,7 @@ from .errors import (
     InvariantError,
     RealizabilityError,
     ScheduleError,
+    TaggedError,
     TorsionRequiredError,
     TwistorError,
 )
@@ -100,8 +101,9 @@ __all__ = [
     "CycleLineBundle", "TorsionSpec", "DEFAULT_ORACLE_SEED", "cyclic_arcs",
     "euler_char_cycle", "h0_formula", "h0_oracle",
     # errors
-    "TwistorError", "ScheduleError", "DegreeError", "RealizabilityError",
-    "HypothesisError", "TorsionRequiredError", "InvariantError",
+    "TwistorError", "ScheduleError", "DegreeError", "TaggedError",
+    "RealizabilityError", "HypothesisError", "TorsionRequiredError",
+    "InvariantError",
     # lattice
     "SurfaceLattice", "DivisorClass", "anticanonical_class",
     "adjunction_genus", "real_involution", "BlowupStep", "BlowupSchedule",

@@ -1,17 +1,22 @@
 """Error taxonomy.
 
-Two families matter to callers (and to the CLI's exit codes):
+Two families matter to callers:
 
 * malformed input — bad schedules, bad references, bad documents, bad
-  arguments to a library call.  These are ``ScheduleError`` (a
-  ``ValueError``).
+  arguments to a library call, an input above its cap.  These are
+  ``ScheduleError`` and ``DegreeError`` (both ``ValueError``s); they carry
+  no ``tag``.
 * mathematically meaningful rejections — the configuration violates a
   constraint that actual twistor spaces obey, or a formula's hypotheses fail.
   These are ``RealizabilityError`` / ``HypothesisError`` / the nef branch's
   ``TorsionRequiredError``, and each carries a short machine ``tag`` plus a
   readable message.
 
-``InvariantError`` means a computed value contradicts its closed form.
+``InvariantError`` means a computed value contradicts its closed form; its
+tag is ``invariant-<name>``.  The CLI's exit code follows the tag alone: an
+error with a ``tag`` prints ``violation: <tag>: …`` and exits 2, any other
+prints ``error: …`` and exits 1.
+
 ``check`` is the one helper for invariants and for checks of the cycles
 and states a caller built: an explicit raise, so ``python -O`` keeps every check.
 """
@@ -29,7 +34,15 @@ class DegreeError(TwistorError, ValueError):
     """A cohomology class of the wrong degree (or mismatched n) was supplied."""
 
 
-class RealizabilityError(TwistorError):
+class TaggedError(TwistorError):
+    """An error with a stable machine-readable ``tag`` slug (CLI exit code 2)."""
+
+    def __init__(self, tag, message):
+        super().__init__(message)
+        self.tag = tag
+
+
+class RealizabilityError(TaggedError):
     """The combinatorial configuration cannot come from a twistor space.
 
     ``tag`` is a stable machine-readable slug; known values:
@@ -38,21 +51,13 @@ class RealizabilityError(TwistorError):
     ``case-c-structure``.
     """
 
-    def __init__(self, tag, message):
-        super().__init__(message)
-        self.tag = tag
 
-
-class HypothesisError(TwistorError):
+class HypothesisError(TaggedError):
     """Hypotheses of the cycle section-count formula fail.
 
     ``tag`` is one of ``too-few-components`` (m < 3), ``too-few-negatives``
     (|I-| < 2), ``arc-without-positive``.
     """
-
-    def __init__(self, tag, message):
-        super().__init__(message)
-        self.tag = tag
 
 
 class TorsionRequiredError(TwistorError):
@@ -61,7 +66,7 @@ class TorsionRequiredError(TwistorError):
     tag = "torsion-required"
 
 
-class InvariantError(TwistorError):
+class InvariantError(TaggedError):
     """A consistency check failed; raised explicitly, so ``-O`` keeps it.
 
     ``tag`` is ``invariant-<name>``: ``fundamental-class``,
@@ -76,8 +81,7 @@ class InvariantError(TwistorError):
     """
 
     def __init__(self, name, message):
-        super().__init__(message)
-        self.tag = f"invariant-{name}"
+        super().__init__(f"invariant-{name}", message)
 
 
 def check(ok, message, *args, invariant=None):

@@ -14,8 +14,11 @@ A schedule document is a plain JSON object:
       "torsion": {"kind": "finite", "order": 2}
     }
 
-``n`` must equal the number of steps.  ``torsion`` is optional on input
-(it is required downstream only when the realized cycle is nef) and is
+``n`` must equal the number of steps and is at most ``MAX_N`` (150):
+realizing a document costs time that grows with ``n`` (quadratically for
+a schedule), so a larger one is refused before any step is read.
+``torsion`` is optional on input (it is required downstream only when the
+realized cycle is nef) and is
 ``{"kind": "finite", "order": k}`` or ``{"kind": "infinite"}`` (alias
 ``"non_torsion"``).  ``"smooth_anticanonical": true`` selects the
 smooth-elliptic anticanonical member instead of a cycle; such a document
@@ -39,6 +42,7 @@ from .errors import ScheduleError
 from .lattice import INITIAL_TYPES, STEP_FIELDS, BlowupSchedule, BlowupStep
 
 __all__ = [
+    "MAX_N",
     "ParsedDocument",
     "parse_document",
     "parse_torsion",
@@ -51,6 +55,8 @@ __all__ = [
     "load_document",
 ]
 
+# the largest n a document (and the CLI's ``--n``) accepts
+MAX_N = 150
 _DOCUMENT_KEYS = frozenset(
     {"n", "initial_type", "steps", "torsion", "smooth_anticanonical"}
 )
@@ -133,6 +139,8 @@ def parse_document(obj) -> ParsedDocument:
     _require_object(obj, "document")
     _check_fields(obj, _DOCUMENT_KEYS, ("n", "initial_type", "steps"), "document")
     n = _plain_int(obj["n"], "n", minimum=0)
+    if n > MAX_N:
+        raise ScheduleError(f"n is capped at {MAX_N}, got {n}")
     initial_type = obj["initial_type"]
     if initial_type not in INITIAL_TYPES:
         raise ScheduleError(

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from twistor4 import schema
+from twistor4.acceptance import golden_case_a, golden_case_b, golden_case_c, golden_nef
 from twistor4.classify import (
     CASE_NEF,
     CASE_PAIR_MINUS_2,
@@ -51,26 +52,10 @@ S, N, INF = BlowupStep.smooth, BlowupStep.node, BlowupStep.infinitely_near
 TAU_ONE = TorsionSpec.finite(1)
 
 
-def _schedule_case_a():
-    return BlowupSchedule("II", (S("C0"),) * 4)
-
-
-def _schedule_case_b():
-    return BlowupSchedule("I", (S("G"),) * 4)
-
-
-def _schedule_case_c():
-    return BlowupSchedule("I", (N(("F", "G")), N(("F", "E1")), S("G"), S("G")))
-
-
-def _schedule_nef():
-    return BlowupSchedule("I", (S("F"), S("F"), S("G"), S("G")))
-
-
 # -- the golden configurations ------------------------------------------------
 
 def test_case_a_report():
-    report = classify(model_from_schedule(_schedule_case_a()))
+    report = classify(model_from_schedule(golden_case_a()))
     assert report.case == CASE_REAL_MINUS_2
     assert report.case_letter == "a"
     assert report.negative_curves == (("C0", -2),)
@@ -86,7 +71,7 @@ def test_case_a_report():
 
 
 def test_case_b_report():
-    report = classify(model_from_schedule(_schedule_case_b()))
+    report = classify(model_from_schedule(golden_case_b()))
     assert report.case == CASE_PAIR_MINUS_2
     assert report.case_letter == "b"
     assert report.negative_curves == (("G", -2), ("Gbar", -2))
@@ -100,7 +85,7 @@ def test_case_b_report():
 
 
 def test_case_c_report():
-    report = classify(model_from_schedule(_schedule_case_c()))
+    report = classify(model_from_schedule(golden_case_c()))
     assert report.case == CASE_PAIRS_MINUS_1
     assert report.case_letter == "c"
     assert report.negative_curves == (("G", -1), ("Gbar", -1))
@@ -125,7 +110,7 @@ def test_case_c_report():
     ],
 )
 def test_nef_reports_by_torsion(torsion, h0, base, a, deg1):
-    report = classify(model_from_schedule(_schedule_nef(), torsion=torsion))
+    report = classify(model_from_schedule(golden_nef(), torsion=torsion))
     assert report.case == CASE_NEF
     assert report.case_letter is None
     assert report.nef and not report.nef_and_big
@@ -139,7 +124,7 @@ def test_nef_reports_by_torsion(torsion, h0, base, a, deg1):
 
 def test_nef_without_torsion_is_refused():
     with pytest.raises(TorsionRequiredError):
-        classify(model_from_schedule(_schedule_nef()))
+        classify(model_from_schedule(golden_nef()))
 
 
 def test_smooth_anticanonical_documents_classify_as_nef():
@@ -171,22 +156,22 @@ def test_classification_requires_four_pairs():
 # -- degree helpers ------------------------------------------------------------
 
 def test_anticanonical_degrees_and_nef():
-    nef_cycle = realize_cycle(_schedule_nef())
+    nef_cycle = realize_cycle(golden_nef())
     assert anticanonical_degrees(nef_cycle) == (0, 0, 0, 0)
     assert all(d >= 0 for d in anticanonical_degrees(nef_cycle))
-    case_a = realize_cycle(_schedule_case_a())
+    case_a = realize_cycle(golden_case_a())
     assert anticanonical_degrees(case_a) == (2, -2)
     assert not all(d >= 0 for d in anticanonical_degrees(case_a))
 
 
 def test_negative_curves_on_goldens():
-    assert negative_curves(realize_cycle(_schedule_nef())) == ()
-    assert negative_curves(realize_cycle(_schedule_case_a())) == (("C0", -2),)
-    assert negative_curves(realize_cycle(_schedule_case_b())) == (
+    assert negative_curves(realize_cycle(golden_nef())) == ()
+    assert negative_curves(realize_cycle(golden_case_a())) == (("C0", -2),)
+    assert negative_curves(realize_cycle(golden_case_b())) == (
         ("G", -2),
         ("Gbar", -2),
     )
-    assert negative_curves(realize_cycle(_schedule_case_c())) == (
+    assert negative_curves(realize_cycle(golden_case_c())) == (
         ("G", -1),
         ("Gbar", -1),
     )
@@ -314,9 +299,9 @@ def test_classify_reads_no_divisor_classes():
 # -- report consistency ---------------------------------------------------------
 
 def test_check_report_rejects_inconsistent_reports():
-    case_a = classify(model_from_schedule(_schedule_case_a()))
-    nef = classify(model_from_schedule(_schedule_nef(), TorsionSpec.finite(2)))
-    case_c = classify(model_from_schedule(_schedule_case_c()))
+    case_a = classify(model_from_schedule(golden_case_a()))
+    nef = classify(model_from_schedule(golden_nef(), TorsionSpec.finite(2)))
+    case_c = classify(model_from_schedule(golden_case_c()))
     for good in (case_a, nef, case_c):
         assert check_report(good) is good
     for good, change, fact in (
@@ -339,7 +324,7 @@ def test_check_report_rejects_inconsistent_reports():
 
 
 def test_report_as_dict_round_trips_fields():
-    report = classify(model_from_schedule(_schedule_case_c()))
+    report = classify(model_from_schedule(golden_case_c()))
     data = report.as_dict()
     assert data["case"] == CASE_PAIRS_MINUS_1
     assert data["negative_curves"] == [["G", -1], ["Gbar", -1]]

@@ -278,6 +278,23 @@ def test_package_has_no_assert_statements():
     assert offenders == []
 
 
+def test_cli_has_one_output_path():
+    # results are printed by ``_emit`` alone and diagnoses by ``main``;
+    # infinity is encoded once, by ``ClassificationReport.as_dict``
+    path = Path(cohomology.__file__).parent / "cli.py"
+    callers = {}
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                callers.setdefault(name, []).append(getattr(top, "name", None))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                assert "encode_infinite" not in (
+                    getattr(node, "id", None), getattr(node, "attr", None))
+    assert callers["canonical_json"] == ["_emit"]
+    assert set(callers["print"]) == {"_emit", "main"}
+
+
 def test_euler_char_fundamental():
     for m in range(0, 51):
         assert euler_char_fundamental(4, m) == m + 1

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import twistor4
-from twistor4 import cohomology, schema
+from twistor4 import cli, cohomology, errors, schema
 from twistor4.classify import classify, model_from_document
 from twistor4.cli import main
 from twistor4.cycles import DEFAULT_ORACLE_SEED, TorsionSpec
@@ -133,6 +133,24 @@ def test_step_count_must_match_n():
     doc["n"] = 2
     with pytest.raises(ScheduleError, match="must agree"):
         schema.parse_document(doc)
+
+
+@pytest.mark.parametrize("smooth", [False, True])
+def test_document_n_is_capped_before_its_steps_are_read(smooth):
+    # the cap comes first: the steps here are not even JSON objects
+    doc = {"n": 151, "initial_type": "I", "steps": [] if smooth else [None] * 151}
+    if smooth:
+        doc["smooth_anticanonical"] = True
+    with pytest.raises(ScheduleError, match=r"^n is capped at 150, got 151$"):
+        schema.parse_document(doc)
+    # at the cap the document is read on
+    doc["n"] = schema.MAX_N
+    if smooth:
+        assert schema.parse_document(doc).n == 150
+    else:
+        doc["steps"].pop()
+        with pytest.raises(ScheduleError, match="step 1 must be a JSON object"):
+            schema.parse_document(doc)
 
 
 def test_bool_is_not_an_integer():
@@ -368,6 +386,22 @@ def test_cli_cycle_h0_oracle_total_degree_is_capped(capsys):
     assert code == 0 and out.startswith("formula: ")
 
 
+def test_cli_cycle_h0_oracle_component_count_is_capped(capsys, monkeypatch):
+    # every component adds a row to the oracle's system; a stub oracle
+    # shows which calls get past the cap
+    calls = []
+    monkeypatch.setattr(cli, "h0_oracle",
+                        lambda bundle, seed: calls.append(bundle.m) or 1)
+    code, out, _ = _run(capsys, "cycle-h0", "--degrees", ",".join(["0"] * 1000),
+                        "--oracle")
+    assert code == 0 and calls == [1000]
+    assert out.endswith("oracle (seed=20260816): 1\n")
+    code, out, err = _run(capsys, "cycle-h0", "--degrees",
+                          ",".join(["0"] * 1001), "--oracle")
+    assert code == 1 and out == "" and calls == [1000]
+    assert err == "error: --oracle is capped at 1000 components, got 1001\n"
+
+
 def test_cli_seed_resolution(capsys, monkeypatch):
     monkeypatch.setenv("TWISTOR_SEED", "17")
     data = _run_json(
@@ -443,6 +477,19 @@ def test_cli_classify_error_paths(tmp_path, capsys):
     )
     code, _, err = _run(capsys, "classify", str(wrong_n))
     assert code == 1 and "n = 4" in err
+
+
+def test_cli_classify_refuses_a_large_n_before_realizing(tmp_path, capsys):
+    smooth = {"n": 2_000_000, "initial_type": "I", "steps": [],
+              "smooth_anticanonical": True}
+    steps = {"n": 151, "initial_type": "I",
+             "steps": [{"kind": "smooth", "component": "G"}] * 151}
+    for doc in (smooth, steps):
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = _run(capsys, "classify", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: n is capped at 150, got {doc['n']}\n"
 
 
 def test_cli_classify_violations_exit_2(tmp_path, capsys):
@@ -620,6 +667,100 @@ def test_every_exported_name_resolves(module):
     namespace = importlib.import_module(module)
     for name in getattr(namespace, "__all__", ()):
         assert hasattr(namespace, name), f"{module}.{name}"
+
+
+# -- CLI: one output path --------------------------------------------------------------
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# one sample per error class: (exception, exit code, stderr)
+_ERROR_SAMPLES = {
+    errors.TwistorError: (errors.TwistorError("plain"), 1, "error: plain\n"),
+    errors.ScheduleError: (errors.ScheduleError("bad"), 1, "error: bad\n"),
+    errors.DegreeError: (errors.DegreeError("too big"), 1, "error: too big\n"),
+    errors.TaggedError: (errors.TaggedError("some-tag", "why"), 2,
+                         "violation: some-tag: why\n"),
+    errors.RealizabilityError: (
+        errors.RealizabilityError("negative-pattern", "why"), 2,
+        "violation: negative-pattern: why\n"),
+    errors.HypothesisError: (
+        errors.HypothesisError("too-few-negatives", "why"), 2,
+        "violation: too-few-negatives: why\n"),
+    errors.TorsionRequiredError: (errors.TorsionRequiredError("why"), 2,
+                                  "violation: torsion-required: why\n"),
+    errors.InvariantError: (errors.InvariantError("report-h0", "why"), 2,
+                            "violation: invariant-report-h0: why\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "cls", [errors.TwistorError, *_subclasses(errors.TwistorError)],
+    ids=lambda cls: cls.__name__)
+def test_cli_exit_code_follows_the_tag(capsys, monkeypatch, cls):
+    # a new error class must be listed above, with the exit code it gets
+    exc, expected_code, expected_err = _ERROR_SAMPLES[cls]
+
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_chern", failing)
+    code, out, err = _run(capsys, "chern", "--n", "4")
+    assert (code, out, err) == (expected_code, "", expected_err)
+
+
+_JSON_SAMPLES = {
+    "chern": ["--n", "4"],
+    "pairing": ["--n", "3", "--matrix"],
+    "euler": ["--n", "4", "--m", "2"],
+    "ring": ["--n", "4", "--expr", "w w w"],
+    "cycle-h0": ["--degrees", "2,-2,2,-2", "--oracle"],
+    "classify": ["schedules/case_b.json"],
+    "enumerate": ["--limit", "2"],
+}
+
+
+def test_json_samples_cover_every_subcommand_but_selftest():
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if action.dest == "command")
+    assert set(subparsers.choices) == set(_JSON_SAMPLES) | {"selftest"}
+
+
+@pytest.mark.parametrize("command", sorted(_JSON_SAMPLES))
+def test_cli_json_is_one_canonical_line(capsys, command):
+    code, out, err = _run(capsys, command, *_JSON_SAMPLES[command], "--json")
+    assert code == 0 and err == ""
+    assert out == schema.canonical_json(json.loads(out)) + "\n"
+
+
+def test_cli_selftest_takes_no_json(capsys):
+    code, out, err = _run(capsys, "selftest", "--json")
+    assert code == 1 and out == ""
+    assert err == "error: unrecognized arguments: --json\n"
+
+
+def test_cli_prints_the_result_before_a_failure(capsys, monkeypatch):
+    # a disagreeing oracle: the result, then the violation, exit 2
+    monkeypatch.setattr(cli, "h0_oracle", lambda bundle, seed: 99)
+    code, out, err = _run(capsys, "cycle-h0", "--degrees", "2,-2,2,-2", "--oracle")
+    assert code == 2
+    assert out == f"formula: 2\noracle (seed={DEFAULT_ORACLE_SEED}): 99\nagree: NO\n"
+    assert err == ("violation: formula-oracle-disagreement: the closed formula "
+                   "and the kernel oracle differ (2 vs 99)\n")
+    data = json.loads(_run(capsys, "cycle-h0", "--degrees", "2,-2,2,-2",
+                           "--oracle", "--json")[1])
+    assert (data["formula"], data["oracle"], data["agree"]) == (2, 99, False)
+    # a failed criterion: every line, then exit 1 with nothing on stderr
+    acceptance = importlib.import_module("twistor4.acceptance")
+    monkeypatch.setattr(acceptance, "run_all", lambda: [
+        acceptance.CriterionResult(1, "one", True, "fine", 0.0),
+        acceptance.CriterionResult(2, "two", False, "broken", 0.0)])
+    assert _run(capsys, "selftest") == (1, (
+        "criterion 1 (one): PASS - fine\ncriterion 2 (two): FAIL - broken\n"
+        "1/2 criteria passed\n"), "")
 
 
 # -- CLI: usage errors -----------------------------------------------------------------
