@@ -359,27 +359,16 @@ class EnumerationResult:
 
 
 def _state_key(state: RealizationState) -> tuple:
-    """A state's positional key, read off without building its cycle: the
-    initial type; the weighted necklace, that is the self-intersections in
-    cycle order and, for each component, the position of its conjugate (its
-    own when real); the position of each placed pair's host component
-    (None for a node pair); and the pairs whose exceptional curve's point
-    on its host has been blown up (``consumed``)."""
-    position = {name: i for i, name in enumerate(state.order)}
-    return (
-        state.initial_type,
-        tuple(map(state.squares.__getitem__, state.order)),
-        tuple(map(position.__getitem__, map(state.conj.__getitem__, state.order))),
-        tuple(None if host is None else position[host]
-              for host in state.hosts.values()),
-        state.consumed,
-    )
+    """A state's positional key, its ``key``: the initial type; the weighted
+    necklace (self-intersections in cycle order and each component's
+    conjugate position); each placed pair's host position (None for a node
+    pair); and the pairs whose point on their host is blown up."""
+    return state.key
 
 
 def _necklace(leaf: RealizationState) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A state's weighted necklace: the self-intersections in cycle order
-    and each component's conjugate position."""
-    return _state_key(leaf)[1:3]
+    """A state's weighted necklace: squares and conjugate positions in cycle order."""
+    return leaf.key[1:3]
 
 
 def _shape_key(squares: tuple[int, ...], partners: tuple[int, ...]) -> tuple:
@@ -392,11 +381,11 @@ def _shape_key(squares: tuple[int, ...], partners: tuple[int, ...]) -> tuple:
 def walk_schedules(root: RealizationState):
     """Depth-first walk over every schedule that completes ``root``,
     yielding ``(schedule, leaf state)``; each node extends its parent once."""
-    if len(root.steps) == root.lattice.pairs:
+    if len(root.key[3]) == root.lattice.pairs:  # one host per placed pair
         yield BlowupSchedule(root.initial_type, root.steps), root
         return
-    for step in root.candidates():
-        yield from walk_schedules(root.extend(step))
+    for move in root.candidates():
+        yield from walk_schedules(root.extend(move))
 
 
 def classify_leaf(schedule: BlowupSchedule, leaf: RealizationState) -> EnumeratedEntry:
@@ -420,7 +409,8 @@ class _Walk:
     state's positional key, and the leaves visited.
 
     The leaves below a state, as a count and as a set of necklaces, depend
-    only on its positional key (``_state_key``).  ``candidates`` and
+    only on its positional key, the state's ``key``, which ``extend``
+    derives from the parent's in O(m).  ``candidates`` and
     ``extend`` act on positions: one smooth step per conjugate orbit of
     components, leaving out the real fibre F of type II, which sits at
     position 0 in every state; one node step per conjugate orbit of edges
@@ -432,9 +422,9 @@ class _Walk:
     member gives the mirror-image state: the same squares, the same
     conjugate positions, hosts at the conjugate positions, hence the same
     subtree up to mirror image, with the same leaf count and necklaces.
-    The classes enter only ``extend``'s fresh-pair check, which every
-    walked step passes, and ``cycle()``, and ``classify`` reads only the
-    necklace.
+    No state carries classes: ``cycle()`` replays them, checking at each
+    step that its pair is fresh, only on the paths to the classified
+    leaves, and ``classify`` reads only the necklace.
 
     The key holds the depth (one host per placed pair), so a state's
     subtree is walked in full before any later state with its key is met.
@@ -443,8 +433,9 @@ class _Walk:
     could never be kept, as in a plain walk that skips such leaves one by
     one.  The cap is checked first, as the plain walk would at the
     subtree's first leaf (every subtree has one: an interior state always
-    has a smooth step on G or C0).  These are module-level classes with no
-    back-references, so a walk leaves no reference cycle behind.
+    has a smooth step on G or C0).  These are module-level classes, and a
+    state refers only to its parent, so a walk leaves no reference cycle
+    behind.
     """
 
     def __init__(self, max_reports: int | None):
@@ -463,8 +454,8 @@ class _Walk:
     def visit(self, state: RealizationState) -> int:
         """Walk ``state``'s subtree, classifying the first leaf of each
         (initial type, necklace); returns the subtree's leaf count."""
-        key = _state_key(state)
-        if len(state.steps) == state.lattice.pairs:
+        key = state.key
+        if len(key[3]) == state.lattice.pairs:
             self._count(1)
             necklace = key[:3]
             if necklace not in self.seen:
@@ -479,8 +470,8 @@ class _Walk:
             self._count(leaves)
             return leaves
         leaves = 0
-        for step in state.candidates():
-            leaves += self.visit(state.extend(step))
+        for move in state.candidates():
+            leaves += self.visit(state.extend(move))
         self.below[key] = leaves
         return leaves
 

@@ -346,7 +346,10 @@ def _build_parser():
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as shown:  # argparse exits only once --help is printed
+            return shown.code
         result = args.func(args)
         _emit(args, result)
         if result.failure is not None:

@@ -23,28 +23,18 @@ pair sits (the other location is implied by equivariance):
     passes through it (a tangency direction), or is None for a generic
     point of the exceptional curve.
 
-A ``RealizationState`` is the cycle after the first k steps: component
-classes as plain coefficient tuples, their self-intersections, cyclic order
-and the conjugation.  ``extend`` places one more pair and returns a new
-state, ``candidates`` lists the locations the next step may take, and
-``cycle`` wraps each class once in a ``DivisorClass``, the boundary type.
-``realize_cycle`` is the fold of ``extend`` over a schedule's steps; the
-enumerator in ``classify`` walks the same states depth-first, extending each
-parent once per child.
-
-A realized cycle is valid by construction.  Step k subtracts only the fresh
-classes E_{2k-1} and E_{2k}, so ``extend`` checks just that every component
-has coefficient 0 at both (O(m)), and each invariant ``validate`` tests
-carries over from the parent (see ``RealizationState``).  ``cycle`` therefore
-validates only the root, a literal; ``AnticanonicalCycle.validate`` stays the
-full oracle for cycles built elsewhere.
+A ``RealizationState`` is the cycle after the first k steps, held by
+position; ``realize_cycle`` folds its ``extend`` over a schedule's steps and
+takes its ``cycle``, which replays them on the classes and is valid by
+construction (see ``RealizationState``).  ``AnticanonicalCycle.validate``
+stays the full oracle for cycles built elsewhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache, reduce
-from operator import mul, sub
+from operator import itemgetter, mul
 
 from .cycles import TorsionSpec
 from .errors import RealizabilityError, ScheduleError, check
@@ -137,7 +127,7 @@ class DivisorClass:
         object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
 
     def dot(self, other: "DivisorClass") -> int:
-        if self.lattice != other.lattice:
+        if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise ScheduleError("classes live in different lattices")
         return _dot(self.coeffs, other.coeffs)
 
@@ -232,10 +222,10 @@ def _check_initial_type(initial_type):
         )
 
 
-def _check_step_index(idx, step):
-    if step.kind == "infinitely_near" and step.over_pair >= idx:
+def _check_step_index(idx, kind, over_pair):
+    if kind == "infinitely_near" and over_pair >= idx:
         raise ScheduleError(
-            f"step {idx} is infinitely near over pair {step.over_pair}, "
+            f"step {idx} is infinitely near over pair {over_pair}, "
             "which is not strictly earlier"
         )
 
@@ -314,7 +304,7 @@ class BlowupSchedule:
         for idx, step in enumerate(steps, start=1):
             if not isinstance(step, BlowupStep):
                 raise ScheduleError("steps must be BlowupStep values")
-            _check_step_index(idx, step)
+            _check_step_index(idx, step.kind, step.over_pair)
         object.__setattr__(self, "steps", steps)
 
     @property
@@ -427,17 +417,33 @@ def smooth_anticanonical_cycle(pairs, torsion=None):
     return cycle.validate()
 
 
+#: Each initial cycle: its component names in cycle order, their (l, f)
+#: coefficients and the position of each one's conjugate.
+_INITIAL_CYCLES = {
+    "I": (("F", "G", "Fbar", "Gbar"), ((0, 1), (1, 0), (0, 1), (1, 0)), (2, 3, 0, 1)),
+    "II": (("F", "C0"), ((0, 1), (2, 1)), (0, 1)),
+    "III": (("A", "Abar"), ((1, 1), (1, 1)), (1, 0)),
+}
+
+
 class RealizationState:
-    """The cycle after the first k steps of a schedule on ``pairs`` pairs.
+    """The cycle after the first k steps of a schedule on ``pairs`` pairs,
+    held by position: ``order`` names the components in cycle order, ``key``
+    is (initial type, squares in cycle order, conjugate positions, each
+    placed pair's host position or None for a node pair, the pairs whose
+    point on a strict transform is blown up).  ``extend`` validates a step
+    and derives the child in O(m), recording the step as its ``move`` and in
+    ``lose`` the positions it takes E_{2k-1} and E_{2k} from.
 
-    ``extend`` returns a new state and leaves this one untouched, so a
-    depth-first walk shares each prefix with its whole subtree.
-
-    Every state's cycle passes ``AnticanonicalCycle.validate``; ``extend``
-    checks only that the pair it places is fresh.  Step k removes
+    No state holds divisor classes.  ``cycle`` replays the steps on
+    coefficient lists, each state on its path once: a state copies its
+    parent's lists (the root's are the literal ones) and subtracts its pair
+    from the components ``lose`` names, once no list meets that pair yet
+    (checked, O(m)); ``extend`` lowered the same components' squares.  Every
+    replayed cycle passes ``AnticanonicalCycle.validate``.  Step k removes
     E = E_{2k-1} and E' = E_{2k} from some components and adds E, E' as new
     components after a node step.  If every class has coefficient 0 at E and
-    E' (checked, O(m)), then X.E = X.E' = 0 for each component X, and:
+    E', then X.E = X.E' = 0 for each component X, and:
 
       * (X - E)^2 = X^2 - 1 and (X - E).(-K) drops by 1 as well, since -K
         loses E and E'; so each removal lowers the carried square by 1, a
@@ -457,192 +463,191 @@ class RealizationState:
         does, so the classes still sum to -K; E' is placed wherever the
         involution sends E, so conjugate classes stay conjugate.
 
-    The root is a literal: ``cycle`` validates it and no other state.
+    The root is a literal: ``cycle`` validates it and no other cycle.
     """
+
+    __slots__ = ("lattice", "order", "key", "parent", "move", "lose", "_classes")
 
     def __init__(self, initial_type: str, pairs: int):
         _check_initial_type(initial_type)
-        self.initial_type = initial_type
         self.lattice = SurfaceLattice(pairs)
-        self.steps: tuple[BlowupStep, ...] = ()
-        pad = (0,) * (2 * pairs)
-        l, f = (1, 0) + pad, (0, 1) + pad
-        if initial_type == "I":
-            self.order = ["F", "G", "Fbar", "Gbar"]
-            self.classes = {"F": f, "G": l, "Fbar": f, "Gbar": l}
-            self.conj = {"F": "Fbar", "Fbar": "F", "G": "Gbar", "Gbar": "G"}
-        elif initial_type == "II":
-            self.order = ["F", "C0"]
-            self.classes = {"F": f, "C0": (2, 1) + pad}
-            self.conj = {"F": "F", "C0": "C0"}
-        else:  # III
-            self.order = ["A", "Abar"]
-            self.classes = {"A": (1, 1) + pad, "Abar": (1, 1) + pad}
-            self.conj = {"A": "Abar", "Abar": "A"}
-        self.squares = {name: _dot(c, c) for name, c in self.classes.items()}
-        self.hosts: dict[int, str | None] = {}
-        self.consumed: frozenset[int] = frozenset()
+        self.order, lf, partners = _INITIAL_CYCLES[initial_type]
+        squares = tuple(2 * a * b for a, b in lf)
+        self.key = (initial_type, squares, partners, (), frozenset())
+        self.parent = self.move = self.lose = None
+        pad = [0] * (2 * pairs)
+        self._classes = {name: [*c, *pad] for name, c in zip(self.order, lf)}
 
-    def extend(self, step: BlowupStep) -> RealizationState:
-        """The state with pair k + 1 placed at ``step``, once no component
-        is found to meet that pair's classes yet (the one check a step
-        needs); a step beyond ``pairs`` raises ScheduleError."""
-        k = len(self.steps) + 1
+    initial_type = property(lambda self: self.key[0])
+    squares = property(lambda self: self.key[1])
+
+    @property
+    def steps(self) -> tuple[BlowupStep, ...]:
+        steps, state = [], self
+        while state.parent is not None:  # each state builds its step once
+            if not isinstance(state.move, BlowupStep):
+                state.move = BlowupStep(*state.move)
+            steps.append(state.move)
+            state = state.parent
+        return tuple(steps[::-1])
+
+    def extend(self, step) -> RealizationState:
+        """The state with pair k + 1 placed at ``step``, a ``BlowupStep`` or
+        a ``candidates`` tuple; a step beyond ``pairs`` raises ScheduleError."""
+        fields = step if not isinstance(step, BlowupStep) else (
+            step.kind, step.component, step.components, step.over_pair,
+            step.on_strict_transform)
+        kind, component, components, over_pair, target = fields
+        initial, squares, partners, hosts, consumed = self.key
+        k = len(hosts) + 1
         if k > self.lattice.pairs:
             raise ScheduleError(
                 f"step {k} exceeds the {self.lattice.pairs} pairs of this state"
             )
-        _check_step_index(k, step)
-        lo = 2 * k  # E_{2k-1} and E_{2k} sit at coefficients 2k and 2k + 1
-        stale = [name for name, c in self.classes.items() if any(c[lo:lo + 2])]
-        check(not stale, "components {} already meet E{} or E{} before step {}",
-              stale, 2 * k - 1, 2 * k, k, invariant="realization-fresh-pair")
-        # copy the containers a step mutates in place; the frozenset
-        # ``consumed`` is rebound, never mutated
+        if kind == "node":
+            order, squares, partners, hosts, lose = self._node(k, *components)
+        else:
+            if kind == "smooth":
+                p = self._position(component)
+                if self._on_real_fibre(component):
+                    raise RealizabilityError(
+                        "real-fibre-location",
+                        "no blown-up point may lie on a smooth point of the "
+                        "real fibre F; only its nodes with C0 can be blown",
+                    )
+            else:
+                _check_step_index(k, kind, over_pair)
+                p, consumed = self._infinitely_near(over_pair, target)
+            order, squares, hosts = self.order, list(squares), hosts + (p,)
+            lose = ((p,), (partners[p],))
+        for p in lose[0] + lose[1]:
+            squares[p] -= 1  # the pair is fresh: X.E = 0 and E^2 = -1
         child = object.__new__(RealizationState)
-        child.__dict__ = dict(
-            self.__dict__,
-            steps=self.steps + (step,),
-            order=list(self.order),
-            classes=dict(self.classes),
-            squares=dict(self.squares),
-            conj=dict(self.conj),
-            hosts=dict(self.hosts),
-        )
-        getattr(child, f"_apply_{step.kind}")(k, step)
+        child.lattice, child.order, child.parent = self.lattice, order, self
+        child.move, child.lose, child._classes = step, lose, None
+        child.key = (initial, tuple(squares), partners, hosts, consumed)
         return child
 
     def cycle(self) -> AnticanonicalCycle:
-        """The cycle in the lattice of the pairs placed so far, carrying its
-        self-intersections; valid by construction past the root."""
-        lattice = SurfaceLattice(len(self.steps))
-        rank = lattice.rank  # a prefix drops the pairs not yet placed
-        classes = {n: DivisorClass(lattice, c[:rank]) for n, c in self.classes.items()}
-        squares = tuple(map(self.squares.__getitem__, self.order))
+        """The cycle in the lattice of the pairs placed so far, with its
+        squares and replayed classes; valid by construction past the root."""
+        pairs = len(self.key[3])  # a prefix drops the pairs not yet placed
+        lattice = SurfaceLattice(pairs) if pairs < self.lattice.pairs else self.lattice
+        rank, order, (_, squares, partners, _, _) = lattice.rank, self.order, self.key
         result = AnticanonicalCycle(
-            lattice, tuple(self.order), classes, dict(self.conj), squares=squares
+            lattice, order,
+            {n: DivisorClass(lattice, c[:rank]) for n, c in self._replay().items()},
+            {name: order[p] for name, p in zip(order, partners)},
+            squares=squares,
         )
-        return result if self.steps else result.validate()
+        return result if pairs else result.validate()
 
-    # -- helpers ---------------------------------------------------------
-    def _subtract(self, name, e_index):
-        e = self.lattice._exceptional_coeffs(e_index)
-        self.classes[name] = tuple(map(sub, self.classes[name], e))
-        self.squares[name] -= 1  # the pair is fresh: name.E = 0, E^2 = -1
-
-    def _place(self, k, name):
-        """Pair k at a smooth point of ``name`` and its conjugate point."""
-        self._subtract(name, 2 * k - 1)
-        self._subtract(self.conj[name], 2 * k)
-        self.hosts[k] = name
-
-    def _require_component(self, name):
-        if name not in self.classes:
-            raise ScheduleError(
-                f"component {name!r} does not exist; cycle is {tuple(self.order)}"
-            )
-
-    def _edge_index(self, c, d):
-        m = len(self.order)
-        for i in range(m):
-            if {self.order[i], self.order[(i + 1) % m]} == {c, d}:
-                return i
-        return None
+    def _replay(self):
+        """The classes by name as coefficient lists on all the pairs, once per
+        state: the parent's, copied, minus this step's pair at ``lose``."""
+        if self._classes is not None:  # the root's are the literal ones
+            return self._classes
+        classes = {name: c[:] for name, c in self.parent._replay().items()}
+        k = len(self.key[3])
+        lo, values = 2 * k, classes.values()  # E_{2k-1} sits at coefficient 2k
+        if any(map(itemgetter(lo), values)) or any(map(itemgetter(lo + 1), values)):
+            stale = [name for name, c in classes.items() if c[lo] or c[lo + 1]]
+            check(not stale, "components {} already meet E{} or E{} before step {}",
+                  stale, 2 * k - 1, 2 * k, k, invariant="realization-fresh-pair")
+        for column, lost in enumerate(self.lose, lo):
+            for p in lost:
+                classes[self.order[p]][column] -= 1
+        if self.key[3][-1] is None:  # a node pair: E and E' are components
+            for e in (lo - 1, lo):
+                classes[f"E{e}"] = list(self.lattice._exceptional_coeffs(e))
+        self._classes = classes
+        return classes
 
     # -- the next step ------------------------------------------------------
     def _on_real_fibre(self, name):
-        return self.initial_type == "II" and name == "F"
+        return self.key[0] == "II" and name == "F"
 
-    def candidates(self) -> list[BlowupStep]:
-        """Every location for the next step, one per conjugation orbit;
-        smooth points of the real fibre are left out, as ``_apply_smooth``
-        rejects them."""
-        order, conj = self.order, self.conj
-        out = [
-            BlowupStep.smooth(name)
-            for name in order
-            if not self._on_real_fibre(name) and name <= conj[name]
-        ]
+    def _position(self, name):
+        if name not in self.order:
+            raise ScheduleError(
+                f"component {name!r} does not exist; cycle is {self.order}")
+        return self.order.index(name)
+
+    def candidates(self) -> list[tuple]:
+        """Every location for the next step, one per conjugation orbit, as
+        the plain tuple of a ``BlowupStep``'s fields; smooth points of the
+        real fibre are left out, as ``extend`` rejects them."""
+        order, (_, _, partners, hosts, consumed) = self.order, self.key
+        conj = [order[p] for p in partners]
+        out = [("smooth", name, None, None, None) for name, other in zip(order, conj)
+               if not self._on_real_fibre(name) and name <= other]
         if len(order) == 2:  # its two nodes are one conjugate pair
-            out.append(BlowupStep.node(tuple(order)))
+            out.append(("node", None, order, None, None))
         else:
-            for c, d in zip(order, order[1:] + order[:1]):
-                edge = tuple(sorted((c, d)))
-                if edge < tuple(sorted((conj[c], conj[d]))):
-                    out.append(BlowupStep.node(edge))
-        out.extend(
-            BlowupStep.infinitely_near(j, host)
-            for j, host in sorted(self.hosts.items())
-            # the exceptional of a node step is itself a component
-            if host is not None and j not in self.consumed
-        )
+            for c, d, cc, cd in zip(order, order[1:] + order[:1],
+                                    conj, conj[1:] + conj[:1]):
+                edge = (c, d) if c < d else (d, c)
+                if edge < ((cc, cd) if cc < cd else (cd, cc)):
+                    out.append(("node", None, edge, None, None))
+        # the exceptional of a node pair (host None) is itself a component
+        out.extend(("infinitely_near", None, None, j, order[host])
+                   for j, host in enumerate(hosts, 1)
+                   if host is not None and j not in consumed)
         return out
 
-    def _apply_smooth(self, k, step):
-        self._require_component(step.component)
-        if self._on_real_fibre(step.component):
-            raise RealizabilityError(
-                "real-fibre-location",
-                "no blown-up point may lie on a smooth point of the real "
-                "fibre F; only its nodes with C0 can be blown",
-            )
-        self._place(k, step.component)
-
-    def _apply_node(self, k, step):
-        c, d = step.components
-        self._require_component(c)
-        self._require_component(d)
-        e_primary, e_conj = 2 * k - 1, 2 * k
-        primary_name, conj_name = f"E{e_primary}", f"E{e_conj}"
-        if len(self.order) == 2:
-            # the two nodes are a conjugate pair: one step blows both
-            for name in (c, d):
-                self._subtract(name, e_primary)
-                self._subtract(name, e_conj)
-            first, second = self.order
-            self.order = [first, primary_name, second, conj_name]
-        else:
-            i = self._edge_index(c, d)
+    def _node(self, k, c, d):
+        """Pair k at the node c-d and its conjugate node: the child's order,
+        squares before the pair's removals, partners, hosts and ``lose``."""
+        order, (_, squares, partners, hosts, _) = self.order, self.key
+        pc, pd = self._position(c), self._position(d)
+        m = len(order)
+        if m == 2:  # the two nodes are a conjugate pair: one step blows both
+            i, j, qc, qd = 0, 1, pc, pd
+        else:  # the edge p-q of an m-cycle sits after p when q follows p
+            i = pc if (pc + 1) % m == pd else pd if (pd + 1) % m == pc else None
             if i is None:
                 raise ScheduleError(
-                    f"components {c} and {d} are not adjacent; "
-                    f"cycle is {tuple(self.order)}"
+                    f"components {c} and {d} are not adjacent; cycle is {order}"
                 )
-            cc, cd = self.conj[c], self.conj[d]
-            if {cc, cd} == {c, d}:
+            qc, qd = partners[pc], partners[pd]
+            if {qc, qd} == {pc, pd}:
                 raise ScheduleError(
                     f"node ({c},{d}) is its own conjugate and cannot host "
                     "a conjugate pair of points"
                 )
-            self._subtract(c, e_primary)
-            self._subtract(d, e_primary)
-            self.order.insert(i + 1, primary_name)
-            j = self._edge_index(cc, cd)
+            j = qc if (qc + 1) % m == qd else qd if (qd + 1) % m == qc else None
             check(j is not None, "conjugate edge ({},{}) of ({},{}) is missing",
-                  cc, cd, c, d, invariant="realization-conjugate-edge")
-            self._subtract(cc, e_conj)
-            self._subtract(cd, e_conj)
-            self.order.insert(j + 1, conj_name)
-        self.classes[primary_name] = self.lattice._exceptional_coeffs(e_primary)
-        self.classes[conj_name] = self.lattice._exceptional_coeffs(e_conj)
-        self.squares[primary_name] = self.squares[conj_name] = -1
-        self.conj[primary_name] = conj_name
-        self.conj[conj_name] = primary_name
-        self.hosts[k] = None
+                  order[qc], order[qd], c, d,
+                  invariant="realization-conjugate-edge")
+        # E goes in after position i and E' after position j: a position x
+        # of this state becomes moved[x]
+        lo, hi = (i, j) if i < j else (j, i)
+        moved = (*range(lo + 1), *range(lo + 2, hi + 2), *range(hi + 3, m + 2))
+        names, new_squares = list(order), list(squares)
+        new_partners = [*map(moved.__getitem__, partners)]
+        new = ((i + 1, f"E{2 * k - 1}", moved[j] + 1),
+               (j + 1, f"E{2 * k}", moved[i] + 1))
+        for at, name, partner in (new[::-1] if i < j else new):  # later first
+            names.insert(at, name)
+            new_squares.insert(at, -1)
+            new_partners.insert(at, partner)
+        hosts = tuple([h if h is None else moved[h] for h in hosts]) + (None,)
+        lose = ((moved[pc], moved[pd]), (moved[qc], moved[qd]))
+        return tuple(names), new_squares, tuple(new_partners), hosts, lose
 
-    def _apply_infinitely_near(self, k, step):
-        j = step.over_pair
-        target = step.on_strict_transform
-        host = self.hosts[j]
-        if host is None:  # pair j blew a node: its exceptional is a component
+    def _infinitely_near(self, j, target):
+        """Pair k's point on pair j's exceptional curve: its position, consumed."""
+        order, (_, _, partners, hosts, consumed) = self.order, self.key
+        h = hosts[j - 1]
+        if h is None:  # pair j blew a node: its exceptional is a component
             if target is not None:
                 raise ScheduleError(
                     f"the exceptional curve of pair {j} is a cycle component "
                     f"and meets {target!r} in a node; encode that point as a "
                     "node location"
                 )
-            self._place(k, f"E{2 * j - 1}")  # a generic point of it
-            return
+            return order.index(f"E{2 * j - 1}"), consumed  # a generic point
+        host, conj_host = order[h], order[partners[h]]
         if target is None:
             raise RealizabilityError(
                 "point-off-anticanonical-cycle",
@@ -650,28 +655,25 @@ class RealizationState:
                 "off the anticanonical cycle; blowing it up leaves no "
                 "anticanonical cycle on the new surface",
             )
-        if target not in (host, self.conj[host]):
+        if target not in (host, conj_host):
             raise ScheduleError(
                 f"the exceptional curve of pair {j} meets only "
-                f"{host!r}/{self.conj[host]!r}, not {target!r}"
+                f"{host!r}/{conj_host!r}, not {target!r}"
             )
-        if j in self.consumed:
+        if j in consumed:
             raise ScheduleError(
                 f"inconsistent infinitely-near references: the intersection "
                 f"of pair {j}'s exceptional curve with {host!r} was already "
                 "blown up"
             )
-        self.consumed = self.consumed | {j}
-        self._place(k, target)
+        return (h if target == host else partners[h]), consumed | {j}
 
 
 def realize_cycle(schedule: BlowupSchedule) -> AnticanonicalCycle:
     """Apply every step of the schedule and return its cycle, valid by
-    construction: a fold of ``RealizationState.extend`` over the steps.
-
-    The component count grows by 2 per node step; smooth and
-    infinitely-near steps keep it fixed.
-    """
+    construction: ``RealizationState.extend`` folded over the steps, then
+    its ``cycle``.  The component count grows by 2 per node step; smooth and
+    infinitely-near steps keep it fixed."""
     start = RealizationState(schedule.initial_type, schedule.pairs)
     return reduce(RealizationState.extend, schedule.steps, start).cycle()
 
@@ -706,10 +708,8 @@ def elementary_transform(schedule: BlowupSchedule) -> BlowupSchedule:
             f"the first node step must blow the nodes A∩Abar, "
             f"got {first.components}"
         )
-    mapped = [BlowupStep.smooth("F")]
-    for step in schedule.steps[1:]:
-        mapped.append(_map_step(step))
-    return BlowupSchedule("I", tuple(mapped))
+    mapped = (BlowupStep.smooth("F"), *map(_map_step, schedule.steps[1:]))
+    return BlowupSchedule("I", mapped)
 
 
 def _map_step(step: BlowupStep) -> BlowupStep:

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import gc
+import hashlib
 import importlib
 import math
 from collections import Counter
@@ -40,6 +41,7 @@ from twistor4.lattice import (
     AnticanonicalCycle,
     BlowupSchedule,
     BlowupStep,
+    DivisorClass,
     RealizationState,
     SurfaceLattice,
     realize_cycle,
@@ -419,6 +421,28 @@ def test_every_walked_leaf_is_valid_with_its_carried_squares(initial, pairs, lea
     assert count == leaves
 
 
+@pytest.mark.parametrize("initial, pairs, leaves, digest", [
+    ("I", 4, 1266, "899a1e607be2727545dff6c05665d869b9b645ff46a7e502698ec1162d29449e"),
+    ("II", 4, 214, "c5264946617ed571115dd078867a1c6a613f617c09a42f0cf90deedd00568a4a"),
+    ("I", 5, 12374, "70229fc787c6ec79bc47d92e4412b4338a3a09134e6f204a58831958ce7373ca"),
+    ("II", 5, 1667, "c9e38eb99d87cd369b8c66c738c31619baf2e703d7f9414e68279fe353336764"),
+])
+def test_the_walk_on_positions_hands_out_the_same_schedules(initial, pairs,
+                                                            leaves, digest):
+    # oracle: the digest of the schedules in walk order, pinned on the
+    # engine that carried every component class through every step; the
+    # test above checks each leaf's replayed cycle with the full validate()
+    h, count = hashlib.sha256(), 0
+    for schedule, leaf in walk_schedules(RealizationState(initial, pairs)):
+        assert leaf.steps == schedule.steps
+        for s in schedule.steps:
+            h.update(f"{s.kind},{s.component},{s.components},{s.over_pair},"
+                     f"{s.on_strict_transform};".encode())
+        h.update(b"\n")
+        count += 1
+    assert (count, h.hexdigest()) == (leaves, digest)
+
+
 def test_walk_leaves_a_deep_parent_untouched():
     parent = RealizationState("I", 4).extend(N(("F", "G"))).extend(S("G"))
     parent = parent.extend(INF(2, "G"))
@@ -488,9 +512,10 @@ def test_enumeration_keeps_what_classifying_every_leaf_keeps(enumeration):
 
 
 def test_enumeration_classifies_each_necklace_once(monkeypatch):
-    calls = Counter()
+    calls, cycles = Counter(), []
     classify_, cycle = classify_module.classify, RealizationState.cycle
     extend, post_init = RealizationState.extend, BlowupSchedule.__post_init__
+    divisor_init = DivisorClass.__post_init__
 
     def counting_classify(*args):
         calls["classify"] += 1
@@ -498,7 +523,16 @@ def test_enumeration_classifies_each_necklace_once(monkeypatch):
 
     def counting_cycle(self):
         calls["cycle"] += 1
-        return cycle(self)
+        calls["in cycle"] += 1
+        try:
+            cycles.append(cycle(self))
+        finally:
+            calls["in cycle"] -= 1
+        return cycles[-1]
+
+    def counting_divisor(self):
+        calls["divisor in a cycle" if calls["in cycle"] else "divisor"] += 1
+        divisor_init(self)
 
     def counting_extend(self, step):
         child = extend(self, step)
@@ -514,13 +548,20 @@ def test_enumeration_classifies_each_necklace_once(monkeypatch):
     monkeypatch.setattr(RealizationState, "cycle", counting_cycle)
     monkeypatch.setattr(RealizationState, "extend", counting_extend)
     monkeypatch.setattr(BlowupSchedule, "__post_init__", counting_post_init)
+    monkeypatch.setattr(DivisorClass, "__post_init__", counting_divisor)
     result = enumerate_configurations()
     assert result.visited == 1480
     # 1,480 leaves, 124 distinct necklaces in cycle order; the skipped
     # subtrees save 707 of the 1,701 extends and 641 of the 1,480 leaf
-    # states a plain walk builds, and a schedule is built per classified leaf
+    # states a plain walk builds, a schedule is built per classified leaf,
+    # and divisor classes only when a classified leaf's cycle is replayed,
+    # one per component
     assert calls == {"classify": 124, "cycle": 124, "extend": 994, "leaf": 839,
-                     "schedule": 124}
+                     "schedule": 124, "in cycle": 0,
+                     "divisor in a cycle": sum(c.m for c in cycles)}
+    assert sum(c.m for c in cycles) == 1040
+    for handed_out in cycles:
+        assert handed_out.validate() is handed_out
 
 
 def _found_key(entry):

@@ -1,5 +1,7 @@
 """Picard lattice, blow-up schedules, and anticanonical-cycle realization."""
 
+import hashlib
+import operator
 import os
 import random
 import subprocess
@@ -24,7 +26,13 @@ from twistor4.lattice import (
     smooth_anticanonical_cycle,
 )
 from twistor4.linalg import bareiss_determinant
-from twistor4.errors import InvariantError, RealizabilityError, ScheduleError
+from twistor4.classify import model_from_document
+from twistor4.errors import (
+    InvariantError,
+    RealizabilityError,
+    ScheduleError,
+    TwistorError,
+)
 
 
 def _random_class(lattice, rng, bound=5):
@@ -496,7 +504,7 @@ def test_anticanonical_square_is_checked(monkeypatch):
 
 
 def test_cycle_validation_survives_python_O():
-    # a tampered cycle and a state whose next pair is not fresh are refused
+    # a tampered cycle and a replay whose next pair is not fresh are refused
     # with the same errors when asserts are stripped
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -512,10 +520,16 @@ def test_cycle_validation_survives_python_O():
         "    replace(cycle, order=('F', 'Fbar', 'G', 'Gbar')).validate()\n"
         "except ScheduleError as exc:\n"
         "    print(exc)\n"
-        "state = RealizationState('I', 2)\n"
-        "state.classes['F'] = (0, 1, 1, 0, 0, 0)\n"
+        "from operator import add\n"
+        "from twistor4.lattice import SurfaceLattice\n"
+        "exceptional = SurfaceLattice._exceptional_coeffs\n"
+        "SurfaceLattice._exceptional_coeffs = lambda self, i: (\n"
+        "    tuple(map(add, exceptional(self, 1), exceptional(self, 3)))\n"
+        "    if i == 1 else exceptional(self, i))\n"
+        "state = RealizationState('I', 2).extend(BlowupStep.node(('F', 'G')))\n"
+        "state = state.extend(BlowupStep.smooth('G'))\n"
         "try:\n"
-        "    state.extend(BlowupStep.smooth('G'))\n"
+        "    state.cycle()\n"
         "except InvariantError as exc:\n"
         "    print(exc.tag)\n"
     )
@@ -539,14 +553,16 @@ def test_smooth_anticanonical_cycle():
 
 def test_realization_state_extend_leaves_the_parent_untouched():
     parent = RealizationState("I", 2)
+    key = parent.key
     child = parent.extend(BlowupStep.node(("F", "G")))
     assert parent.steps == () and child.steps == (BlowupStep.node(("F", "G")),)
-    assert parent.order == ["F", "G", "Fbar", "Gbar"]
-    assert child.order == ["F", "E1", "G", "Fbar", "E2", "Gbar"]
-    assert parent.classes["F"] == SurfaceLattice(2).fibre().coeffs
+    assert parent.order == ("F", "G", "Fbar", "Gbar") and parent.key == key
+    assert child.order == ("F", "E1", "G", "Fbar", "E2", "Gbar")
+    # classes exist only in a replayed cycle, on the pairs placed so far
+    assert parent.cycle().classes["F"] == SurfaceLattice(0).fibre()
     grandchild = child.extend(BlowupStep.smooth("E1"))
-    assert "E1" not in parent.classes
-    assert child.classes["E1"] == SurfaceLattice(2).exceptional(1).coeffs
+    assert "E1" not in parent.cycle().classes
+    assert child.cycle().classes["E1"] == SurfaceLattice(1).exceptional(1)
     assert grandchild.cycle() == realize_cycle(
         BlowupSchedule("I", grandchild.steps)
     )
@@ -565,19 +581,24 @@ def test_realization_state_cycle_of_a_prefix():
 
 def test_realization_state_candidates_one_per_orbit():
     S, N = BlowupStep.smooth, BlowupStep.node
-    assert RealizationState("I", 1).candidates() == [
+
+    def candidates(state):
+        # a candidate is the plain tuple of a step's fields
+        return [BlowupStep(*move) for move in state.candidates()]
+
+    assert candidates(RealizationState("I", 1)) == [
         S("F"), S("G"), N(("F", "G")), N(("F", "Gbar")),
     ]
     # smooth points of the real fibre F are never offered
-    assert RealizationState("II", 1).candidates() == [S("C0"), N(("F", "C0"))]
-    assert RealizationState("III", 1).candidates() == [
+    assert candidates(RealizationState("II", 1)) == [S("C0"), N(("F", "C0"))]
+    assert candidates(RealizationState("III", 1)) == [
         S("A"), N(("A", "Abar")),
     ]
     state = RealizationState("I", 3).extend(S("G"))
-    assert state.candidates()[-1] == BlowupStep.infinitely_near(1, "G")
+    assert candidates(state)[-1] == BlowupStep.infinitely_near(1, "G")
     consumed = state.extend(BlowupStep.infinitely_near(1, "G"))
-    assert BlowupStep.infinitely_near(1, "G") not in consumed.candidates()
-    assert BlowupStep.infinitely_near(2, "G") in consumed.candidates()
+    assert BlowupStep.infinitely_near(1, "G") not in candidates(consumed)
+    assert BlowupStep.infinitely_near(2, "G") in candidates(consumed)
 
 
 def test_realization_state_carries_self_intersections():
@@ -585,7 +606,8 @@ def test_realization_state_carries_self_intersections():
     assert state.cycle().squares == (0, 4)
     state = state.extend(BlowupStep.node(("F", "C0")))
     # each original component loses both new exceptionals: -2 apiece
-    assert state.squares == {"F": -2, "C0": 2, "E1": -1, "E2": -1}
+    assert dict(zip(state.order, state.squares)) == {
+        "F": -2, "C0": 2, "E1": -1, "E2": -1}
     state = state.extend(BlowupStep.smooth("C0"))
     cycle = state.cycle()
     assert cycle.squares == (-2, -1, 0, -1)
@@ -593,17 +615,27 @@ def test_realization_state_carries_self_intersections():
     assert cycle.validate() is cycle
 
 
-def test_extend_refuses_a_pair_that_is_not_fresh():
-    state = RealizationState("I", 2).extend(BlowupStep.smooth("G"))
-    state.classes["F"] = (0, 1, 0, 0, 0, -1)  # F already meets E4
-    with pytest.raises(InvariantError, match=r"\['F'\] already meet E3 or E4") as info:
-        state.extend(BlowupStep.smooth("G"))
-    assert info.value.tag == "invariant-realization-fresh-pair"
+def test_replay_refuses_a_pair_that_is_not_fresh(monkeypatch):
+    # a lattice whose E1 also carries E3: the node exceptional E1 of pair 1
+    # meets pair 2 before step 2 places it
+    exceptional = SurfaceLattice._exceptional_coeffs
+    monkeypatch.setattr(SurfaceLattice, "_exceptional_coeffs", lambda self, i: (
+        tuple(map(operator.add, exceptional(self, 1), exceptional(self, 3)))
+        if i == 1 else exceptional(self, i)))
+    state = RealizationState("I", 2).extend(BlowupStep.node(("F", "G")))
+    state = state.extend(BlowupStep.smooth("G"))  # positions only: no check
+    stale = r"\['E1'\] already meet E3 or E4 before step 2"
+    for replay in (state.cycle,
+                   lambda: realize_cycle(BlowupSchedule("I", state.steps))):
+        with pytest.raises(InvariantError, match=stale) as info:
+            replay()
+        assert info.value.tag == "invariant-realization-fresh-pair"
 
 
 def test_node_step_needs_the_conjugate_edge():
     state = RealizationState("I", 1)
-    state.conj.update(F="Fbar", G="F")  # F-G's conjugate Fbar-F is no edge
+    # F's conjugate is Fbar and G's is F: F-G's conjugate Fbar-F is no edge
+    state.key = (*state.key[:2], (2, 0, 0, 1), *state.key[3:])
     with pytest.raises(InvariantError) as info:
         state.extend(BlowupStep.node(("F", "G")))
     assert info.value.tag == "invariant-realization-conjugate-edge"
@@ -623,6 +655,61 @@ def test_realization_state_rejections():
 
 
 # -- realization: rejection paths --------------------------------------------
+
+_ROOT_NAMES = {"I": ("F", "G", "Fbar", "Gbar"), "II": ("F", "C0"),
+               "III": ("A", "Abar")}
+
+
+def _random_step_document(rng, k, names):
+    roll = rng.random()
+    if roll < 0.4:
+        return {"kind": "smooth", "component": rng.choice(names)}
+    if roll < 0.7:
+        return {"kind": "node", "components": rng.sample(names, 2)}
+    if roll < 0.98:
+        over = rng.randint(1, k - 1) if k > 1 and rng.random() < 0.9 else k
+        step = {"kind": "infinitely_near", "over_pair": over}
+        if rng.random() < 0.85:
+            step["on_strict_transform"] = rng.choice(names)
+        return step
+    return {"kind": "teleport", "component": names[0]}
+
+
+def _random_schedule_document(rng):
+    """A 1-4 step document naming components that exist, may exist or do
+    not; about a quarter realize, the rest hit every rejection path."""
+    initial = rng.choice(("I", "II", "III"))
+    steps = []
+    for k in range(1, rng.randint(1, 4) + 1):
+        names = _ROOT_NAMES[initial] + tuple(f"E{i}" for i in range(1, 2 * k - 1))
+        if rng.random() < 0.05:
+            names += ("X",)
+        steps.append(_random_step_document(rng, k, names))
+    n = len(steps) if rng.random() < 0.97 else len(steps) + 1
+    return {"n": n, "initial_type": initial, "steps": steps}
+
+
+def test_realization_outcomes_match_the_class_carrying_engine():
+    # error parity: 2,000 seeded documents realize to the same cycles, or
+    # fail with the same exception type, tag and message, as under the
+    # engine that carried every class through every step (digest pinned
+    # on that engine: 471 cycles, 181 realizability and 1,348 schedule
+    # errors)
+    rng = random.Random(20261018)
+    outcomes = []
+    for _ in range(2000):
+        try:
+            cycle = model_from_document(_random_schedule_document(rng))
+        except TwistorError as exc:
+            outcomes.append((type(exc).__name__, getattr(exc, "tag", None), str(exc)))
+            continue
+        outcomes.append((cycle.order,
+                         sorted((n, c.coeffs) for n, c in cycle.classes.items()),
+                         sorted(cycle.conjugate_names.items()),
+                         cycle.self_intersections()))
+    assert sum(isinstance(o[0], tuple) for o in outcomes) == 471
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == (
+        "48d8c2bfcc2d4f0162f1361e51663587ffcb1c3c8bb2844df9bf557e3df03226")
 
 def test_smooth_point_on_real_fibre_is_unrealizable():
     schedule = BlowupSchedule("II", (BlowupStep.smooth("F"),))

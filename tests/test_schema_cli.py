@@ -1,5 +1,6 @@
 """Schedule-document schema and the command-line interface."""
 
+import argparse
 import ast
 import hashlib
 import importlib
@@ -740,6 +741,36 @@ def test_cli_selftest_takes_no_json(capsys):
     code, out, err = _run(capsys, "selftest", "--json")
     assert code == 1 and out == ""
     assert err == "error: unrecognized arguments: --json\n"
+
+
+_SUBCOMMANDS = ("chern", "pairing", "euler", "ring", "cycle-h0", "classify",
+                "enumerate", "selftest")
+
+
+@pytest.mark.parametrize("argv", [(), *((name,) for name in _SUBCOMMANDS)],
+                         ids=["twistor4", *_SUBCOMMANDS])
+def test_cli_help_returns_zero(capsys, argv):
+    # ``--help`` prints argparse's help text and main returns 0, as for any
+    # other success, instead of raising SystemExit
+    parser = cli._build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert set(commands) == set(_SUBCOMMANDS)
+    expected = (commands[argv[0]] if argv else parser).format_help()
+    assert _run(capsys, *argv, "--help") == (0, expected, "")
+
+
+def test_python_m_twistor4_help_exits_zero():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    package, module = (
+        subprocess.run([sys.executable, "-m", name, "--help"],
+                       capture_output=True, env=env)
+        for name in ("twistor4", "twistor4.cli"))
+    assert package.returncode == module.returncode == 0
+    assert package.stdout == module.stdout
+    assert package.stdout.startswith(b"usage: twistor4 ")
 
 
 def test_cli_prints_the_result_before_a_failure(capsys, monkeypatch):
