@@ -240,7 +240,7 @@ def model_from_schedule(
 def model_from_document(doc: dict) -> AnticanonicalCycle:
     """The realized cycle of a schedule document, with its torsion record."""
     parsed = schema.parse_document(doc)
-    if parsed.smooth_anticanonical:
+    if parsed.schedule is None:
         return smooth_anticanonical_cycle(parsed.n, parsed.torsion)
     return model_from_schedule(parsed.schedule, parsed.torsion)
 
@@ -356,14 +356,6 @@ class EnumerationResult:
     entries: tuple[EnumeratedEntry, ...]
     visited: int
     exhausted: bool
-
-
-def _state_key(state: RealizationState) -> tuple:
-    """A state's positional key, its ``key``: the initial type; the weighted
-    necklace (self-intersections in cycle order and each component's
-    conjugate position); each placed pair's host position (None for a node
-    pair); and the pairs whose point on their host is blown up."""
-    return state.key
 
 
 def _necklace(leaf: RealizationState) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -36,6 +36,25 @@ from typing import NamedTuple
 from . import linalg
 from .errors import DegreeError, check
 
+__all__ = [
+    "CohomologyClass",
+    "ChernData",
+    "PairingData",
+    "chern_numbers",
+    "pairing_matrix",
+    "pairing_kernel",
+    "euler_char_fundamental",
+    "cup",
+    "evaluate",
+    "scalar",
+    "zero",
+    "x",
+    "w",
+    "c1_class",
+    "c2_class",
+    "fundamental_class",
+]
+
 _BASIS_LEN = {0: lambda n: 1, 2: lambda n: n + 1, 4: lambda n: n + 1, 6: lambda n: 1}
 #: message of every check of a computed value against its closed form
 _CLOSED_FORM = "computed {}, closed form {} at n={}"

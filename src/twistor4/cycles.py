@@ -33,6 +33,16 @@ from fractions import Fraction
 from . import linalg
 from .errors import HypothesisError, ScheduleError
 
+__all__ = [
+    "CycleLineBundle",
+    "TorsionSpec",
+    "DEFAULT_ORACLE_SEED",
+    "cyclic_arcs",
+    "euler_char_cycle",
+    "h0_formula",
+    "h0_oracle",
+]
+
 #: Default seed for the oracle's gluing draws.  The library itself never
 #: consults the environment; the CLI layers --seed / TWISTOR_SEED on top.
 DEFAULT_ORACLE_SEED = 20260816
@@ -68,32 +78,22 @@ class CycleLineBundle:
 
 @dataclass(frozen=True)
 class TorsionSpec:
-    """Order of the restricted anticanonical bundle in Pic(C)."""
+    """Order tau of the restricted anticanonical bundle in Pic(C): an int
+    k >= 1, or ``math.inf`` when the bundle is not torsion."""
 
-    kind: str  # "finite" | "non_torsion"
-    order: int | None = None
+    tau: int | float
 
     def __post_init__(self):
-        if self.kind == "finite":
-            if self.order is None or self.order < 1:
-                raise ScheduleError("finite torsion needs an order k >= 1")
-        elif self.kind == "non_torsion":
-            if self.order is not None:
-                raise ScheduleError("non-torsion spec carries no order")
-        else:
-            raise ScheduleError(f"unknown torsion kind {self.kind!r}")
+        if self.tau != math.inf and (type(self.tau) is not int or self.tau < 1):
+            raise ScheduleError(f"tau must be an int >= 1 or inf, got {self.tau!r}")
 
     @classmethod
     def finite(cls, k):
-        return cls("finite", int(k))
+        return cls(int(k))
 
     @classmethod
     def non_torsion(cls):
-        return cls("non_torsion")
-
-    @property
-    def tau(self):
-        return self.order if self.kind == "finite" else math.inf
+        return cls(math.inf)
 
 
 def euler_char_cycle(bundle: CycleLineBundle) -> int:
@@ -105,28 +105,22 @@ def euler_char_cycle(bundle: CycleLineBundle) -> int:
 def cyclic_arcs(m, removed):
     """Maximal runs of indices 0..m-1 (cyclic) avoiding ``removed``.
 
-    Returns a list of lists; empty if everything is removed, a single
-    full-circle arc if nothing is.
+    Returns a list of lists ordered by their first index; empty if
+    everything is removed, a single full-circle arc if nothing is.
     """
     removed = set(removed)
-    kept = [i for i in range(m) if i not in removed]
-    if not kept:
-        return []
-    if not removed:
-        return [list(range(m))]
-    arcs = []
-    # start each arc just after a removed index
-    for i in range(m):
-        if i in removed:
-            continue
-        if (i - 1) % m in removed:
-            arc = []
-            j = i
-            while j not in removed:
-                arc.append(j)
-                j = (j + 1) % m
+    # one pass from the removed index before the lowest arc start; each
+    # removed index closes an arc, and only an empty ``removed`` leaves one open
+    first = m - 1 if m - 1 in removed or not removed else min(removed)
+    arcs, arc = [], []
+    for i in range(first + 1, first + 1 + m):
+        i %= m
+        if i not in removed:
+            arc.append(i)
+        elif arc:
             arcs.append(arc)
-    return arcs
+            arc = []
+    return arcs + [arc] if arc else arcs
 
 
 def h0_formula(bundle: CycleLineBundle) -> int:

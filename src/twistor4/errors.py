@@ -21,6 +21,17 @@ prints ``error: …`` and exits 1.
 and states a caller built: an explicit raise, so ``python -O`` keeps every check.
 """
 
+__all__ = [
+    "TwistorError",
+    "ScheduleError",
+    "DegreeError",
+    "TaggedError",
+    "RealizabilityError",
+    "HypothesisError",
+    "TorsionRequiredError",
+    "InvariantError",
+]
+
 
 class TwistorError(Exception):
     """Base class for everything raised deliberately by this package."""

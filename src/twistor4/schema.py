@@ -64,12 +64,11 @@ _DOCUMENT_KEYS = frozenset(
 
 @dataclass(frozen=True)
 class ParsedDocument:
-    """Validated document: either a schedule or the smooth variant."""
+    """Validated document: a schedule, or None for the smooth variant."""
 
     n: int
     schedule: BlowupSchedule | None
     torsion: TorsionSpec | None
-    smooth_anticanonical: bool
 
 
 def _require_object(value, what):
@@ -159,7 +158,7 @@ def parse_document(obj) -> ParsedDocument:
                 "a smooth_anticanonical document carries no steps; "
                 "n alone sizes the lattice"
             )
-        return ParsedDocument(n, None, torsion, True)
+        return ParsedDocument(n, None, torsion)
     if len(steps_raw) != n:
         raise ScheduleError(
             f"n={n} but the document lists {len(steps_raw)} steps; "
@@ -169,7 +168,7 @@ def parse_document(obj) -> ParsedDocument:
         _parse_step(step, position) for position, step in enumerate(steps_raw, 1)
     )
     schedule = BlowupSchedule(initial_type, steps)
-    return ParsedDocument(n, schedule, torsion, False)
+    return ParsedDocument(n, schedule, torsion)
 
 
 def _step_document(step: BlowupStep) -> dict:
@@ -181,9 +180,9 @@ def _step_document(step: BlowupStep) -> dict:
 
 
 def torsion_document(spec: TorsionSpec) -> dict:
-    if spec.kind == "finite":
-        return {"kind": "finite", "order": spec.order}
-    return {"kind": "infinite"}
+    if spec.tau == math.inf:
+        return {"kind": "infinite"}
+    return {"kind": "finite", "order": spec.tau}
 
 
 def encode_infinite(value):

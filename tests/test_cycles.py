@@ -168,6 +168,24 @@ def test_cyclic_arcs():
     assert arcs == [[3, 4, 5, 0, 1]]
 
 
+@pytest.mark.parametrize("m", range(1, 11))
+def test_cyclic_arcs_on_every_removed_set(m):
+    assert cyclic_arcs(m, ()) == [list(range(m))]
+    for mask in range(1, 1 << m):
+        removed = {i for i in range(m) if mask >> i & 1}
+        arcs = cyclic_arcs(m, removed)
+        # the arcs partition the kept indices
+        flat = [i for arc in arcs for i in arc]
+        assert sorted(flat) == [i for i in range(m) if i not in removed]
+        for arc in arcs:
+            # each runs consecutively mod m from one removed index to the next
+            assert (arc[0] - 1) % m in removed and (arc[-1] + 1) % m in removed
+            assert all((a + 1) % m == b for a, b in zip(arc, arc[1:]))
+        # listed by start
+        starts = [arc[0] for arc in arcs]
+        assert starts == sorted(starts), (m, removed, arcs)
+
+
 def test_torsion_spec():
     assert TorsionSpec.finite(1).tau == 1
     assert TorsionSpec.finite(5).tau == 5
@@ -175,10 +193,6 @@ def test_torsion_spec():
     assert TorsionSpec.finite(2).tau == 2
     with pytest.raises(ValueError):
         TorsionSpec.finite(0)
-    with pytest.raises(ValueError):
-        TorsionSpec("finite", None)
-    with pytest.raises(ValueError):
-        TorsionSpec("non_torsion", 3)
 
 
 def test_euler_char_cycle_is_degree_sum():

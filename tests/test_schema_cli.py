@@ -37,7 +37,6 @@ def test_document_round_trip_all_step_kinds():
     assert parsed.n == 4
     assert parsed.schedule == schedule
     assert parsed.torsion == TorsionSpec.finite(3)
-    assert not parsed.smooth_anticanonical
     # a second emit-parse cycle is byte-stable
     assert schema.canonical_json(
         schema.document_for(parsed.schedule, torsion=parsed.torsion)
@@ -60,7 +59,6 @@ def test_smooth_variant_document_parses():
         "torsion": {"kind": "infinite"},
     }
     parsed = schema.parse_document(doc)
-    assert parsed.smooth_anticanonical
     assert parsed.schedule is None
     assert parsed.torsion == TorsionSpec.non_torsion()
 
@@ -668,6 +666,45 @@ def test_every_exported_name_resolves(module):
     namespace = importlib.import_module(module)
     for name in getattr(namespace, "__all__", ()):
         assert hasattr(namespace, name), f"{module}.{name}"
+
+
+# -- the package surface: each re-exported module's ``__all__`` ---------------------
+
+_REEXPORTED = ("cohomology", "cycles", "errors", "lattice", "classify")
+
+
+def test_the_package_surface_is_the_reexported_modules_lists():
+    modules = [importlib.import_module(f"twistor4.{name}") for name in _REEXPORTED]
+    # pairwise disjoint: with wildcard imports a later module would
+    # otherwise silently shadow an earlier module's name
+    for i, first in enumerate(modules):
+        for second in modules[i + 1:]:
+            shared = set(first.__all__) & set(second.__all__)
+            assert not shared, (first.__name__, second.__name__, shared)
+    assert twistor4.__all__ == [
+        "__version__", *(name for module in modules for name in module.__all__)]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(twistor4, name) is getattr(module, name), name
+    # the other modules stay out, and so does ``errors.check``
+    for info in pkgutil.iter_modules(twistor4.__path__):
+        if info.name not in _REEXPORTED:
+            module = importlib.import_module(f"twistor4.{info.name}")
+            assert not set(getattr(module, "__all__", ())) & set(twistor4.__all__)
+    assert "check" not in twistor4.__all__
+
+
+def test_star_import_binds_exactly_the_package_all():
+    namespace = {}
+    exec("from twistor4 import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(twistor4.__all__)
+
+
+def test_twistor4_classify_is_the_function_and_the_submodule_stays_importable():
+    module = importlib.import_module("twistor4.classify")
+    assert module is sys.modules["twistor4.classify"]
+    assert twistor4.classify is module.classify
 
 
 # -- CLI: one output path --------------------------------------------------------------
