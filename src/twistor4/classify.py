@@ -380,14 +380,15 @@ def walk_schedules(root: RealizationState):
         yield from walk_schedules(root.extend(move))
 
 
-def classify_leaf(schedule: BlowupSchedule, leaf: RealizationState) -> EnumeratedEntry:
-    """Classify a walked schedule from its leaf state's cycle."""
+def classify_leaf(leaf: RealizationState) -> EnumeratedEntry:
+    """Classify the schedule that walked to ``leaf`` from the leaf's cycle."""
     try:
         report = classify(leaf.cycle().with_torsion(_TAU_ONE))
         error = None
     except RealizabilityError as exc:
         report = None
         error = exc.tag
+    schedule = BlowupSchedule(leaf.initial_type, leaf.steps)
     return EnumeratedEntry(schedule, _shape_key(*_necklace(leaf)), report, error)
 
 
@@ -452,8 +453,7 @@ class _Walk:
             necklace = key[:3]
             if necklace not in self.seen:
                 self.seen.add(necklace)
-                schedule = BlowupSchedule(state.initial_type, state.steps)
-                entry = classify_leaf(schedule, state)
+                entry = classify_leaf(state)
                 case = entry.report.case if entry.report else f"error:{entry.error}"
                 self.found.setdefault((state.initial_type, entry.shape, case), entry)
             return 1
@@ -494,6 +494,8 @@ def enumerate_configurations(max_reports: int | None = None) -> EnumerationResul
     A subtree whose root's positional key was met before is counted and
     skipped (see ``_Walk``).  Only kept entries build their document.
     """
+    if max_reports is not None and type(max_reports) is not int:
+        raise ScheduleError(f"max_reports must be an int, got {max_reports!r}")
     if max_reports is not None and max_reports < 1:
         raise ScheduleError("max_reports must be positive when given")
     walk = _Walk(max_reports)

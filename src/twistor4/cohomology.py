@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import linalg
@@ -75,9 +75,9 @@ class CohomologyClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise DegreeError("n must be a positive integer")
-        if self.degree not in _BASIS_LEN:
+        if type(self.degree) is not int or self.degree not in _BASIS_LEN:
             raise DegreeError(f"degree must be one of 0,2,4,6, got {self.degree}")
         expected = _BASIS_LEN[self.degree](self.n)
         if len(self.coeffs) != expected:
@@ -85,7 +85,9 @@ class CohomologyClass:
                 f"degree-{self.degree} class over n={self.n} needs "
                 f"{expected} coefficients, got {len(self.coeffs)}"
             )
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        if not set(map(type, self.coeffs)) <= {int}:
+            raise DegreeError(f"coefficients must be ints, got {self.coeffs}")
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     # -- linear structure ------------------------------------------------
     def _check_compatible(self, other):
@@ -239,7 +241,7 @@ class ChernData(NamedTuple):
     c3: int
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: 4.0 and True miss, so they are checked
 def chern_numbers(n: int) -> ChernData:
     """Chern numbers (c_1^3, c_1 c_2, c_3) = (16(4-n), 24, 2(n+2)).
 
@@ -247,7 +249,7 @@ def chern_numbers(n: int) -> ChernData:
     once per n (the result is memoised); c_3 lives in odd-degree data the
     ring model does not carry, so the closed form is authoritative.
     """
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise DegreeError("n must be a positive integer")
     data = ChernData(16 * (4 - n), 24, 2 * (n + 2))
     c1 = c1_class(n)
@@ -281,7 +283,7 @@ def pairing_matrix(n: int) -> PairingData:
     from the cups); its determinant is found by fraction-free elimination,
     never floats, and checked against the signed closed form.
     """
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise DegreeError("n must be a positive integer")
     matrix = tuple(
         (0,) * i + (2,) + (0,) * (n - 1 - i) + (1,) for i in range(n)
@@ -308,7 +310,7 @@ def euler_char_fundamental(n: int, m: int) -> int:
     Riemann-Roch on the twistor space gives m + 1 + 2(4-n)*C(m+2, 3);
     for n = 4 this collapses to m + 1.
     """
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise DegreeError("n must be a positive integer")
     if m < 0:
         raise DegreeError("m must be non-negative")

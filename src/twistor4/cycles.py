@@ -59,7 +59,9 @@ class CycleLineBundle:
     gluing: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        degrees = tuple(int(d) for d in self.degrees)
+        degrees = tuple(self.degrees)
+        if not set(map(type, degrees)) <= {int}:
+            raise ScheduleError(f"degrees must be ints, got {degrees}")
         if len(degrees) < 2:
             raise ScheduleError("a cycle has at least two components")
         object.__setattr__(self, "degrees", degrees)
@@ -89,7 +91,9 @@ class TorsionSpec:
 
     @classmethod
     def finite(cls, k):
-        return cls(int(k))
+        if k == math.inf:
+            raise ScheduleError("a finite order cannot be inf")
+        return cls(k)
 
     @classmethod
     def non_torsion(cls):
@@ -106,9 +110,12 @@ def cyclic_arcs(m, removed):
     """Maximal runs of indices 0..m-1 (cyclic) avoiding ``removed``.
 
     Returns a list of lists ordered by their first index; empty if
-    everything is removed, a single full-circle arc if nothing is.
+    everything is removed, a single full-circle arc if nothing is.  An
+    index outside 0..m-1 raises ScheduleError.
     """
     removed = set(removed)
+    if not removed <= set(range(m)):
+        raise ScheduleError(f"removed indices must lie in range({m}), got {removed}")
     # one pass from the removed index before the lowest arc start; each
     # removed index closes an arc, and only an empty ``removed`` leaves one open
     first = m - 1 if m - 1 in removed or not removed else min(removed)

@@ -32,6 +32,7 @@ stays the full oracle for cycles built elsewhere.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cache, reduce
 from operator import itemgetter, mul
@@ -69,6 +70,8 @@ class SurfaceLattice:
     pairs: int
 
     def __post_init__(self):
+        if type(self.pairs) is not int:
+            raise ScheduleError(f"pairs must be an int, got {self.pairs!r}")
         if self.pairs < 0:
             raise ScheduleError("pairs must be non-negative")
 
@@ -78,11 +81,10 @@ class SurfaceLattice:
 
     def divisor(self, a, b, multiplicities=()):
         """The class a*l + b*f + sum(m_i E_i); multiplicities as stored."""
-        ms = tuple(int(m) for m in multiplicities)
+        ms = tuple(multiplicities)
         if len(ms) > 2 * self.pairs:
             raise ScheduleError("more multiplicities than exceptional classes")
-        ms = ms + (0,) * (2 * self.pairs - len(ms))
-        return DivisorClass(self, (int(a), int(b)) + ms)
+        return DivisorClass(self, (a, b, *ms) + (0,) * (2 * self.pairs - len(ms)))
 
     def zero(self):
         return self.divisor(0, 0)
@@ -106,10 +108,6 @@ class SurfaceLattice:
     def anticanonical(self):
         return self.divisor(2, 2, (-1,) * (2 * self.pairs))
 
-    def conjugate_index(self, i):
-        """The exceptional index paired with i under the real involution."""
-        return i + 1 if i % 2 == 1 else i - 1
-
 
 @dataclass(frozen=True)
 class DivisorClass:
@@ -124,7 +122,9 @@ class DivisorClass:
                 f"class needs {self.lattice.rank} coefficients, "
                 f"got {len(self.coeffs)}"
             )
-        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
+        if not set(map(type, self.coeffs)) <= {int}:
+            raise ScheduleError(f"class coefficients must be ints, got {self.coeffs}")
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     def dot(self, other: "DivisorClass") -> int:
         if self.lattice is not other.lattice and self.lattice != other.lattice:
@@ -134,29 +134,6 @@ class DivisorClass:
     @property
     def self_intersection(self):
         return self.dot(self)
-
-    def __add__(self, other):
-        if not isinstance(other, DivisorClass):
-            return NotImplemented
-        if self.lattice != other.lattice:
-            raise ScheduleError("classes live in different lattices")
-        return DivisorClass(
-            self.lattice, tuple(x + y for x, y in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        return DivisorClass(self.lattice, tuple(k * c for c in self.coeffs))
-
-    def __mul__(self, k):
-        return self.__rmul__(k)
 
     def __str__(self):
         pairs = self.lattice.pairs
@@ -230,49 +207,49 @@ def _check_step_index(idx, kind, over_pair):
         )
 
 
-@dataclass(frozen=True)
-class BlowupStep:
-    """Location of one point of a conjugate pair (the other is implied)."""
+class BlowupStep(namedtuple("BlowupStep", ("kind", "component", "components",
+                                           "over_pair", "on_strict_transform"))):
+    """Location of one point of a conjugate pair (the other is implied).
 
-    kind: str
-    component: str | None = None
-    components: tuple[str, str] | None = None
-    over_pair: int | None = None
-    on_strict_transform: str | None = None
+    A tuple of its five fields, checked on construction.  ``_make`` and
+    ``_replace`` skip the checks; ``RealizationState.candidates`` builds its
+    moves, valid by construction, with ``_make``."""
 
-    def __post_init__(self):
-        foreign = (
-            _FOREIGN_FIELDS.get(self.kind) if isinstance(self.kind, str) else None
-        )
+    __slots__ = ()
+
+    def __new__(cls, kind, component=None, components=None, over_pair=None,
+                on_strict_transform=None):
+        foreign = _FOREIGN_FIELDS.get(kind) if isinstance(kind, str) else None
         if foreign is None:
-            raise ScheduleError(f"unknown step kind {self.kind!r}")
-        if self.kind == "smooth":
-            if not isinstance(self.component, str):
+            raise ScheduleError(f"unknown step kind {kind!r}")
+        if kind == "smooth":
+            if not isinstance(component, str):
                 raise ScheduleError("smooth step needs a component id")
-        elif self.kind == "node":
-            comps = self.components
+        elif kind == "node":
             if (
-                not isinstance(comps, (tuple, list))
-                or len(comps) != 2
-                or not all(isinstance(c, str) for c in comps)
-                or comps[0] == comps[1]
+                not isinstance(components, (tuple, list))
+                or len(components) != 2
+                or not all(isinstance(c, str) for c in components)
+                or components[0] == components[1]
             ):
                 raise ScheduleError("node step needs two distinct component ids")
-            object.__setattr__(self, "components", (comps[0], comps[1]))
+            components = tuple(components)
         else:
-            over = self.over_pair
-            if not isinstance(over, int) or isinstance(over, bool) or over < 1:
+            if type(over_pair) is not int or over_pair < 1:
                 raise ScheduleError(
                     "infinitely_near step needs a positive over_pair index"
                 )
-            if not isinstance(self.on_strict_transform, (str, type(None))):
+            if not isinstance(on_strict_transform, (str, type(None))):
                 raise ScheduleError("on_strict_transform is a component id or None")
+        step = super().__new__(cls, kind, component, components, over_pair,
+                               on_strict_transform)
         for name in foreign:
-            if getattr(self, name) is not None:
+            if getattr(step, name) is not None:
                 raise ScheduleError(
-                    f"{self.kind} step carries only "
-                    f"{' and '.join(STEP_FIELDS[self.kind])}, not {name}"
+                    f"{kind} step carries only "
+                    f"{' and '.join(STEP_FIELDS[kind])}, not {name}"
                 )
+        return step
 
     @classmethod
     def smooth(cls, component):
@@ -484,20 +461,17 @@ class RealizationState:
     @property
     def steps(self) -> tuple[BlowupStep, ...]:
         steps, state = [], self
-        while state.parent is not None:  # each state builds its step once
-            if not isinstance(state.move, BlowupStep):
-                state.move = BlowupStep(*state.move)
+        while state.parent is not None:
             steps.append(state.move)
             state = state.parent
         return tuple(steps[::-1])
 
-    def extend(self, step) -> RealizationState:
-        """The state with pair k + 1 placed at ``step``, a ``BlowupStep`` or
-        a ``candidates`` tuple; a step beyond ``pairs`` raises ScheduleError."""
-        fields = step if not isinstance(step, BlowupStep) else (
-            step.kind, step.component, step.components, step.over_pair,
-            step.on_strict_transform)
-        kind, component, components, over_pair, target = fields
+    def extend(self, step: BlowupStep) -> RealizationState:
+        """The state with pair k + 1 placed at ``step``; a step that is not a
+        ``BlowupStep`` or goes beyond ``pairs`` raises ScheduleError."""
+        if not isinstance(step, BlowupStep):
+            raise ScheduleError(f"a step must be a BlowupStep, got {step!r}")
+        kind, component, components, over_pair, target = step
         initial, squares, partners, hosts, consumed = self.key
         k = len(hosts) + 1
         if k > self.lattice.pairs:
@@ -573,24 +547,25 @@ class RealizationState:
                 f"component {name!r} does not exist; cycle is {self.order}")
         return self.order.index(name)
 
-    def candidates(self) -> list[tuple]:
-        """Every location for the next step, one per conjugation orbit, as
-        the plain tuple of a ``BlowupStep``'s fields; smooth points of the
-        real fibre are left out, as ``extend`` rejects them."""
+    def candidates(self) -> list[BlowupStep]:
+        """Every location for the next step, one per conjugation orbit;
+        smooth points of the real fibre are left out, as ``extend`` rejects
+        them."""
         order, (_, _, partners, hosts, consumed) = self.order, self.key
-        conj = [order[p] for p in partners]
-        out = [("smooth", name, None, None, None) for name, other in zip(order, conj)
+        conj, make = [order[p] for p in partners], BlowupStep._make
+        out = [make(("smooth", name, None, None, None))
+               for name, other in zip(order, conj)
                if not self._on_real_fibre(name) and name <= other]
         if len(order) == 2:  # its two nodes are one conjugate pair
-            out.append(("node", None, order, None, None))
+            out.append(make(("node", None, order, None, None)))
         else:
             for c, d, cc, cd in zip(order, order[1:] + order[:1],
                                     conj, conj[1:] + conj[:1]):
                 edge = (c, d) if c < d else (d, c)
                 if edge < ((cc, cd) if cc < cd else (cd, cc)):
-                    out.append(("node", None, edge, None, None))
+                    out.append(make(("node", None, edge, None, None)))
         # the exceptional of a node pair (host None) is itself a component
-        out.extend(("infinitely_near", None, None, j, order[host])
+        out.extend(make(("infinitely_near", None, None, j, order[host]))
                    for j, host in enumerate(hosts, 1)
                    if host is not None and j not in consumed)
         return out

@@ -342,8 +342,28 @@ def test_report_as_dict_round_trips_fields():
     lambda: CycleLineBundle((1, 1), gluing=(1,)),
     lambda: CycleLineBundle((1, 1), gluing=(1, 0)),
     lambda: bareiss_determinant([[1, 2], [3, 4], [5, 6]]),
+    # an integer argument is checked, never truncated, and a bool is no int
+    lambda: enumerate_configurations(1.5),
+    lambda: enumerate_configurations(True),
+    lambda: TorsionSpec.finite(2.5),
+    lambda: TorsionSpec.finite(True),
+    lambda: TorsionSpec.finite(math.inf),
+    lambda: CycleLineBundle((2.5, -1, 2, -1)),
+    lambda: CycleLineBundle((True, -1, 2, -1)),
+    lambda: SurfaceLattice(1).divisor(1.5, 0),
+    lambda: SurfaceLattice(1).divisor(0, 1, (False, 0)),
+    lambda: DivisorClass(SurfaceLattice(0), (1.9, 0)),
+    lambda: SurfaceLattice(1.5),
+    lambda: SurfaceLattice(True),
+    lambda: RealizationState("I", 1.5),
+    lambda: cyclic_arcs(3, {10}),
+    lambda: cyclic_arcs(3, {-1}),
 ], ids=["max-reports", "torsion-order", "torsion-kind", "one-component",
-        "gluing-count", "gluing-zero", "non-square"])
+        "gluing-count", "gluing-zero", "non-square",
+        "max-reports-float", "max-reports-bool", "torsion-order-float",
+        "torsion-order-bool", "torsion-order-inf", "degree-float", "degree-bool",
+        "divisor-float", "divisor-bool", "class-float", "pairs-float",
+        "pairs-bool", "state-pairs-float", "arc-index-above", "arc-index-negative"])
 def test_bad_library_arguments_raise_schedule_error(call):
     # a ScheduleError is a TwistorError and still a ValueError
     with pytest.raises(ScheduleError):
@@ -487,7 +507,7 @@ def test_a_leafs_necklace_fixes_its_shape_and_case():
     # (shape, case) key as that first leaf
     outcomes, leaves = {}, 0
     for schedule, leaf in _walked_leaves():
-        fresh = classify_leaf(schedule, leaf)
+        fresh = classify_leaf(leaf)
         key = schedule.initial_type, classify_module._necklace(leaf)
         outcome = _found_key(fresh)
         assert outcomes.setdefault(key, outcome) == outcome, schedule
@@ -501,7 +521,7 @@ def test_enumeration_keeps_what_classifying_every_leaf_keeps(enumeration):
     found = {}
     roots = [RealizationState(initial, 4) for initial in ("I", "II")]
     for schedule, leaf in chain.from_iterable(map(walk_schedules, roots)):
-        entry = classify_leaf(schedule, leaf)
+        entry = classify_leaf(leaf)
         found.setdefault(_found_key(entry), entry)
     assert len(found) == len(enumeration.entries)
     for entry in enumeration.entries:
@@ -710,7 +730,7 @@ def plain_walk():
         necklace = schedule.initial_type, classify_module._necklace(leaf)
         if necklace not in seen:
             seen.add(necklace)
-            entry = classify_leaf(schedule, leaf)
+            entry = classify_leaf(leaf)
             found.setdefault(_found_key(entry), entry)
     return kept_before, list(found.values())
 

@@ -347,6 +347,27 @@ def test_class_validation():
     assert zero(2, 4).is_zero()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: CohomologyClass(1, 0, (0.5,)),
+    lambda: CohomologyClass(1, 0, (True,)),
+    lambda: CohomologyClass(1.0, 0, (1,)),
+    lambda: CohomologyClass(True, 0, (1,)),
+    lambda: CohomologyClass(1, 2.0, (0, 1)),
+    lambda: CohomologyClass(1, False, (1,)),
+    lambda: pairing_matrix(2.0),
+    lambda: pairing_matrix(True),
+    lambda: chern_numbers(4.0),
+    lambda: euler_char_fundamental(4.0, 1),
+], ids=["coeff-float", "coeff-bool", "n-float", "n-bool", "degree-float",
+        "degree-bool", "pairing-float", "pairing-bool", "chern-float",
+        "euler-float"])
+def test_bad_library_arguments_raise_degree_error(call):
+    # an integer argument is checked, never truncated, and a bool is no int
+    chern_numbers(4)  # a cached int n does not answer for 4.0
+    with pytest.raises(DegreeError):
+        call()
+
+
 def test_addition_and_scalar_action():
     a = x(2, 1) + x(2, 2)
     assert a.coeffs == (1, 1, 0)

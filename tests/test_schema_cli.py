@@ -1,14 +1,15 @@
 """Schedule-document schema and the command-line interface."""
 
 import argparse
-import ast
 import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -638,24 +639,25 @@ def test_cli_under_python_O_keeps_its_results():
 # -- the names the benchmark traces ---------------------------------------------------
 
 def test_every_traced_name_resolves():
-    # the benchmark wraps these by name; a deleted or renamed one would
-    # break its traced runs (read, not run: the tables are literals)
+    # the benchmark's tracer patches twistor4 by name, and a deleted or
+    # renamed name stops its traced runs: install it, then take it off
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    tables = {
-        node.targets[0].id: ast.literal_eval(node.value)
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.Assign)
-        and getattr(node.targets[0], "id", None) in ("FUNCTIONS", "METHODS")
-    }
-    for layer, names in tables["FUNCTIONS"].items():
-        module = importlib.import_module(f"twistor4.{layer}")
-        for name in names:
-            assert callable(getattr(module, name)), f"{layer}.{name}"
-    for layer, methods in tables["METHODS"].items():
-        module = importlib.import_module(f"twistor4.{layer}")
-        for cls, name in methods:
-            # the tracer replaces the method in the class's own namespace
-            assert callable(vars(getattr(module, cls))[name]), f"{cls}.{name}"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()  # an AttributeError here names the missing attribute
+        patched = list(tracer._restore)
+        for owner, attr, original in patched:
+            assert vars(owner)[attr] is not original, f"{owner.__name__}.{attr}"
+    finally:
+        tracer.uninstall()
+    assert {attr for _, attr, _ in patched} >= {
+        "__post_init__", *chain.from_iterable(spans.FUNCTIONS.values()),
+        *(name for methods in spans.METHODS.values() for _, name in methods)}
+    for owner, attr, original in patched:
+        assert vars(owner)[attr] is original, f"{owner.__name__}.{attr}"
 
 
 @pytest.mark.parametrize("module", ["twistor4"] + [
