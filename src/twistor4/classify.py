@@ -23,8 +23,8 @@ components:
 
 Anything else is not realizable by a conjugate-pair blow-up schedule and
 raises ``RealizabilityError``.  The case and its realizability are read off
-the weighted necklace alone (the degrees in cycle order and the
-conjugation), never off the divisor classes: in a valid cycle two
+the weighted necklace alone (a ``Necklace``: the degrees in cycle order and
+the conjugation), never off the divisor classes: in a valid cycle two
 components meet exactly when they are adjacent, so the -2 pair of case b
 must not be adjacent, and the nonzero degrees of case c must alternate in
 sign round the cycle.
@@ -44,6 +44,7 @@ from .errors import RealizabilityError, ScheduleError, TorsionRequiredError, che
 from .lattice import (
     AnticanonicalCycle,
     BlowupSchedule,
+    Necklace,
     RealizationState,
     elementary_transform,
     realize_cycle,
@@ -85,16 +86,23 @@ _CASES = {
 }
 
 
-def anticanonical_degrees(cycle: AnticanonicalCycle) -> tuple[int, ...]:
+def _necklace_of(model: AnticanonicalCycle | Necklace) -> Necklace:
+    return model if isinstance(model, Necklace) else model.necklace()
+
+
+def anticanonical_degrees(model: AnticanonicalCycle | Necklace) -> tuple[int, ...]:
     """deg(F|_{C_i}) = C_i.(-K) per component, in cycle order."""
-    degrees = cycle.degrees()
-    total, expected = sum(degrees), 8 - 2 * cycle.lattice.pairs
+    necklace = _necklace_of(model)
+    degrees = necklace.degrees
+    total, expected = sum(degrees), 8 - 2 * necklace.pairs
     check(total == expected, "degrees {} sum to {}, closed form {}",
           degrees, total, expected, invariant="anticanonical-degree-sum")
     return degrees
 
 
-def negative_curves(cycle: AnticanonicalCycle) -> tuple[tuple[str, int], ...]:
+def negative_curves(
+    model: AnticanonicalCycle | Necklace,
+) -> tuple[tuple[str, int], ...]:
     """Negative-degree components as (id, degree), validated against the
     three realizable patterns.
 
@@ -102,14 +110,14 @@ def negative_curves(cycle: AnticanonicalCycle) -> tuple[tuple[str, int], ...]:
     cycle of this kind; a single real -2, one conjugate -2 pair, or up to
     three conjugate -1 pairs are the only other options.
     """
-    return _match_case(cycle, anticanonical_degrees(cycle))[1]
+    necklace = _necklace_of(model)
+    return _match_case(necklace, anticanonical_degrees(necklace))[1]
 
 
-def _match_case(cycle, degrees):
-    """``(case, negative_curves)`` from the cycle's already computed degrees."""
-    negatives = tuple(
-        (name, d) for name, d in zip(cycle.order, degrees) if d < 0
-    )
+def _match_case(necklace: Necklace, degrees):
+    """``(case, negative_curves)`` from the necklace's checked degrees."""
+    at = [p for p, d in enumerate(degrees) if d < 0]
+    negatives = tuple((necklace.order[p], degrees[p]) for p in at)
     for name, d in negatives:
         if d <= -3:
             raise RealizabilityError(
@@ -119,19 +127,18 @@ def _match_case(cycle, degrees):
             )
     if not negatives:
         return CASE_NEF, negatives
-    names = [name for name, _ in negatives]
     degs = [d for _, d in negatives]
-    conj = cycle.conjugate_names
-    real = [cycle.is_real(name) for name in names]
+    partners = necklace.partners
+    real = [partners[p] == p for p in at]
     if degs == [-2] and real == [True]:
         return CASE_REAL_MINUS_2, negatives
-    if degs == [-2, -2] and not any(real) and conj[names[0]] == names[1]:
+    if degs == [-2, -2] and not any(real) and partners[at[0]] == at[1]:
         return CASE_PAIR_MINUS_2, negatives
     if (
         len(negatives) in (2, 4, 6)
         and all(d == -1 for d in degs)
         and not any(real)
-        and {conj[name] for name in names} == set(names)
+        and {partners[p] for p in at} == set(at)
     ):
         return CASE_PAIRS_MINUS_1, negatives
     raise RealizabilityError(
@@ -234,7 +241,9 @@ def model_from_schedule(
         and schedule.steps[0].kind == "node"
     ):
         schedule = elementary_transform(schedule)
-    return realize_cycle(schedule).with_torsion(torsion)
+    cycle = realize_cycle(schedule)
+    cycle.torsion = torsion  # the cycle is new: attach the record, no copy
+    return cycle
 
 
 def model_from_document(doc: dict) -> AnticanonicalCycle:
@@ -245,28 +254,30 @@ def model_from_document(doc: dict) -> AnticanonicalCycle:
     return model_from_schedule(parsed.schedule, parsed.torsion)
 
 
-def classify(cycle: AnticanonicalCycle) -> ClassificationReport:
-    """The full classification for n = 4 (eight blown-up points)."""
-    if cycle.lattice.pairs != 4:
+def classify(model: AnticanonicalCycle | Necklace) -> ClassificationReport:
+    """The full classification for n = 4 (eight blown-up points), read off
+    the necklace of a cycle (with its torsion record) or a ``Necklace``."""
+    necklace = _necklace_of(model)
+    if necklace.pairs != 4:
         raise ScheduleError(
             f"classification requires n = 4 conjugate pairs, "
-            f"got n = {cycle.lattice.pairs}"
+            f"got n = {necklace.pairs}"
         )
-    degrees = anticanonical_degrees(cycle)
-    case, negatives = _match_case(cycle, degrees)
-    nef, m = case == CASE_NEF, cycle.m
+    degrees = anticanonical_degrees(necklace)
+    case, negatives = _match_case(necklace, degrees)
+    nef, m = case == CASE_NEF, len(degrees)
     tau = dim_minus2ks = dim_antican_z = None
     if nef:
-        if cycle.torsion is None:
+        if necklace.tau is None:
             raise TorsionRequiredError(
                 "the fundamental system is nef, so its dimension depends "
                 "on the torsion order tau of the normal sheaf on the "
                 "cycle; supply a torsion record"
             )
-        tau = cycle.torsion.tau
+        tau = necklace.tau
         h0, base = (3, "free") if tau == 1 else (2, "C")
         a = 1 if tau == math.inf else 2
-        deg1 = 0 if (tau == 1 or cycle.smooth_variant) else m
+        deg1 = 0 if (tau == 1 or necklace.smooth_variant) else m
         lebrun = False
     else:
         h0, base, a, lebrun = _CASES[case].fixed
@@ -306,7 +317,7 @@ def classify(cycle: AnticanonicalCycle) -> ClassificationReport:
         nef_and_big=nef and chern_numbers(4).c1_cubed > 0,
         negative_curves=negatives,
         cycle_length=m,
-        smooth_anticanonical=cycle.smooth_variant,
+        smooth_anticanonical=necklace.smooth_variant,
         h0_fundamental=h0,
         dim_fundamental_system=h0 - 1,
         base_locus=base,
@@ -380,16 +391,19 @@ def walk_schedules(root: RealizationState):
         yield from walk_schedules(root.extend(move))
 
 
-def classify_leaf(leaf: RealizationState) -> EnumeratedEntry:
-    """Classify the schedule that walked to ``leaf`` from the leaf's cycle."""
+def _outcome(leaf: RealizationState) -> tuple[ClassificationReport | None, str | None]:
+    """The leaf's report and None, or None and the tag that rejects it: its
+    necklace classified with tau = 1."""
     try:
-        report = classify(leaf.cycle().with_torsion(_TAU_ONE))
-        error = None
+        return classify(leaf.necklace(_TAU_ONE)), None
     except RealizabilityError as exc:
-        report = None
-        error = exc.tag
+        return None, exc.tag
+
+
+def classify_leaf(leaf: RealizationState) -> EnumeratedEntry:
+    """Classify the schedule that walked to ``leaf`` from the leaf's necklace."""
     schedule = BlowupSchedule(leaf.initial_type, leaf.steps)
-    return EnumeratedEntry(schedule, _shape_key(*_necklace(leaf)), report, error)
+    return EnumeratedEntry(schedule, _shape_key(*_necklace(leaf)), *_outcome(leaf))
 
 
 class _CapReached(Exception):
@@ -415,9 +429,13 @@ class _Walk:
     member gives the mirror-image state: the same squares, the same
     conjugate positions, hosts at the conjugate positions, hence the same
     subtree up to mirror image, with the same leaf count and necklaces.
-    No state carries classes: ``cycle()`` replays them, checking at each
-    step that its pair is fresh, only on the paths to the classified
-    leaves, and ``classify`` reads only the necklace.
+    No state carries classes, and ``classify`` reads only the leaf's
+    ``Necklace``, which ``RealizationState.necklace`` takes from the key.
+    That call replays the classes as coefficient lists, checking at each
+    step that its pair is fresh, on the paths to the classified leaves
+    only; no ``cycle()`` and no ``DivisorClass`` is built.  A leaf's
+    ``EnumeratedEntry`` and its ``BlowupSchedule`` are built only when its
+    (initial type, shape, case) key is new, once per kept entry.
 
     The key holds the depth (one host per placed pair), so a state's
     subtree is walked in full before any later state with its key is met.
@@ -450,12 +468,16 @@ class _Walk:
         key = state.key
         if len(key[3]) == state.lattice.pairs:
             self._count(1)
-            necklace = key[:3]
-            if necklace not in self.seen:
-                self.seen.add(necklace)
-                entry = classify_leaf(state)
-                case = entry.report.case if entry.report else f"error:{entry.error}"
-                self.found.setdefault((state.initial_type, entry.shape, case), entry)
+            initial, squares, partners = necklace_key = key[:3]
+            if necklace_key not in self.seen:
+                self.seen.add(necklace_key)
+                report, error = _outcome(state)
+                shape = _shape_key(squares, partners)
+                found = (initial, shape, report.case if report else f"error:{error}")
+                if found not in self.found:
+                    schedule = BlowupSchedule(initial, state.steps)
+                    self.found[found] = EnumeratedEntry(schedule, shape, report,
+                                                        error)
             return 1
         leaves = self.below.get(key)
         if leaves is not None:
@@ -491,8 +513,11 @@ def enumerate_configurations(max_reports: int | None = None) -> EnumerationResul
     exhausted the space.  Only the first leaf of each (initial type,
     necklace) is classified: the shape and the case come from the necklace
     alone, so a later leaf with the same one maps to a key already found.
+    It is classified from its ``Necklace``, which replays the path's
+    classes as lists to check that each pair is fresh but builds no cycle.
     A subtree whose root's positional key was met before is counted and
-    skipped (see ``_Walk``).  Only kept entries build their document.
+    skipped (see ``_Walk``).  Only kept entries build their schedule and,
+    on first use, their document.
     """
     if max_reports is not None and type(max_reports) is not int:
         raise ScheduleError(f"max_reports must be an int, got {max_reports!r}")

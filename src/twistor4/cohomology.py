@@ -75,11 +75,7 @@ class CohomologyClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:
-            raise DegreeError("n must be a positive integer")
-        if type(self.degree) is not int or self.degree not in _BASIS_LEN:
-            raise DegreeError(f"degree must be one of 0,2,4,6, got {self.degree}")
-        expected = _BASIS_LEN[self.degree](self.n)
+        expected = _basis_len(self.n, self.degree)
         if len(self.coeffs) != expected:
             raise DegreeError(
                 f"degree-{self.degree} class over n={self.n} needs "
@@ -129,6 +125,22 @@ class CohomologyClass:
         return linalg.format_combination(self.coeffs, _basis_names(self.n, self.degree))
 
 
+def _check_int(name, value, least=1):
+    """Raise DegreeError unless ``value`` is an int, not a bool, of at least
+    ``least`` (0 or 1)."""
+    if type(value) is not int or value < least:
+        kind = "a positive" if least else "a non-negative"
+        raise DegreeError(f"{name} must be {kind} integer")
+
+
+def _basis_len(n, degree):
+    """The number of basis classes of degree ``degree`` over ``n``."""
+    _check_int("n", n)
+    if type(degree) is not int or degree not in _BASIS_LEN:
+        raise DegreeError(f"degree must be one of 0,2,4,6, got {degree}")
+    return _BASIS_LEN[degree](n)
+
+
 def _basis_names(n, degree):
     if degree == 0:
         return ("1",)
@@ -142,7 +154,7 @@ def _basis_names(n, degree):
 # -- constructors ---------------------------------------------------------
 
 def zero(n, degree):
-    return CohomologyClass(n, degree, (0,) * _BASIS_LEN[degree](n))
+    return CohomologyClass(n, degree, (0,) * _basis_len(n, degree))
 
 
 def scalar(n, k):
@@ -151,8 +163,9 @@ def scalar(n, k):
 
 def x(n, i):
     """The generator x_i, 1-based."""
-    if not 1 <= i <= n:
-        raise DegreeError(f"x{i} does not exist for n={n}")
+    _check_int("n", n)
+    if type(i) is not int or not 1 <= i <= n:
+        raise DegreeError(f"x{i!r} does not exist for n={n}")
     coeffs = [0] * (n + 1)
     coeffs[i - 1] = 1
     return CohomologyClass(n, 2, tuple(coeffs))
@@ -249,8 +262,7 @@ def chern_numbers(n: int) -> ChernData:
     once per n (the result is memoised); c_3 lives in odd-degree data the
     ring model does not carry, so the closed form is authoritative.
     """
-    if type(n) is not int or n < 1:
-        raise DegreeError("n must be a positive integer")
+    _check_int("n", n)
     data = ChernData(16 * (4 - n), 24, 2 * (n + 2))
     c1 = c1_class(n)
     cubed, c1_c2 = evaluate(cup(c1, cup(c1, c1))), evaluate(cup(c1, c2_class(n)))
@@ -283,8 +295,7 @@ def pairing_matrix(n: int) -> PairingData:
     from the cups); its determinant is found by fraction-free elimination,
     never floats, and checked against the signed closed form.
     """
-    if type(n) is not int or n < 1:
-        raise DegreeError("n must be a positive integer")
+    _check_int("n", n)
     matrix = tuple(
         (0,) * i + (2,) + (0,) * (n - 1 - i) + (1,) for i in range(n)
     ) + ((-1,) * n + (-2,),)
@@ -310,9 +321,7 @@ def euler_char_fundamental(n: int, m: int) -> int:
     Riemann-Roch on the twistor space gives m + 1 + 2(4-n)*C(m+2, 3);
     for n = 4 this collapses to m + 1.
     """
-    if type(n) is not int or n < 1:
-        raise DegreeError("n must be a positive integer")
-    if m < 0:
-        raise DegreeError("m must be non-negative")
+    _check_int("n", n)
+    _check_int("m", m, 0)
     return m + 1 + 2 * (4 - n) * math.comb(m + 2, 3)
 

@@ -27,14 +27,17 @@ A ``RealizationState`` is the cycle after the first k steps, held by
 position; ``realize_cycle`` folds its ``extend`` over a schedule's steps and
 takes its ``cycle``, which replays them on the classes and is valid by
 construction (see ``RealizationState``).  ``AnticanonicalCycle.validate``
-stays the full oracle for cycles built elsewhere.
+stays the full oracle for cycles built elsewhere.  A ``Necklace`` is what
+the classification reads of a cycle: names, degrees and conjugation by
+position; a cycle and a state each give theirs.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
-from functools import cache, reduce
+from dataclasses import dataclass, field
+from functools import cache, partial, reduce
+from itertools import compress
 from operator import itemgetter, mul
 
 from .cycles import TorsionSpec
@@ -50,6 +53,7 @@ __all__ = [
     "BlowupStep",
     "BlowupSchedule",
     "AnticanonicalCycle",
+    "Necklace",
     "smooth_anticanonical_cycle",
     "INITIAL_TYPES",
     "STEP_FIELDS",
@@ -148,7 +152,9 @@ def _dot(s, o):
 
 def _involute(c):
     """The real involution on a coefficient tuple (see ``real_involution``)."""
-    return c[:2] + tuple(m for pair in zip(c[3::2], c[2::2]) for m in pair)
+    out = list(c)
+    out[2::2], out[3::2] = c[3::2], c[2::2]
+    return tuple(out)
 
 
 def anticanonical_class(lattice: SurfaceLattice) -> DivisorClass:
@@ -211,9 +217,10 @@ class BlowupStep(namedtuple("BlowupStep", ("kind", "component", "components",
                                            "over_pair", "on_strict_transform"))):
     """Location of one point of a conjugate pair (the other is implied).
 
-    A tuple of its five fields, checked on construction.  ``_make`` and
-    ``_replace`` skip the checks; ``RealizationState.candidates`` builds its
-    moves, valid by construction, with ``_make``."""
+    A tuple of its five fields, checked on construction and by
+    ``_replace``.  ``_make`` skips the checks, and so does
+    ``RealizationState.candidates``, which builds its moves, valid by
+    construction, with ``tuple.__new__``."""
 
     __slots__ = ()
 
@@ -250,6 +257,9 @@ class BlowupStep(namedtuple("BlowupStep", ("kind", "component", "components",
                     f"{' and '.join(STEP_FIELDS[kind])}, not {name}"
                 )
         return step
+
+    def _replace(self, /, **changes):
+        return BlowupStep(*super()._replace(**changes))
 
     @classmethod
     def smooth(cls, component):
@@ -289,14 +299,28 @@ class BlowupSchedule:
         return len(self.steps)
 
 
+class Necklace(namedtuple("Necklace", ("order", "degrees", "partners",
+                                       "smooth_variant", "tau", "pairs"))):
+    """A cycle as the classification reads it, by position: the component
+    names in cycle order, their degrees C_i.(-K), each one's conjugate
+    position, the smooth-variant flag, the torsion order tau of the
+    cycle's torsion record (None without one) and the number of pairs.
+
+    It holds degrees, not squares: C.(-K) = C^2 + 2 on a rational
+    component, but the smooth variant has degree (-K)^2 = 8 - 2n."""
+
+    __slots__ = ()
+
+
 @dataclass
 class AnticanonicalCycle:
     """The realized cycle C = sum C_i in |-K_S| (or its smooth variant).
 
     ``order`` is the cyclic component order; ``conjugate_names`` the real
-    involution on component ids.  ``squares`` holds the self-intersections
-    in cycle order when the realization engine carried them along, else
-    None.  The constructor performs no validation so tests can build
+    involution on component ids.  ``squares`` and ``partners`` hold the
+    self-intersections and each component's conjugate position in cycle
+    order when the realization engine carried them along, else None.  The
+    constructor performs no validation so tests can build
     synthetic cycles; ``validate()`` is the invariant oracle for a cycle
     built outside the engine, whose cycles are valid by construction.
     """
@@ -308,13 +332,11 @@ class AnticanonicalCycle:
     torsion: TorsionSpec | None = None
     smooth_variant: bool = False
     squares: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    partners: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def m(self):
         return len(self.order)
-
-    def is_real(self, name):
-        return self.conjugate_names[name] == name
 
     def self_intersections(self):
         if self.squares is not None:
@@ -323,24 +345,34 @@ class AnticanonicalCycle:
 
     def degrees(self):
         if self.squares is not None:  # genus 0: C.(-K) = C^2 + 2
-            return tuple(c2 + 2 for c2 in self.squares)
+            return tuple([c2 + 2 for c2 in self.squares])
         minus_k = self.lattice.anticanonical().coeffs
         return tuple(_dot(self.classes[name].coeffs, minus_k) for name in self.order)
 
-    def with_torsion(self, torsion):
-        return replace(self, torsion=torsion)
+    def necklace(self) -> Necklace:
+        """The cycle by position, with tau from its torsion record."""
+        partners = self.partners
+        if partners is None:
+            partners = _positions(self.order, self.conjugate_names)
+        return Necklace(
+            self.order, self.degrees(), partners, self.smooth_variant,
+            None if self.torsion is None else self.torsion.tau, self.lattice.pairs,
+        )
 
     def validate(self):
         """Check every cycle invariant on the classes; raise ScheduleError
-        at the first that fails.  O(m^2): it compares all component pairs."""
+        at the first that fails.  The products of the components come from
+        one Gram matrix, accumulated over the nonzero coefficients only."""
         order, m = self.order, self.m
         check(len(set(order)) == m, "component names must be unique")
         check(set(self.classes) == set(order), "classes must match order")
         check(all(c.lattice == self.lattice for c in self.classes.values()),
               "classes live in different lattices")
         coeffs = {name: c.coeffs for name, c in self.classes.items()}
+        rows = [coeffs[name] for name in order]
+        columns = list(zip(*rows))
         minus_k = self.lattice.anticanonical().coeffs
-        total = tuple(map(sum, zip(*(coeffs[name] for name in order))))
+        total = tuple(map(sum, columns))
         check(total == minus_k, "cycle classes sum to {}, expected {}",
               total, minus_k)
         conj = self.conjugate_names
@@ -351,6 +383,8 @@ class AnticanonicalCycle:
             check(conj[other] == name, "conjugation must be an involution")
             check(_involute(coeffs[name]) == coeffs[other],
                   "class of {} must be the conjugate of {}", other, name)
+        gram = _gram(columns, m)
+        squares = tuple(gram[:: m + 1])
         if self.smooth_variant:
             check(m == 1, "smooth variant is a single component")
             check(coeffs[order[0]] == minus_k,
@@ -359,25 +393,61 @@ class AnticanonicalCycle:
                   "smooth variant must have arithmetic genus 1")
         else:
             check(m >= 2, "a cycle has at least two components")
-            for name in order:
-                c = coeffs[name]
-                check(_dot(c, minus_k) == _dot(c, c) + 2,
-                      "component {} must have arithmetic genus 0", name)
-            # components i < j meet once per cyclic edge between them: twice
+            # components i != j meet once per cyclic edge between them: twice
             # on a two-component cycle, else once if adjacent and never if not
-            for i, ni in enumerate(order):
-                ci = coeffs[ni]
-                for j in range(i + 1, m):
-                    product = _dot(ci, coeffs[order[j]])
-                    expected = (j - i == 1) + (j - i == m - 1)
-                    check(product == expected, "{}.{} = {}, expected {}",
-                          ni, order[j], product, expected)
+            expected = [0] * (m * m)
+            for i in range(m):
+                j = (i + 1) % m
+                expected[i * m + j] += 1
+                expected[j * m + i] += 1
+            expected[:: m + 1] = squares
+            # a row of ``expected`` sums to its square + 2, and a row of
+            # ``gram`` to C.(-K), as the classes sum to -K: equal matrices
+            # make every component of genus 0 as well
+            if gram != expected:
+                for name, row, c2 in zip(order, range(0, m * m, m), squares):
+                    check(sum(gram[row:row + m]) == c2 + 2,
+                          "component {} must have arithmetic genus 0", name)
+                # the first pair i < j that a row-by-row scan meets
+                x = next(x for x, (g, e) in enumerate(zip(gram, expected)) if g != e)
+                check(False, "{}.{} = {}, expected {}", order[x // m],
+                      order[x % m], gram[x], expected[x])
         if self.squares is not None:
-            squares = tuple(_dot(coeffs[name], coeffs[name]) for name in order)
             check(self.squares == squares,
                   "carried self-intersections {} disagree with the classes, "
                   "which give {}", self.squares, squares)
+        if self.partners is not None:
+            partners = _positions(order, conj)
+            check(self.partners == partners,
+                  "carried conjugate positions {} disagree with the "
+                  "conjugation, which gives {}", self.partners, partners)
         return self
+
+
+def _positions(order, conjugate_names):
+    """Each component's conjugate position, in cycle order."""
+    return tuple(map(order.index, map(conjugate_names.__getitem__, order)))
+
+
+def _gram(columns, m):
+    """The Gram matrix of m classes given by their coefficient ``columns``,
+    as one flat list, row by row.  It is accumulated column by column over
+    the nonzero coefficients only: l.f = 1 between the classes that carry l
+    or f (the initial components), and E_k^2 = -1 between the few that
+    carry each E_k."""
+    gram = [0] * (m * m)
+    lf = [(i, a, b) for i, (a, b) in enumerate(zip(*columns[:2])) if a or b]
+    for i, a, b in lf:
+        for j, a2, b2 in lf:
+            gram[i * m + j] = a * b2 + b * a2
+    positions = range(m)
+    for column in columns[2:]:
+        support = list(compress(positions, column))
+        for i in support:
+            row, v = i * m, column[i]
+            for j in support:
+                gram[row + j] -= v * column[j]
+    return gram
 
 
 def smooth_anticanonical_cycle(pairs, torsion=None):
@@ -403,6 +473,11 @@ _INITIAL_CYCLES = {
 }
 
 
+#: a ``BlowupStep`` from its five fields without the checks, for moves that
+#: are valid by construction
+_new_step = partial(tuple.__new__, BlowupStep)
+
+
 class RealizationState:
     """The cycle after the first k steps of a schedule on ``pairs`` pairs,
     held by position: ``order`` names the components in cycle order, ``key``
@@ -412,8 +487,8 @@ class RealizationState:
     and derives the child in O(m), recording the step as its ``move`` and in
     ``lose`` the positions it takes E_{2k-1} and E_{2k} from.
 
-    No state holds divisor classes.  ``cycle`` replays the steps on
-    coefficient lists, each state on its path once: a state copies its
+    No state holds divisor classes.  ``cycle`` and ``necklace`` replay the
+    steps on coefficient lists, each state on its path once: a state copies its
     parent's lists (the root's are the literal ones) and subtracts its pair
     from the components ``lose`` names, once no list meets that pair yet
     (checked, O(m)); ``extend`` lowered the same components' squares.  Every
@@ -504,7 +579,8 @@ class RealizationState:
 
     def cycle(self) -> AnticanonicalCycle:
         """The cycle in the lattice of the pairs placed so far, with its
-        squares and replayed classes; valid by construction past the root."""
+        squares, conjugate positions and replayed classes; valid by
+        construction past the root."""
         pairs = len(self.key[3])  # a prefix drops the pairs not yet placed
         lattice = SurfaceLattice(pairs) if pairs < self.lattice.pairs else self.lattice
         rank, order, (_, squares, partners, _, _) = lattice.rank, self.order, self.key
@@ -512,9 +588,19 @@ class RealizationState:
             lattice, order,
             {n: DivisorClass(lattice, c[:rank]) for n, c in self._replay().items()},
             {name: order[p] for name, p in zip(order, partners)},
-            squares=squares,
+            squares=squares, partners=partners,
         )
         return result if pairs else result.validate()
+
+    def necklace(self, torsion: TorsionSpec | None = None) -> Necklace:
+        """The necklace of ``cycle()`` with ``torsion``, read off the key.
+        It replays the classes first, as lists, so the check that each
+        pair is fresh runs on this path too; no divisor class is built."""
+        self._replay()
+        _, squares, partners, hosts, _ = self.key
+        return Necklace(self.order, tuple([c2 + 2 for c2 in squares]), partners,
+                        False, None if torsion is None else torsion.tau,
+                        len(hosts))
 
     def _replay(self):
         """The classes by name as coefficient lists on all the pairs, once per
@@ -552,7 +638,7 @@ class RealizationState:
         smooth points of the real fibre are left out, as ``extend`` rejects
         them."""
         order, (_, _, partners, hosts, consumed) = self.order, self.key
-        conj, make = [order[p] for p in partners], BlowupStep._make
+        conj, make = [order[p] for p in partners], _new_step
         out = [make(("smooth", name, None, None, None))
                for name, other in zip(order, conj)
                if not self._on_real_fibre(name) and name <= other]

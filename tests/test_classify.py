@@ -6,6 +6,7 @@ import gc
 import hashlib
 import importlib
 import math
+import operator
 from collections import Counter
 from itertools import chain, combinations
 from pathlib import Path
@@ -42,9 +43,11 @@ from twistor4.lattice import (
     BlowupSchedule,
     BlowupStep,
     DivisorClass,
+    Necklace,
     RealizationState,
     SurfaceLattice,
     realize_cycle,
+    smooth_anticanonical_cycle,
 )
 from twistor4.linalg import bareiss_determinant
 
@@ -240,7 +243,7 @@ def _walked_leaf_cycles():
     nodes-first type III leaves through the elementary transform."""
     for initial in INITIAL_TYPES:
         for _, leaf in walk_schedules(RealizationState(initial, 4)):
-            yield leaf.cycle().with_torsion(TAU_ONE)
+            yield dataclasses.replace(leaf.cycle(), torsion=TAU_ONE)
     nodes_first = RealizationState("III", 4).extend(N(("A", "Abar")))
     for schedule, _ in walk_schedules(nodes_first):
         yield model_from_schedule(schedule, TAU_ONE)
@@ -492,13 +495,26 @@ def _walked_leaves():
 
 
 def test_necklace_is_read_off_the_leaf_cycle():
+    # the enumerator classifies the Necklace read off a leaf's key; the
+    # cycle replayed and validated on the classes must give the same one,
+    # and classify must reach the same report or the same rejection on both
     for schedule, leaf in _walked_leaves():
         squares, partners = classify_module._necklace(leaf)
-        cycle = leaf.cycle()
+        cycle = dataclasses.replace(leaf.cycle(), torsion=TAU_ONE)
+        assert cycle.validate() is cycle
         assert squares == cycle.self_intersections()
         assert tuple(cycle.order[p] for p in partners) == tuple(
             map(cycle.conjugate_names.__getitem__, cycle.order)
         ), schedule
+        necklace = leaf.necklace(TAU_ONE)
+        assert type(necklace) is Necklace and necklace == cycle.necklace()
+        outcomes = []
+        for model in (necklace, cycle):
+            try:
+                outcomes.append(classify(model))
+            except RealizabilityError as exc:
+                outcomes.append(exc.tag)
+        assert outcomes[0] == outcomes[1], schedule
 
 
 def test_a_leafs_necklace_fixes_its_shape_and_case():
@@ -531,10 +547,10 @@ def test_enumeration_keeps_what_classifying_every_leaf_keeps(enumeration):
 
 
 def test_enumeration_classifies_each_necklace_once(monkeypatch):
-    calls, cycles = Counter(), []
+    calls = Counter()
     classify_, cycle = classify_module.classify, RealizationState.cycle
     extend, post_init = RealizationState.extend, BlowupSchedule.__post_init__
-    divisor_init = DivisorClass.__post_init__
+    divisor_init, replay = DivisorClass.__post_init__, RealizationState._replay
 
     def counting_classify(*args):
         calls["classify"] += 1
@@ -542,15 +558,10 @@ def test_enumeration_classifies_each_necklace_once(monkeypatch):
 
     def counting_cycle(self):
         calls["cycle"] += 1
-        calls["in cycle"] += 1
-        try:
-            cycles.append(cycle(self))
-        finally:
-            calls["in cycle"] -= 1
-        return cycles[-1]
+        return cycle(self)
 
     def counting_divisor(self):
-        calls["divisor in a cycle" if calls["in cycle"] else "divisor"] += 1
+        calls["divisor"] += 1
         divisor_init(self)
 
     def counting_extend(self, step):
@@ -563,24 +574,54 @@ def test_enumeration_classifies_each_necklace_once(monkeypatch):
         calls["schedule"] += 1
         post_init(self)
 
+    def counting_replay(self):
+        # a state replays its step once, checking that its pair is fresh
+        calls["replayed step"] += self._classes is None
+        return replay(self)
+
     monkeypatch.setattr(classify_module, "classify", counting_classify)
     monkeypatch.setattr(RealizationState, "cycle", counting_cycle)
     monkeypatch.setattr(RealizationState, "extend", counting_extend)
+    monkeypatch.setattr(RealizationState, "_replay", counting_replay)
     monkeypatch.setattr(BlowupSchedule, "__post_init__", counting_post_init)
     monkeypatch.setattr(DivisorClass, "__post_init__", counting_divisor)
     result = enumerate_configurations()
     assert result.visited == 1480
     # 1,480 leaves, 124 distinct necklaces in cycle order; the skipped
     # subtrees save 707 of the 1,701 extends and 641 of the 1,480 leaf
-    # states a plain walk builds, a schedule is built per classified leaf,
-    # and divisor classes only when a classified leaf's cycle is replayed,
-    # one per component
-    assert calls == {"classify": 124, "cycle": 124, "extend": 994, "leaf": 839,
-                     "schedule": 124, "in cycle": 0,
-                     "divisor in a cycle": sum(c.m for c in cycles)}
-    assert sum(c.m for c in cycles) == 1040
-    for handed_out in cycles:
-        assert handed_out.validate() is handed_out
+    # states a plain walk builds.  Each classified leaf's necklace replays
+    # the 180 steps on the paths to the 124 classified leaves as lists, so
+    # no cycle and no divisor class is built, and a schedule is built only
+    # for each of the 58 kept entries
+    assert calls == Counter({"classify": 124, "extend": 994, "leaf": 839,
+                             "schedule": 58, "replayed step": 180})
+    assert calls["cycle"] == calls["divisor"] == 0
+
+
+def test_a_necklace_carries_degrees_not_squares():
+    # a rational component has degree C^2 + 2; the smooth variant, an
+    # elliptic curve of class -K, has degree (-K)^2 = 8 - 2n
+    smooth = smooth_anticanonical_cycle(4, TAU_ONE).necklace()
+    assert smooth == Necklace(("C",), (0,), (0,), True, 1, 4)
+    assert classify(smooth) == classify(smooth_anticanonical_cycle(4, TAU_ONE))
+    assert smooth_anticanonical_cycle(3).necklace().degrees == (2,)
+    state = RealizationState("II", 1).extend(S("C0"))
+    assert state.necklace() == Necklace(("F", "C0"), (2, 4), (0, 1), False,
+                                        None, 1)
+
+
+def test_a_tampered_replay_trips_the_enumeration(monkeypatch):
+    # the enumerator builds no cycle, but each classified necklace still
+    # replays its path: a node exceptional E1 that also carries E3 meets
+    # pair 2 before step 2 places it
+    exceptional = SurfaceLattice._exceptional_coeffs
+    monkeypatch.setattr(SurfaceLattice, "_exceptional_coeffs", lambda self, i: (
+        tuple(map(operator.add, exceptional(self, 1), exceptional(self, 3)))
+        if i == 1 else exceptional(self, i)))
+    with pytest.raises(InvariantError) as info:
+        enumerate_configurations()
+    assert info.value.tag == "invariant-realization-fresh-pair"
+    assert "already meet E3 or E4 before step 2" in str(info.value)
 
 
 def _found_key(entry):

@@ -358,9 +358,21 @@ def test_class_validation():
     lambda: pairing_matrix(True),
     lambda: chern_numbers(4.0),
     lambda: euler_char_fundamental(4.0, 1),
+    lambda: euler_char_fundamental(4, 1.5),
+    lambda: euler_char_fundamental(4, 1.0),
+    lambda: euler_char_fundamental(4, True),
+    lambda: x(2, True),
+    lambda: x(2, 1.0),
+    lambda: x(2.0, 1),
+    lambda: x(True, 1),
+    lambda: zero(2, 3),
+    lambda: zero(2, True),
+    lambda: zero(1.5, 2),
 ], ids=["coeff-float", "coeff-bool", "n-float", "n-bool", "degree-float",
         "degree-bool", "pairing-float", "pairing-bool", "chern-float",
-        "euler-float"])
+        "euler-float", "euler-m-fraction", "euler-m-float", "euler-m-bool",
+        "x-i-bool", "x-i-float", "x-n-float", "x-n-bool", "zero-degree",
+        "zero-degree-bool", "zero-n-float"])
 def test_bad_library_arguments_raise_degree_error(call):
     # an integer argument is checked, never truncated, and a bool is no int
     chern_numbers(4)  # a cached int n does not answer for 4.0

@@ -218,6 +218,24 @@ def test_node_step_needs_a_tuple_or_list_of_two_ids(components):
         BlowupStep("node", components=components)
 
 
+def test_a_replaced_step_is_checked_like_a_new_one():
+    step = BlowupStep.smooth("G")
+    with pytest.raises(ScheduleError, match="unknown step kind 'bogus'"):
+        step._replace(kind="bogus")
+    with pytest.raises(ScheduleError, match="carries only component, not over_pair"):
+        step._replace(over_pair=1)
+    with pytest.raises(ScheduleError, match="node step needs two distinct"):
+        step._replace(kind="node")
+    with pytest.raises(ValueError, match="unexpected field names"):
+        step._replace(colour="red")
+    moved = step._replace(component="F")
+    assert type(moved) is BlowupStep and moved == BlowupStep.smooth("F")
+    node = BlowupStep.node(("F", "G"))._replace(components=["F", "Gbar"])
+    assert node.components == ("F", "Gbar")  # a list is stored as a tuple
+    root = RealizationState("I", 1)
+    assert root.extend(node).key == root.extend(BlowupStep.node(("F", "Gbar"))).key
+
+
 def test_node_step_accepts_a_list_and_stores_a_tuple():
     step = BlowupStep("node", components=["F", "G"])
     assert step.components == ("F", "G")
@@ -253,7 +271,7 @@ def test_realize_case_a_golden():
     assert cycle.classes["C0"].coeffs == (2, 1) + (-1,) * 8
     assert cycle.self_intersections() == (0, -4)
     assert cycle.degrees() == (2, -2)
-    assert cycle.is_real("F") and cycle.is_real("C0")
+    assert cycle.conjugate_names["F"] == "F" and cycle.conjugate_names["C0"] == "C0"
 
 
 def test_realize_case_b_golden():
@@ -267,7 +285,6 @@ def test_realize_case_b_golden():
     assert g.self_intersection == -4
     assert g.dot(gbar) == 0
     assert cycle.degrees() == (2, -2, 2, -2)
-    assert not cycle.is_real("G")
     assert cycle.conjugate_names["G"] == "Gbar"
 
 
@@ -285,7 +302,7 @@ def test_realize_case_c_golden():
     assert cycle.order == ("F", "E3", "E1", "G", "Fbar", "E4", "E2", "Gbar")
     assert cycle.self_intersections() == (-2, -1, -2, -3, -2, -1, -2, -3)
     assert cycle.degrees() == (0, 1, 0, -1, 0, 1, 0, -1)
-    assert not any(cycle.is_real(name) for name in cycle.order)
+    assert not any(cycle.conjugate_names[name] == name for name in cycle.order)
 
 
 def test_realize_nef_golden_all_degrees_zero():
@@ -459,6 +476,11 @@ _TAMPERED = {
         lambda cycle: {"squares": (0, 0, 0, 0)},
         ScheduleError,
         r"carried self-intersections \(0, 0, 0, 0\) disagree",
+    ),
+    "carried-partners-disagree-with-the-conjugation": (
+        lambda cycle: {"partners": (0, 1, 2, 3)},
+        ScheduleError,
+        r"carried conjugate positions \(0, 1, 2, 3\) disagree",
     ),
     "classes-from-another-lattice": (
         lambda cycle: {"classes": {**cycle.classes,
@@ -794,7 +816,7 @@ def test_conjugate_target_of_infinitely_near_is_allowed():
 def _weight_multiset(cycle):
     return sorted(
         zip(cycle.self_intersections(), cycle.degrees(),
-            [cycle.is_real(name) for name in cycle.order]),
+            [cycle.conjugate_names[name] == name for name in cycle.order]),
     )
 
 

@@ -846,6 +846,18 @@ def test_cli_usage_errors_exit_1(capsys):
     assert code == 1
 
 
+def test_cli_index_errors_exit_1_and_tagged_errors_exit_2(capsys):
+    # a bad generator index is malformed input; a failed hypothesis is tagged
+    code, out, err = _run(capsys, "ring", "--n", "4", "--expr", "x5 w")
+    assert (code, out, err) == (1, "", "error: x5 does not exist for n=4\n")
+    code, out, err = _run(capsys, "ring", "--n", "4", "--expr", "x0")
+    assert (code, out, err) == (1, "", "error: x0 does not exist for n=4\n")
+    code, out, err = _run(capsys, "euler", "--n", "4", "--m", "-1")
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    code, out, err = _run(capsys, "cycle-h0", "--degrees", "1,1")
+    assert (code, out) == (2, "") and err.startswith("violation: too-few-components: ")
+
+
 def test_cli_chern_rejects_unsupported_n(capsys):
     code, _, err = _run(capsys, "chern", "--n", "0")
     assert code == 1 and "error:" in err
