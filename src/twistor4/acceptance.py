@@ -223,12 +223,12 @@ _GOLDENS = (
 )
 
 
-def _criterion_golden(schedule, precheck, fields, expected, detail):
-    cycle = model_from_schedule(schedule())
-    failure = precheck(cycle)
+def _criterion_golden(golden, precheck, fields, expected, detail):
+    schedule = golden()
+    failure = precheck(realize_cycle(schedule))
     if failure:
         return False, failure
-    report = classify(cycle)
+    report = classify(model_from_schedule(schedule))
     got = tuple(getattr(report, name) for name in fields)
     if got != expected:
         return False, f"report {got} != {expected}"

@@ -22,12 +22,13 @@ components:
                  dimension of the anticanonical system of Z itself.
 
 Anything else is not realizable by a conjugate-pair blow-up schedule and
-raises ``RealizabilityError``.  The case and its realizability are read off
-the weighted necklace alone (a ``Necklace``: the degrees in cycle order and
-the conjugation), never off the divisor classes: in a valid cycle two
-components meet exactly when they are adjacent, so the -2 pair of case b
-must not be adjacent, and the nonzero degrees of case c must alternate in
-sign round the cycle.
+raises ``RealizabilityError``.  The model is the weighted necklace alone (a
+``Necklace``: the degrees in cycle order, the conjugation and tau), which
+``model_from_schedule`` and ``model_from_document`` build without a divisor
+class; the case and its realizability are read off it: in a valid cycle
+two components meet exactly when they are adjacent, so the -2 pair of
+case b must not be adjacent, and the nonzero degrees of case c must
+alternate in sign round the cycle.
 """
 
 from __future__ import annotations
@@ -35,19 +36,17 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, reduce
 
 from . import schema
 from .cohomology import chern_numbers
 from .cycles import CycleLineBundle, TorsionSpec, h0_formula
 from .errors import RealizabilityError, ScheduleError, TorsionRequiredError, check
 from .lattice import (
-    AnticanonicalCycle,
     BlowupSchedule,
     Necklace,
     RealizationState,
     elementary_transform,
-    realize_cycle,
     smooth_anticanonical_cycle,
 )
 
@@ -86,13 +85,12 @@ _CASES = {
 }
 
 
-def _necklace_of(model: AnticanonicalCycle | Necklace) -> Necklace:
-    return model if isinstance(model, Necklace) else model.necklace()
-
-
-def anticanonical_degrees(model: AnticanonicalCycle | Necklace) -> tuple[int, ...]:
-    """deg(F|_{C_i}) = C_i.(-K) per component, in cycle order."""
-    necklace = _necklace_of(model)
+def anticanonical_degrees(necklace: Necklace) -> tuple[int, ...]:
+    """deg(F|_{C_i}) = C_i.(-K) per component, in cycle order; a model
+    that is not a ``Necklace`` raises ScheduleError."""
+    if not isinstance(necklace, Necklace):
+        raise ScheduleError(
+            f"a model must be a Necklace, got {type(necklace).__name__}")
     degrees = necklace.degrees
     total, expected = sum(degrees), 8 - 2 * necklace.pairs
     check(total == expected, "degrees {} sum to {}, closed form {}",
@@ -100,9 +98,7 @@ def anticanonical_degrees(model: AnticanonicalCycle | Necklace) -> tuple[int, ..
     return degrees
 
 
-def negative_curves(
-    model: AnticanonicalCycle | Necklace,
-) -> tuple[tuple[str, int], ...]:
+def negative_curves(necklace: Necklace) -> tuple[tuple[str, int], ...]:
     """Negative-degree components as (id, degree), validated against the
     three realizable patterns.
 
@@ -110,7 +106,6 @@ def negative_curves(
     cycle of this kind; a single real -2, one conjugate -2 pair, or up to
     three conjugate -1 pairs are the only other options.
     """
-    necklace = _necklace_of(model)
     return _match_case(necklace, anticanonical_degrees(necklace))[1]
 
 
@@ -232,38 +227,39 @@ def check_report(report: ClassificationReport) -> ClassificationReport:
 
 def model_from_schedule(
     schedule: BlowupSchedule, torsion: TorsionSpec | None = None
-) -> AnticanonicalCycle:
-    """Realize a schedule, routing the nodes-first two-component form
-    through the elementary transform to its four-component equivalent."""
+) -> Necklace:
+    """The necklace of a schedule's realized cycle, with ``torsion``: the
+    steps folded through ``RealizationState.extend``, after the elementary
+    transform takes the nodes-first two-component form to its
+    four-component equivalent.  No divisor class is built."""
     if (
         schedule.initial_type == "III"
         and schedule.steps
         and schedule.steps[0].kind == "node"
     ):
         schedule = elementary_transform(schedule)
-    cycle = realize_cycle(schedule)
-    cycle.torsion = torsion  # the cycle is new: attach the record, no copy
-    return cycle
+    start = RealizationState(schedule.initial_type, schedule.pairs)
+    return reduce(RealizationState.extend, schedule.steps, start).necklace(torsion)
 
 
-def model_from_document(doc: dict) -> AnticanonicalCycle:
-    """The realized cycle of a schedule document, with its torsion record."""
+def model_from_document(doc: dict) -> Necklace:
+    """The necklace of a schedule document's cycle, with its torsion record;
+    the smooth variant's comes from its validated cycle."""
     parsed = schema.parse_document(doc)
     if parsed.schedule is None:
-        return smooth_anticanonical_cycle(parsed.n, parsed.torsion)
+        return smooth_anticanonical_cycle(parsed.n).necklace(parsed.torsion)
     return model_from_schedule(parsed.schedule, parsed.torsion)
 
 
-def classify(model: AnticanonicalCycle | Necklace) -> ClassificationReport:
+def classify(necklace: Necklace) -> ClassificationReport:
     """The full classification for n = 4 (eight blown-up points), read off
-    the necklace of a cycle (with its torsion record) or a ``Necklace``."""
-    necklace = _necklace_of(model)
+    a ``Necklace``; any other model raises ScheduleError."""
+    degrees = anticanonical_degrees(necklace)
     if necklace.pairs != 4:
         raise ScheduleError(
             f"classification requires n = 4 conjugate pairs, "
             f"got n = {necklace.pairs}"
         )
-    degrees = anticanonical_degrees(necklace)
     case, negatives = _match_case(necklace, degrees)
     nef, m = case == CASE_NEF, len(degrees)
     tau = dim_minus2ks = dim_antican_z = None
@@ -369,11 +365,6 @@ class EnumerationResult:
     exhausted: bool
 
 
-def _necklace(leaf: RealizationState) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A state's weighted necklace: squares and conjugate positions in cycle order."""
-    return leaf.key[1:3]
-
-
 def _shape_key(squares: tuple[int, ...], partners: tuple[int, ...]) -> tuple:
     """The weighted shape of a necklace: its sorted (self-intersection,
     is real) pairs, forgetting the cycle order."""
@@ -403,7 +394,7 @@ def _outcome(leaf: RealizationState) -> tuple[ClassificationReport | None, str |
 def classify_leaf(leaf: RealizationState) -> EnumeratedEntry:
     """Classify the schedule that walked to ``leaf`` from the leaf's necklace."""
     schedule = BlowupSchedule(leaf.initial_type, leaf.steps)
-    return EnumeratedEntry(schedule, _shape_key(*_necklace(leaf)), *_outcome(leaf))
+    return EnumeratedEntry(schedule, _shape_key(*leaf.key[1:3]), *_outcome(leaf))
 
 
 class _CapReached(Exception):

@@ -26,17 +26,19 @@ pair sits (the other location is implied by equivariance):
 A ``RealizationState`` is the cycle after the first k steps, held by
 position; ``realize_cycle`` folds its ``extend`` over a schedule's steps and
 takes its ``cycle``, which replays them on the classes and is valid by
-construction (see ``RealizationState``).  ``AnticanonicalCycle.validate``
-stays the full oracle for cycles built elsewhere.  A ``Necklace`` is what
-the classification reads of a cycle: names, degrees and conjugation by
-position; a cycle and a state each give theirs.
+construction (see ``RealizationState``).  An ``AnticanonicalCycle`` holds
+its components' classes and the conjugation on their names, and nothing
+derived from them; ``validate`` stays the full oracle for cycles built
+elsewhere.  A ``Necklace`` is what the classification reads of a cycle:
+names, degrees and conjugation by position, with tau passed in; a cycle
+and a state each give theirs, and a state gives it with no class built.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
-from functools import cache, partial, reduce
+from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import compress
 from operator import itemgetter, mul
 
@@ -108,7 +110,6 @@ class SurfaceLattice:
             raise ScheduleError(f"E{i} does not exist (pairs={self.pairs})")
         return (0,) * (1 + i) + (1,) + (0,) * (2 * self.pairs - i)
 
-    @cache
     def anticanonical(self):
         return self.divisor(2, 2, (-1,) * (2 * self.pairs))
 
@@ -217,10 +218,10 @@ class BlowupStep(namedtuple("BlowupStep", ("kind", "component", "components",
                                            "over_pair", "on_strict_transform"))):
     """Location of one point of a conjugate pair (the other is implied).
 
-    A tuple of its five fields, checked on construction and by
-    ``_replace``.  ``_make`` skips the checks, and so does
-    ``RealizationState.candidates``, which builds its moves, valid by
-    construction, with ``tuple.__new__``."""
+    A tuple of its five fields, checked on construction and by ``_make``,
+    through which ``_replace`` builds too.  ``RealizationState.candidates``
+    skips the checks: it builds its moves, valid by construction, with
+    ``tuple.__new__``."""
 
     __slots__ = ()
 
@@ -258,8 +259,9 @@ class BlowupStep(namedtuple("BlowupStep", ("kind", "component", "components",
                 )
         return step
 
-    def _replace(self, /, **changes):
-        return BlowupStep(*super()._replace(**changes))
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def smooth(cls, component):
@@ -304,7 +306,7 @@ class Necklace(namedtuple("Necklace", ("order", "degrees", "partners",
     """A cycle as the classification reads it, by position: the component
     names in cycle order, their degrees C_i.(-K), each one's conjugate
     position, the smooth-variant flag, the torsion order tau of the
-    cycle's torsion record (None without one) and the number of pairs.
+    torsion record it was given (None without one) and the number of pairs.
 
     It holds degrees, not squares: C.(-K) = C^2 + 2 on a rational
     component, but the smooth variant has degree (-K)^2 = 8 - 2n."""
@@ -317,46 +319,35 @@ class AnticanonicalCycle:
     """The realized cycle C = sum C_i in |-K_S| (or its smooth variant).
 
     ``order`` is the cyclic component order; ``conjugate_names`` the real
-    involution on component ids.  ``squares`` and ``partners`` hold the
-    self-intersections and each component's conjugate position in cycle
-    order when the realization engine carried them along, else None.  The
-    constructor performs no validation so tests can build
-    synthetic cycles; ``validate()`` is the invariant oracle for a cycle
-    built outside the engine, whose cycles are valid by construction.
+    involution on component ids.  The constructor performs no validation
+    so tests can build synthetic cycles; ``validate()`` is the invariant
+    oracle for a cycle built outside the engine, whose cycles are valid by
+    construction.
     """
 
     lattice: SurfaceLattice
     order: tuple[str, ...]
     classes: dict[str, DivisorClass]
     conjugate_names: dict[str, str]
-    torsion: TorsionSpec | None = None
     smooth_variant: bool = False
-    squares: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-    partners: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def m(self):
         return len(self.order)
 
     def self_intersections(self):
-        if self.squares is not None:
-            return self.squares
         return tuple(self.classes[name].self_intersection for name in self.order)
 
     def degrees(self):
-        if self.squares is not None:  # genus 0: C.(-K) = C^2 + 2
-            return tuple([c2 + 2 for c2 in self.squares])
         minus_k = self.lattice.anticanonical().coeffs
         return tuple(_dot(self.classes[name].coeffs, minus_k) for name in self.order)
 
-    def necklace(self) -> Necklace:
-        """The cycle by position, with tau from its torsion record."""
-        partners = self.partners
-        if partners is None:
-            partners = _positions(self.order, self.conjugate_names)
+    def necklace(self, torsion: TorsionSpec | None = None) -> Necklace:
+        """The cycle by position, with the torsion order of ``torsion``."""
         return Necklace(
-            self.order, self.degrees(), partners, self.smooth_variant,
-            None if self.torsion is None else self.torsion.tau, self.lattice.pairs,
+            self.order, self.degrees(), _positions(self.order, self.conjugate_names),
+            self.smooth_variant, None if torsion is None else torsion.tau,
+            self.lattice.pairs,
         )
 
     def validate(self):
@@ -412,15 +403,6 @@ class AnticanonicalCycle:
                 x = next(x for x, (g, e) in enumerate(zip(gram, expected)) if g != e)
                 check(False, "{}.{} = {}, expected {}", order[x // m],
                       order[x % m], gram[x], expected[x])
-        if self.squares is not None:
-            check(self.squares == squares,
-                  "carried self-intersections {} disagree with the classes, "
-                  "which give {}", self.squares, squares)
-        if self.partners is not None:
-            partners = _positions(order, conj)
-            check(self.partners == partners,
-                  "carried conjugate positions {} disagree with the "
-                  "conjugation, which gives {}", self.partners, partners)
         return self
 
 
@@ -450,7 +432,7 @@ def _gram(columns, m):
     return gram
 
 
-def smooth_anticanonical_cycle(pairs, torsion=None):
+def smooth_anticanonical_cycle(pairs):
     """The smooth-elliptic anticanonical member (nef by construction)."""
     lattice = SurfaceLattice(pairs)
     cycle = AnticanonicalCycle(
@@ -458,7 +440,6 @@ def smooth_anticanonical_cycle(pairs, torsion=None):
         order=("C",),
         classes={"C": lattice.anticanonical()},
         conjugate_names={"C": "C"},
-        torsion=torsion,
         smooth_variant=True,
     )
     return cycle.validate()
@@ -578,17 +559,15 @@ class RealizationState:
         return child
 
     def cycle(self) -> AnticanonicalCycle:
-        """The cycle in the lattice of the pairs placed so far, with its
-        squares, conjugate positions and replayed classes; valid by
-        construction past the root."""
+        """The cycle in the lattice of the pairs placed so far, its classes
+        replayed; valid by construction past the root."""
         pairs = len(self.key[3])  # a prefix drops the pairs not yet placed
         lattice = SurfaceLattice(pairs) if pairs < self.lattice.pairs else self.lattice
-        rank, order, (_, squares, partners, _, _) = lattice.rank, self.order, self.key
+        rank, order, partners = lattice.rank, self.order, self.key[2]
         result = AnticanonicalCycle(
             lattice, order,
             {n: DivisorClass(lattice, c[:rank]) for n, c in self._replay().items()},
             {name: order[p] for name, p in zip(order, partners)},
-            squares=squares, partners=partners,
         )
         return result if pairs else result.validate()
 

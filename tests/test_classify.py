@@ -46,6 +46,7 @@ from twistor4.lattice import (
     Necklace,
     RealizationState,
     SurfaceLattice,
+    elementary_transform,
     realize_cycle,
     smooth_anticanonical_cycle,
 )
@@ -161,22 +162,22 @@ def test_classification_requires_four_pairs():
 # -- degree helpers ------------------------------------------------------------
 
 def test_anticanonical_degrees_and_nef():
-    nef_cycle = realize_cycle(golden_nef())
+    nef_cycle = model_from_schedule(golden_nef())
     assert anticanonical_degrees(nef_cycle) == (0, 0, 0, 0)
     assert all(d >= 0 for d in anticanonical_degrees(nef_cycle))
-    case_a = realize_cycle(golden_case_a())
+    case_a = model_from_schedule(golden_case_a())
     assert anticanonical_degrees(case_a) == (2, -2)
     assert not all(d >= 0 for d in anticanonical_degrees(case_a))
 
 
 def test_negative_curves_on_goldens():
-    assert negative_curves(realize_cycle(golden_nef())) == ()
-    assert negative_curves(realize_cycle(golden_case_a())) == (("C0", -2),)
-    assert negative_curves(realize_cycle(golden_case_b())) == (
+    assert negative_curves(model_from_schedule(golden_nef())) == ()
+    assert negative_curves(model_from_schedule(golden_case_a())) == (("C0", -2),)
+    assert negative_curves(model_from_schedule(golden_case_b())) == (
         ("G", -2),
         ("Gbar", -2),
     )
-    assert negative_curves(realize_cycle(golden_case_c())) == (
+    assert negative_curves(model_from_schedule(golden_case_c())) == (
         ("G", -1),
         ("Gbar", -1),
     )
@@ -188,13 +189,12 @@ def test_degree_below_minus_two_rejected():
     schedule = BlowupSchedule(
         "II", (S("C0"), N(("F", "C0")), N(("E3", "F")), N(("E5", "F"))),
     )
-    cycle = realize_cycle(schedule)
-    assert min(cycle.degrees()) == -4
+    assert min(realize_cycle(schedule).degrees()) == -4
     with pytest.raises(RealizabilityError) as info:
         classify(model_from_schedule(schedule))
     assert info.value.tag == "degree-below-minus-2"
     with pytest.raises(RealizabilityError):
-        negative_curves(cycle)
+        negative_curves(model_from_schedule(schedule))
 
 
 def test_unrealizable_negative_pattern_rejected():
@@ -230,7 +230,7 @@ def test_meeting_minus_two_pair_rejected():
         cycle = AnticanonicalCycle(lattice, order, classes, conjugate)
         assert sum(cycle.degrees()) == 0
         with pytest.raises(RealizabilityError) as info:
-            classify(cycle)
+            classify(cycle.necklace())
         assert info.value.tag == "pair-not-disjoint"
     # the old order, with the meeting pair not adjacent, is no cycle at all
     with pytest.raises(ScheduleError):
@@ -243,17 +243,17 @@ def _walked_leaf_cycles():
     nodes-first type III leaves through the elementary transform."""
     for initial in INITIAL_TYPES:
         for _, leaf in walk_schedules(RealizationState(initial, 4)):
-            yield dataclasses.replace(leaf.cycle(), torsion=TAU_ONE)
+            yield leaf.cycle()
     nodes_first = RealizationState("III", 4).extend(N(("A", "Abar")))
     for schedule, _ in walk_schedules(nodes_first):
-        yield model_from_schedule(schedule, TAU_ONE)
+        yield realize_cycle(elementary_transform(schedule))
 
 
 def _reference_rejection(cycle):
     """The tag classify must raise, from products of the classes and the
     negatives on each arc between positive components, or None."""
     try:
-        negatives = negative_curves(cycle)
+        negatives = negative_curves(cycle.necklace())
     except RealizabilityError as exc:
         return exc.tag
     if [d for _, d in negatives] == [-2, -2]:  # the conjugate pair
@@ -275,7 +275,7 @@ def test_necklace_rules_match_the_lattice_reference_on_every_leaf():
     outcomes = Counter()
     for cycle in _walked_leaf_cycles():
         try:
-            outcome, tag = classify(cycle).case, None
+            outcome, tag = classify(cycle.necklace(TAU_ONE)).case, None
         except RealizabilityError as exc:
             outcome = tag = exc.tag
         assert tag == _reference_rejection(cycle), (cycle.order, cycle.degrees())
@@ -427,18 +427,20 @@ def test_walk_leaf_states_match_realize_cycle(initial, prefix, leaves):
 )
 def test_every_walked_leaf_is_valid_with_its_carried_squares(initial, pairs, leaves):
     # leaves skip validate(); the full oracle and a recomputation of every
-    # self-intersection and degree must agree with what the engine carried
+    # self-intersection, conjugate position and degree from the classes
+    # must agree with what the state carried in its key
     count = 0
     for _, leaf in walk_schedules(RealizationState(initial, pairs)):
         cycle = leaf.cycle()
         assert cycle.validate() is cycle
         minus_k = cycle.lattice.anticanonical()
         classes = [cycle.classes[name] for name in cycle.order]
-        assert cycle.squares is not None
-        assert cycle.self_intersections() == tuple(
-            c.self_intersection for c in classes
+        _, squares, partners, _, _ = leaf.key
+        assert squares == leaf.squares == tuple(c.self_intersection for c in classes)
+        assert partners == tuple(
+            cycle.order.index(cycle.conjugate_names[name]) for name in cycle.order
         )
-        assert cycle.degrees() == tuple(c.dot(minus_k) for c in classes)
+        assert leaf.necklace().degrees == tuple(c.dot(minus_k) for c in classes)
         count += 1
     assert count == leaves
 
@@ -497,24 +499,18 @@ def _walked_leaves():
 def test_necklace_is_read_off_the_leaf_cycle():
     # the enumerator classifies the Necklace read off a leaf's key; the
     # cycle replayed and validated on the classes must give the same one,
-    # and classify must reach the same report or the same rejection on both
+    # so classify reaches the same report or the same rejection on both
     for schedule, leaf in _walked_leaves():
-        squares, partners = classify_module._necklace(leaf)
-        cycle = dataclasses.replace(leaf.cycle(), torsion=TAU_ONE)
+        squares, partners = leaf.key[1:3]
+        cycle = leaf.cycle()
         assert cycle.validate() is cycle
         assert squares == cycle.self_intersections()
         assert tuple(cycle.order[p] for p in partners) == tuple(
             map(cycle.conjugate_names.__getitem__, cycle.order)
         ), schedule
         necklace = leaf.necklace(TAU_ONE)
-        assert type(necklace) is Necklace and necklace == cycle.necklace()
-        outcomes = []
-        for model in (necklace, cycle):
-            try:
-                outcomes.append(classify(model))
-            except RealizabilityError as exc:
-                outcomes.append(exc.tag)
-        assert outcomes[0] == outcomes[1], schedule
+        assert type(necklace) is Necklace, schedule
+        assert necklace == cycle.necklace(TAU_ONE), schedule
 
 
 def test_a_leafs_necklace_fixes_its_shape_and_case():
@@ -524,7 +520,7 @@ def test_a_leafs_necklace_fixes_its_shape_and_case():
     outcomes, leaves = {}, 0
     for schedule, leaf in _walked_leaves():
         fresh = classify_leaf(leaf)
-        key = schedule.initial_type, classify_module._necklace(leaf)
+        key = schedule.initial_type, leaf.key[1:3]
         outcome = _found_key(fresh)
         assert outcomes.setdefault(key, outcome) == outcome, schedule
         leaves += 1
@@ -598,12 +594,58 @@ def test_enumeration_classifies_each_necklace_once(monkeypatch):
     assert calls["cycle"] == calls["divisor"] == 0
 
 
+def test_a_schedule_document_realizes_with_no_divisor_class(monkeypatch):
+    # model_from_document folds the steps into a state and reads the
+    # necklace off its key: no cycle and no class, as in the enumerator;
+    # the smooth variant alone builds (and validates) its cycle
+    calls = Counter()
+    cycle, divisor_init = RealizationState.cycle, DivisorClass.__post_init__
+
+    def counting_cycle(self):
+        calls["cycle"] += 1
+        return cycle(self)
+
+    def counting_divisor(self):
+        calls["divisor"] += 1
+        divisor_init(self)
+
+    monkeypatch.setattr(RealizationState, "cycle", counting_cycle)
+    monkeypatch.setattr(DivisorClass, "__post_init__", counting_divisor)
+    schedules = Path(__file__).resolve().parents[1] / "schedules"
+    for path in sorted(schedules.glob("*.json")):
+        model = model_from_document(schema.load_document(path))
+        assert type(model) is Necklace
+        classify(model)
+    nodes_first = schema.document_for(
+        BlowupSchedule("III", (N(("A", "Abar")), S("A"), S("A"), S("A"))))
+    classify(model_from_document(nodes_first))
+    assert calls == Counter()
+    model_from_document({"n": 4, "initial_type": "I", "steps": [],
+                         "smooth_anticanonical": True})
+    assert calls["cycle"] == 0 and calls["divisor"] > 0
+
+
+def test_classify_takes_a_necklace_only():
+    # a cycle is the class-level oracle, not a model: it is refused as
+    # extend refuses a step that is not a BlowupStep
+    cycle = realize_cycle(golden_case_a())
+    for call in (classify, anticanonical_degrees, negative_curves):
+        with pytest.raises(ScheduleError, match="must be a Necklace, got "
+                                                "AnticanonicalCycle"):
+            call(cycle)
+    with pytest.raises(ScheduleError, match="must be a Necklace, got tuple"):
+        classify(tuple(cycle.necklace()))
+    assert classify(cycle.necklace()) == classify(model_from_schedule(golden_case_a()))
+
+
 def test_a_necklace_carries_degrees_not_squares():
     # a rational component has degree C^2 + 2; the smooth variant, an
     # elliptic curve of class -K, has degree (-K)^2 = 8 - 2n
-    smooth = smooth_anticanonical_cycle(4, TAU_ONE).necklace()
+    smooth = smooth_anticanonical_cycle(4).necklace(TAU_ONE)
     assert smooth == Necklace(("C",), (0,), (0,), True, 1, 4)
-    assert classify(smooth) == classify(smooth_anticanonical_cycle(4, TAU_ONE))
+    assert smooth == model_from_document({
+        "n": 4, "initial_type": "I", "steps": [], "smooth_anticanonical": True,
+        "torsion": {"kind": "finite", "order": 1}})
     assert smooth_anticanonical_cycle(3).necklace().degrees == (2,)
     state = RealizationState("II", 1).extend(S("C0"))
     assert state.necklace() == Necklace(("F", "C0"), (2, 4), (0, 1), False,
@@ -747,7 +789,7 @@ def test_a_states_positional_key_fixes_its_subtree():
     subtrees = []
     for initial in ("I", "II"):
         for state in _interior_states(RealizationState(initial, 4)):
-            necklaces = [classify_module._necklace(leaf)
+            necklaces = [leaf.key[1:3]
                          for _, leaf in walk_schedules(state)]
             subtrees.append((state, (len(necklaces), frozenset(necklaces))))
     assert len(subtrees) == 223
@@ -768,7 +810,7 @@ def plain_walk():
     roots = [RealizationState(initial, 4) for initial in ("I", "II")]
     for schedule, leaf in chain.from_iterable(map(walk_schedules, roots)):
         kept_before.append(len(found))
-        necklace = schedule.initial_type, classify_module._necklace(leaf)
+        necklace = schedule.initial_type, leaf.key[1:3]
         if necklace not in seen:
             seen.add(necklace)
             entry = classify_leaf(leaf)
