@@ -39,7 +39,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property, reduce
 
 from . import schema
-from .cohomology import chern_numbers
 from .cycles import CycleLineBundle, TorsionSpec, h0_formula
 from .errors import RealizabilityError, ScheduleError, TorsionRequiredError, check
 from .lattice import (
@@ -100,11 +99,12 @@ def anticanonical_degrees(necklace: Necklace) -> tuple[int, ...]:
 
 def negative_curves(necklace: Necklace) -> tuple[tuple[str, int], ...]:
     """Negative-degree components as (id, degree), validated against the
-    three realizable patterns.
+    three realizable patterns as ``classify`` validates them.
 
     Degrees below -2 cannot occur on a surface with an anticanonical
-    cycle of this kind; a single real -2, one conjugate -2 pair, or up to
-    three conjugate -1 pairs are the only other options.
+    cycle of this kind; a single real -2, one disjoint conjugate -2 pair,
+    or up to three conjugate -1 pairs alternating with the positive
+    components are the only other options.
     """
     return _match_case(necklace, anticanonical_degrees(necklace))[1]
 
@@ -128,6 +128,13 @@ def _match_case(necklace: Necklace, degrees):
     if degs == [-2] and real == [True]:
         return CASE_REAL_MINUS_2, negatives
     if degs == [-2, -2] and not any(real) and partners[at[0]] == at[1]:
+        # components of a valid cycle meet exactly when adjacent
+        if at[1] - at[0] in (1, len(degrees) - 1):
+            raise RealizabilityError(
+                "pair-not-disjoint",
+                f"the degree -2 conjugate pair {negatives[0][0]}, "
+                f"{negatives[1][0]} must be disjoint",
+            )
         return CASE_PAIR_MINUS_2, negatives
     if (
         len(negatives) in (2, 4, 6)
@@ -135,6 +142,15 @@ def _match_case(necklace: Necklace, degrees):
         and not any(real)
         and {partners[p] for p in at} == set(at)
     ):
+        # disjoint positive components, one negative between neighbours
+        signs = [d > 0 for d in degrees if d]
+        if any(p == q for p, q in zip(signs, signs[1:] + signs[:1])):
+            raise RealizabilityError(
+                "case-c-structure",
+                "going round the cycle the nonzero degrees must alternate in "
+                "sign, one negative component between consecutive positive "
+                f"ones; the degrees are {degrees}",
+            )
         return CASE_PAIRS_MINUS_1, negatives
     raise RealizabilityError(
         "negative-pattern",
@@ -279,27 +295,9 @@ def classify(necklace: Necklace) -> ClassificationReport:
         h0, base, a, lebrun = _CASES[case].fixed
         deg1 = 0  # case a; cases b and c set theirs below
     if case == CASE_PAIR_MINUS_2:
-        # components of a valid cycle meet exactly when adjacent
-        i, j = (k for k, d in enumerate(degrees) if d < 0)
-        if (j - i) % m in (1, m - 1):
-            first, second = negatives[0][0], negatives[1][0]
-            raise RealizabilityError(
-                "pair-not-disjoint",
-                f"the degree -2 conjugate pair {first}, {second} must be "
-                "disjoint",
-            )
         deg1 = math.inf
     elif case == CASE_PAIRS_MINUS_1:
-        # disjoint positive components, one negative between neighbours
-        signs = [d > 0 for d in degrees if d]
-        if any(p == q for p, q in zip(signs, signs[1:] + signs[:1])):
-            raise RealizabilityError(
-                "case-c-structure",
-                "going round the cycle the nonzero degrees must alternate in "
-                "sign, one negative component between consecutive positive "
-                f"ones; the degrees are {degrees}",
-            )
-        positive = signs.count(True)
+        positive = sum(d > 0 for d in degrees)
         doubled = CycleLineBundle(tuple(2 * d for d in degrees))
         dim_minus2ks = h0_formula(doubled)
         check(dim_minus2ks == positive,
@@ -310,7 +308,8 @@ def classify(necklace: Necklace) -> ClassificationReport:
     report = ClassificationReport(
         case=case,
         nef=nef,
-        nef_and_big=nef and chern_numbers(4).c1_cubed > 0,
+        # F^3 = c_1^3 / 8 = 2(4 - n): F is big only when n < 4
+        nef_and_big=nef and 2 * (4 - necklace.pairs) > 0,
         negative_curves=negatives,
         cycle_length=m,
         smooth_anticanonical=necklace.smooth_variant,

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import linalg
@@ -47,7 +46,6 @@ __all__ = [
     "cup",
     "evaluate",
     "scalar",
-    "zero",
     "x",
     "w",
     "c1_class",
@@ -64,9 +62,9 @@ _CLOSED_FORM = "computed {}, closed form {} at n={}"
 class CohomologyClass:
     """An element of one graded piece of H*(Z, Z).
 
-    >>> w(2) @ w(2)
+    >>> cup(w(2), w(2))
     CohomologyClass(n=2, degree=4, coeffs=(-1, -1, -1))
-    >>> evaluate(w(4) @ w(4) @ w(4))
+    >>> evaluate(cup(w(4), cup(w(4), w(4))))
     -3
     """
 
@@ -84,42 +82,6 @@ class CohomologyClass:
         if not set(map(type, self.coeffs)) <= {int}:
             raise DegreeError(f"coefficients must be ints, got {self.coeffs}")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-    # -- linear structure ------------------------------------------------
-    def _check_compatible(self, other):
-        if not isinstance(other, CohomologyClass):
-            raise TypeError("expected a CohomologyClass")
-        if self.n != other.n:
-            raise DegreeError("classes of different n never combine")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        if self.degree != other.degree:
-            raise DegreeError("cannot add classes of different degree")
-        return CohomologyClass(
-            self.n, self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        return CohomologyClass(self.n, self.degree, tuple(k * c for c in self.coeffs))
-
-    def __mul__(self, k):
-        return self.__rmul__(k)
-
-    def __matmul__(self, other):
-        """``a @ b`` is the cup product."""
-        return cup(self, other)
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
 
     def __str__(self):
         return linalg.format_combination(self.coeffs, _basis_names(self.n, self.degree))
@@ -152,10 +114,6 @@ def _basis_names(n, degree):
 
 
 # -- constructors ---------------------------------------------------------
-
-def zero(n, degree):
-    return CohomologyClass(n, degree, (0,) * _basis_len(n, degree))
-
 
 def scalar(n, k):
     return CohomologyClass(n, 0, (k,))
@@ -192,7 +150,7 @@ def fundamental_class(n):
     (1, 1, 1, 1, 2)
     """
     result = CohomologyClass(n, 2, (1,) * n + (2,))
-    doubled, c1 = (2 * result).coeffs, c1_class(n).coeffs
+    doubled, c1 = tuple(2 * c for c in result.coeffs), c1_class(n).coeffs
     check(doubled == c1, _CLOSED_FORM, doubled, c1, n, invariant="fundamental-class")
     return result
 
@@ -214,10 +172,9 @@ def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     if total > 6:
         raise DegreeError(f"cup product of degrees {a.degree}+{b.degree} exceeds 6")
     n = a.n
-    if a.degree == 0:
-        return a.coeffs[0] * b
-    if b.degree == 0:
-        return b.coeffs[0] * a
+    if a.degree == 0 or b.degree == 0:
+        (k,), other = (a.coeffs, b) if a.degree == 0 else (b.coeffs, a)
+        return CohomologyClass(n, other.degree, tuple(k * c for c in other.coeffs))
     if a.degree == 2 and b.degree == 2:
         *av, ab = a.coeffs
         *bv, bb = b.coeffs
@@ -254,13 +211,12 @@ class ChernData(NamedTuple):
     c3: int
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 4.0 and True miss, so they are checked
 def chern_numbers(n: int) -> ChernData:
     """Chern numbers (c_1^3, c_1 c_2, c_3) = (16(4-n), 24, 2(n+2)).
 
-    The first two are also recomputed through the ring and checked equal,
-    once per n (the result is memoised); c_3 lives in odd-degree data the
-    ring model does not carry, so the closed form is authoritative.
+    The first two are also recomputed through the ring and checked equal
+    on every call; c_3 lives in odd-degree data the ring model does not
+    carry, so the closed form is authoritative.
     """
     _check_int("n", n)
     data = ChernData(16 * (4 - n), 24, 2 * (n + 2))

@@ -1,12 +1,14 @@
 """Schedule-document schema and the command-line interface."""
 
 import argparse
+import ast
 import hashlib
 import importlib
 import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from itertools import chain
@@ -616,10 +618,29 @@ def test_cli_enumerate_limit_json_bytes_are_pinned(capsys):
     assert digest == _ENUMERATE_LIMIT_10_JSON_SHA256
 
 
+_GOLDENS_CLASSIFY_JSON_SHA256 = (
+    "003dd3e63a5570a2742fb38e63d57e5c6b8ea3431d30bcc52b757bf0e92aa00a"
+)
+_ROOT = Path(__file__).resolve().parents[1]
+_GOLDENS = sorted(_ROOT.glob("schedules/*.json"))
+
+
+def test_cli_classify_json_on_the_goldens_is_pinned(capsys):
+    # the four golden documents, classified one after another
+    out = ""
+    for path in _GOLDENS:
+        code, text, _ = _run(capsys, "classify", "--json", str(path))
+        assert code == 0
+        out += text
+    assert len(_GOLDENS) == 4
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        _GOLDENS_CLASSIFY_JSON_SHA256)
+
+
 def test_cli_under_python_O_keeps_its_results():
     # with asserts stripped, nothing the program computes may change: no
     # control flow rests on an assert
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(_ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
 
@@ -634,6 +655,25 @@ def test_cli_under_python_O_keeps_its_results():
     assert selftest.strip().endswith("10/10 criteria passed")
     enumerated = run("enumerate", "--json")
     assert hashlib.sha256(enumerated).hexdigest() == _ENUMERATE_JSON_SHA256
+    classified = b"".join(run("classify", "--json", str(path)) for path in _GOLDENS)
+    assert hashlib.sha256(classified).hexdigest() == _GOLDENS_CLASSIFY_JSON_SHA256
+
+
+def test_ci_and_the_benchmark_pin_the_tests_digests():
+    # each pinned digest has one value: CI and the benchmark's expected
+    # results repeat the tests' constants, so a re-pin cannot leave one behind
+    workflow = (_ROOT / ".github" / "workflows" / "tier1.yml").read_text(
+        encoding="utf-8")
+    pins = {}
+    for step in workflow.split("- name: ")[1:]:
+        for digest in re.findall(r'test "\$digest" = ([0-9a-f]{64})', step):
+            command = re.search(r"-m twistor4 (\w+ --json)", step).group(1)
+            pins.setdefault(command, []).append(digest)
+    assert pins == {"enumerate --json": [_ENUMERATE_JSON_SHA256],
+                    "classify --json": [_GOLDENS_CLASSIFY_JSON_SHA256]}
+    expected = json.loads((_ROOT / "perfbench" / "expected.json").read_text(
+        encoding="utf-8"))
+    assert expected["enumerate_json"]["sha256"] == _ENUMERATE_JSON_SHA256
 
 
 # -- the names the benchmark traces ---------------------------------------------------
@@ -707,6 +747,31 @@ def test_twistor4_classify_is_the_function_and_the_submodule_stays_importable():
     module = importlib.import_module("twistor4.classify")
     assert module is sys.modules["twistor4.classify"]
     assert twistor4.classify is module.classify
+
+
+def test_the_readme_library_example_gives_its_commented_values():
+    # run README's ``## Library`` block statement by statement, keeping the
+    # value of each bare expression by its source text
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library\n.*?^```python\n(.*?)^```", readme,
+                      re.DOTALL | re.MULTILINE).group(1)
+    namespace, values = {}, {}
+    for statement in ast.parse(block).body:
+        if isinstance(statement, ast.Expr):
+            code = compile(ast.Expression(statement.value), "README.md", "eval")
+            values[ast.get_source_segment(block, statement)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+    assert values["chern_numbers(4)"] == cohomology.ChernData(0, 24, 12)
+    assert values["pairing_matrix(4).det"] == 0
+    assert values["h0_formula(bundle)"] == values["h0_oracle(bundle)"] == 2
+    assert values["model.degrees"] == (0, 1, 0, -1, 0, 1, 0, -1)
+    assert values["report.case, report.algebraic_dimension"] == ("PAIRS_MINUS_1", 3)
+    assert values["cycle.necklace() == model"] is True
+    result = namespace["result"]
+    assert len(result.entries) == 58 and result.exhausted
+    assert len(namespace["leaves"]) == 152
+    assert values["classify_leaf(leaves[0][1]).report.case"] == "PAIRS_MINUS_1"
 
 
 # -- CLI: one output path --------------------------------------------------------------
