@@ -74,13 +74,14 @@ CASE_PAIR_MINUS_2 = "PAIR_MINUS_2"
 CASE_PAIRS_MINUS_1 = "PAIRS_MINUS_1"
 
 #: Each case's letter, its rank in the enumeration order and, off the nef
-#: branch, its fixed (h0(F), base locus, a(Z), LeBrun flag).
+#: branch, its fixed (h0(F), base locus, a(Z), degree-one count); case c
+#: has one degree-one divisor per component.
 _Case = namedtuple("_Case", "letter rank fixed")
 _CASES = {
     CASE_NEF: _Case(None, 0, None),
-    CASE_REAL_MINUS_2: _Case("a", 1, (3, "C0", 3, False)),
-    CASE_PAIR_MINUS_2: _Case("b", 2, (4, "A+Abar", 3, True)),
-    CASE_PAIRS_MINUS_1: _Case("c", 3, (2, "C", 3, False)),
+    CASE_REAL_MINUS_2: _Case("a", 1, (3, "C0", 3, 0)),
+    CASE_PAIR_MINUS_2: _Case("b", 2, (4, "A+Abar", 3, math.inf)),
+    CASE_PAIRS_MINUS_1: _Case("c", 3, (2, "C", 3, None)),
 }
 
 
@@ -162,23 +163,30 @@ def _match_case(necklace: Necklace, degrees):
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Everything the classification determines for one configuration."""
+    """Everything the classification determines for one configuration.
+
+    The four properties are read off the fields, so no report can
+    contradict them; ``as_dict`` emits them with the fields."""
 
     case: str
-    nef: bool
     nef_and_big: bool
     negative_curves: tuple[tuple[str, int], ...]
     cycle_length: int
     smooth_anticanonical: bool
     h0_fundamental: int
-    dim_fundamental_system: int
     base_locus: str
     degree_one_count: int | float
     algebraic_dimension: int
-    lebrun: bool
     tau: int | float | None
     dim_minus2KS: int | None
-    dim_antican_Z: int | None
+
+    # F is nef exactly when no component has negative degree; Z holds a
+    # pencil of degree-one divisors (LeBrun) exactly when dim|F| = 3
+    nef = property(lambda self: not self.negative_curves)
+    dim_fundamental_system = property(lambda self: self.h0_fundamental - 1)
+    lebrun = property(lambda self: self.dim_fundamental_system == 3)
+    dim_antican_Z = property(lambda self: None if self.dim_minus2KS is None
+                             else 2 + self.dim_minus2KS)
 
     @property
     def case_letter(self) -> str | None:
@@ -186,13 +194,17 @@ class ClassificationReport:
 
     def as_dict(self) -> dict:
         out = {}
-        for f in fields(self):
-            value = schema.encode_infinite(getattr(self, f.name))
+        for name in _REPORT_KEYS:
+            value = schema.encode_infinite(getattr(self, name))
             if isinstance(value, tuple):
                 value = [list(item) if isinstance(item, tuple) else item
                          for item in value]
-            out[f.name] = value
+            out[name] = value
         return out
+
+
+_REPORT_KEYS = (*(f.name for f in fields(ClassificationReport)),
+                "nef", "dim_fundamental_system", "lebrun", "dim_antican_Z")
 
 
 def check_report(report: ClassificationReport) -> ClassificationReport:
@@ -202,16 +214,15 @@ def check_report(report: ClassificationReport) -> ClassificationReport:
     r, a, dim = report, report.algebraic_dimension, report.dim_fundamental_system
     negative, free = bool(r.negative_curves), r.base_locus == "free"
     check(r.case in _CASES, "{!r} is not a case", r.case, invariant="report-case")
-    check(r.h0_fundamental == dim + 1, "h0(F) = dim|F| + 1", invariant="report-h0")
     check(a >= dim, "a(Z) bounds dim|F| from above",
           invariant="report-dimension-bound")
-    check(r.nef != negative, "F is nef exactly when no component is negative",
+    check((r.case == CASE_NEF) != negative,
+          "the case is NEF exactly when no component is negative",
           invariant="report-nef")
     check((a == 3) == negative, "a(Z)=3 exactly when F is not nef",
           invariant="report-moishezon")
-    check(r.lebrun == (dim == 3) == (r.case == CASE_PAIR_MINUS_2),
-          "LeBrun exactly when dim|F| = 3, exactly in case b",
-          invariant="report-lebrun")
+    check((dim == 3) == (r.case == CASE_PAIR_MINUS_2),
+          "dim|F| = 3 (LeBrun) exactly in case b", invariant="report-lebrun")
     check((dim < 2 or (a == 2) == r.nef == free) and (a == 2 or not free),
           "a(Z) = 2 when F is free; for dim|F| >= 2, exactly when F is nef",
           invariant="report-free-pencil")
@@ -229,14 +240,11 @@ def check_report(report: ClassificationReport) -> ClassificationReport:
         check(len(r.negative_curves) in (2, 4, 6)
               and 4 <= r.cycle_length <= 12
               and r.degree_one_count == r.cycle_length
-              and r.dim_minus2KS is not None and r.dim_minus2KS >= 2
-              and r.dim_antican_Z == 2 + r.dim_minus2KS,
+              and r.dim_minus2KS is not None and r.dim_minus2KS >= 2,
               "case c has 1-3 negative pairs on a 4- to 12-cycle, m degree-one "
-              "divisors, dim|-2K_S| >= 2 and dim|-K_Z| = 2 + dim|-2K_S|",
-              invariant="report-case-c")
+              "divisors and dim|-2K_S| >= 2", invariant="report-case-c")
     else:
-        check(r.dim_minus2KS is None and r.dim_antican_Z is None,
-              "only case c reports dim|-2K_S| and dim|-K_Z|",
+        check(r.dim_minus2KS is None, "only case c reports dim|-2K_S|",
               invariant="report-case-c-only")
     return report
 
@@ -277,51 +285,41 @@ def classify(necklace: Necklace) -> ClassificationReport:
             f"got n = {necklace.pairs}"
         )
     case, negatives = _match_case(necklace, degrees)
-    nef, m = case == CASE_NEF, len(degrees)
-    tau = dim_minus2ks = dim_antican_z = None
-    if nef:
-        if necklace.tau is None:
+    m, tau, dim_minus2ks = len(degrees), necklace.tau, None
+    if case == CASE_NEF:
+        if tau is None:
             raise TorsionRequiredError(
                 "the fundamental system is nef, so its dimension depends "
                 "on the torsion order tau of the normal sheaf on the "
                 "cycle; supply a torsion record"
             )
-        tau = necklace.tau
         h0, base = (3, "free") if tau == 1 else (2, "C")
         a = 1 if tau == math.inf else 2
         deg1 = 0 if (tau == 1 or necklace.smooth_variant) else m
-        lebrun = False
     else:
-        h0, base, a, lebrun = _CASES[case].fixed
-        deg1 = 0  # case a; cases b and c set theirs below
-    if case == CASE_PAIR_MINUS_2:
-        deg1 = math.inf
-    elif case == CASE_PAIRS_MINUS_1:
+        h0, base, a, deg1 = _CASES[case].fixed
+        tau = None
+    if case == CASE_PAIRS_MINUS_1:
         positive = sum(d > 0 for d in degrees)
         doubled = CycleLineBundle(tuple(2 * d for d in degrees))
         dim_minus2ks = h0_formula(doubled)
         check(dim_minus2ks == positive,
               "dim|-2K_S| = {}, but the cycle has {} positive components",
               dim_minus2ks, positive, invariant="case-c-minus-2k")
-        dim_antican_z = 2 + dim_minus2ks
         deg1 = m
     report = ClassificationReport(
         case=case,
-        nef=nef,
         # F^3 = c_1^3 / 8 = 2(4 - n): F is big only when n < 4
-        nef_and_big=nef and 2 * (4 - necklace.pairs) > 0,
+        nef_and_big=case == CASE_NEF and 2 * (4 - necklace.pairs) > 0,
         negative_curves=negatives,
         cycle_length=m,
         smooth_anticanonical=necklace.smooth_variant,
         h0_fundamental=h0,
-        dim_fundamental_system=h0 - 1,
         base_locus=base,
         degree_one_count=deg1,
         algebraic_dimension=a,
-        lebrun=lebrun,
         tau=tau,
         dim_minus2KS=dim_minus2ks,
-        dim_antican_Z=dim_antican_z,
     )
     return check_report(report)
 
@@ -509,10 +507,8 @@ def enumerate_configurations(max_reports: int | None = None) -> EnumerationResul
     skipped (see ``_Walk``).  Only kept entries build their schedule and,
     on first use, their document.
     """
-    if max_reports is not None and type(max_reports) is not int:
-        raise ScheduleError(f"max_reports must be an int, got {max_reports!r}")
-    if max_reports is not None and max_reports < 1:
-        raise ScheduleError("max_reports must be positive when given")
+    if max_reports is not None and (type(max_reports) is not int or max_reports < 1):
+        raise ScheduleError(f"max_reports must be a positive int, got {max_reports!r}")
     walk = _Walk(max_reports)
     exhausted = True
     try:

@@ -165,7 +165,7 @@ def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     x_j (w x_i) = w x_1^2 if i = j else 0; w x_1^2 stays; x_i x_1^2 = 0.
     """
     if not isinstance(a, CohomologyClass) or not isinstance(b, CohomologyClass):
-        raise TypeError("cup expects two CohomologyClass values")
+        raise DegreeError("cup expects two CohomologyClass values")
     if a.n != b.n:
         raise DegreeError("mismatched n")
     total = a.degree + b.degree
@@ -197,7 +197,7 @@ def evaluate(c: CohomologyClass) -> int:
     under which real twistor fibres, dual to -x_1^2, have degree +1).
     """
     if not isinstance(c, CohomologyClass):
-        raise TypeError("expected a CohomologyClass")
+        raise DegreeError("evaluate expects a CohomologyClass")
     if c.degree != 6:
         raise DegreeError(f"evaluate needs a degree-6 class, got degree {c.degree}")
     return -c.coeffs[0]

@@ -110,12 +110,14 @@ def cyclic_arcs(m, removed):
     """Maximal runs of indices 0..m-1 (cyclic) avoiding ``removed``.
 
     Returns a list of lists ordered by their first index; empty if
-    everything is removed, a single full-circle arc if nothing is.  An
-    index outside 0..m-1 raises ScheduleError.
+    everything is removed, a single full-circle arc if nothing is.  A
+    non-int m or index, m < 1, or an index outside 0..m-1 raises ScheduleError.
     """
-    removed = set(removed)
-    if not removed <= set(range(m)):
-        raise ScheduleError(f"removed indices must lie in range({m}), got {removed}")
+    given = tuple(removed)  # before a set merges True into 1
+    if type(m) is not int or m < 1 or not all(
+            type(i) is int and 0 <= i < m for i in given):
+        raise ScheduleError(f"need ints in range(m), m >= 1; got m={m!r}, {given}")
+    removed = set(given)
     # one pass from the removed index before the lowest arc start; each
     # removed index closes an arc, and only an empty ``removed`` leaves one open
     first = m - 1 if m - 1 in removed or not removed else min(removed)

@@ -42,7 +42,7 @@ class ScheduleError(TwistorError, ValueError):
 
 
 class DegreeError(TwistorError, ValueError):
-    """A cohomology class of the wrong degree (or mismatched n) was supplied."""
+    """A cohomology class of the wrong degree (or mismatched n), or none, was given."""
 
 
 class TaggedError(TwistorError):
@@ -86,9 +86,9 @@ class InvariantError(TaggedError):
     ``realization-fresh-pair``, ``realization-conjugate-edge``,
     ``anticanonical-degree-sum``, ``case-c-minus-2k`` or ``report-<fact>``,
     where a classification report breaks a fact ``classify.check_report``
-    lists: ``case``, ``h0``, ``dimension-bound``, ``nef``, ``moishezon``,
-    ``lebrun``, ``free-pencil``, ``nef-and-big``, ``tau``, ``nef-torsion``,
-    ``case-c`` or ``case-c-only``.
+    lists: ``case``, ``dimension-bound``, ``nef``, ``moishezon``, ``lebrun``,
+    ``free-pencil``, ``nef-and-big``, ``tau``, ``nef-torsion``, ``case-c`` or
+    ``case-c-only``.
     """
 
     def __init__(self, name, message):

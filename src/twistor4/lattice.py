@@ -309,9 +309,31 @@ class Necklace(namedtuple("Necklace", ("order", "degrees", "partners",
     torsion record it was given (None without one) and the number of pairs.
 
     It holds degrees, not squares: C.(-K) = C^2 + 2 on a rational
-    component, but the smooth variant has degree (-K)^2 = 8 - 2n."""
+    component, but the smooth variant has degree (-K)^2 = 8 - 2n.  It is
+    checked on construction and by ``_make``, as ``BlowupStep`` is."""
 
     __slots__ = ()
+
+    def __new__(cls, order, degrees, partners, smooth_variant, tau, pairs):
+        m = len(degrees) if isinstance(degrees, tuple) else 0
+        if not (isinstance(order, tuple) and isinstance(partners, tuple)
+                and len(order) == len(partners) == m
+                and (m == 1 if smooth_variant else m >= 2)
+                and set(map(type, degrees + partners + (pairs,))) == {int}
+                and all(0 <= p < m and partners[p] == i
+                        for i, p in enumerate(partners))):
+            raise ScheduleError(
+                "a necklace needs tuples order, degrees and partners of one length"
+                " m >= 2 (1 for the smooth variant), int degrees and pairs, and "
+                f"partners an involution on range(m); got {order, degrees, partners}")
+        if tau is not None:
+            TorsionSpec(tau)  # an int >= 1 or inf
+        return super().__new__(cls, order, degrees, partners, smooth_variant, tau,
+                               pairs)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 @dataclass
@@ -572,14 +594,14 @@ class RealizationState:
         return result if pairs else result.validate()
 
     def necklace(self, torsion: TorsionSpec | None = None) -> Necklace:
-        """The necklace of ``cycle()`` with ``torsion``, read off the key.
-        It replays the classes first, as lists, so the check that each
-        pair is fresh runs on this path too; no divisor class is built."""
+        """The necklace of ``cycle()`` with ``torsion``, read off the key and
+        built unchecked.  It replays the classes first, as lists, so the check
+        that each pair is fresh runs on this path too; no class is built."""
         self._replay()
         _, squares, partners, hosts, _ = self.key
-        return Necklace(self.order, tuple([c2 + 2 for c2 in squares]), partners,
-                        False, None if torsion is None else torsion.tau,
-                        len(hosts))
+        return tuple.__new__(Necklace, (
+            self.order, tuple([c2 + 2 for c2 in squares]), partners, False,
+            None if torsion is None else torsion.tau, len(hosts)))
 
     def _replay(self):
         """The classes by name as coefficient lists on all the pairs, once per

@@ -20,6 +20,7 @@ from twistor4.classify import (
     CASE_PAIR_MINUS_2,
     CASE_PAIRS_MINUS_1,
     CASE_REAL_MINUS_2,
+    ClassificationReport,
     anticanonical_degrees,
     check_report,
     classify,
@@ -358,11 +359,11 @@ def test_check_report_rejects_inconsistent_reports():
     for good, change, fact in (
         (case_a, {"case": "BOGUS"}, "case"),
         (case_a, {"algebraic_dimension": 2}, "moishezon"),
-        (case_a, {"nef": True}, "nef"),
-        (case_a, {"h0_fundamental": 5}, "h0"),
+        (case_a, {"case": CASE_NEF}, "nef"),
+        (case_a, {"h0_fundamental": 5}, "dimension-bound"),
         (case_a, {"nef_and_big": True}, "nef-and-big"),
         (case_a, {"algebraic_dimension": 1}, "dimension-bound"),
-        (case_a, {"lebrun": True}, "lebrun"),
+        (case_a, {"h0_fundamental": 4}, "lebrun"),
         (case_a, {"base_locus": "free"}, "free-pencil"),
         (case_a, {"tau": 2}, "tau"),
         (case_a, {"dim_minus2KS": 2}, "case-c-only"),
@@ -374,13 +375,39 @@ def test_check_report_rejects_inconsistent_reports():
         assert info.value.tag == f"invariant-report-{fact}", change
 
 
+_DERIVED = ("nef", "dim_fundamental_system", "lebrun", "dim_antican_Z")
+
+
 def test_report_as_dict_round_trips_fields():
     report = classify(model_from_schedule(golden_case_c()))
     data = report.as_dict()
     assert data["case"] == CASE_PAIRS_MINUS_1
     assert data["negative_curves"] == [["G", -1], ["Gbar", -1]]
     assert data["dim_minus2KS"] == 2
-    assert set(data) == {f.name for f in dataclasses.fields(report)}
+    assert (data["nef"], data["dim_fundamental_system"], data["lebrun"],
+            data["dim_antican_Z"]) == (False, 1, False, 4)
+    fields = {f.name for f in dataclasses.fields(report)}
+    assert len(fields) == 11 and len(data) == 15
+    assert set(data) == fields | set(_DERIVED)
+
+
+def test_derived_report_facts_cannot_be_set():
+    # nef, dim|F|, the LeBrun flag and dim|-K_Z| are read off the fields
+    report = classify(model_from_schedule(golden_case_b()))
+    kept = dataclasses.asdict(report)
+    for name in _DERIVED:
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+        with pytest.raises(TypeError):
+            dataclasses.replace(report, **{name: None})
+        with pytest.raises(TypeError):
+            ClassificationReport(**kept, **{name: None})
+    assert (report.nef, report.dim_fundamental_system, report.lebrun,
+            report.dim_antican_Z) == (False, 3, True, None)
+    nef = dataclasses.replace(report, case=CASE_NEF, negative_curves=(),
+                              h0_fundamental=2, dim_minus2KS=5)
+    assert (nef.nef, nef.dim_fundamental_system, nef.lebrun,
+            nef.dim_antican_Z) == (True, 1, False, 7)
 
 
 @pytest.mark.parametrize("call", [
@@ -407,12 +434,21 @@ def test_report_as_dict_round_trips_fields():
     lambda: RealizationState("I", 1.5),
     lambda: cyclic_arcs(3, {10}),
     lambda: cyclic_arcs(3, {-1}),
+    lambda: cyclic_arcs(-1, ()),
+    lambda: cyclic_arcs(0, ()),
+    lambda: cyclic_arcs(2.0, ()),
+    lambda: cyclic_arcs(True, ()),
+    lambda: cyclic_arcs(3, [True]),
+    lambda: cyclic_arcs(3, [1.0]),
+    lambda: cyclic_arcs(3, [1, True]),
 ], ids=["max-reports", "torsion-order", "torsion-kind", "one-component",
         "gluing-count", "gluing-zero", "non-square",
         "max-reports-float", "max-reports-bool", "torsion-order-float",
         "torsion-order-bool", "torsion-order-inf", "degree-float", "degree-bool",
         "divisor-float", "divisor-bool", "class-float", "pairs-float",
-        "pairs-bool", "state-pairs-float", "arc-index-above", "arc-index-negative"])
+        "pairs-bool", "state-pairs-float", "arc-index-above", "arc-index-negative",
+        "arc-m-negative", "arc-m-zero", "arc-m-float", "arc-m-bool",
+        "arc-index-bool", "arc-index-float", "arc-index-bool-after-its-int"])
 def test_bad_library_arguments_raise_schedule_error(call):
     # a ScheduleError is a TwistorError and still a ValueError
     with pytest.raises(ScheduleError):
@@ -696,6 +732,69 @@ def test_a_necklace_carries_degrees_not_squares():
     state = RealizationState("II", 1).extend(S("C0"))
     assert state.necklace() == Necklace(("F", "C0"), (2, 4), (0, 1), False,
                                         None, 1)
+
+
+_NEF = Necklace(("F", "G", "Fbar", "Gbar"), (0, 0, 0, 0), (2, 3, 0, 1), False, 1, 4)
+
+
+@pytest.mark.parametrize("change", [
+    {"partners": ()},
+    {"order": ("F", "G", "Fbar")},
+    {"degrees": ("0", "0", "0", "0")},
+    {"degrees": (0, 0, 0, False)},
+    {"degrees": [0, 0, 0, 0]},
+    {"partners": (2, 3, 1, 0)},
+    {"partners": (2, 3, 0, 4)},
+    {"partners": (2, 3, 0, True)},
+    {"pairs": 4.0},
+    {"pairs": True},
+    {"tau": 0},
+    {"tau": -3},
+    {"tau": "x"},
+    {"tau": 2.0},
+    {"tau": True},
+    {"order": ("C",), "degrees": (0,), "partners": (0,)},
+    {"smooth_variant": True},
+], ids=["partners-short", "order-short", "degrees-str", "degrees-bool",
+        "degrees-list", "partners-not-involution", "partners-out-of-range",
+        "partners-bool", "pairs-float", "pairs-bool", "tau-zero", "tau-negative",
+        "tau-str", "tau-float", "tau-bool", "one-component-not-smooth",
+        "smooth-four-components"])
+def test_a_malformed_necklace_is_refused(change):
+    # checked on construction, by ``_make`` and so by ``_replace``
+    fields = _NEF._asdict() | change
+    with pytest.raises(ScheduleError, match="necklace|tau"):
+        Necklace(**fields)
+    with pytest.raises(ScheduleError, match="necklace|tau"):
+        Necklace._make(fields.values())
+    with pytest.raises(ScheduleError, match="necklace|tau"):
+        _NEF._replace(**change)
+
+
+def test_a_synthetic_cycle_gives_a_checked_necklace():
+    lattice = SurfaceLattice(4)
+    k = lattice.anticanonical()
+    lone = AnticanonicalCycle(lattice, ("C",), {"C": k}, {"C": "C"})
+    with pytest.raises(ScheduleError, match="necklace"):
+        lone.necklace(TAU_ONE)
+    smooth = dataclasses.replace(lone, smooth_variant=True)
+    assert smooth.necklace(TorsionSpec.non_torsion()).tau == math.inf
+    cycle = realize_cycle(golden_nef())
+    cycle.conjugate_names = dict.fromkeys(cycle.order, "F")
+    with pytest.raises(ScheduleError, match="involution"):
+        cycle.necklace(TAU_ONE)
+
+
+def test_a_state_builds_its_necklace_unchecked(monkeypatch):
+    # the walk and the schedule documents pay nothing for the checks
+    def refuse(cls, *fields):
+        raise AssertionError("Necklace.__new__ ran")
+
+    state = model_from_schedule(golden_nef(), TAU_ONE)
+    monkeypatch.setattr(Necklace, "__new__", staticmethod(refuse))
+    again = model_from_schedule(golden_nef(), TAU_ONE)
+    assert type(again) is Necklace and tuple(again) == tuple(state)
+    assert classify(again).case == CASE_NEF
 
 
 def test_a_tampered_replay_trips_the_enumeration(monkeypatch):

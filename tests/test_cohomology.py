@@ -237,8 +237,7 @@ def test_invariants_survive_python_O():
         "from twistor4.errors import InvariantError\n"
         "assert False, 'asserts are on'\n"
         "good = classify(model_from_schedule(golden_case_a()))\n"
-        "bad = dataclasses.replace(good, h0_fundamental=99,\n"
-        "                          algebraic_dimension=0)\n"
+        "bad = dataclasses.replace(good, algebraic_dimension=0)\n"
         "try:\n"
         "    check_report(bad)\n"
         "except InvariantError as exc:\n"
@@ -252,8 +251,35 @@ def test_invariants_survive_python_O():
     result = subprocess.run([sys.executable, "-O", "-c", script],
                             capture_output=True, env=env, check=True)
     assert result.stdout == (
-        b"invariant-report-h0\ninvariant-pairing-determinant\n"
+        b"invariant-report-dimension-bound\ninvariant-pairing-determinant\n"
     )
+
+
+def test_no_module_imports_another_modules_private_helpers():
+    # a module's underscore names are its own: no sibling imports them or
+    # reads them off the module object
+    package = Path(cohomology.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        siblings = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not (
+                    node.level or (node.module or "").startswith("twistor4")):
+                continue
+            for alias in node.names:
+                if node.module in (None, "twistor4"):  # from . import module
+                    siblings.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    offenders.append(f"{path.name}:{node.lineno} {alias.name}")
+        offenders += [
+            f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in siblings and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+        ]
+    assert offenders == []
 
 
 def test_package_has_no_assert_statements():
@@ -355,10 +381,16 @@ def test_class_validation():
     lambda: x(2, 1.0),
     lambda: x(2.0, 1),
     lambda: x(True, 1),
+    # every deliberate raise is a TwistorError, also for a non-class argument
+    lambda: cup(w(2), (0, 0, 1)),
+    lambda: cup(1, w(2)),
+    lambda: evaluate(-1),
+    lambda: evaluate((1,)),
 ], ids=["coeff-float", "coeff-bool", "n-float", "n-bool", "degree-float",
         "degree-bool", "pairing-float", "pairing-bool", "chern-float",
         "euler-float", "euler-m-fraction", "euler-m-float", "euler-m-bool",
-        "x-i-bool", "x-i-float", "x-n-float", "x-n-bool"])
+        "x-i-bool", "x-i-float", "x-n-float", "x-n-bool", "cup-tuple", "cup-int",
+        "evaluate-int", "evaluate-tuple"])
 def test_bad_library_arguments_raise_degree_error(call):
     # an integer argument is checked, never truncated, and a bool is no int
     with pytest.raises(DegreeError):

@@ -197,6 +197,16 @@ def test_malformed_documents_rejected():
         schema.parse_document(doc)
     with pytest.raises(ScheduleError):
         schema.parse_torsion({"kind": "sometimes"})
+    # the lower bounds: n >= 0 and a finite torsion order >= 1
+    for field, value, message in (
+        ("n", -1, "n must be >= 0, got -1"),
+        ("torsion", {"kind": "finite", "order": 0}, "order must be >= 1, got 0"),
+        ("torsion", {"kind": "finite", "order": -1}, "order must be >= 1, got -1"),
+    ):
+        doc = _base_doc()
+        doc[field] = value
+        with pytest.raises(ScheduleError, match=message):
+            schema.parse_document(doc)
 
 
 @pytest.mark.parametrize("step, message", [
@@ -797,8 +807,8 @@ _ERROR_SAMPLES = {
         "violation: too-few-negatives: why\n"),
     errors.TorsionRequiredError: (errors.TorsionRequiredError("why"), 2,
                                   "violation: torsion-required: why\n"),
-    errors.InvariantError: (errors.InvariantError("report-h0", "why"), 2,
-                            "violation: invariant-report-h0: why\n"),
+    errors.InvariantError: (errors.InvariantError("report-nef", "why"), 2,
+                            "violation: invariant-report-nef: why\n"),
 }
 
 
