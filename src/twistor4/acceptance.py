@@ -250,6 +250,8 @@ def _criterion_nef():
 def _criterion_enumeration():
     result = enumerate_configurations()
     realizable = [e for e in result.entries if e.report is not None]
+    if not result.exhausted:
+        return False, "the uncapped walk stopped before exhausting the space"
     for entry in realizable:
         again = classify(model_from_document(entry.document))
         if again != entry.report:

@@ -317,15 +317,16 @@ class Necklace(namedtuple("Necklace", ("order", "degrees", "partners",
     def __new__(cls, order, degrees, partners, smooth_variant, tau, pairs):
         m = len(degrees) if isinstance(degrees, tuple) else 0
         if not (isinstance(order, tuple) and isinstance(partners, tuple)
-                and len(order) == len(partners) == m
+                and len(order) == len(partners) == m and type(smooth_variant) is bool
                 and (m == 1 if smooth_variant else m >= 2)
                 and set(map(type, degrees + partners + (pairs,))) == {int}
                 and all(0 <= p < m and partners[p] == i
                         for i, p in enumerate(partners))):
             raise ScheduleError(
                 "a necklace needs tuples order, degrees and partners of one length"
-                " m >= 2 (1 for the smooth variant), int degrees and pairs, and "
-                f"partners an involution on range(m); got {order, degrees, partners}")
+                " m >= 2 (1 for the smooth variant, a bool), int degrees and pairs,"
+                " and partners an involution on range(m); got "
+                f"{order, degrees, partners, smooth_variant}")
         if tau is not None:
             TorsionSpec(tau)  # an int >= 1 or inf
         return super().__new__(cls, order, degrees, partners, smooth_variant, tau,
@@ -366,8 +367,11 @@ class AnticanonicalCycle:
 
     def necklace(self, torsion: TorsionSpec | None = None) -> Necklace:
         """The cycle by position, with the torsion order of ``torsion``."""
+        order, conj, names = self.order, self.conjugate_names, set(self.order)
+        check(names <= set(self.classes) and set(map(conj.get, order)) <= names,
+              "a necklace needs each component's class and a conjugate in {}", order)
         return Necklace(
-            self.order, self.degrees(), _positions(self.order, self.conjugate_names),
+            order, self.degrees(), tuple(map(order.index, map(conj.get, order))),
             self.smooth_variant, None if torsion is None else torsion.tau,
             self.lattice.pairs,
         )
@@ -426,11 +430,6 @@ class AnticanonicalCycle:
                 check(False, "{}.{} = {}, expected {}", order[x // m],
                       order[x % m], gram[x], expected[x])
         return self
-
-
-def _positions(order, conjugate_names):
-    """Each component's conjugate position, in cycle order."""
-    return tuple(map(order.index, map(conjugate_names.__getitem__, order)))
 
 
 def _gram(columns, m):
@@ -594,14 +593,13 @@ class RealizationState:
         return result if pairs else result.validate()
 
     def necklace(self, torsion: TorsionSpec | None = None) -> Necklace:
-        """The necklace of ``cycle()`` with ``torsion``, read off the key and
-        built unchecked.  It replays the classes first, as lists, so the check
-        that each pair is fresh runs on this path too; no class is built."""
+        """The necklace of ``cycle()`` with ``torsion``, read off the key.  It
+        replays the classes first, as lists, so the check that each pair is
+        fresh runs on this path too; no class is built."""
         self._replay()
         _, squares, partners, hosts, _ = self.key
-        return tuple.__new__(Necklace, (
-            self.order, tuple([c2 + 2 for c2 in squares]), partners, False,
-            None if torsion is None else torsion.tau, len(hosts)))
+        return Necklace(self.order, tuple([c2 + 2 for c2 in squares]), partners,
+                        False, None if torsion is None else torsion.tau, len(hosts))
 
     def _replay(self):
         """The classes by name as coefficient lists on all the pairs, once per

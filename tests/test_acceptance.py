@@ -11,6 +11,7 @@ import pytest
 
 from twistor4 import acceptance, cohomology, lattice, linalg, schema
 from twistor4.acceptance import CRITERIA, Criterion, run_all, run_criterion
+from twistor4.classify import EnumerationResult
 
 _SCHEDULES = Path(__file__).resolve().parents[1] / "schedules"
 
@@ -80,3 +81,12 @@ def test_criteria_1_to_3_fail_when_the_library_check_they_rely_on_trips(
     assert not result.passed
     assert result.detail.startswith("raised InvariantError: ")
     assert "closed form" in result.detail
+
+
+def test_criterion_9_fails_when_the_walk_stops_early(monkeypatch):
+    # an uncapped walk exhausts the space; a later cap or early exit must show
+    stopped = EnumerationResult(entries=(), visited=0, exhausted=False)
+    monkeypatch.setattr(acceptance, "enumerate_configurations", lambda: stopped)
+    result = run_criterion(next(c for c in CRITERIA if c.number == 9))
+    assert (result.passed, result.detail) == (
+        False, "the uncapped walk stopped before exhausting the space")

@@ -755,11 +755,13 @@ _NEF = Necklace(("F", "G", "Fbar", "Gbar"), (0, 0, 0, 0), (2, 3, 0, 1), False, 1
     {"tau": True},
     {"order": ("C",), "degrees": (0,), "partners": (0,)},
     {"smooth_variant": True},
+    {"order": ("C",), "degrees": (0,), "partners": (0,), "smooth_variant": 1},
+    {"smooth_variant": 0},
 ], ids=["partners-short", "order-short", "degrees-str", "degrees-bool",
         "degrees-list", "partners-not-involution", "partners-out-of-range",
         "partners-bool", "pairs-float", "pairs-bool", "tau-zero", "tau-negative",
         "tau-str", "tau-float", "tau-bool", "one-component-not-smooth",
-        "smooth-four-components"])
+        "smooth-four-components", "smooth-variant-int", "smooth-variant-zero"])
 def test_a_malformed_necklace_is_refused(change):
     # checked on construction, by ``_make`` and so by ``_replace``
     fields = _NEF._asdict() | change
@@ -783,18 +785,14 @@ def test_a_synthetic_cycle_gives_a_checked_necklace():
     cycle.conjugate_names = dict.fromkeys(cycle.order, "F")
     with pytest.raises(ScheduleError, match="involution"):
         cycle.necklace(TAU_ONE)
-
-
-def test_a_state_builds_its_necklace_unchecked(monkeypatch):
-    # the walk and the schedule documents pay nothing for the checks
-    def refuse(cls, *fields):
-        raise AssertionError("Necklace.__new__ ran")
-
-    state = model_from_schedule(golden_nef(), TAU_ONE)
-    monkeypatch.setattr(Necklace, "__new__", staticmethod(refuse))
-    again = model_from_schedule(golden_nef(), TAU_ONE)
-    assert type(again) is Necklace and tuple(again) == tuple(state)
-    assert classify(again).case == CASE_NEF
+    # a conjugate outside the cycle, a missing conjugate, a missing class
+    outside, unpaired, classless = (realize_cycle(golden_nef()) for _ in range(3))
+    outside.conjugate_names["F"] = "X"
+    del unpaired.conjugate_names["F"]
+    del classless.classes["F"]
+    for broken in (outside, unpaired, classless):
+        with pytest.raises(ScheduleError, match="conjugate in"):
+            broken.necklace(TAU_ONE)
 
 
 def test_a_tampered_replay_trips_the_enumeration(monkeypatch):
