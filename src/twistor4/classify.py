@@ -165,11 +165,10 @@ def _match_case(necklace: Necklace, degrees):
 class ClassificationReport:
     """Everything the classification determines for one configuration.
 
-    The four properties are read off the fields, so no report can
+    The five properties are read off the fields, so no report can
     contradict them; ``as_dict`` emits them with the fields."""
 
     case: str
-    nef_and_big: bool
     negative_curves: tuple[tuple[str, int], ...]
     cycle_length: int
     smooth_anticanonical: bool
@@ -180,9 +179,11 @@ class ClassificationReport:
     tau: int | float | None
     dim_minus2KS: int | None
 
-    # F is nef exactly when no component has negative degree; Z holds a
-    # pencil of degree-one divisors (LeBrun) exactly when dim|F| = 3
+    # F is nef exactly when no component has negative degree, and never big:
+    # F^3 = c_1^3 / 8 = 2(4 - n) = 0 at n = 4, the only n classified; Z holds
+    # a pencil of degree-one divisors (LeBrun) exactly when dim|F| = 3
     nef = property(lambda self: not self.negative_curves)
+    nef_and_big = property(lambda self: False)
     dim_fundamental_system = property(lambda self: self.h0_fundamental - 1)
     lebrun = property(lambda self: self.dim_fundamental_system == 3)
     dim_antican_Z = property(lambda self: None if self.dim_minus2KS is None
@@ -204,7 +205,8 @@ class ClassificationReport:
 
 
 _REPORT_KEYS = (*(f.name for f in fields(ClassificationReport)),
-                "nef", "dim_fundamental_system", "lebrun", "dim_antican_Z")
+                "nef", "nef_and_big", "dim_fundamental_system", "lebrun",
+                "dim_antican_Z")
 
 
 def check_report(report: ClassificationReport) -> ClassificationReport:
@@ -226,8 +228,6 @@ def check_report(report: ClassificationReport) -> ClassificationReport:
     check((dim < 2 or (a == 2) == r.nef == free) and (a == 2 or not free),
           "a(Z) = 2 when F is free; for dim|F| >= 2, exactly when F is nef",
           invariant="report-free-pencil")
-    check(not r.nef_and_big, "F is never nef and big when n = 4",
-          invariant="report-nef-and-big")
     if r.case == CASE_NEF:
         check(r.tau is not None, "a nef report carries tau", invariant="report-tau")
         check((r.h0_fundamental, a)
@@ -309,8 +309,6 @@ def classify(necklace: Necklace) -> ClassificationReport:
         deg1 = m
     report = ClassificationReport(
         case=case,
-        # F^3 = c_1^3 / 8 = 2(4 - n): F is big only when n < 4
-        nef_and_big=case == CASE_NEF and 2 * (4 - necklace.pairs) > 0,
         negative_curves=negatives,
         cycle_length=m,
         smooth_anticanonical=necklace.smooth_variant,
@@ -418,10 +416,9 @@ class _Walk:
     conjugate positions, hosts at the conjugate positions, hence the same
     subtree up to mirror image, with the same leaf count and necklaces.
     No state carries classes, and ``classify`` reads only the leaf's
-    ``Necklace``, which ``RealizationState.necklace`` takes from the key.
-    That call replays the classes as coefficient lists, checking at each
-    step that its pair is fresh, on the paths to the classified leaves
-    only; no ``cycle()`` and no ``DivisorClass`` is built.  A leaf's
+    ``Necklace``, which ``RealizationState.necklace`` takes from the key:
+    the walk builds no coefficient list, no ``cycle()`` and no
+    ``DivisorClass``.  A leaf's
     ``EnumeratedEntry`` and its ``BlowupSchedule`` are built only when its
     (initial type, shape, case) key is new, once per kept entry.
 
@@ -501,8 +498,8 @@ def enumerate_configurations(max_reports: int | None = None) -> EnumerationResul
     exhausted the space.  Only the first leaf of each (initial type,
     necklace) is classified: the shape and the case come from the necklace
     alone, so a later leaf with the same one maps to a key already found.
-    It is classified from its ``Necklace``, which replays the path's
-    classes as lists to check that each pair is fresh but builds no cycle.
+    It is classified from its ``Necklace``, read off its positional key
+    with no class replayed.
     A subtree whose root's positional key was met before is counted and
     skipped (see ``_Walk``).  Only kept entries build their schedule and,
     on first use, their document.

@@ -43,8 +43,7 @@ __all__ = [
     "h0_oracle",
 ]
 
-#: Default seed for the oracle's gluing draws.  The library itself never
-#: consults the environment; the CLI layers --seed / TWISTOR_SEED on top.
+#: Default seed for the oracle's gluing draws, and of the CLI's --seed.
 DEFAULT_ORACLE_SEED = 20260816
 
 #: Independent gluings the oracle draws when the bundle fixes none.

@@ -87,7 +87,7 @@ class InvariantError(TaggedError):
     ``anticanonical-degree-sum``, ``case-c-minus-2k`` or ``report-<fact>``,
     where a classification report breaks a fact ``classify.check_report``
     lists: ``case``, ``dimension-bound``, ``nef``, ``moishezon``, ``lebrun``,
-    ``free-pencil``, ``nef-and-big``, ``tau``, ``nef-torsion``, ``case-c`` or
+    ``free-pencil``, ``tau``, ``nef-torsion``, ``case-c`` or
     ``case-c-only``.
     """
 

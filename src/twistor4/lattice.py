@@ -31,14 +31,15 @@ its components' classes and the conjugation on their names, and nothing
 derived from them; ``validate`` stays the full oracle for cycles built
 elsewhere.  A ``Necklace`` is what the classification reads of a cycle:
 names, degrees and conjugation by position, with tau passed in; a cycle
-and a state each give theirs, and a state gives it with no class built.
+and a state each give theirs, and a state reads it off its positional key,
+with no class replayed.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from itertools import compress
 from operator import itemgetter, mul
 
@@ -219,9 +220,7 @@ class BlowupStep(namedtuple("BlowupStep", ("kind", "component", "components",
     """Location of one point of a conjugate pair (the other is implied).
 
     A tuple of its five fields, checked on construction and by ``_make``,
-    through which ``_replace`` builds too.  ``RealizationState.candidates``
-    skips the checks: it builds its moves, valid by construction, with
-    ``tuple.__new__``."""
+    through which ``_replace`` builds too."""
 
     __slots__ = ()
 
@@ -475,11 +474,6 @@ _INITIAL_CYCLES = {
 }
 
 
-#: a ``BlowupStep`` from its five fields without the checks, for moves that
-#: are valid by construction
-_new_step = partial(tuple.__new__, BlowupStep)
-
-
 class RealizationState:
     """The cycle after the first k steps of a schedule on ``pairs`` pairs,
     held by position: ``order`` names the components in cycle order, ``key``
@@ -489,12 +483,17 @@ class RealizationState:
     and derives the child in O(m), recording the step as its ``move`` and in
     ``lose`` the positions it takes E_{2k-1} and E_{2k} from.
 
-    No state holds divisor classes.  ``cycle`` and ``necklace`` replay the
-    steps on coefficient lists, each state on its path once: a state copies its
-    parent's lists (the root's are the literal ones) and subtracts its pair
-    from the components ``lose`` names, once no list meets that pair yet
-    (checked, O(m)); ``extend`` lowered the same components' squares.  Every
-    replayed cycle passes ``AnticanonicalCycle.validate``.  Step k removes
+    No state holds divisor classes, and ``necklace`` reads the key alone.
+    ``cycle`` replays the steps on coefficient lists, each state on its path
+    once: a state copies its parent's lists (the root's are the literal ones)
+    and subtracts its pair from the components ``lose`` names, once no list
+    meets that pair yet (checked, O(m)); ``extend`` lowered the same
+    components' squares.  Every replayed cycle passes
+    ``AnticanonicalCycle.validate``.  The fresh-pair check guards only these
+    lists: pair k's columns, coefficients 2k and 2k + 1, are zero on the root
+    and written only by step k, so it fails only if
+    ``SurfaceLattice._exceptional_coeffs`` is broken, and then only ``cycle``
+    is wrong, since ``necklace`` reads no list.  Step k removes
     E = E_{2k-1} and E' = E_{2k} from some components and adds E, E' as new
     components after a node step.  If every class has coefficient 0 at E and
     E', then X.E = X.E' = 0 for each component X, and:
@@ -593,10 +592,7 @@ class RealizationState:
         return result if pairs else result.validate()
 
     def necklace(self, torsion: TorsionSpec | None = None) -> Necklace:
-        """The necklace of ``cycle()`` with ``torsion``, read off the key.  It
-        replays the classes first, as lists, so the check that each pair is
-        fresh runs on this path too; no class is built."""
-        self._replay()
+        """The necklace of ``cycle()`` with ``torsion``, read off the key."""
         _, squares, partners, hosts, _ = self.key
         return Necklace(self.order, tuple([c2 + 2 for c2 in squares]), partners,
                         False, None if torsion is None else torsion.tau, len(hosts))
@@ -637,20 +633,19 @@ class RealizationState:
         smooth points of the real fibre are left out, as ``extend`` rejects
         them."""
         order, (_, _, partners, hosts, consumed) = self.order, self.key
-        conj, make = [order[p] for p in partners], _new_step
-        out = [make(("smooth", name, None, None, None))
-               for name, other in zip(order, conj)
+        conj = [order[p] for p in partners]
+        out = [BlowupStep.smooth(name) for name, other in zip(order, conj)
                if not self._on_real_fibre(name) and name <= other]
         if len(order) == 2:  # its two nodes are one conjugate pair
-            out.append(make(("node", None, order, None, None)))
+            out.append(BlowupStep.node(order))
         else:
             for c, d, cc, cd in zip(order, order[1:] + order[:1],
                                     conj, conj[1:] + conj[:1]):
                 edge = (c, d) if c < d else (d, c)
                 if edge < ((cc, cd) if cc < cd else (cd, cc)):
-                    out.append(make(("node", None, edge, None, None)))
+                    out.append(BlowupStep.node(edge))
         # the exceptional of a node pair (host None) is itself a component
-        out.extend(make(("infinitely_near", None, None, j, order[host]))
+        out.extend(BlowupStep.infinitely_near(j, order[host])
                    for j, host in enumerate(hosts, 1)
                    if host is not None and j not in consumed)
         return out

@@ -6,7 +6,6 @@ import gc
 import hashlib
 import importlib
 import math
-import operator
 from collections import Counter
 from itertools import chain, combinations
 from pathlib import Path
@@ -361,7 +360,6 @@ def test_check_report_rejects_inconsistent_reports():
         (case_a, {"algebraic_dimension": 2}, "moishezon"),
         (case_a, {"case": CASE_NEF}, "nef"),
         (case_a, {"h0_fundamental": 5}, "dimension-bound"),
-        (case_a, {"nef_and_big": True}, "nef-and-big"),
         (case_a, {"algebraic_dimension": 1}, "dimension-bound"),
         (case_a, {"h0_fundamental": 4}, "lebrun"),
         (case_a, {"base_locus": "free"}, "free-pencil"),
@@ -375,7 +373,8 @@ def test_check_report_rejects_inconsistent_reports():
         assert info.value.tag == f"invariant-report-{fact}", change
 
 
-_DERIVED = ("nef", "dim_fundamental_system", "lebrun", "dim_antican_Z")
+_DERIVED = ("nef", "nef_and_big", "dim_fundamental_system", "lebrun",
+            "dim_antican_Z")
 
 
 def test_report_as_dict_round_trips_fields():
@@ -387,12 +386,13 @@ def test_report_as_dict_round_trips_fields():
     assert (data["nef"], data["dim_fundamental_system"], data["lebrun"],
             data["dim_antican_Z"]) == (False, 1, False, 4)
     fields = {f.name for f in dataclasses.fields(report)}
-    assert len(fields) == 11 and len(data) == 15
+    assert len(fields) == 10 and len(data) == 15
     assert set(data) == fields | set(_DERIVED)
 
 
 def test_derived_report_facts_cannot_be_set():
-    # nef, dim|F|, the LeBrun flag and dim|-K_Z| are read off the fields
+    # nef, nef and big, dim|F|, the LeBrun flag and dim|-K_Z| are read off
+    # the fields
     report = classify(model_from_schedule(golden_case_b()))
     kept = dataclasses.asdict(report)
     for name in _DERIVED:
@@ -406,8 +406,8 @@ def test_derived_report_facts_cannot_be_set():
             report.dim_antican_Z) == (False, 3, True, None)
     nef = dataclasses.replace(report, case=CASE_NEF, negative_curves=(),
                               h0_fundamental=2, dim_minus2KS=5)
-    assert (nef.nef, nef.dim_fundamental_system, nef.lebrun,
-            nef.dim_antican_Z) == (True, 1, False, 7)
+    assert (nef.nef, nef.nef_and_big, nef.dim_fundamental_system, nef.lebrun,
+            nef.dim_antican_Z) == (True, False, 1, False, 7)
 
 
 @pytest.mark.parametrize("call", [
@@ -653,8 +653,7 @@ def test_enumeration_classifies_each_necklace_once(monkeypatch):
         post_init(self)
 
     def counting_replay(self):
-        # a state replays its step once, checking that its pair is fresh
-        calls["replayed step"] += self._classes is None
+        calls["replay"] += 1
         return replay(self)
 
     monkeypatch.setattr(classify_module, "classify", counting_classify)
@@ -667,31 +666,36 @@ def test_enumeration_classifies_each_necklace_once(monkeypatch):
     assert result.visited == 1480
     # 1,480 leaves, 124 distinct necklaces in cycle order; the skipped
     # subtrees save 707 of the 1,701 extends and 641 of the 1,480 leaf
-    # states a plain walk builds.  Each classified leaf's necklace replays
-    # the 180 steps on the paths to the 124 classified leaves as lists, so
-    # no cycle and no divisor class is built, and a schedule is built only
-    # for each of the 58 kept entries
+    # states a plain walk builds.  Each classified leaf's necklace is read
+    # off its key, so no class is replayed, no cycle and no divisor class is
+    # built, and a schedule is built only for each of the 58 kept entries
     assert calls == Counter({"classify": 124, "extend": 994, "leaf": 839,
-                             "schedule": 58, "replayed step": 180})
-    assert calls["cycle"] == calls["divisor"] == 0
+                             "schedule": 58})
+    assert calls["cycle"] == calls["divisor"] == calls["replay"] == 0
 
 
 def test_a_schedule_document_realizes_with_no_divisor_class(monkeypatch):
     # model_from_document folds the steps into a state and reads the
-    # necklace off its key: no cycle and no class, as in the enumerator;
-    # the smooth variant alone builds (and validates) its cycle
+    # necklace off its key: no replay, no cycle and no class, as in the
+    # enumerator; the smooth variant alone builds (and validates) its cycle
     calls = Counter()
     cycle, divisor_init = RealizationState.cycle, DivisorClass.__post_init__
+    replay = RealizationState._replay
 
     def counting_cycle(self):
         calls["cycle"] += 1
         return cycle(self)
+
+    def counting_replay(self):
+        calls["replay"] += 1
+        return replay(self)
 
     def counting_divisor(self):
         calls["divisor"] += 1
         divisor_init(self)
 
     monkeypatch.setattr(RealizationState, "cycle", counting_cycle)
+    monkeypatch.setattr(RealizationState, "_replay", counting_replay)
     monkeypatch.setattr(DivisorClass, "__post_init__", counting_divisor)
     schedules = Path(__file__).resolve().parents[1] / "schedules"
     for path in sorted(schedules.glob("*.json")):
@@ -704,7 +708,7 @@ def test_a_schedule_document_realizes_with_no_divisor_class(monkeypatch):
     assert calls == Counter()
     model_from_document({"n": 4, "initial_type": "I", "steps": [],
                          "smooth_anticanonical": True})
-    assert calls["cycle"] == 0 and calls["divisor"] > 0
+    assert calls["cycle"] == calls["replay"] == 0 and calls["divisor"] > 0
 
 
 def test_classify_takes_a_necklace_only():
@@ -793,20 +797,6 @@ def test_a_synthetic_cycle_gives_a_checked_necklace():
     for broken in (outside, unpaired, classless):
         with pytest.raises(ScheduleError, match="conjugate in"):
             broken.necklace(TAU_ONE)
-
-
-def test_a_tampered_replay_trips_the_enumeration(monkeypatch):
-    # the enumerator builds no cycle, but each classified necklace still
-    # replays its path: a node exceptional E1 that also carries E3 meets
-    # pair 2 before step 2 places it
-    exceptional = SurfaceLattice._exceptional_coeffs
-    monkeypatch.setattr(SurfaceLattice, "_exceptional_coeffs", lambda self, i: (
-        tuple(map(operator.add, exceptional(self, 1), exceptional(self, 3)))
-        if i == 1 else exceptional(self, i)))
-    with pytest.raises(InvariantError) as info:
-        enumerate_configurations()
-    assert info.value.tag == "invariant-realization-fresh-pair"
-    assert "already meet E3 or E4 before step 2" in str(info.value)
 
 
 def _found_key(entry):

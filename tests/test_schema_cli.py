@@ -11,6 +11,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from functools import reduce
 from itertools import chain
 from pathlib import Path
 
@@ -21,9 +22,15 @@ from twistor4 import cli, cohomology, errors, schema
 from twistor4.classify import classify, model_from_document
 from twistor4.cli import main
 from twistor4.cycles import DEFAULT_ORACLE_SEED, TorsionSpec
-from twistor4.errors import ScheduleError
+from twistor4.errors import InvariantError, ScheduleError
 from twistor4.classify import walk_schedules
-from twistor4.lattice import BlowupSchedule, BlowupStep, RealizationState
+from twistor4.lattice import (
+    BlowupSchedule,
+    BlowupStep,
+    RealizationState,
+    SurfaceLattice,
+    realize_cycle,
+)
 
 S, N, INF = BlowupStep.smooth, BlowupStep.node, BlowupStep.infinitely_near
 
@@ -415,22 +422,18 @@ def test_cli_cycle_h0_oracle_component_count_is_capped(capsys, monkeypatch):
 
 
 def test_cli_seed_resolution(capsys, monkeypatch):
+    # --seed is the one knob: the environment is never read
     monkeypatch.setenv("TWISTOR_SEED", "17")
     data = _run_json(
         capsys, "cycle-h0", "--degrees", "2,-2,2,-2", "--oracle", "--json",
     )
-    assert data["seed"] == 17
+    assert data["seed"] == DEFAULT_ORACLE_SEED == 20260816
     data = _run_json(
         capsys,
         "cycle-h0", "--degrees", "2,-2,2,-2", "--oracle", "--seed", "5",
         "--json",
     )
-    assert data["seed"] == 5  # explicit flag beats the environment
-    monkeypatch.setenv("TWISTOR_SEED", "not-a-number")
-    code, _, err = _run(
-        capsys, "cycle-h0", "--degrees", "2,-2,2,-2", "--oracle",
-    )
-    assert code == 1 and "TWISTOR_SEED" in err
+    assert data["seed"] == 5
 
 
 # -- CLI: classify ------------------------------------------------------------------
@@ -599,6 +602,27 @@ def test_cli_enumerate_json_bytes_are_pinned(capsys):
     code, out, _ = _run(capsys, "enumerate", "--json")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _ENUMERATE_JSON_SHA256
+
+
+def test_a_tampered_lattice_trips_the_class_route_alone(capsys, monkeypatch):
+    # a lattice whose E1 also carries E3: the node exceptional E1 of pair 1
+    # meets pair 2 before step 2 places it.  The walk reads positions only,
+    # so enumerate --json keeps every byte; the class replay still trips
+    exceptional = SurfaceLattice._exceptional_coeffs
+    monkeypatch.setattr(SurfaceLattice, "_exceptional_coeffs", lambda self, i: (
+        tuple(a + b for a, b in zip(exceptional(self, 1), exceptional(self, 3)))
+        if i == 1 else exceptional(self, i)))
+    code, out, _ = _run(capsys, "enumerate", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _ENUMERATE_JSON_SHA256
+    schedule = BlowupSchedule("I", (N(("F", "G")), S("G"), S("G"), S("G")))
+    state = reduce(RealizationState.extend, schedule.steps,
+                   RealizationState("I", 4))
+    for replay in (lambda: realize_cycle(schedule), state.cycle):
+        with pytest.raises(InvariantError) as info:
+            replay()
+        assert info.value.tag == "invariant-realization-fresh-pair"
+        assert "already meet E3 or E4 before step 2" in str(info.value)
 
 
 _ENUMERATE_TABLE_SHA256 = (
