@@ -396,38 +396,66 @@ class _CapReached(Exception):
     """Stops the walk at a leaf met with ``max_reports`` entries kept."""
 
 
+def _memo_key(key: tuple) -> tuple:
+    """The walk's memo key of a state's positional ``key``: the initial
+    type, the necklace, the depth and, sorted, the least position of each
+    open host's conjugate orbit (see ``_Walk``)."""
+    initial, squares, partners, hosts, consumed = key
+    return (initial, squares, partners, len(hosts), tuple(sorted(
+        [min(h, partners[h]) for j, h in enumerate(hosts, 1)
+         if h is not None and j not in consumed])))
+
+
 class _Walk:
     """One enumeration's depth-first walk: the entries kept, the (initial
     type, necklace) pairs classified, the leaf count below each interior
-    state's positional key, and the leaves visited.
+    state's memo key, and the leaves visited.
 
-    The leaves below a state, as a count and as a set of necklaces, depend
-    only on its positional key, the state's ``key``, which ``extend``
-    derives from the parent's in O(m).  ``candidates`` and
-    ``extend`` act on positions: one smooth step per conjugate orbit of
-    components, leaving out the real fibre F of type II, which sits at
-    position 0 in every state; one node step per conjugate orbit of edges
-    that are not their own conjugate; one infinitely-near step per pair
-    placed at a smooth point and not yet consumed.  Each step lowers
-    squares at positions, inserts -1 components next to positions, and
-    records its host's position and the consumed pair.  Names enter only in
-    which member of a conjugate orbit a candidate picks, and the other
-    member gives the mirror-image state: the same squares, the same
-    conjugate positions, hosts at the conjugate positions, hence the same
-    subtree up to mirror image, with the same leaf count and necklaces.
-    No state carries classes, and ``classify`` reads only the leaf's
+    ``candidates`` and ``extend`` act on positions: one smooth step per
+    conjugate orbit of components, leaving out the real fibre F of type
+    II, which sits at position 0 in every state (a node step inserts after
+    position 0 at the earliest); one node step per conjugate orbit of
+    edges that are not their own conjugate; one infinitely-near step per
+    open host, a pair placed at a smooth point and not yet consumed.  No
+    state carries classes, and ``classify`` reads only the leaf's
     ``Necklace``, which ``RealizationState.necklace`` takes from the key:
     the walk builds no coefficient list, no ``cycle()`` and no
-    ``DivisorClass``.  A leaf's
-    ``EnumeratedEntry`` and its ``BlowupSchedule`` are built only when its
-    (initial type, shape, case) key is new, once per kept entry.
+    ``DivisorClass``.  A leaf's ``EnumeratedEntry`` and its
+    ``BlowupSchedule`` are built only when its (initial type, shape, case)
+    key is new, once per kept entry.
 
-    The key holds the depth (one host per placed pair), so a state's
-    subtree is walked in full before any later state with its key is met.
-    The walk then adds the stored count to ``visited`` and skips that
-    subtree: each of its leaves has a necklace already classified, so it
-    could never be kept, as in a plain walk that skips such leaves one by
-    one.  The cap is checked first, as the plain walk would at the
+    The leaves below a state, as a count and as a set of necklaces, depend
+    only on its ``_memo_key``: (initial type, squares, conjugate positions,
+    depth, the sorted tuple of min(h, partners[h]) over the open hosts h).
+    By induction on the steps left: a leaf's necklace is in the key, and two
+    interior states with one memo key, whatever their names, have
+    candidates matched one to one with children of one memo key.
+      * A smooth step at p lowers the squares at p and partners[p] (a
+        real p by 2) and opens a host at p, folded to min(p, partners[p]);
+        which member of the orbit the names pick changes neither, and the
+        key moves no position, so F is left out at position 0 in both.
+      * A node step on an edge orbit inserts two -1 components after the
+        orbit's two edge positions and lowers the squares at their four
+        endpoints, whichever member is picked: the child's positional key
+        is the same, only the names E_{2k-1} and E_{2k} swap.  It opens
+        no host and renumbers each position x as moved[x], which
+        increases and commutes with the conjugation, so the child's
+        folded hosts are the images of the parent's.
+      * The infinitely-near step on an open host h lowers the squares at
+        h and partners[h]: ``lose`` is symmetric under the conjugation,
+        so the host's orbit is all the step reads.  It closes h and opens
+        the new pair at h, so the folded hosts stay as they were, and open
+        hosts of one orbit give one child key.  The multiset keeps their
+        number, which is the number of such steps; pair indices, node
+        pairs (host None) and consumed hosts offer no step and are left
+        out.
+
+    The key holds the depth, so a state's subtree is walked in full
+    before any later state with its key is met: a state met inside it is
+    deeper.  The walk then adds the stored count to ``visited`` and skips
+    that subtree: each of its leaves has a necklace already classified, so
+    it could never be kept, as in a plain walk that skips such leaves one
+    by one.  The cap is checked first, as the plain walk would at the
     subtree's first leaf (every subtree has one: an interior state always
     has a smooth step on G or C0).  These are module-level classes, and a
     state refers only to its parent, so a walk leaves no reference cycle
@@ -464,14 +492,15 @@ class _Walk:
                     self.found[found] = EnumeratedEntry(schedule, shape, report,
                                                         error)
             return 1
-        leaves = self.below.get(key)
+        memo = _memo_key(key)
+        leaves = self.below.get(memo)
         if leaves is not None:
             self._count(leaves)
             return leaves
         leaves = 0
         for move in state.candidates():
             leaves += self.visit(state.extend(move))
-        self.below[key] = leaves
+        self.below[memo] = leaves
         return leaves
 
 
@@ -500,9 +529,10 @@ def enumerate_configurations(max_reports: int | None = None) -> EnumerationResul
     alone, so a later leaf with the same one maps to a key already found.
     It is classified from its ``Necklace``, read off its positional key
     with no class replayed.
-    A subtree whose root's positional key was met before is counted and
-    skipped (see ``_Walk``).  Only kept entries build their schedule and,
-    on first use, their document.
+    A subtree whose root's memo key was met before is counted and skipped:
+    the key keeps the necklace, the depth and the open hosts' conjugate
+    orbits, which fix the leaves below (see ``_Walk``).  Only kept entries
+    build their schedule and, on first use, their document.
     """
     if max_reports is not None and (type(max_reports) is not int or max_reports < 1):
         raise ScheduleError(f"max_reports must be a positive int, got {max_reports!r}")

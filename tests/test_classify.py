@@ -197,6 +197,14 @@ def test_degree_below_minus_two_rejected():
         negative_curves(model_from_schedule(schedule))
 
 
+def test_degree_minus_three_is_below_minus_two():
+    # -3 is the first degree out of range, not a pattern that fails to match
+    necklace = Necklace(("A", "B"), (-3, 3), (0, 1), False, None, 4)
+    with pytest.raises(RealizabilityError) as info:
+        classify(necklace)
+    assert info.value.tag == "degree-below-minus-2"
+
+
 def test_unrealizable_negative_pattern_rejected():
     schedule = BlowupSchedule(
         "II", (S("C0"), N(("F", "C0")), S("E3"), N(("E3", "F"))),
@@ -366,7 +374,10 @@ def test_check_report_rejects_inconsistent_reports():
         (case_a, {"tau": 2}, "tau"),
         (case_a, {"dim_minus2KS": 2}, "case-c-only"),
         (nef, {"algebraic_dimension": 1}, "nef-torsion"),
+        (nef, {"tau": None}, "tau"),
         (case_c, {"degree_one_count": 7}, "case-c"),
+        (case_c, {"cycle_length": 13, "degree_one_count": 13}, "case-c"),
+        (case_c, {"dim_minus2KS": 1}, "case-c"),
     ):
         with pytest.raises(InvariantError) as info:
             check_report(dataclasses.replace(good, **change))
@@ -665,11 +676,11 @@ def test_enumeration_classifies_each_necklace_once(monkeypatch):
     result = enumerate_configurations()
     assert result.visited == 1480
     # 1,480 leaves, 124 distinct necklaces in cycle order; the skipped
-    # subtrees save 707 of the 1,701 extends and 641 of the 1,480 leaf
+    # subtrees save 1,203 of the 1,701 extends and 1,105 of the 1,480 leaf
     # states a plain walk builds.  Each classified leaf's necklace is read
     # off its key, so no class is replayed, no cycle and no divisor class is
     # built, and a schedule is built only for each of the 58 kept entries
-    assert calls == Counter({"classify": 124, "extend": 994, "leaf": 839,
+    assert calls == Counter({"classify": 124, "extend": 498, "leaf": 375,
                              "schedule": 58})
     assert calls["cycle"] == calls["divisor"] == calls["replay"] == 0
 
@@ -916,9 +927,21 @@ def _key_census(subtrees, key):
     return len(first), mismatches
 
 
+def _hosts_key(fold=True, open_only=True, collect=lambda hosts: tuple(sorted(hosts))):
+    """A memo key like the walk's, with one of its host rules changed."""
+    def key(state):
+        initial, squares, partners, hosts, consumed = state.key
+        kept = [min(h, partners[h]) if fold else h
+                for j, h in enumerate(hosts, 1)
+                if h is not None and not (open_only and j in consumed)]
+        return initial, squares, partners, len(hosts), collect(kept)
+    return key
+
+
 def test_a_states_positional_key_fixes_its_subtree():
-    # the enumerator skips a subtree whose root's key it has met, so every
-    # state with that key must have the same leaf count and leaf necklaces
+    # the enumerator skips a subtree whose root's memo key it has met, so
+    # every state with that key must have the same leaf count and leaf
+    # necklaces; the exact positional key fixes them too
     subtrees = []
     for initial in ("I", "II"):
         for state in _interior_states(RealizationState(initial, 4)):
@@ -931,6 +954,14 @@ def test_a_states_positional_key_fixes_its_subtree():
     # type, necklace) alone, merges subtrees that differ
     assert _key_census(subtrees, lambda state: state.key[:4]) == (124, 39)
     assert _key_census(subtrees, lambda state: state.key[:3]) == (58, 39)
+    memo = _key_census(subtrees, lambda state: classify_module._memo_key(state.key))
+    assert memo == _key_census(subtrees, _hosts_key()) == (74, 0)
+    # the memo key's host rules have teeth: a set forgets how many open
+    # hosts share an orbit, and a consumed host offers no step; without the
+    # orbit fold the key is still sound but splits mirror-image states
+    assert _key_census(subtrees, _hosts_key(collect=frozenset)) == (58, 39)
+    assert _key_census(subtrees, _hosts_key(open_only=False)) == (58, 39)
+    assert _key_census(subtrees, _hosts_key(fold=False)) == (83, 0)
 
 
 @pytest.fixture(scope="module")
@@ -967,7 +998,7 @@ def test_capped_walks_keep_the_full_runs_representatives(plain_walk, cap):
 def test_a_skipped_subtree_counts_its_leaves_unless_the_cap_is_met():
     state = RealizationState("I", 4).extend(S("F"))
     walk = classify_module._Walk(max_reports=1)
-    walk.below[state.key] = 7
+    walk.below[classify_module._memo_key(state.key)] = 7
     assert walk.visit(state) == 7
     assert walk.visited == 7
     # with the cap met, the plain walk stops at the subtree's first leaf
