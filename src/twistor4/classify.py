@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 from . import schema
 from .cycles import CycleLineBundle, TorsionSpec, h0_formula
@@ -396,14 +396,28 @@ class _CapReached(Exception):
     """Stops the walk at a leaf met with ``max_reports`` entries kept."""
 
 
+@cache
+def _dihedral_maps(m: int, type_ii: bool) -> tuple:
+    """(g, g^-1) for each map i -> r + s*i (s = 1 or -1) of m positions; for
+    type II only the two with r = 0, which fix F at position 0."""
+    return tuple((tuple([(r + s * i) % m for i in range(m)]),
+                  tuple([s * (i - r) % m for i in range(m)]))
+                 for r in ((0,) if type_ii else range(m)) for s in (1, -1))
+
+
 def _memo_key(key: tuple) -> tuple:
-    """The walk's memo key of a state's positional ``key``: the initial
-    type, the necklace, the depth and, sorted, the least position of each
-    open host's conjugate orbit (see ``_Walk``)."""
+    """The walk's memo key of a positional ``key``: the initial type, the
+    depth and the least (squares, conjugate positions, sorted folded open
+    hosts) over ``_dihedral_maps``, position i taking g[i] (see ``_Walk``)."""
     initial, squares, partners, hosts, consumed = key
-    return (initial, squares, partners, len(hosts), tuple(sorted(
-        [min(h, partners[h]) for j, h in enumerate(hosts, 1)
-         if h is not None and j not in consumed])))
+    maps = _dihedral_maps(len(squares), initial == "II")
+    images = [tuple([squares[p] for p in g]) for g, _ in maps]
+    least, open_hosts = min(images), [
+        h for j, h in enumerate(hosts, 1) if h is not None and j not in consumed]
+    return initial, len(hosts), min(
+        (image, tuple([inv[partners[p]] for p in g]), tuple(sorted(
+            [min(inv[h], inv[partners[h]]) for h in open_hosts])))
+        for image, (g, inv) in zip(images, maps) if image == least)
 
 
 class _Walk:
@@ -424,12 +438,13 @@ class _Walk:
     ``BlowupSchedule`` are built only when its (initial type, shape, case)
     key is new, once per kept entry.
 
-    The leaves below a state, as a count and as a set of necklaces, depend
-    only on its ``_memo_key``: (initial type, squares, conjugate positions,
-    depth, the sorted tuple of min(h, partners[h]) over the open hosts h).
-    By induction on the steps left: a leaf's necklace is in the key, and two
-    interior states with one memo key, whatever their names, have
-    candidates matched one to one with children of one memo key.
+    The leaves below a state, as a count and as a set of necklaces up to
+    relabelling, depend only on its ``_memo_key``.  First with no
+    relabelling, by induction on the steps left: a leaf's necklace is in
+    the key, and two interior states with one (initial type, squares,
+    conjugate positions, depth, sorted min(h, partners[h]) over the open
+    hosts h), whatever their names, have candidates matched one to one
+    with children of one such key.
       * A smooth step at p lowers the squares at p and partners[p] (a
         real p by 2) and opens a host at p, folded to min(p, partners[p]);
         which member of the orbit the names pick changes neither, and the
@@ -449,17 +464,30 @@ class _Walk:
         number, which is the number of such steps; pair indices, node
         pairs (host None) and consumed hosts offer no step and are left
         out.
+    Then relabel the positions by a map g of ``_dihedral_maps``.
+    ``candidates`` and ``extend`` commute with it: g maps orbits of
+    components, edges and open hosts to orbits, and a relabelled state's
+    child is the child relabelled by the rotation or reflection g induces
+    once the new pair is in; for type II both fix position 0, as a node
+    step inserts after it at the earliest, so F keeps no smooth step.  A
+    leaf's found key (initial type, ``_shape_key``, case or tag) is
+    invariant under g: the shape is a multiset, and ``_match_case`` reads
+    only degrees, the conjugation, adjacency and the cyclic sign
+    alternation.  So states with one memo key have as many leaves and one
+    set of found keys.
 
     The key holds the depth, so a state's subtree is walked in full
     before any later state with its key is met: a state met inside it is
     deeper.  The walk then adds the stored count to ``visited`` and skips
-    that subtree: each of its leaves has a necklace already classified, so
-    it could never be kept, as in a plain walk that skips such leaves one
-    by one.  The cap is checked first, as the plain walk would at the
-    subtree's first leaf (every subtree has one: an interior state always
-    has a smooth step on G or C0).  These are module-level classes, and a
-    state refers only to its parent, so a walk leaves no reference cycle
-    behind.
+    that subtree: its leaves' found keys were all met in the first one, so
+    a plain walk keeps none of them, and each kept entry is still the one
+    a plain walk finds first, also under ``--limit``.  ``seen`` stays
+    exact; a necklace only a skipped leaf had may be classified later, to
+    a found key already met.  The cap is checked first, as the plain walk
+    would at the subtree's first leaf (every subtree has one: an interior
+    state always has a smooth step on G or C0).  These are module-level
+    classes, and a state refers only to its parent, so a walk leaves no
+    reference cycle behind.
     """
 
     def __init__(self, max_reports: int | None):
@@ -521,18 +549,20 @@ def enumerate_configurations(max_reports: int | None = None) -> EnumerationResul
     (initial type, weighted-shape, case) key.
 
     The two-conjugate-(1,1)-curves initial cycle is omitted: blowing its
-    nodes first is the elementary transform of a type I schedule, and never
-    blowing them realizes configurations already covered.  ``max_reports``
+    nodes first is the elementary transform of a type I schedule, and a
+    schedule that never blows them ends on a type I or II necklace up to
+    rotation and reflection, except the 15 that keep the 2-cycle (A, Abar)
+    with squares (-2, -2), a nef configuration left out.  ``max_reports``
     caps the number of kept entries; the result records whether the walk
     exhausted the space.  Only the first leaf of each (initial type,
     necklace) is classified: the shape and the case come from the necklace
     alone, so a later leaf with the same one maps to a key already found.
     It is classified from its ``Necklace``, read off its positional key
-    with no class replayed.
-    A subtree whose root's memo key was met before is counted and skipped:
-    the key keeps the necklace, the depth and the open hosts' conjugate
-    orbits, which fix the leaves below (see ``_Walk``).  Only kept entries
-    build their schedule and, on first use, their document.
+    with no class replayed.  A subtree whose root's memo key was met
+    before is counted and skipped: the depth and, up to rotation and
+    reflection (fixing type II's F), the necklace and the open hosts'
+    orbits fix the leaves below (see ``_Walk``).  Only kept entries build
+    their schedule and, on first use, their document.
     """
     if max_reports is not None and (type(max_reports) is not int or max_reports < 1):
         raise ScheduleError(f"max_reports must be a positive int, got {max_reports!r}")

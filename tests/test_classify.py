@@ -6,6 +6,7 @@ import gc
 import hashlib
 import importlib
 import math
+import random
 from collections import Counter
 from itertools import chain, combinations
 from pathlib import Path
@@ -676,11 +677,13 @@ def test_enumeration_classifies_each_necklace_once(monkeypatch):
     result = enumerate_configurations()
     assert result.visited == 1480
     # 1,480 leaves, 124 distinct necklaces in cycle order; the skipped
-    # subtrees save 1,203 of the 1,701 extends and 1,105 of the 1,480 leaf
-    # states a plain walk builds.  Each classified leaf's necklace is read
-    # off its key, so no class is replayed, no cycle and no divisor class is
-    # built, and a schedule is built only for each of the 58 kept entries
-    assert calls == Counter({"classify": 124, "extend": 498, "leaf": 375,
+    # subtrees, twins under rotation and reflection included, save 1,412 of
+    # the 1,701 extends and 1,276 of the 1,480 leaf states a plain walk
+    # builds, and leave 80 necklaces to classify.  Each classified leaf's
+    # necklace is read off its key, so no class is replayed, no cycle and no
+    # divisor class is built, and a schedule is built only for each of the
+    # 58 kept entries
+    assert calls == Counter({"classify": 80, "extend": 289, "leaf": 204,
                              "schedule": 58})
     assert calls["cycle"] == calls["divisor"] == calls["replay"] == 0
 
@@ -938,30 +941,107 @@ def _hosts_key(fold=True, open_only=True, collect=lambda hosts: tuple(sorted(hos
     return key
 
 
+def _dihedral_class(squares, partners):
+    """The least (squares, conjugate positions) over every rotation and
+    reflection of the cycle."""
+    images, ring = [], list(range(len(squares)))
+    for order in (ring, ring[::-1]):
+        for r in ring:
+            g = order[r:] + order[:r]
+            at = {p: i for i, p in enumerate(g)}
+            images.append((tuple(squares[p] for p in g),
+                           tuple(at[partners[p]] for p in g)))
+    return min(images)
+
+
 def test_a_states_positional_key_fixes_its_subtree():
     # the enumerator skips a subtree whose root's memo key it has met, so
-    # every state with that key must have the same leaf count and leaf
-    # necklaces; the exact positional key fixes them too
-    subtrees = []
+    # every state with that key must have the same leaf count and, up to
+    # rotation and reflection, the same leaf necklaces; the exact
+    # positional key fixes the necklaces in cycle order too
+    exact, dihedral = [], []
     for initial in ("I", "II"):
         for state in _interior_states(RealizationState(initial, 4)):
             necklaces = [leaf.key[1:3]
                          for _, leaf in walk_schedules(state)]
-            subtrees.append((state, (len(necklaces), frozenset(necklaces))))
-    assert len(subtrees) == 223
-    assert _key_census(subtrees, lambda state: state.key) == (156, 0)
+            exact.append((state, (len(necklaces), frozenset(necklaces))))
+            dihedral.append((state, (len(necklaces), frozenset(
+                _dihedral_class(*necklace) for necklace in necklaces))))
+    assert len(exact) == 223
+    assert _key_census(exact, lambda state: state.key) == (156, 0)
     # each field has teeth: a key without ``consumed``, or the (initial
     # type, necklace) alone, merges subtrees that differ
-    assert _key_census(subtrees, lambda state: state.key[:4]) == (124, 39)
-    assert _key_census(subtrees, lambda state: state.key[:3]) == (58, 39)
-    memo = _key_census(subtrees, lambda state: classify_module._memo_key(state.key))
-    assert memo == _key_census(subtrees, _hosts_key()) == (74, 0)
-    # the memo key's host rules have teeth: a set forgets how many open
-    # hosts share an orbit, and a consumed host offers no step; without the
-    # orbit fold the key is still sound but splits mirror-image states
-    assert _key_census(subtrees, _hosts_key(collect=frozenset)) == (58, 39)
-    assert _key_census(subtrees, _hosts_key(open_only=False)) == (58, 39)
-    assert _key_census(subtrees, _hosts_key(fold=False)) == (83, 0)
+    assert _key_census(exact, lambda state: state.key[:4]) == (124, 39)
+    assert _key_census(exact, lambda state: state.key[:3]) == (58, 39)
+    # the memo key folds the open hosts' conjugate orbits and then the
+    # rotations and reflections: in cycle order twins' leaves differ, up to
+    # them they agree, and the orbit key alone gives 74 keys
+    memo = lambda state: classify_module._memo_key(state.key)
+    assert _key_census(dihedral, memo) == (47, 0)
+    assert _key_census(exact, memo) == (47, 105)
+    assert _key_census(exact, _hosts_key()) == (74, 0)
+    # the host rules have teeth: with no host the key merges subtrees that
+    # differ; a set forgets how many open hosts share an orbit, and a
+    # consumed host offers no step; without the orbit fold the key is still
+    # sound but splits mirror-image states
+    assert _key_census(dihedral, lambda state: classify_module._memo_key(
+        (*state.key[:3], (None,) * len(state.key[3]), state.key[4]))) == (37, 39)
+    assert _key_census(exact, _hosts_key(collect=frozenset)) == (58, 39)
+    assert _key_census(exact, _hosts_key(open_only=False)) == (58, 39)
+    assert _key_census(exact, _hosts_key(fold=False)) == (83, 0)
+
+
+def _relabelled(key, g):
+    """A positional ``key`` with position i taking what sat at g[i]."""
+    initial, squares, partners, hosts, consumed = key
+    at = {p: i for i, p in enumerate(g)}
+    return (initial, tuple(squares[p] for p in g),
+            tuple(at[partners[p]] for p in g),
+            tuple(h if h is None else at[h] for h in hosts), consumed)
+
+
+def test_the_memo_key_ignores_rotations_and_reflections():
+    # seeded random walks to interior states of both types: relabelling a
+    # type I key by any rotation or reflection, or a type II key by the
+    # reflection through F's position 0, keeps the memo key; moving F off
+    # position 0 changes it
+    rng, memo = random.Random(41206), classify_module._memo_key
+    relabelled = moved = type_ii = 0
+    for _ in range(300):
+        state = RealizationState(rng.choice(("I", "II")), 4)
+        for _ in range(rng.randrange(4)):
+            state = state.extend(rng.choice(state.candidates()))
+        key, ring = state.key, list(range(len(state.key[1])))
+        maps = [ring[-r:] + ring[:-r] for r in ring]
+        maps += [ring[r::-1] + ring[:r:-1] for r in ring]
+        if key[0] == "II":
+            type_ii += 1
+            moved += memo(_relabelled(key, ring[1:] + ring[:1])) != memo(key)
+            maps = [ring[:1] + ring[:0:-1]]
+        for g in maps:
+            assert memo(_relabelled(key, g)) == memo(key), (key, g)
+            relabelled += 1
+    assert relabelled > 1000
+    assert moved == type_ii > 100
+
+
+def test_type_iii_leaves_off_the_nodes_end_on_type_i_or_ii_necklaces():
+    # the enumerator walks types I and II only: a type III schedule that
+    # blows the nodes A and Abar first is the elementary transform of a
+    # type I one, and every other type III leaf ends, up to rotation and
+    # reflection, on the necklace of a type I or II leaf, except the 15
+    # that keep the nef 2-cycle (A, Abar) with squares (-2, -2)
+    covered = {_dihedral_class(*leaf.key[1:3])
+               for initial in ("I", "II")
+               for _, leaf in walk_schedules(RealizationState(initial, 4))}
+    off_nodes = [leaf for schedule, leaf in walk_schedules(
+        RealizationState("III", 4)) if schedule.steps[0].kind != "node"]
+    assert len(off_nodes) == 62
+    outside = [leaf for leaf in off_nodes
+               if _dihedral_class(*leaf.key[1:3]) not in covered]
+    assert Counter((leaf.order, leaf.key[1:3]) for leaf in outside) == {
+        (("A", "Abar"), ((-2, -2), (1, 0))): 15}
+    assert classify(outside[0].necklace(TAU_ONE)).case == CASE_NEF
 
 
 @pytest.fixture(scope="module")

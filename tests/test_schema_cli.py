@@ -689,6 +689,8 @@ def test_cli_under_python_O_keeps_its_results():
     assert selftest.strip().endswith("10/10 criteria passed")
     enumerated = run("enumerate", "--json")
     assert hashlib.sha256(enumerated).hexdigest() == _ENUMERATE_JSON_SHA256
+    table = run("enumerate")
+    assert hashlib.sha256(table).hexdigest() == _ENUMERATE_TABLE_SHA256
     capped = run("enumerate", "--limit", "10", "--json")
     assert hashlib.sha256(capped).hexdigest() == _ENUMERATE_LIMIT_10_JSON_SHA256
     classified = b"".join(run("classify", "--json", str(path)) for path in _GOLDENS)
@@ -703,10 +705,11 @@ def test_ci_and_the_benchmark_pin_the_tests_digests():
     pins = {}
     for step in workflow.split("- name: ")[1:]:
         for digest in re.findall(r'test "\$digest" = ([0-9a-f]{64})', step):
-            command = re.search(r"-m twistor4 (\w+(?: --limit \d+)? --json)",
+            command = re.search(r"-m twistor4 (\w+(?: --limit \d+)?(?: --json)?)",
                                 step).group(1)
             pins.setdefault(command, []).append(digest)
     assert pins == {"enumerate --json": [_ENUMERATE_JSON_SHA256],
+                    "enumerate": [_ENUMERATE_TABLE_SHA256],
                     "enumerate --limit 10 --json": [_ENUMERATE_LIMIT_10_JSON_SHA256],
                     "classify --json": [_GOLDENS_CLASSIFY_JSON_SHA256]}
     expected = json.loads((_ROOT / "perfbench" / "expected.json").read_text(
