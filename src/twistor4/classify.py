@@ -194,13 +194,11 @@ class ClassificationReport:
         return _CASES[self.case].letter
 
     def as_dict(self) -> dict:
-        out = {}
-        for name in _REPORT_KEYS:
-            value = schema.encode_infinite(getattr(self, name))
-            if isinstance(value, tuple):
-                value = [list(item) if isinstance(item, tuple) else item
-                         for item in value]
-            out[name] = value
+        out = {name: getattr(self, name) for name in _REPORT_KEYS}
+        # math.inf is a value of the two fields typed int | float alone
+        out["degree_one_count"] = schema.encode_infinite(self.degree_one_count)
+        out["tau"] = schema.encode_infinite(self.tau)
+        out["negative_curves"] = [list(curve) for curve in self.negative_curves]
         return out
 
 
@@ -370,7 +368,7 @@ def _shape_key(squares: tuple[int, ...], partners: tuple[int, ...]) -> tuple:
 def walk_schedules(root: RealizationState):
     """Depth-first walk over every schedule that completes ``root``,
     yielding ``(schedule, leaf state)``; each node extends its parent once."""
-    if len(root.key[3]) == root.lattice.pairs:  # one host per placed pair
+    if len(root.key[3]) == root.pairs:  # one host per placed pair
         yield BlowupSchedule(root.initial_type, root.steps), root
         return
     for move in root.candidates():
@@ -398,26 +396,27 @@ class _CapReached(Exception):
 
 @cache
 def _dihedral_maps(m: int, type_ii: bool) -> tuple:
-    """(g, g^-1) for each map i -> r + s*i (s = 1 or -1) of m positions; for
-    type II only the two with r = 0, which fix F at position 0."""
-    return tuple((tuple([(r + s * i) % m for i in range(m)]),
+    """(start, g^-1) for each map g: i -> r + s*i (s = 1 or -1) of m
+    positions, for type II only the two with r = 0, which fix F at 0; a tuple
+    t relabelled by g, i taking t[g[i]], is (t * 2 + t[::-1] * 2)[start:start + m]."""
+    return tuple((r if s == 1 else 3 * m - 1 - r,
                   tuple([s * (i - r) % m for i in range(m)]))
-                 for r in ((0,) if type_ii else range(m)) for s in (1, -1))
+                 for s in (1, -1) for r in ((0,) if type_ii else range(m)))
 
 
 def _memo_key(key: tuple) -> tuple:
     """The walk's memo key of a positional ``key``: the initial type, the
-    depth and the least (squares, conjugate positions, sorted folded open
-    hosts) over ``_dihedral_maps``, position i taking g[i] (see ``_Walk``)."""
+    depth and the least (squares, sorted folded open hosts) over
+    ``_dihedral_maps``, without the conjugate positions (see ``_Walk``)."""
     initial, squares, partners, hosts, consumed = key
-    maps = _dihedral_maps(len(squares), initial == "II")
-    images = [tuple([squares[p] for p in g]) for g, _ in maps]
+    m, double = len(squares), squares * 2 + squares[::-1] * 2
+    maps = _dihedral_maps(m, initial == "II")
+    images = [double[start:start + m] for start, _ in maps]
     least, open_hosts = min(images), [
         h for j, h in enumerate(hosts, 1) if h is not None and j not in consumed]
     return initial, len(hosts), min(
-        (image, tuple([inv[partners[p]] for p in g]), tuple(sorted(
-            [min(inv[h], inv[partners[h]]) for h in open_hosts])))
-        for image, (g, inv) in zip(images, maps) if image == least)
+        (image, tuple(sorted([min(inv[h], inv[partners[h]]) for h in open_hosts])))
+        for image, (_, inv) in zip(images, maps) if image == least)
 
 
 class _Walk:
@@ -442,9 +441,12 @@ class _Walk:
     relabelling, depend only on its ``_memo_key``.  First with no
     relabelling, by induction on the steps left: a leaf's necklace is in
     the key, and two interior states with one (initial type, squares,
-    conjugate positions, depth, sorted min(h, partners[h]) over the open
-    hosts h), whatever their names, have candidates matched one to one
-    with children of one such key.
+    depth, sorted min(h, partners[h]) over the open hosts h), whatever
+    their names, have candidates matched one to one with children of one
+    such key.  The initial type and m fix the conjugate positions, as on
+    the roots: type I's half-turn p -> p + m/2 and type II's reflection
+    p -> -p mod m, as a node step subdivides two edges that the
+    conjugation swaps and keeps the positions' order, F at 0.
       * A smooth step at p lowers the squares at p and partners[p] (a
         real p by 2) and opens a host at p, folded to min(p, partners[p]);
         which member of the orbit the names pick changes neither, and the
@@ -464,17 +466,17 @@ class _Walk:
         number, which is the number of such steps; pair indices, node
         pairs (host None) and consumed hosts offer no step and are left
         out.
-    Then relabel the positions by a map g of ``_dihedral_maps``.
-    ``candidates`` and ``extend`` commute with it: g maps orbits of
-    components, edges and open hosts to orbits, and a relabelled state's
-    child is the child relabelled by the rotation or reflection g induces
-    once the new pair is in; for type II both fix position 0, as a node
-    step inserts after it at the earliest, so F keeps no smooth step.  A
-    leaf's found key (initial type, ``_shape_key``, case or tag) is
-    invariant under g: the shape is a multiset, and ``_match_case`` reads
-    only degrees, the conjugation, adjacency and the cyclic sign
-    alternation.  So states with one memo key have as many leaves and one
-    set of found keys.
+    Then relabel the positions by a map g of ``_dihedral_maps``, which
+    commutes with the conjugation, as ``candidates`` and ``extend`` do: g
+    maps orbits of components, edges and open hosts to orbits, and a
+    relabelled state's child is the child relabelled by the rotation or
+    reflection g induces once the new pair is in; for type II both fix
+    position 0, as a node step inserts after it at the earliest, so F
+    keeps no smooth step.  A leaf's found key (initial type,
+    ``_shape_key``, case or tag) is invariant under g: the shape is a
+    multiset, and ``_match_case`` reads only degrees, the conjugation,
+    adjacency and the cyclic sign alternation.  So states with one memo
+    key have as many leaves and one set of found keys.
 
     The key holds the depth, so a state's subtree is walked in full
     before any later state with its key is met: a state met inside it is
@@ -507,7 +509,7 @@ class _Walk:
         """Walk ``state``'s subtree, classifying the first leaf of each
         (initial type, necklace); returns the subtree's leaf count."""
         key = state.key
-        if len(key[3]) == state.lattice.pairs:
+        if len(key[3]) == state.pairs:
             self._count(1)
             initial, squares, partners = necklace_key = key[:3]
             if necklace_key not in self.seen:

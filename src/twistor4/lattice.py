@@ -192,12 +192,6 @@ STEP_FIELDS = {
     "node": ("components",),
     "infinitely_near": ("over_pair", "on_strict_transform"),
 }
-#: Step kind -> the other kinds' fields, which a step of that kind leaves None
-_FOREIGN_FIELDS = {
-    kind: tuple(name for names in STEP_FIELDS.values() for name in names
-                if name not in own)
-    for kind, own in STEP_FIELDS.items()
-}
 
 
 def _check_initial_type(initial_type):
@@ -226,37 +220,38 @@ class BlowupStep(namedtuple("BlowupStep", ("kind", "component", "components",
 
     def __new__(cls, kind, component=None, components=None, over_pair=None,
                 on_strict_transform=None):
-        foreign = _FOREIGN_FIELDS.get(kind) if isinstance(kind, str) else None
-        if foreign is None:
-            raise ScheduleError(f"unknown step kind {kind!r}")
         if kind == "smooth":
             if not isinstance(component, str):
                 raise ScheduleError("smooth step needs a component id")
+            foreign = components, over_pair, on_strict_transform
         elif kind == "node":
             if (
                 not isinstance(components, (tuple, list))
                 or len(components) != 2
-                or not all(isinstance(c, str) for c in components)
+                or not all(map(isinstance, components, (str, str)))
                 or components[0] == components[1]
             ):
                 raise ScheduleError("node step needs two distinct component ids")
             components = tuple(components)
-        else:
+            foreign = component, over_pair, on_strict_transform
+        elif kind == "infinitely_near":
             if type(over_pair) is not int or over_pair < 1:
                 raise ScheduleError(
                     "infinitely_near step needs a positive over_pair index"
                 )
             if not isinstance(on_strict_transform, (str, type(None))):
                 raise ScheduleError("on_strict_transform is a component id or None")
-        step = super().__new__(cls, kind, component, components, over_pair,
-                               on_strict_transform)
-        for name in foreign:
-            if getattr(step, name) is not None:
-                raise ScheduleError(
-                    f"{kind} step carries only "
-                    f"{' and '.join(STEP_FIELDS[kind])}, not {name}"
-                )
-        return step
+            foreign = component, components
+        else:
+            raise ScheduleError(f"unknown step kind {kind!r}")
+        # the other kinds' fields, in field order, must all be None
+        if not foreign[0] is foreign[1] is foreign[-1] is None:
+            names = [n for n in cls._fields[1:] if n not in STEP_FIELDS[kind]]
+            name = next(n for n, value in zip(names, foreign) if value is not None)
+            raise ScheduleError(f"{kind} step carries only "
+                                f"{' and '.join(STEP_FIELDS[kind])}, not {name}")
+        return tuple.__new__(cls, (kind, component, components, over_pair,
+                                   on_strict_transform))
 
     @classmethod
     def _make(cls, iterable):
@@ -264,19 +259,15 @@ class BlowupStep(namedtuple("BlowupStep", ("kind", "component", "components",
 
     @classmethod
     def smooth(cls, component):
-        return cls("smooth", component=component)
+        return cls("smooth", component)
 
     @classmethod
     def node(cls, components):
-        return cls("node", components=components)
+        return cls("node", None, components)
 
     @classmethod
     def infinitely_near(cls, over_pair, on_strict_transform=None):
-        return cls(
-            "infinitely_near",
-            over_pair=over_pair,
-            on_strict_transform=on_strict_transform,
-        )
+        return cls("infinitely_near", None, None, over_pair, on_strict_transform)
 
 
 @dataclass(frozen=True)
@@ -472,6 +463,9 @@ _INITIAL_CYCLES = {
     "II": (("F", "C0"), ((0, 1), (2, 1)), (0, 1)),
     "III": (("A", "Abar"), ((1, 1), (1, 1)), (1, 0)),
 }
+#: Each initial cycle's positional key (see ``RealizationState``)
+_ROOT_KEYS = {t: (t, tuple(2 * a * b for a, b in lf), partners, (), frozenset())
+              for t, (_, lf, partners) in _INITIAL_CYCLES.items()}
 
 
 class RealizationState:
@@ -483,12 +477,12 @@ class RealizationState:
     and derives the child in O(m), recording the step as its ``move`` and in
     ``lose`` the positions it takes E_{2k-1} and E_{2k} from.
 
-    No state holds divisor classes, and ``necklace`` reads the key alone.
-    ``cycle`` replays the steps on coefficient lists, each state on its path
-    once: a state copies its parent's lists (the root's are the literal ones)
-    and subtracts its pair from the components ``lose`` names, once no list
-    meets that pair yet (checked, O(m)); ``extend`` lowered the same
-    components' squares.  Every replayed cycle passes
+    No state holds divisor classes or a lattice, and ``necklace`` reads the
+    key alone.  ``cycle`` replays the steps on coefficient lists, each state
+    on its path once: a state copies its parent's lists (the root builds the
+    literal ones) and subtracts its pair from the components ``lose``
+    names, once no list meets that pair yet (checked, O(m)); ``extend``
+    lowered the same components' squares.  Every replayed cycle passes
     ``AnticanonicalCycle.validate``.  The fresh-pair check guards only these
     lists: pair k's columns, coefficients 2k and 2k + 1, are zero on the root
     and written only by step k, so it fails only if
@@ -519,17 +513,15 @@ class RealizationState:
     The root is a literal: ``cycle`` validates it and no other cycle.
     """
 
-    __slots__ = ("lattice", "order", "key", "parent", "move", "lose", "_classes")
+    __slots__ = ("pairs", "order", "key", "parent", "move", "lose", "_classes")
 
     def __init__(self, initial_type: str, pairs: int):
         _check_initial_type(initial_type)
-        self.lattice = SurfaceLattice(pairs)
-        self.order, lf, partners = _INITIAL_CYCLES[initial_type]
-        squares = tuple(2 * a * b for a, b in lf)
-        self.key = (initial_type, squares, partners, (), frozenset())
-        self.parent = self.move = self.lose = None
-        pad = [0] * (2 * pairs)
-        self._classes = {name: [*c, *pad] for name, c in zip(self.order, lf)}
+        if type(pairs) is not int or pairs < 0:
+            SurfaceLattice(pairs)  # refuses it with the lattice's message
+        self.pairs, self.order = pairs, _INITIAL_CYCLES[initial_type][0]
+        self.key = _ROOT_KEYS[initial_type]
+        self.parent = self.move = self.lose = self._classes = None
 
     initial_type = property(lambda self: self.key[0])
     squares = property(lambda self: self.key[1])
@@ -550,10 +542,9 @@ class RealizationState:
         kind, component, components, over_pair, target = step
         initial, squares, partners, hosts, consumed = self.key
         k = len(hosts) + 1
-        if k > self.lattice.pairs:
-            raise ScheduleError(
-                f"step {k} exceeds the {self.lattice.pairs} pairs of this state"
-            )
+        if k > self.pairs:
+            raise ScheduleError(f"step {k} exceeds the {self.pairs} pairs "
+                                "of this state")
         if kind == "node":
             order, squares, partners, hosts, lose = self._node(k, *components)
         else:
@@ -573,7 +564,7 @@ class RealizationState:
         for p in lose[0] + lose[1]:
             squares[p] -= 1  # the pair is fresh: X.E = 0 and E^2 = -1
         child = object.__new__(RealizationState)
-        child.lattice, child.order, child.parent = self.lattice, order, self
+        child.pairs, child.order, child.parent = self.pairs, order, self
         child.move, child.lose, child._classes = step, lose, None
         child.key = (initial, tuple(squares), partners, hosts, consumed)
         return child
@@ -581,15 +572,14 @@ class RealizationState:
     def cycle(self) -> AnticanonicalCycle:
         """The cycle in the lattice of the pairs placed so far, its classes
         replayed; valid by construction past the root."""
-        pairs = len(self.key[3])  # a prefix drops the pairs not yet placed
-        lattice = SurfaceLattice(pairs) if pairs < self.lattice.pairs else self.lattice
+        lattice = SurfaceLattice(len(self.key[3]))  # only the pairs placed so far
         rank, order, partners = lattice.rank, self.order, self.key[2]
         result = AnticanonicalCycle(
             lattice, order,
             {n: DivisorClass(lattice, c[:rank]) for n, c in self._replay().items()},
             {name: order[p] for name, p in zip(order, partners)},
         )
-        return result if pairs else result.validate()
+        return result if lattice.pairs else result.validate()
 
     def necklace(self, torsion: TorsionSpec | None = None) -> Necklace:
         """The necklace of ``cycle()`` with ``torsion``, read off the key."""
@@ -599,8 +589,12 @@ class RealizationState:
 
     def _replay(self):
         """The classes by name as coefficient lists on all the pairs, once per
-        state: the parent's, copied, minus this step's pair at ``lose``."""
-        if self._classes is not None:  # the root's are the literal ones
+        state: the root's literal ones, or the parent's, copied, minus this
+        step's pair at ``lose``."""
+        if self._classes is None and self.parent is None:  # the literal root
+            pad, lf = [0] * (2 * self.pairs), _INITIAL_CYCLES[self.key[0]][1]
+            self._classes = {name: [*c, *pad] for name, c in zip(self.order, lf)}
+        if self._classes is not None:
             return self._classes
         classes = {name: c[:] for name, c in self.parent._replay().items()}
         k = len(self.key[3])
@@ -613,8 +607,9 @@ class RealizationState:
             for p in lost:
                 classes[self.order[p]][column] -= 1
         if self.key[3][-1] is None:  # a node pair: E and E' are components
+            lattice = SurfaceLattice(self.pairs)
             for e in (lo - 1, lo):
-                classes[f"E{e}"] = list(self.lattice._exceptional_coeffs(e))
+                classes[f"E{e}"] = list(lattice._exceptional_coeffs(e))
         self._classes = classes
         return classes
 
@@ -623,10 +618,11 @@ class RealizationState:
         return self.key[0] == "II" and name == "F"
 
     def _position(self, name):
-        if name not in self.order:
-            raise ScheduleError(
-                f"component {name!r} does not exist; cycle is {self.order}")
-        return self.order.index(name)
+        try:
+            return self.order.index(name)
+        except ValueError:
+            raise ScheduleError(f"component {name!r} does not exist; "
+                                f"cycle is {self.order}") from None
 
     def candidates(self) -> list[BlowupStep]:
         """Every location for the next step, one per conjugation orbit;

@@ -57,9 +57,14 @@ __all__ = [
 
 # the largest n a document (and the CLI's ``--n``) accepts
 MAX_N = 150
-_DOCUMENT_KEYS = frozenset(
-    {"n", "initial_type", "steps", "torsion", "smooth_anticanonical"}
-)
+_DOCUMENT_REQUIRED = frozenset({"n", "initial_type", "steps"})
+_DOCUMENT_KEYS = _DOCUMENT_REQUIRED | {"torsion", "smooth_anticanonical"}
+#: Step kind -> the keys its object may carry and the keys it must carry
+_STEP_KEYS = {kind: (frozenset(("kind",) + names), frozenset(("kind", names[0])))
+              for kind, names in STEP_FIELDS.items()}
+_FINITE_KEYS, _KIND_KEY = frozenset({"kind", "order"}), frozenset({"kind"})
+# one encoder serves every call: it keeps no state between calls
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -81,12 +86,14 @@ def _kind(value):
 
 
 def _check_fields(obj, allowed, required, what):
-    unknown = sorted(set(obj) - set(allowed))
+    """``allowed`` and ``required`` are frozensets of keys."""
+    keys = obj.keys()
+    if keys <= allowed and keys >= required:
+        return
+    unknown = sorted(keys - allowed)
     if unknown:
         raise ScheduleError(f"unknown field(s) {unknown} in {what}")
-    missing = sorted(set(required) - set(obj))
-    if missing:
-        raise ScheduleError(f"missing field(s) {missing} in {what}")
+    raise ScheduleError(f"missing field(s) {sorted(required - keys)} in {what}")
 
 
 def _plain_int(value, what, minimum=None):
@@ -102,11 +109,11 @@ def parse_torsion(obj) -> TorsionSpec:
     _require_object(obj, "torsion")
     kind = obj.get("kind")
     if kind == "finite":
-        _check_fields(obj, ("kind", "order"), ("kind", "order"), "torsion")
+        _check_fields(obj, _FINITE_KEYS, _FINITE_KEYS, "torsion")
         order = _plain_int(obj["order"], "torsion order", minimum=1)
         return TorsionSpec.finite(order)
     if kind in ("infinite", "non_torsion"):
-        _check_fields(obj, ("kind",), ("kind",), "torsion")
+        _check_fields(obj, _KIND_KEY, _KIND_KEY, "torsion")
         return TorsionSpec.non_torsion()
     raise ScheduleError(
         f"torsion kind must be 'finite' or 'infinite', got {kind!r}"
@@ -118,25 +125,24 @@ def _parse_step(obj, position) -> BlowupStep:
     what = f"step {position}"
     _require_object(obj, what)
     kind = obj.get("kind")
-    names = STEP_FIELDS.get(kind) if isinstance(kind, str) else None
-    if names is None:
+    keys = _STEP_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
         raise ScheduleError(
             f"{what} kind must be 'smooth', 'node' or 'infinitely_near', "
             f"got {kind!r}"
         )
-    _check_fields(obj, ("kind",) + names, ("kind", names[0]), what)
-    fields = {name: obj[name] for name in names if name in obj}
-    if kind == "node" and not isinstance(fields["components"], list):
+    _check_fields(obj, *keys, what)
+    if kind == "node" and not isinstance(obj["components"], list):
         raise ScheduleError(f"{what}: components must be a list of two ids")
-    try:
-        return BlowupStep(kind, **fields)
+    try:  # the keys are the kind's own, so the other fields read None
+        return BlowupStep(*map(obj.get, BlowupStep._fields))
     except ScheduleError as exc:
         raise ScheduleError(f"{what}: {exc}") from None
 
 
 def parse_document(obj) -> ParsedDocument:
     _require_object(obj, "document")
-    _check_fields(obj, _DOCUMENT_KEYS, ("n", "initial_type", "steps"), "document")
+    _check_fields(obj, _DOCUMENT_KEYS, _DOCUMENT_REQUIRED, "document")
     n = _plain_int(obj["n"], "n", minimum=0)
     if n > MAX_N:
         raise ScheduleError(f"n is capped at {MAX_N}, got {n}")
@@ -164,11 +170,8 @@ def parse_document(obj) -> ParsedDocument:
             f"n={n} but the document lists {len(steps_raw)} steps; "
             "they must agree"
         )
-    steps = tuple(
-        _parse_step(step, position) for position, step in enumerate(steps_raw, 1)
-    )
-    schedule = BlowupSchedule(initial_type, steps)
-    return ParsedDocument(n, schedule, torsion)
+    steps = tuple(map(_parse_step, steps_raw, range(1, n + 1)))
+    return ParsedDocument(n, BlowupSchedule(initial_type, steps), torsion)
 
 
 def _step_document(step: BlowupStep) -> dict:
@@ -206,7 +209,7 @@ def document_for(
 
 def canonical_json(obj) -> str:
     """Byte-stable serialization: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def document_digest(doc: dict) -> str:
@@ -216,12 +219,11 @@ def document_digest(doc: dict) -> str:
 
 def loads_document(text: str) -> dict:
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScheduleError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise ScheduleError("invalid JSON: nested too deeply to parse") from None
-    return obj
 
 
 def load_document(path) -> dict:

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import hashlib
 import importlib
+import json
 import math
 import random
 from collections import Counter
@@ -657,7 +658,7 @@ def test_enumeration_classifies_each_necklace_once(monkeypatch):
     def counting_extend(self, step):
         child = extend(self, step)
         calls["extend"] += 1
-        calls["leaf"] += len(child.steps) == child.lattice.pairs
+        calls["leaf"] += len(child.steps) == child.pairs
         return child
 
     def counting_post_init(self):
@@ -691,38 +692,51 @@ def test_enumeration_classifies_each_necklace_once(monkeypatch):
 def test_a_schedule_document_realizes_with_no_divisor_class(monkeypatch):
     # model_from_document folds the steps into a state and reads the
     # necklace off its key: no replay, no cycle and no class, as in the
-    # enumerator; the smooth variant alone builds (and validates) its cycle
-    calls = Counter()
+    # enumerator, and no lattice or root coefficient lists either; the
+    # report is emitted through the one module-level encoder.  The smooth
+    # variant alone builds (and validates) its cycle
+    calls, roots = Counter(), []
     cycle, divisor_init = RealizationState.cycle, DivisorClass.__post_init__
-    replay = RealizationState._replay
+    replay, state_init = RealizationState._replay, RealizationState.__init__
+    lattice_init, encoder_init = SurfaceLattice.__post_init__, json.JSONEncoder.__init__
 
-    def counting_cycle(self):
-        calls["cycle"] += 1
-        return cycle(self)
+    def counting(name, method):
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+        return counted
 
-    def counting_replay(self):
-        calls["replay"] += 1
-        return replay(self)
+    def recording_init(self, *args):
+        state_init(self, *args)
+        roots.append(self)
 
-    def counting_divisor(self):
-        calls["divisor"] += 1
-        divisor_init(self)
+    monkeypatch.setattr(RealizationState, "cycle", counting("cycle", cycle))
+    monkeypatch.setattr(RealizationState, "_replay", counting("replay", replay))
+    monkeypatch.setattr(RealizationState, "__init__", recording_init)
+    monkeypatch.setattr(DivisorClass, "__post_init__",
+                        counting("divisor", divisor_init))
+    monkeypatch.setattr(SurfaceLattice, "__post_init__",
+                        counting("lattice", lattice_init))
+    monkeypatch.setattr(json.JSONEncoder, "__init__",
+                        counting("encoder", encoder_init))
 
-    monkeypatch.setattr(RealizationState, "cycle", counting_cycle)
-    monkeypatch.setattr(RealizationState, "_replay", counting_replay)
-    monkeypatch.setattr(DivisorClass, "__post_init__", counting_divisor)
+    def emitted(doc):
+        model = model_from_document(doc)
+        assert type(model) is Necklace
+        return schema.canonical_json(classify(model).as_dict())
+
     schedules = Path(__file__).resolve().parents[1] / "schedules"
     for path in sorted(schedules.glob("*.json")):
-        model = model_from_document(schema.load_document(path))
-        assert type(model) is Necklace
-        classify(model)
-    nodes_first = schema.document_for(
-        BlowupSchedule("III", (N(("A", "Abar")), S("A"), S("A"), S("A"))))
-    classify(model_from_document(nodes_first))
-    assert calls == Counter()
-    model_from_document({"n": 4, "initial_type": "I", "steps": [],
-                         "smooth_anticanonical": True})
-    assert calls["cycle"] == calls["replay"] == 0 and calls["divisor"] > 0
+        emitted(schema.load_document(path))
+    emitted(schema.document_for(
+        BlowupSchedule("III", (N(("A", "Abar")), S("A"), S("A"), S("A")))))
+    calls["root coefficient lists"] = sum(root._classes is not None
+                                          for root in roots)
+    assert len(roots) == 5 and calls == Counter()
+    emitted({"n": 4, "initial_type": "I", "steps": [],
+             "smooth_anticanonical": True, "torsion": {"kind": "infinite"}})
+    assert calls["cycle"] == calls["replay"] == calls["encoder"] == 0
+    assert calls["divisor"] > 0 and calls["lattice"] == 1
 
 
 def test_classify_takes_a_necklace_only():
@@ -915,7 +929,7 @@ def test_enumeration_cap(enumeration):
 
 def _interior_states(state):
     """``state`` and every interior state below it, parents first."""
-    if len(state.steps) < state.lattice.pairs:
+    if len(state.steps) < state.pairs:
         yield state
         for step in state.candidates():
             yield from _interior_states(state.extend(step))
@@ -1023,6 +1037,22 @@ def test_the_memo_key_ignores_rotations_and_reflections():
             relabelled += 1
     assert relabelled > 1000
     assert moved == type_ii > 100
+
+
+def test_the_initial_type_and_m_fix_the_conjugation_on_every_walked_state():
+    # the memo key leaves the conjugate positions out: on every state a
+    # plain walk builds they are type I's half-turn p -> p + m/2 and type
+    # II's reflection p -> -p mod m
+    states = 0
+    for initial, image in (("I", lambda p, m: (p + m // 2) % m),
+                           ("II", lambda p, m: -p % m)):
+        root = RealizationState(initial, 4)
+        for state in chain(_interior_states(root),
+                           (leaf for _, leaf in walk_schedules(root))):
+            m = len(state.order)
+            assert state.key[2] == tuple(image(p, m) for p in range(m)), state.steps
+            states += 1
+    assert states == 1703
 
 
 def test_type_iii_leaves_off_the_nodes_end_on_type_i_or_ii_necklaces():

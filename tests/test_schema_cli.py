@@ -247,6 +247,56 @@ def test_step_kind_must_be_a_known_string():
             schema.parse_document(doc)
 
 
+_G = {"kind": "smooth", "component": "G"}
+
+
+def _type_i_text(steps, **fields):
+    """A type I document's JSON text, ``fields`` added or overriding."""
+    return json.dumps({"n": len(steps), "initial_type": "I", "steps": steps,
+                       **fields})
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 4, "initial_type": "I"',
+     "invalid JSON: Expecting ',' delimiter: line 1 column 29 (char 28)"),
+    (_type_i_text([_G] * 4, comment="unknown"),
+     "unknown field(s) ['comment'] in document"),
+    (_type_i_text([_G] * 4, z=0, a=0), "unknown field(s) ['a', 'z'] in document"),
+    (_type_i_text([_G, {**_G, "note": 1}, _G, _G]),
+     "unknown field(s) ['note'] in step 2"),
+    (json.dumps({"steps": [], "n": 0}),
+     "missing field(s) ['initial_type'] in document"),
+    (_type_i_text([_G, {"kind": "smooth"}, _G, _G]),
+     "missing field(s) ['component'] in step 2"),
+    (_type_i_text([{"kind": "teleport", "component": "G"}, _G, _G, _G]),
+     "step 1 kind must be 'smooth', 'node' or 'infinitely_near', got 'teleport'"),
+    (_type_i_text([_G] * 4, n=3),
+     "n=3 but the document lists 4 steps; they must agree"),
+    (_type_i_text([_G, {"kind": "smooth", "component": "Z9"}, _G, _G]),
+     "component 'Z9' does not exist; cycle is ('F', 'G', 'Fbar', 'Gbar')"),
+    (_type_i_text([_G, {"kind": "infinitely_near", "over_pair": 2,
+                        "on_strict_transform": None}, _G, _G]),
+     "step 2 is infinitely near over pair 2, which is not strictly earlier"),
+    (_type_i_text([_G] * 4, torsion={"kind": "finite", "order": 0}),
+     "torsion order must be >= 1, got 0"),
+    (_type_i_text([_G] * 3),
+     "classification requires n = 4 conjugate pairs, got n = 3"),
+    (_type_i_text([{"kind": "node", "components": ["F", "Fbar"]}, _G, _G, _G]),
+     "components F and Fbar are not adjacent; cycle is ('F', 'G', 'Fbar', 'Gbar')"),
+], ids=["truncated-json", "unknown-field", "unknown-fields-sorted",
+        "unknown-step-field", "missing-field", "missing-step-field",
+        "unknown-step-kind", "n-not-the-step-count", "unknown-component",
+        "over-pair-not-earlier", "torsion-order-below-1", "n-three",
+        "nodes-not-adjacent"])
+def test_the_document_path_pins_each_malformed_message(text, message):
+    # the malformed kinds of the benchmark stream, a missing field and an
+    # unknown step kind, each with its whole message, from text to report
+    with pytest.raises(ScheduleError) as info:
+        classify(model_from_document(schema.loads_document(text)))
+    assert type(info.value) is ScheduleError
+    assert str(info.value) == message
+
+
 def test_canonical_json_and_digest():
     a = {"b": 1, "a": [1, 2]}
     b = {"a": [1, 2], "b": 1}
