@@ -111,7 +111,11 @@ def negative_curves(necklace: Necklace) -> tuple[tuple[str, int], ...]:
 
 
 def _match_case(necklace: Necklace, degrees):
-    """``(case, negative_curves)`` from the necklace's checked degrees."""
+    """``(case, negative_curves)`` from the necklace's checked degrees.
+
+    A ``Necklace``'s conjugation keeps the degrees, so it permutes the
+    negative positions ``at``: case b's two non-real -2s are each other's
+    partners, and case c's -1s are closed under it, unchecked."""
     at = [p for p, d in enumerate(degrees) if d < 0]
     negatives = tuple((necklace.order[p], degrees[p]) for p in at)
     for name, d in negatives:
@@ -128,7 +132,7 @@ def _match_case(necklace: Necklace, degrees):
     real = [partners[p] == p for p in at]
     if degs == [-2] and real == [True]:
         return CASE_REAL_MINUS_2, negatives
-    if degs == [-2, -2] and not any(real) and partners[at[0]] == at[1]:
+    if degs == [-2, -2] and not any(real):
         # components of a valid cycle meet exactly when adjacent
         if at[1] - at[0] in (1, len(degrees) - 1):
             raise RealizabilityError(
@@ -137,12 +141,8 @@ def _match_case(necklace: Necklace, degrees):
                 f"{negatives[1][0]} must be disjoint",
             )
         return CASE_PAIR_MINUS_2, negatives
-    if (
-        len(negatives) in (2, 4, 6)
-        and all(d == -1 for d in degs)
-        and not any(real)
-        and {partners[p] for p in at} == set(at)
-    ):
+    if (len(negatives) in (2, 4, 6) and all(d == -1 for d in degs)
+            and not any(real)):
         # disjoint positive components, one negative between neighbours
         signs = [d > 0 for d in degrees if d]
         if any(p == q for p, q in zip(signs, signs[1:] + signs[:1])):

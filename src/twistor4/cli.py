@@ -5,11 +5,12 @@ read from the same values.  ``main`` prints one of them (``--json``, which
 every subcommand but ``selftest`` takes, selects the payload) and owns the
 exit codes: 0 success; 1 malformed input (bad flags, JSON, schema,
 references to missing components, n != 4 for classify, an input above its
-cap) or a failed selftest; 2 an error with a ``tag`` — a hypothesis or
-realizability violation (the input parsed but describes a configuration
-the theory refuses) or a failed internal invariant (``invariant-<name>``) —
-with a one-line ``violation: <tag>: …`` diagnosis on stderr.
-Results go to stdout, diagnoses to stderr, so output can be piped.
+cap) or a failed selftest; 2 an error with a ``tag`` — a realizability
+violation (the input parsed but describes a configuration the theory
+refuses), a failed internal invariant (``invariant-<name>``) or a
+``cycle-h0 --oracle`` cross-check that disagrees — with a one-line
+``violation: <tag>: …`` diagnosis on stderr.  Results go to stdout,
+diagnoses to stderr, so output can be piped.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .cycles import (
 )
 from .errors import (
     DegreeError,
-    HypothesisError,
     ScheduleError,
     TaggedError,
     TwistorError,
@@ -174,22 +174,14 @@ def _cmd_cycle_h0(args):
     if args.oracle and m > _ORACLE_MAX_COMPONENTS:
         cap = _ORACLE_MAX_COMPONENTS
         raise DegreeError(f"--oracle is capped at {cap} components, got {m}")
-    formula = violation = oracle = seed = None
-    try:
-        formula = h0_formula(bundle)
-    except HypothesisError as exc:
-        violation = exc
+    formula, oracle, seed = h0_formula(bundle), None, None
     if args.oracle:
         seed = args.seed
         oracle = h0_oracle(bundle, seed=seed)
-    if violation is not None and oracle is None:
-        raise violation
-    agree = None if formula is None or oracle is None else formula == oracle
+    agree = None if oracle is None else formula == oracle
     payload = {"degrees": list(bundle.degrees), "chi": euler_char_cycle(bundle),
-               "formula": formula, "oracle": oracle, "seed": seed, "agree": agree,
-               "hypothesis_violation": violation.tag if violation else None}
-    lines = [f"formula: {formula}" if violation is None
-             else f"formula: hypothesis violated ({violation.tag})"]
+               "formula": formula, "oracle": oracle, "seed": seed, "agree": agree}
+    lines = [f"formula: {formula}"]
     if oracle is not None:
         lines.append(f"oracle (seed={seed}): {oracle}")
     if agree is not None:

@@ -5,17 +5,16 @@ consecutively, cyclically; m = 2 means two components meeting twice) carries
 line bundles determined up to moduli by their component degrees
 l_i = L.C_i.  Two routes to h^0(C, L) live here:
 
-* ``h0_formula`` — the combinatorial count sum_{l_i > 0} l_i - gamma, where
-  gamma is the number of connected components of the complement of the
-  negative-degree part.  Valid under explicit hypotheses (m >= 3, at least
-  two negative components, every arc between them contains a positive one).
+* ``h0_formula`` — the closed form, total on every bundle: sections vanish
+  on the negative-degree components, and each arc between them of total
+  degree d gives max(d - 1, 0); its docstring has the other cases.
 
 * ``h0_oracle`` — brute force.  Sections on each component are homogeneous
   polynomials of degree l_i in two variables; the sections glue at the m
   nodes up to nonzero scalars g_i (the moduli of the bundle).  h^0 is the
-  exact rational kernel dimension of the resulting linear system.  Under the
-  formula's hypotheses the answer is independent of the g_i, which the
-  oracle checks empirically by drawing several gluings.
+  exact rational kernel dimension of the resulting linear system.  It
+  depends on the g_i only when every degree is 0; without explicit g_i the
+  oracle draws several and returns the generic value.
 
 The normal bundle datum tau (the order of the restricted anticanonical
 bundle in Pic(C)) is genuinely extra moduli: it is carried as input
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import HypothesisError, ScheduleError
+from .errors import ScheduleError
 
 __all__ = [
     "CycleLineBundle",
@@ -132,38 +131,25 @@ def cyclic_arcs(m, removed):
 
 
 def h0_formula(bundle: CycleLineBundle) -> int:
-    """Section count sum_{i in I+} l_i - gamma under the arc hypotheses.
+    """h^0(C, L) in closed form, for every degree list and gluing.
 
-    gamma is the number of connected components of C minus its
-    negative-degree components.  Raises HypothesisError (with a distinct tag)
-    when m < 3, when fewer than two components are negative, or when some
-    arc of the complement has no positive component.
+    Sections vanish on a negative component, so each arc of
+    ``cyclic_arcs(m, negatives)`` is a chain with both end nodes forced to
+    vanish: an arc of total degree d gives max(d - 1, 0).  With no negative
+    component, h^0 = chi = d when d > 0; with every degree 0, h^0 is 1 when
+    ``bundle.gluing`` is given and multiplies to 1 (L trivial), else 0, the
+    generic value.  Under the paper's hypotheses (m >= 3, two or more
+    negatives, a positive component in every arc) each arc has d >= 1, and
+    the sum is sum_{l_i > 0} l_i - gamma, gamma the number of arcs.
     """
     degrees = bundle.degrees
-    m = len(degrees)
-    if m < 3:
-        raise HypothesisError(
-            "too-few-components",
-            f"the closed formula needs m >= 3 components, got m={m}; "
-            "use the oracle for m=2",
-        )
-    negative = [i for i, d in enumerate(degrees) if d < 0]
-    if len(negative) < 2:
-        raise HypothesisError(
-            "too-few-negatives",
-            f"the closed formula needs at least two negative components, "
-            f"got {len(negative)}",
-        )
-    arcs = cyclic_arcs(m, negative)
-    for arc in arcs:
-        if not any(degrees[i] > 0 for i in arc):
-            raise HypothesisError(
-                "arc-without-positive",
-                f"components {arc} form an arc of C \\ C_- without a "
-                "positive-degree member",
-            )
-    gamma = len(arcs)
-    return sum(d for d in degrees if d > 0) - gamma
+    negatives = [i for i, d in enumerate(degrees) if d < 0]
+    if negatives:
+        return sum(max(sum(degrees[i] for i in arc) - 1, 0)
+                   for arc in cyclic_arcs(len(degrees), negatives))
+    if any(degrees):
+        return sum(degrees)
+    return int(bundle.gluing is not None and math.prod(bundle.gluing) == 1)
 
 
 # -- the oracle ------------------------------------------------------------
@@ -226,9 +212,9 @@ def h0_oracle(bundle: CycleLineBundle, seed: int | None = None, *,
 
     With explicit ``bundle.gluing`` the computation is done once.  Otherwise
     ``ORACLE_DRAWS`` independent gluings come from a seeded generator and the
-    minimum (= generic) value is returned; disagreement between draws is
-    surfaced as a warning since under the formula's hypotheses it must not
-    happen.
+    minimum (= generic) value is returned.  By the closed form the draws
+    agree except on all-zero degrees, where the generic value is 0 and only
+    scalars multiplying to 1 give 1; a disagreement is surfaced as a warning.
 
     The two node preimages on each component sit at (1:0) and (0:1); any
     other placement gives the same dimension (Moebius invariance), which the

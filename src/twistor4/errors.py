@@ -7,10 +7,9 @@ Two families matter to callers:
   ``ScheduleError`` and ``DegreeError`` (both ``ValueError``s); they carry
   no ``tag``.
 * mathematically meaningful rejections — the configuration violates a
-  constraint that actual twistor spaces obey, or a formula's hypotheses fail.
-  These are ``RealizabilityError`` / ``HypothesisError`` / the nef branch's
-  ``TorsionRequiredError``, and each carries a short machine ``tag`` plus a
-  readable message.
+  constraint that actual twistor spaces obey.  These are
+  ``RealizabilityError`` and the nef branch's ``TorsionRequiredError``, and
+  each carries a short machine ``tag`` plus a readable message.
 
 ``InvariantError`` means a computed value contradicts its closed form; its
 tag is ``invariant-<name>``.  The CLI's exit code follows the tag alone: an
@@ -27,7 +26,6 @@ __all__ = [
     "DegreeError",
     "TaggedError",
     "RealizabilityError",
-    "HypothesisError",
     "TorsionRequiredError",
     "InvariantError",
 ]
@@ -60,14 +58,6 @@ class RealizabilityError(TaggedError):
     ``real-fibre-location``, ``point-off-anticanonical-cycle``,
     ``degree-below-minus-2``, ``negative-pattern``, ``pair-not-disjoint``,
     ``case-c-structure``.
-    """
-
-
-class HypothesisError(TaggedError):
-    """Hypotheses of the cycle section-count formula fail.
-
-    ``tag`` is one of ``too-few-components`` (m < 3), ``too-few-negatives``
-    (|I-| < 2), ``arc-without-positive``.
     """
 
 

@@ -299,8 +299,9 @@ class Necklace(namedtuple("Necklace", ("order", "degrees", "partners",
     torsion record it was given (None without one) and the number of pairs.
 
     It holds degrees, not squares: C.(-K) = C^2 + 2 on a rational
-    component, but the smooth variant has degree (-K)^2 = 8 - 2n.  It is
-    checked on construction and by ``_make``, as ``BlowupStep`` is."""
+    component, but the smooth variant has degree (-K)^2 = 8 - 2n.  The
+    conjugation is an involution that keeps the degrees, as it keeps -K.
+    It is checked on construction and by ``_make``, as ``BlowupStep`` is."""
 
     __slots__ = ()
 
@@ -310,13 +311,13 @@ class Necklace(namedtuple("Necklace", ("order", "degrees", "partners",
                 and len(order) == len(partners) == m and type(smooth_variant) is bool
                 and (m == 1 if smooth_variant else m >= 2)
                 and set(map(type, degrees + partners + (pairs,))) == {int}
-                and all(0 <= p < m and partners[p] == i
+                and all(0 <= p < m and partners[p] == i and degrees[p] == degrees[i]
                         for i, p in enumerate(partners))):
             raise ScheduleError(
                 "a necklace needs tuples order, degrees and partners of one length"
                 " m >= 2 (1 for the smooth variant, a bool), int degrees and pairs,"
-                " and partners an involution on range(m); got "
-                f"{order, degrees, partners, smooth_variant}")
+                " and partners an involution on range(m) that keeps the degrees;"
+                f" got {order, degrees, partners, smooth_variant}")
         if tau is not None:
             TorsionSpec(tau)  # an int >= 1 or inf
         return super().__new__(cls, order, degrees, partners, smooth_variant, tau,

@@ -778,6 +778,7 @@ _NEF = Necklace(("F", "G", "Fbar", "Gbar"), (0, 0, 0, 0), (2, 3, 0, 1), False, 1
     {"partners": (2, 3, 1, 0)},
     {"partners": (2, 3, 0, 4)},
     {"partners": (2, 3, 0, True)},
+    {"degrees": (1, 0, -1, 0)},
     {"pairs": 4.0},
     {"pairs": True},
     {"tau": 0},
@@ -791,9 +792,10 @@ _NEF = Necklace(("F", "G", "Fbar", "Gbar"), (0, 0, 0, 0), (2, 3, 0, 1), False, 1
     {"smooth_variant": 0},
 ], ids=["partners-short", "order-short", "degrees-str", "degrees-bool",
         "degrees-list", "partners-not-involution", "partners-out-of-range",
-        "partners-bool", "pairs-float", "pairs-bool", "tau-zero", "tau-negative",
-        "tau-str", "tau-float", "tau-bool", "one-component-not-smooth",
-        "smooth-four-components", "smooth-variant-int", "smooth-variant-zero"])
+        "partners-bool", "degrees-not-conjugation-invariant", "pairs-float",
+        "pairs-bool", "tau-zero", "tau-negative", "tau-str", "tau-float",
+        "tau-bool", "one-component-not-smooth", "smooth-four-components",
+        "smooth-variant-int", "smooth-variant-zero"])
 def test_a_malformed_necklace_is_refused(change):
     # checked on construction, by ``_make`` and so by ``_replace``
     fields = _NEF._asdict() | change

@@ -415,25 +415,24 @@ def test_cli_cycle_h0(capsys):
     )
     assert data["formula"] == 2 and data["oracle"] == 2 and data["agree"] is True
     assert data["seed"] == DEFAULT_ORACLE_SEED
-    assert data["hypothesis_violation"] is None
+    assert set(data) == {"degrees", "chi", "formula", "oracle", "seed", "agree"}
     code, out, _ = _run(capsys, "cycle-h0", "--degrees", "1,-1,1,-1")
     assert code == 0 and "formula: 0" in out
 
 
-def test_cli_cycle_h0_hypothesis_violation(capsys):
-    # formula hypotheses fail (one negative only): violation without the
-    # oracle, rescued when the oracle supplies the value
-    code, _, err = _run(capsys, "cycle-h0", "--degrees", "3,-1,0,0")
-    assert code == 2
-    assert err.startswith("violation: too-few-negatives")
+def test_cli_cycle_h0_outside_the_old_hypotheses(capsys):
+    # one negative component only: the closed form still answers, and the
+    # oracle is a pure cross-check
+    code, out, err = _run(capsys, "cycle-h0", "--degrees", "3,-1,0,0")
+    assert (code, out, err) == (0, "formula: 2\n", "")
     data = _run_json(
         capsys, "cycle-h0", "--degrees", "3,-1,0,0", "--oracle", "--json",
     )
-    assert data["formula"] is None
-    assert data["hypothesis_violation"] == "too-few-negatives"
-    assert isinstance(data["oracle"], int)
-    code, out, _ = _run(capsys, "cycle-h0", "--degrees", "3,-1,0,0", "--oracle")
-    assert code == 0 and "hypothesis violated (too-few-negatives)" in out
+    assert (data["formula"], data["oracle"], data["agree"]) == (2, 2, True)
+    for degrees in ("3,-3", "1,1,-1", "2,-1,0,-1", "0,0,0"):
+        data = _run_json(capsys, "cycle-h0", "--degrees", degrees, "--oracle",
+                         "--json")
+        assert data["agree"] is True, degrees
 
 
 def test_cli_cycle_h0_malformed_degrees(capsys):
@@ -456,15 +455,15 @@ def test_cli_cycle_h0_oracle_total_degree_is_capped(capsys):
 
 
 def test_cli_cycle_h0_oracle_component_count_is_capped(capsys, monkeypatch):
-    # every component adds a row to the oracle's system; a stub oracle
-    # shows which calls get past the cap
+    # every component adds a row to the oracle's system; a stub oracle,
+    # returning the generic value 0, shows which calls get past the cap
     calls = []
     monkeypatch.setattr(cli, "h0_oracle",
-                        lambda bundle, seed: calls.append(bundle.m) or 1)
+                        lambda bundle, seed: calls.append(bundle.m) or 0)
     code, out, _ = _run(capsys, "cycle-h0", "--degrees", ",".join(["0"] * 1000),
                         "--oracle")
     assert code == 0 and calls == [1000]
-    assert out.endswith("oracle (seed=20260816): 1\n")
+    assert out.endswith("oracle (seed=20260816): 0\nagree: yes\n")
     code, out, err = _run(capsys, "cycle-h0", "--degrees",
                           ",".join(["0"] * 1001), "--oracle")
     assert code == 1 and out == "" and calls == [1000]
@@ -883,9 +882,6 @@ _ERROR_SAMPLES = {
     errors.RealizabilityError: (
         errors.RealizabilityError("negative-pattern", "why"), 2,
         "violation: negative-pattern: why\n"),
-    errors.HypothesisError: (
-        errors.HypothesisError("too-few-negatives", "why"), 2,
-        "violation: too-few-negatives: why\n"),
     errors.TorsionRequiredError: (errors.TorsionRequiredError("why"), 2,
                                   "violation: torsion-required: why\n"),
     errors.InvariantError: (errors.InvariantError("report-nef", "why"), 2,
@@ -1002,16 +998,19 @@ def test_cli_usage_errors_exit_1(capsys):
     assert code == 1
 
 
-def test_cli_index_errors_exit_1_and_tagged_errors_exit_2(capsys):
-    # a bad generator index is malformed input; a failed hypothesis is tagged
+def test_cli_index_errors_exit_1_and_tagged_errors_exit_2(capsys, tmp_path):
+    # a bad generator index is malformed input; a refused configuration is tagged
     code, out, err = _run(capsys, "ring", "--n", "4", "--expr", "x5 w")
     assert (code, out, err) == (1, "", "error: x5 does not exist for n=4\n")
     code, out, err = _run(capsys, "ring", "--n", "4", "--expr", "x0")
     assert (code, out, err) == (1, "", "error: x0 does not exist for n=4\n")
     code, out, err = _run(capsys, "euler", "--n", "4", "--m", "-1")
     assert (code, out) == (1, "") and err.startswith("error: ")
-    code, out, err = _run(capsys, "cycle-h0", "--degrees", "1,1")
-    assert (code, out) == (2, "") and err.startswith("violation: too-few-components: ")
+    nef = json.loads((_ROOT / "schedules" / "nef.json").read_text(encoding="utf-8"))
+    del nef["torsion"]
+    (tmp_path / "nef.json").write_text(json.dumps(nef), encoding="utf-8")
+    code, out, err = _run(capsys, "classify", str(tmp_path / "nef.json"))
+    assert (code, out) == (2, "") and err.startswith("violation: torsion-required: ")
 
 
 def test_cli_chern_rejects_unsupported_n(capsys):
