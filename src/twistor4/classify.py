@@ -407,16 +407,20 @@ def _dihedral_maps(m: int, type_ii: bool) -> tuple:
 def _memo_key(key: tuple) -> tuple:
     """The walk's memo key of a positional ``key``: the initial type, the
     depth and the least (squares, sorted folded open hosts) over
-    ``_dihedral_maps``, without the conjugate positions (see ``_Walk``)."""
+    ``_dihedral_maps``, without the conjugate positions (see ``_Walk``).
+    Only a map whose image starts with the least first square can give the
+    least image: type I's images start at every position, type II's two at 0."""
     initial, squares, partners, hosts, consumed = key
     m, double = len(squares), squares * 2 + squares[::-1] * 2
-    maps = _dihedral_maps(m, initial == "II")
-    images = [double[start:start + m] for start, _ in maps]
-    least, open_hosts = min(images), [
+    first = squares[0] if initial == "II" else min(squares)
+    maps = [(double[start:start + m], inv)
+            for start, inv in _dihedral_maps(m, initial == "II")
+            if double[start] == first]
+    least, open_hosts = min([image for image, _ in maps]), [
         h for j, h in enumerate(hosts, 1) if h is not None and j not in consumed]
     return initial, len(hosts), min(
         (image, tuple(sorted([min(inv[h], inv[partners[h]]) for h in open_hosts])))
-        for image, (_, inv) in zip(images, maps) if image == least)
+        for image, inv in maps if image == least)
 
 
 class _Walk:

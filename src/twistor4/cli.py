@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import re
+import shutil
 import sys
+from functools import partial
 from typing import NamedTuple
 
 from . import schema
@@ -269,6 +271,10 @@ def _cmd_selftest(args):
 
 
 def _build_parser():
+    # argparse makes a formatter, which reads the terminal size, for each
+    # argument it adds; the same width, read once, prints the same help
+    formatter = partial(argparse.HelpFormatter,
+                        width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(
         prog="twistor4",
         description=(
@@ -277,11 +283,12 @@ def _build_parser():
             "pairing, cycle cohomology and the n=4 algebraic-dimension "
             "classification."
         ),
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def command(name, func, help):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, formatter_class=formatter)
         p.set_defaults(func=func)
         return p
 

@@ -28,6 +28,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt
 
 from . import linalg
 from .errors import ScheduleError
@@ -135,18 +136,19 @@ def h0_formula(bundle: CycleLineBundle) -> int:
 
     Sections vanish on a negative component, so each arc of
     ``cyclic_arcs(m, negatives)`` is a chain with both end nodes forced to
-    vanish: an arc of total degree d gives max(d - 1, 0).  With no negative
-    component, h^0 = chi = d when d > 0; with every degree 0, h^0 is 1 when
+    vanish: an arc of total degree d gives max(d - 1, 0), d - 1 on an arc
+    with a positive component and 0 on any other.  So h^0 is sum_{l_i > 0} l_i
+    - gamma, gamma the number of positive components that follow a negative
+    one going round the cycle, zeros skipped.  With no negative component,
+    h^0 = chi = d when d > 0; with every degree 0, h^0 is 1 when
     ``bundle.gluing`` is given and multiplies to 1 (L trivial), else 0, the
-    generic value.  Under the paper's hypotheses (m >= 3, two or more
-    negatives, a positive component in every arc) each arc has d >= 1, and
-    the sum is sum_{l_i > 0} l_i - gamma, gamma the number of arcs.
+    generic value.
     """
     degrees = bundle.degrees
-    negatives = [i for i, d in enumerate(degrees) if d < 0]
-    if negatives:
-        return sum(max(sum(degrees[i] for i in arc) - 1, 0)
-                   for arc in cyclic_arcs(len(degrees), negatives))
+    if min(degrees) < 0:
+        signs = [d > 0 for d in degrees if d]
+        gamma = sum(map(gt, signs, signs[-1:] + signs[:-1]))
+        return sum([d for d in degrees if d > 0]) - gamma
     if any(degrees):
         return sum(degrees)
     return int(bundle.gluing is not None and math.prod(bundle.gluing) == 1)

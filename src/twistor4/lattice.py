@@ -300,8 +300,10 @@ class Necklace(namedtuple("Necklace", ("order", "degrees", "partners",
 
     It holds degrees, not squares: C.(-K) = C^2 + 2 on a rational
     component, but the smooth variant has degree (-K)^2 = 8 - 2n.  The
-    conjugation is an involution that keeps the degrees, as it keeps -K.
-    It is checked on construction and by ``_make``, as ``BlowupStep`` is."""
+    conjugation is an involution that keeps the degrees, as it keeps -K,
+    and m <= 4 + 2n: an initial cycle has at most 12 - K^2 = 4 components,
+    a node pair adds two and any other pair none.  It is checked on
+    construction and by ``_make``, as ``BlowupStep`` is."""
 
     __slots__ = ()
 
@@ -311,17 +313,21 @@ class Necklace(namedtuple("Necklace", ("order", "degrees", "partners",
                 and len(order) == len(partners) == m and type(smooth_variant) is bool
                 and (m == 1 if smooth_variant else m >= 2)
                 and set(map(type, degrees + partners + (pairs,))) == {int}
-                and all(0 <= p < m and partners[p] == i and degrees[p] == degrees[i]
-                        for i, p in enumerate(partners))):
+                and (partners == (0,) if m == 1
+                     else 0 <= min(partners) <= max(partners) < m
+                     and (get := itemgetter(*partners))(partners) == tuple(range(m))
+                     and get(degrees) == degrees)):
             raise ScheduleError(
                 "a necklace needs tuples order, degrees and partners of one length"
                 " m >= 2 (1 for the smooth variant, a bool), int degrees and pairs,"
                 " and partners an involution on range(m) that keeps the degrees;"
                 f" got {order, degrees, partners, smooth_variant}")
-        if tau is not None:
-            TorsionSpec(tau)  # an int >= 1 or inf
-        return super().__new__(cls, order, degrees, partners, smooth_variant, tau,
-                               pairs)
+        check(0 <= pairs and m <= 4 + 2 * pairs, "a necklace on {} pairs needs"
+              " pairs >= 0 and at most 4 + 2 * pairs components, got {}", pairs, m)
+        if tau is not None and not (type(tau) is int and tau >= 1):
+            TorsionSpec(tau)  # refuses all but inf, with its own message
+        return tuple.__new__(cls, (order, degrees, partners, smooth_variant, tau,
+                                   pairs))
 
     @classmethod
     def _make(cls, iterable):
@@ -632,7 +638,7 @@ class RealizationState:
         order, (_, _, partners, hosts, consumed) = self.order, self.key
         conj = [order[p] for p in partners]
         out = [BlowupStep.smooth(name) for name, other in zip(order, conj)
-               if not self._on_real_fibre(name) and name <= other]
+               if name <= other and not self._on_real_fibre(name)]
         if len(order) == 2:  # its two nodes are one conjugate pair
             out.append(BlowupStep.node(order))
         else:

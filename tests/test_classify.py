@@ -790,12 +790,14 @@ _NEF = Necklace(("F", "G", "Fbar", "Gbar"), (0, 0, 0, 0), (2, 3, 0, 1), False, 1
     {"smooth_variant": True},
     {"order": ("C",), "degrees": (0,), "partners": (0,), "smooth_variant": 1},
     {"smooth_variant": 0},
+    {"order": tuple("ABCDEFGHIJKLMN"), "degrees": (0,) * 14,
+     "partners": tuple((p + 7) % 14 for p in range(14))},
 ], ids=["partners-short", "order-short", "degrees-str", "degrees-bool",
         "degrees-list", "partners-not-involution", "partners-out-of-range",
         "partners-bool", "degrees-not-conjugation-invariant", "pairs-float",
         "pairs-bool", "tau-zero", "tau-negative", "tau-str", "tau-float",
         "tau-bool", "one-component-not-smooth", "smooth-four-components",
-        "smooth-variant-int", "smooth-variant-zero"])
+        "smooth-variant-int", "smooth-variant-zero", "more-than-4-plus-2n-components"])
 def test_a_malformed_necklace_is_refused(change):
     # checked on construction, by ``_make`` and so by ``_replace``
     fields = _NEF._asdict() | change
@@ -827,6 +829,100 @@ def test_a_synthetic_cycle_gives_a_checked_necklace():
     for broken in (outside, unpaired, classless):
         with pytest.raises(ScheduleError, match="conjugate in"):
             broken.necklace(TAU_ONE)
+
+
+# -- the checked constructors' refusals, pinned ---------------------------------
+
+_NECKLACE_NEEDS = (
+    "a necklace needs tuples order, degrees and partners of one length m >= 2"
+    " (1 for the smooth variant, a bool), int degrees and pairs, and partners"
+    " an involution on range(m) that keeps the degrees; got ")
+
+
+def _refusal_table(seed):
+    """(id, build, error class, full message) for malformed inputs to
+    ``Necklace``, ``CycleLineBundle`` and ``cyclic_arcs``; the seed draws the
+    lengths, the valid values and where each bad value sits."""
+    rng = random.Random(seed)
+    table = []
+
+    def planted(values, bad):
+        at = rng.randrange(len(values))
+        return values[:at] + (bad,) + values[at + 1:]
+
+    def necklace(name, message=None, **change):
+        fields = _NEF._asdict() | change
+        got = tuple(fields[f] for f in Necklace._fields[:4])
+        table.append((f"necklace-{name}", lambda: Necklace(**fields), ScheduleError,
+                      message or _NECKLACE_NEEDS + repr(got)))
+
+    for bad in (True, 1.5, "0"):
+        necklace(f"degree-{type(bad).__name__}", degrees=planted(_NEF.degrees, bad))
+    necklace("degrees-list", degrees=list(_NEF.degrees))
+    necklace("degrees-not-kept", degrees=planted(_NEF.degrees, rng.randint(1, 9)))
+    for bad in (True, -1, 4, 2.0):
+        necklace(f"partner-{bad!r}", partners=planted(_NEF.partners, bad))
+    perm = [0, 1, 2, 3]
+    while all(perm[p] == i for i, p in enumerate(perm)):
+        rng.shuffle(perm)
+    necklace("partners-not-involutive", partners=tuple(perm))
+    necklace("order-short", order=_NEF.order[:3])
+    necklace("partners-short", partners=_NEF.partners[:3])
+    for bad in (True, 4.0, "4"):
+        necklace(f"pairs-{bad!r}", pairs=bad)
+    for bad in (0, -1, 1.5, True, "1"):
+        necklace(f"tau-{bad!r}", f"tau must be an int >= 1 or inf, got {bad!r}",
+                 tau=bad)
+    lone = {"order": ("C",), "degrees": (0,), "partners": (0,)}
+    necklace("one-component-not-smooth", **lone)
+    necklace("smooth-variant-int", smooth_variant=1, **lone)
+    necklace("smooth-four-components", smooth_variant=True)
+    bound = "pairs >= 0 and at most 4 + 2 * pairs components"
+    m = 2 * rng.randint(4, 8)  # a cycle on n pairs has at most 4 + 2n components
+    necklace("more-than-4-plus-2n-components",
+             f"a necklace on {m // 2 - 3} pairs needs {bound}, got {m}",
+             order=tuple(f"C{i}" for i in range(m)), degrees=(0,) * m,
+             partners=tuple((p + m // 2) % m for p in range(m)), pairs=m // 2 - 3)
+    necklace("pairs-negative", f"a necklace on -1 pairs needs {bound}, got 4", pairs=-1)
+    necklace("smooth-pairs-negative", f"a necklace on -1 pairs needs {bound}, got 1",
+             smooth_variant=True, pairs=-1, **lone)
+
+    for bad in (True, 2.0, "1"):
+        degrees = planted(tuple(rng.randint(-3, 3) for _ in range(rng.randint(2, 8))),
+                          bad)
+        table.append((f"bundle-degree-{type(bad).__name__}",
+                      lambda d=degrees: CycleLineBundle(d), ScheduleError,
+                      f"degrees must be ints, got {degrees}"))
+    table += [
+        ("bundle-one-component", lambda d=(rng.randint(-3, 3),): CycleLineBundle(d),
+         ScheduleError, "a cycle has at least two components"),
+        ("bundle-gluing-length", lambda: CycleLineBundle((1, -1, 2), (1, 2)),
+         ScheduleError, "need one gluing scalar per node"),
+        ("bundle-gluing-zero", lambda: CycleLineBundle((1, -1), (3, 0)),
+         ScheduleError, "gluing scalars must be nonzero"),
+    ]
+    m = rng.randint(3, 9)
+    for name, (size, removed) in {
+            "m-bool": (True, ()), "m-zero": (0, ()), "m-negative": (-m, ()),
+            "m-float": (float(m), (1,)), "index-bool": (m, (0, True)),
+            "index-negative": (m, planted((0, 2), -1)),
+            "index-m": (m, planted((0, 2), m)),
+            "index-float": (m, planted((0, 2), 1.5))}.items():
+        table.append((f"arcs-{name}", lambda s=size, r=removed: cyclic_arcs(s, r),
+                      ScheduleError,
+                      f"need ints in range(m), m >= 1; got m={size!r}, {removed}"))
+    return table
+
+
+_REFUSALS = _refusal_table(2525)
+
+
+@pytest.mark.parametrize("build,cls,message", [row[1:] for row in _REFUSALS],
+                         ids=[row[0] for row in _REFUSALS])
+def test_a_checked_constructor_refuses_with_its_pinned_message(build, cls, message):
+    with pytest.raises(cls) as info:
+        build()
+    assert type(info.value) is cls and str(info.value) == message
 
 
 def _found_key(entry):

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -51,6 +52,18 @@ def test_formula_matches_oracle_on_random_cycles():
         bundle = CycleLineBundle(tuple(rng.randint(-4, 4) for _ in range(m)))
         value = h0_formula(bundle)
         assert value == h0_oracle(bundle, seed=rng.randrange(1 << 30)), bundle
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_formula_is_the_arc_sum_it_counts(m):
+    # the closed form counts sign changes; the reference walks the arcs of
+    # ``cyclic_arcs`` between the negative components, as its docstring says
+    for degrees in product(range(-2, 3), repeat=m):
+        negatives = [i for i, d in enumerate(degrees) if d < 0]
+        if negatives:
+            expected = sum(max(sum(degrees[i] for i in arc) - 1, 0)
+                           for arc in cyclic_arcs(m, negatives))
+            assert h0_formula(CycleLineBundle(degrees)) == expected, degrees
 
 
 def test_formula_invariant_under_rotation_and_reversal():

@@ -720,6 +720,12 @@ def test_cli_classify_json_on_the_goldens_is_pinned(capsys):
         _GOLDENS_CLASSIFY_JSON_SHA256)
 
 
+# every criterion's detail line, byte for byte; no line carries a timing
+_SELFTEST_SHA256 = (
+    "ed6266c675b099b0620ba4e2be3d75ccfb42e313cccc68bc14390d7344733108"
+)
+
+
 def test_cli_under_python_O_keeps_its_results():
     # with asserts stripped, nothing the program computes may change: no
     # control flow rests on an assert
@@ -733,9 +739,8 @@ def test_cli_under_python_O_keeps_its_results():
             capture_output=True, env=env, check=True,
         ).stdout
 
-    selftest = run("selftest").decode("utf-8")
-    assert selftest.count(": PASS - ") == 10
-    assert selftest.strip().endswith("10/10 criteria passed")
+    selftest = run("selftest")
+    assert hashlib.sha256(selftest).hexdigest() == _SELFTEST_SHA256
     enumerated = run("enumerate", "--json")
     assert hashlib.sha256(enumerated).hexdigest() == _ENUMERATE_JSON_SHA256
     table = run("enumerate")
@@ -760,7 +765,8 @@ def test_ci_and_the_benchmark_pin_the_tests_digests():
     assert pins == {"enumerate --json": [_ENUMERATE_JSON_SHA256],
                     "enumerate": [_ENUMERATE_TABLE_SHA256],
                     "enumerate --limit 10 --json": [_ENUMERATE_LIMIT_10_JSON_SHA256],
-                    "classify --json": [_GOLDENS_CLASSIFY_JSON_SHA256]}
+                    "classify --json": [_GOLDENS_CLASSIFY_JSON_SHA256],
+                    "selftest": [_SELFTEST_SHA256]}
     expected = json.loads((_ROOT / "perfbench" / "expected.json").read_text(
         encoding="utf-8"))
     assert expected["enumerate_json"]["sha256"] == _ENUMERATE_JSON_SHA256
@@ -928,6 +934,27 @@ def test_cli_json_is_one_canonical_line(capsys, command):
     assert out == schema.canonical_json(json.loads(out)) + "\n"
 
 
+def test_repeated_calls_in_one_process_print_the_same_bytes(capsys, monkeypatch):
+    # ``main`` keeps no state between calls: each command prints the same
+    # bytes before and after a --help and a usage error in between
+    for command in sorted(_JSON_SAMPLES):
+        for flags in ((), ("--json",)):
+            first = _run(capsys, command, *_JSON_SAMPLES[command], *flags)
+            assert first[0] == 0 and first[2] == ""
+            code, out, _ = _run(capsys, command, "--help")
+            assert code == 0 and out.startswith(f"usage: twistor4 {command} ")
+            code, out, err = _run(capsys, command, "--no-such-flag")
+            assert (code, out) == (1, "") and err.startswith("error: ")
+            assert _run(capsys, command, *_JSON_SAMPLES[command], *flags) == first
+    # and a subcommand's function replaced after a first call still runs
+    for command, name in (("chern", "_cmd_chern"), ("cycle-h0", "_cmd_cycle_h0")):
+        monkeypatch.setattr(cli, name, lambda args, command=command: cli._Result(
+            {"command": command}, [f"replaced {command}"]))
+        argv = (command, *_JSON_SAMPLES[command])
+        assert _run(capsys, *argv) == (0, f"replaced {command}\n", "")
+        assert _run(capsys, *argv, "--json") == (0, f'{{"command":"{command}"}}\n', "")
+
+
 def test_cli_selftest_takes_no_json(capsys):
     code, out, err = _run(capsys, "selftest", "--json")
     assert code == 1 and out == ""
@@ -1027,3 +1054,4 @@ def test_cli_selftest_runs_all_criteria(capsys):
     assert len(lines) == 10
     assert all(": PASS - " in line for line in lines)
     assert out.strip().endswith("10/10 criteria passed")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _SELFTEST_SHA256
