@@ -52,7 +52,8 @@ ORACLE_DRAWS = 3
 
 @dataclass(frozen=True)
 class CycleLineBundle:
-    """Degrees (l_1..l_m) around the cycle, plus optional explicit gluings."""
+    """Degrees (l_1..l_m) around the cycle, plus optional explicit gluings
+    (nonzero ints or Fractions, one per node, stored as Fractions)."""
 
     degrees: tuple[int, ...]
     gluing: tuple[Fraction, ...] | None = None
@@ -65,7 +66,11 @@ class CycleLineBundle:
             raise ScheduleError("a cycle has at least two components")
         object.__setattr__(self, "degrees", degrees)
         if self.gluing is not None:
-            gl = tuple(Fraction(g) for g in self.gluing)
+            gl = tuple(self.gluing)
+            if not set(map(type, gl)) <= {int, Fraction}:
+                raise ScheduleError(
+                    f"gluing scalars must be ints or Fractions, got {gl}")
+            gl = tuple(map(Fraction, gl))
             if len(gl) != len(degrees):
                 raise ScheduleError("need one gluing scalar per node")
             if any(g == 0 for g in gl):
@@ -161,62 +166,56 @@ def _default_placements(m):
     return [((1, 0), (0, 1)) for _ in range(m)]
 
 
-def _evaluate_section_row(l, point):
-    """Row of the evaluation functional at (alpha:beta) on H^0(P^1, O(l)).
+def _evaluations(degrees, placements):
+    """(total, evaluations): the number of section coefficients and, for
+    each node i, its two evaluation functionals as sparse rows {column:
+    value}: at its point on C_i (ev_out) and on C_{i+1} (ev_in).
 
-    Basis: u^l, u^(l-1) v, ..., v^l.  Exact ints for an integral point,
-    Fractions otherwise.
+    H^0(P^1, O(l)) has the basis u^l, u^(l-1) v, ..., v^l, which (alpha:beta)
+    evaluates in exact ints for an integral point, Fractions otherwise; a
+    negative component has no sections and so no columns.
     """
-    alpha, beta = (c if type(c) is int else Fraction(c) for c in point)
-    return [alpha ** (l - j) * beta ** j for j in range(l + 1)]
-
-
-def _kernel_dim(degrees, gluing, placements):
-    """Exact dim ker(rho) for given degrees, gluings and node placements.
-
-    rho sends (s_1..s_m) to the m-tuple of mismatches
-    s_i(P_i on C_i) - g_i * s_{i+1}(P_i on C_{i+1}); the scalar g_i weights
-    the side of node i belonging to component i+1, and is given as the
-    pair (num, den).  Row i is scaled by den, so it reads
-    den * ev_out - num * ev_in and is integral whenever the placements are.
-    """
-    m = len(degrees)
-    offsets = []
-    total = 0
+    offsets = [0]
     for l in degrees:
-        offsets.append(total)
-        total += max(0, l + 1)
-    rows = []
-    for i, (num, den) in enumerate(gluing):
-        nxt = (i + 1) % m
-        row = [0] * total
-        out_point, in_point = placements[i]
-        if degrees[i] >= 0:
-            ev = _evaluate_section_row(degrees[i], out_point)
-            for j, v in enumerate(ev, offsets[i]):
-                row[j] += den * v
-        if degrees[nxt] >= 0:
-            ev = _evaluate_section_row(degrees[nxt], in_point)
-            for j, v in enumerate(ev, offsets[nxt]):
-                row[j] -= num * v
-        rows.append(row)
+        offsets.append(offsets[-1] + max(0, l + 1))
+
+    def ev(k, point):
+        l, (alpha, beta) = degrees[k], point
+        return {offsets[k] + j: v for j in range(l + 1)
+                if (v := alpha ** (l - j) * beta ** j)}
+
+    m = len(degrees)
+    return offsets[-1], [(ev(i, out_point), ev((i + 1) % m, in_point))
+                         for i, (out_point, in_point) in enumerate(placements)]
+
+
+def _kernel_dim(total, evaluations, gluing):
+    """dim ker(rho) for the gluing g_i = num/den given as (num, den) pairs.
+
+    rho sends (s_1..s_m) to the mismatches s_i(P_i on C_i) - g_i *
+    s_{i+1}(P_i on C_{i+1}); row i is scaled by den, so it reads
+    den * ev_out - num * ev_in, whose two parts sit on different components.
+    """
+    rows = [{**(out if den == 1 else {c: den * v for c, v in out.items()}),
+             **{c: -num * v for c, v in inn.items()}}
+            for (out, inn), (num, den) in zip(evaluations, gluing)]
     return total - linalg.rank(rows)
-
-
-def _draw_gluing(rng, m):
-    """m random gluing scalars, each as a (numerator, denominator) pair."""
-    return [(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(m)]
 
 
 def h0_oracle(bundle: CycleLineBundle, seed: int | None = None, *,
               _placements=None) -> int:
     """Brute-force h^0 via exact kernel computation.
 
-    With explicit ``bundle.gluing`` the computation is done once.  Otherwise
-    ``ORACLE_DRAWS`` independent gluings come from a seeded generator and the
-    minimum (= generic) value is returned.  By the closed form the draws
-    agree except on all-zero degrees, where the generic value is 0 and only
-    scalars multiplying to 1 give 1; a disagreement is surfaced as a warning.
+    The evaluation rows are built once per call.  With explicit
+    ``bundle.gluing`` the computation is done once.  Otherwise
+    ``ORACLE_DRAWS`` independent gluings come from a seeded generator, an
+    integer g_i in [1, 2^20] per node, and the minimum (= generic) value is
+    returned.  Integers are generic enough: a draw overshoots only where a
+    minor that is not identically zero vanishes, a polynomial of degree at
+    most m in the g_i, so by the Schwartz-Zippel lemma with probability at
+    most m / 2^20.  By the closed form the draws agree except on all-zero
+    degrees, where the generic value is 0 and only scalars multiplying to 1
+    give 1; a disagreement is surfaced as a warning.
 
     The two node preimages on each component sit at (1:0) and (0:1); any
     other placement gives the same dimension (Moebius invariance), which the
@@ -225,12 +224,14 @@ def h0_oracle(bundle: CycleLineBundle, seed: int | None = None, *,
     degrees = bundle.degrees
     m = len(degrees)
     placements = _placements if _placements is not None else _default_placements(m)
+    total, evaluations = _evaluations(degrees, placements)
     if bundle.gluing is not None:
-        gluing = [(g.numerator, g.denominator) for g in bundle.gluing]
-        return _kernel_dim(degrees, gluing, placements)
-    rng = random.Random(DEFAULT_ORACLE_SEED if seed is None else seed)
-    dims = [_kernel_dim(degrees, _draw_gluing(rng, m), placements)
-            for _ in range(ORACLE_DRAWS)]
+        gluings = [[(g.numerator, g.denominator) for g in bundle.gluing]]
+    else:
+        rng = random.Random(DEFAULT_ORACLE_SEED if seed is None else seed)
+        gluings = [[(rng.getrandbits(20) + 1, 1) for _ in range(m)]
+                   for _ in range(ORACLE_DRAWS)]
+    dims = [_kernel_dim(total, evaluations, gluing) for gluing in gluings]
     if len(set(dims)) > 1:
         warnings.warn(
             f"h0_oracle draws disagree for degrees {degrees}: {dims}; "

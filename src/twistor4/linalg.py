@@ -1,101 +1,116 @@
 """Exact linear algebra over Z and Q.
 
-One fraction-free elimination serves the determinant, the rank and the
-nullspace.  Rows are made integral once (denominators cleared), and each
-elimination step replaces a row by the primitive part of
-``p*row - f*pivot_row``; rows with a zero in the pivot column are not
-touched, so sparse matrices such as the pairing's arrowhead cost O(n^2)
-rather than O(n^3).  No floats anywhere.  ``format_combination`` prints an
-integer combination of basis names, for every class type's ``str()``.
+One sparse, fraction-free elimination serves the determinant, the rank and
+the nullspace.  Each row is stored once as a dict ``{column: nonzero int}``
+(denominators cleared) and reduced in turn against the earlier pivot rows:
+while its least column holds a pivot, it becomes the primitive part of
+``p*row - f*pivot_row``.  A row that stays nonzero becomes a pivot at its
+least column.  A step touches only the columns the two rows hold, so sparse
+matrices (the oracle's two-entry rows, the pairing's arrowhead) stay cheap.
+No floats anywhere.  ``format_combination`` prints an integer combination
+of basis names, for every class type's ``str()``.
 """
 
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import ScheduleError
+from .errors import check
+
+
+def _width(rows):
+    """The common length of the sequence (non-dict) rows; 0 if none."""
+    widths = {len(row) for row in rows if not isinstance(row, dict)} or {0}
+    check(len(widths) == 1, "matrix rows differ in length: {}", sorted(widths))
+    return widths.pop()
 
 
 def _integral(row):
-    """``row`` as a list of ints times 1/scale: (ints, scale)."""
-    if set(map(type, row)) <= {int}:
-        return list(row), 1
-    fr = [Fraction(x) for x in row]
-    scale = lcm(*(x.denominator for x in fr))
-    return [x.numerator * (scale // x.denominator) for x in fr], scale
+    """``row`` as {column: nonzero int} times 1/scale: (dict, scale).  A dict
+    of nonzero ints is returned as it is, never copied or changed."""
+    if not isinstance(row, dict):
+        row = {c: x for c, x in enumerate(row) if x}
+    elif not all(row.values()):
+        row = {c: x for c, x in row.items() if x}
+    if set(map(type, row.values())) <= {int}:
+        return row, 1
+    fr = {c: Fraction(x) for c, x in row.items()}
+    scale = lcm(*(x.denominator for x in fr.values()))
+    return {c: x.numerator * (scale // x.denominator) for c, x in fr.items()}, scale
+
+
+def _reduce(row, prow, col):
+    """(primitive part of ``p*row - f*prow``, its content), p and f the two
+    rows' entries at ``col``, where the result is 0."""
+    p, f = prow[col], row[col]
+    new = {c: p * x for c, x in row.items()}
+    for c, y in prow.items():
+        x = new.get(c, 0) - f * y
+        if x:
+            new[c] = x
+        else:
+            del new[c]
+    g = gcd(*new.values())
+    return ({c: x // g for c, x in new.items()} if g > 1 else new), g
 
 
 def _eliminate(rows, *, reduced=False, determinant=False):
     """Echelon form over Z of an int/Fraction matrix.
 
-    Returns ``(rows, pivots, factor)``: the integer rows after elimination
-    (reduced echelon form when ``reduced``: every pivot column is zero
-    outside its pivot row), the pivot column of each of the first
-    ``len(pivots)`` rows, and, when ``determinant``, the Fraction ``factor``
-    with det(input) = factor * det(output) (``None`` otherwise).  A square
-    matrix that turns out singular stops early with factor 0.
+    Returns ``(pivots, factor)``: ``pivots`` maps each pivot column to its
+    integer row, in the order the rows became pivots (reduced echelon form
+    when ``reduced``: every pivot column is zero outside its pivot row).
+    When ``determinant``, det(input) = factor * det(the pivot rows in that
+    order), and a row that reduces to zero stops the elimination with
+    factor 0; else factor is ``None``.
     """
-    m, sign, factor = [], 1, Fraction(1)
+    pivots, factor = {}, Fraction(1)
     for row in rows:
-        ints, scale = _integral(row)
-        m.append(ints)
-        if scale != 1:
-            factor /= scale
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        for i in range(r, len(m)):
-            if m[i][col]:
-                break
-        else:
-            if determinant:
-                return m, pivots, Fraction(0)
-            continue
-        if i != r:
-            m[r], m[i] = m[i], m[r]
-            sign = -sign
-        prow = m[r]
-        p = prow[col]
-        contents, updated = 1, 0
-        for i in range(0 if reduced else r + 1, len(m)):
-            f = m[i][col]
-            if f and i != r:
-                new = [p * x - f * y for x, y in zip(m[i], prow)]
-                g = gcd(*new)
-                if g > 1:
-                    new = [x // g for x in new]
-                m[i] = new
-                contents *= g
-                updated += 1
-        if determinant and updated:
-            factor *= Fraction(contents, p ** updated)
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots, sign * factor if determinant else None
+        row, scale = _integral(row)
+        contents = dividers = 1
+        while row and (col := min(row)) in pivots:
+            row, g = _reduce(row, pivots[col], col)
+            contents *= g
+            dividers *= pivots[col][col]
+        if row:
+            pivots[col] = row
+        elif determinant:
+            return pivots, Fraction(0)
+        if determinant:
+            factor *= Fraction(contents, scale * dividers)
+    # clear the greatest pivot column first: a row with a greater pivot
+    # column holds no entry in this one, and the clearing row is already clear
+    for col in sorted(pivots, reverse=True) if reduced else ():
+        for other, row in pivots.items():
+            if other != col and col in row:
+                pivots[other] = _reduce(row, pivots[col], col)[0]
+    return pivots, factor if determinant else None
 
 
 def bareiss_determinant(rows):
     """Determinant of a square matrix of ints/Fractions.
 
-    Computed by the content-reducing elimination of this module, not by
-    Bareiss's scheme any more; the name stays because callers and tools
-    look the function up by it.  Every step's factor p/g and every row
-    swap is recorded, so the result is exact: an int when it is integral,
-    else a Fraction.
+    Computed by the sparse elimination of this module, not by Bareiss's
+    scheme any more; the name stays because callers and tools look the
+    function up by it.  The factor p/g of every reduce step is recorded, and
+    the sign is that of the permutation taking each row to its pivot column,
+    so the result is exact: an int when it is integral, else a Fraction.
     """
     n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ScheduleError("matrix is not square")
-    m, _, factor = _eliminate(rows, determinant=True)
-    factor *= prod(m[k][k] for k in range(n))
+    check(all(len(row) == n for row in rows), "matrix is not square")
+    pivots, factor = _eliminate(rows, determinant=True)
+    perm = list(pivots) if factor else []  # singular: stopped early, det 0
+    for i in range(len(perm)):
+        while (j := perm[i]) != i:
+            perm[i], perm[j], factor = perm[j], j, -factor
+    factor *= prod(row[col] for col, row in pivots.items())
     return int(factor) if factor.denominator == 1 else factor
 
 
 def rank(rows):
-    """Rank over Q of a matrix with int/Fraction entries."""
-    return len(_eliminate(rows)[1])
+    """Rank over Q of a matrix with int/Fraction entries; a row is a
+    sequence or a dict {column: value}."""
+    _width(rows)
+    return len(_eliminate(rows)[0])
 
 
 def nullspace(rows):
@@ -104,21 +119,19 @@ def nullspace(rows):
     Returned vectors are tuples of ints with content 1 and first nonzero
     entry positive, listed in order of their free column.
     """
-    m, pivots, _ = _eliminate(rows, reduced=True)
-    if not m:
-        return []
-    pivot_set = set(pivots)
+    ncols = _width(rows)
+    pivots, _ = _eliminate(rows, reduced=True)
     basis = []
-    for fc in range(len(m[0])):
-        if fc in pivot_set:
+    for fc in range(ncols):
+        if fc in pivots:
             continue
-        # with the other free entries 0, pivot row i reads
-        # m[i][pc] * x[pc] + m[i][fc] * x[fc] = 0
-        scale = lcm(*(m[i][pc] for i, pc in enumerate(pivots) if m[i][fc]))
-        v = [0] * len(m[0])
+        # with the other free entries 0, the pivot row of column pc reads
+        # row[pc] * x[pc] + row[fc] * x[fc] = 0
+        scale = lcm(*(row[pc] for pc, row in pivots.items() if fc in row))
+        v = [0] * ncols
         v[fc] = scale
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc] * scale // m[i][pc]
+        for pc, row in pivots.items():
+            v[pc] = -row.get(fc, 0) * scale // row[pc]
         g = gcd(*v) if next(x for x in v if x) > 0 else -gcd(*v)
         basis.append(tuple(x // g for x in v))
     return basis
@@ -126,6 +139,7 @@ def nullspace(rows):
 
 def left_nullspace(rows):
     """Primitive integer basis of {v : v.A = 0} (nullspace of the transpose)."""
+    _width(rows)
     return nullspace(list(zip(*rows)))
 
 

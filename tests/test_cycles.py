@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from twistor4.errors import ScheduleError
 from twistor4.cycles import (
     DEFAULT_ORACLE_SEED,
     CycleLineBundle,
@@ -181,6 +182,20 @@ def test_bundle_validation():
         CycleLineBundle((1, 1), gluing=(1, 0))
 
 
+@pytest.mark.parametrize("bad", [
+    True, False, "1/2", 0.5, float("nan"), float("inf"), None, 1.0,
+])
+def test_gluing_takes_only_exact_non_bool_scalars(bad):
+    for gluing in ((bad, 1), (2, bad)):
+        with pytest.raises(ScheduleError, match="must be ints or Fractions"):
+            CycleLineBundle((0, 0), gluing=gluing)
+    with pytest.raises(ScheduleError, match="must be ints or Fractions"):
+        CycleLineBundle((1, -1), gluing=("1/2", "2"))
+    bundle = CycleLineBundle((1, -1), gluing=[2, Fraction(1, 3)])
+    assert bundle.gluing == (Fraction(2), Fraction(1, 3))
+    assert set(map(type, bundle.gluing)) == {Fraction}
+
+
 def test_cyclic_arcs():
     assert cyclic_arcs(4, set()) == [[0, 1, 2, 3]]
     assert cyclic_arcs(3, {0, 1, 2}) == []
@@ -264,3 +279,64 @@ def test_formula_matches_oracle_on_large_band_cycles():
         bundle = CycleLineBundle(tuple(rng.randint(-24, 24) for _ in range(m)))
         value = h0_formula(bundle)
         assert value == h0_oracle(bundle, seed=rng.randrange(1 << 30)), bundle
+
+
+# -- the domain beyond the old hypotheses ---------------------------------------
+
+def _outside_old_hypotheses(rng, kind):
+    """A degree list of one kind that the old hypotheses (m >= 3, two or
+    more negatives, a positive component on every arc) leave out."""
+    if kind == "two components":
+        return [rng.randint(-4, 4) for _ in range(2)]
+    m = rng.randint(3, 8)
+    if kind == "one negative":
+        degrees = [rng.randint(0, 4) for _ in range(m)]
+        degrees[rng.randrange(m)] = rng.randint(-4, -1)
+        return degrees
+    if kind == "arc without a positive":
+        # two negatives with only zeros (maybe none) between them
+        degrees = [rng.randint(-3, 4) for _ in range(m)]
+        i, gap = rng.randrange(m), rng.randint(0, m - 2)
+        degrees[i] = degrees[(i + gap + 1) % m] = rng.randint(-3, -1)
+        for k in range(1, gap + 1):
+            degrees[(i + k) % m] = 0
+        return degrees
+    return [0] * m
+
+
+def _rational_placements(rng, m):
+    """Node placements with Fraction coordinates: the two node points on
+    each component are distinct points of P^1."""
+    def point():
+        return (Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                Fraction(rng.randint(1, 9), rng.randint(1, 5)))
+    points = []
+    for _ in range(m):
+        out_point, in_point = point(), point()
+        while out_point[0] * in_point[1] == out_point[1] * in_point[0]:
+            in_point = point()
+        points.append((out_point, in_point))
+    # node i sits at points[i][0] on C_i and at points[i + 1][1] on C_{i+1}
+    return [(points[i][0], points[(i + 1) % m][1]) for i in range(m)]
+
+
+@pytest.mark.parametrize("kind", ["two components", "one negative",
+                                  "arc without a positive", "all zero"])
+def test_formula_matches_oracle_outside_the_old_hypotheses(kind):
+    rng = random.Random(f"outside-{kind}")
+    for _ in range(30):
+        degrees = tuple(_outside_old_hypotheses(rng, kind))
+        m = len(degrees)
+        placements = _rational_placements(rng, m)
+        drawn = tuple(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                               rng.randint(1, 9)) for _ in range(m))
+        trivial = drawn[:-1] + (1 / math.prod(drawn[:-1]),)
+        for gluing in (None, drawn, trivial):
+            bundle = CycleLineBundle(degrees, gluing=gluing)
+            seed = rng.randrange(1 << 30)
+            value = h0_formula(bundle)
+            assert value == h0_oracle(bundle, seed=seed), (degrees, gluing)
+            assert value == h0_oracle(bundle, seed=seed,
+                                      _placements=placements), (degrees, gluing)
+            if kind == "all zero":
+                assert value == (gluing is not None and math.prod(gluing) == 1)

@@ -1,5 +1,6 @@
 """Cross-checks of the exact linear algebra against sympy."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 import sympy
 
 from twistor4.cohomology import CohomologyClass, pairing_matrix
+from twistor4.errors import ScheduleError
 from twistor4.lattice import SurfaceLattice
 from twistor4.linalg import bareiss_determinant, left_nullspace, nullspace, rank
 
@@ -178,6 +180,34 @@ def test_zero_and_empty_shapes():
     assert bareiss_determinant(swapped) == -1
     assert nullspace(swapped) == [] and swapped == [[0, 1], [1, 0]]
     assert bareiss_determinant([[Fraction(2, 3)]]) == Fraction(2, 3)
+
+
+def test_rank_on_dict_rows_equals_rank_on_the_dense_rows():
+    # the same matrices given as {column: value} rows, with some zeros kept
+    # explicit; neither kind of input is changed
+    rng = random.Random(4104)
+    for kind, m in _matrices(4104, 60):
+        sparse = [{c: x for c, x in enumerate(row) if x or rng.random() < 0.3}
+                  for row in m]
+        m_before, sparse_before = copy.deepcopy(m), copy.deepcopy(sparse)
+        assert rank(sparse) == rank(m), (kind, m)
+        assert m == m_before and sparse == sparse_before
+    mixed = [{0: 2, 3: Fraction(1, 2)}, [4, 0, 0, 1], {1: 0}, {}]
+    assert rank(mixed) == 1
+
+
+@pytest.mark.parametrize("call,rows", [
+    (rank, [[1], [2, 3]]),
+    (rank, [[1, 2], [3]]),
+    (rank, [{0: 1}, [1, 2], [3]]),
+    (nullspace, [[0, 1], [2]]),
+    (nullspace, [[1, 2, 3], [4, 5]]),
+    (left_nullspace, [[1, 2], [3]]),
+    (left_nullspace, [[1], [2, 3]]),
+])
+def test_ragged_rows_are_refused_with_a_tag(call, rows):
+    with pytest.raises(ScheduleError, match="matrix rows differ in length"):
+        call(rows)
 
 
 # -- the pairing: an arrowhead matrix, almost every entry zero ------------------

@@ -720,6 +720,29 @@ def test_cli_classify_json_on_the_goldens_is_pinned(capsys):
         _GOLDENS_CLASSIFY_JSON_SHA256)
 
 
+# cycle-h0 --oracle --json over a fixed list of degree lists: the README's
+# examples, then m = 2, one negative, an arc with no positive component, a
+# census necklace, all positive and all zero.  The oracle's value does not
+# depend on which generic gluings it draws, so neither does this digest
+_CYCLE_H0_ORACLE_DEGREES = ("2,-2,2,-2", "3,-1,0,0", "1,-1,1,-1", "3,-3",
+                            "1,1,-1", "2,-1,0,-1", "0,-2,4,-2", "2,3,4",
+                            "0,0", "0,0,0")
+_CYCLE_H0_ORACLE_JSON_SHA256 = (
+    "42264096bef44f6634aab41483d61444edf54348ebf6481799227abf49d526bb"
+)
+
+
+def test_cli_cycle_h0_oracle_json_bytes_are_pinned(capsys):
+    out = ""
+    for degrees in _CYCLE_H0_ORACLE_DEGREES:
+        code, text, _ = _run(capsys, "cycle-h0", "--oracle", "--json",
+                             "--degrees", degrees)
+        assert code == 0 and '"agree":true' in text
+        out += text
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        _CYCLE_H0_ORACLE_JSON_SHA256)
+
+
 # every criterion's detail line, byte for byte; no line carries a timing
 _SELFTEST_SHA256 = (
     "ed6266c675b099b0620ba4e2be3d75ccfb42e313cccc68bc14390d7344733108"
@@ -749,6 +772,11 @@ def test_cli_under_python_O_keeps_its_results():
     assert hashlib.sha256(capped).hexdigest() == _ENUMERATE_LIMIT_10_JSON_SHA256
     classified = b"".join(run("classify", "--json", str(path)) for path in _GOLDENS)
     assert hashlib.sha256(classified).hexdigest() == _GOLDENS_CLASSIFY_JSON_SHA256
+    oracle = subprocess.run(
+        [sys.executable, "-O", "-c", "import sys; from twistor4.cli import main\n"
+         "for d in sys.argv[1:]: main(['cycle-h0', '--oracle', '--json', '--degrees', d])",
+         *_CYCLE_H0_ORACLE_DEGREES], capture_output=True, env=env, check=True).stdout
+    assert hashlib.sha256(oracle).hexdigest() == _CYCLE_H0_ORACLE_JSON_SHA256
 
 
 def test_ci_and_the_benchmark_pin_the_tests_digests():
@@ -759,14 +787,19 @@ def test_ci_and_the_benchmark_pin_the_tests_digests():
     pins = {}
     for step in workflow.split("- name: ")[1:]:
         for digest in re.findall(r'test "\$digest" = ([0-9a-f]{64})', step):
-            command = re.search(r"-m twistor4 (\w+(?: --limit \d+)?(?: --json)?)",
-                                step).group(1)
+            command = re.search(
+                r"-m twistor4 ([\w-]+(?: --limit \d+)?(?: --oracle)?(?: --json)?)",
+                step).group(1)
             pins.setdefault(command, []).append(digest)
     assert pins == {"enumerate --json": [_ENUMERATE_JSON_SHA256],
                     "enumerate": [_ENUMERATE_TABLE_SHA256],
                     "enumerate --limit 10 --json": [_ENUMERATE_LIMIT_10_JSON_SHA256],
                     "classify --json": [_GOLDENS_CLASSIFY_JSON_SHA256],
-                    "selftest": [_SELFTEST_SHA256]}
+                    "selftest": [_SELFTEST_SHA256],
+                    "cycle-h0 --oracle --json": [_CYCLE_H0_ORACLE_JSON_SHA256]}
+    degrees = re.search(r"for degrees in ([^;\n]+); do python \$flags -m twistor4 "
+                        r"cycle-h0 --oracle --json", workflow).group(1)
+    assert tuple(degrees.split()) == _CYCLE_H0_ORACLE_DEGREES
     expected = json.loads((_ROOT / "perfbench" / "expected.json").read_text(
         encoding="utf-8"))
     assert expected["enumerate_json"]["sha256"] == _ENUMERATE_JSON_SHA256
