@@ -23,8 +23,8 @@ bundle in Pic(C)) is genuinely extra moduli: it is carried as input
 
 from __future__ import annotations
 
+import hashlib
 import math
-import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,7 +173,8 @@ def _evaluations(degrees, placements):
 
     H^0(P^1, O(l)) has the basis u^l, u^(l-1) v, ..., v^l, which (alpha:beta)
     evaluates in exact ints for an integral point, Fractions otherwise; a
-    negative component has no sections and so no columns.
+    negative component has no sections and so no columns.  Only u^l is
+    nonzero at (alpha:0) and only v^l at (0:beta), so no other is computed.
     """
     offsets = [0]
     for l in degrees:
@@ -181,7 +182,9 @@ def _evaluations(degrees, placements):
 
     def ev(k, point):
         l, (alpha, beta) = degrees[k], point
-        return {offsets[k] + j: v for j in range(l + 1)
+        powers = (range(l + 1) if l < 0 or alpha and beta
+                  else range(l, l + 1) if beta else range(1))
+        return {offsets[k] + j: v for j in powers
                 if (v := alpha ** (l - j) * beta ** j)}
 
     m = len(degrees)
@@ -189,16 +192,19 @@ def _evaluations(degrees, placements):
                          for i, (out_point, in_point) in enumerate(placements)]
 
 
-def _kernel_dim(total, evaluations, gluing):
-    """dim ker(rho) for the gluing g_i = num/den given as (num, den) pairs.
+def _kernel_dim(total, evaluations, nums, dens):
+    """dim ker(rho) for the gluing g_i = nums[i] / dens[i].
 
     rho sends (s_1..s_m) to the mismatches s_i(P_i on C_i) - g_i *
     s_{i+1}(P_i on C_{i+1}); row i is scaled by den, so it reads
     den * ev_out - num * ev_in, whose two parts sit on different components.
     """
-    rows = [{**(out if den == 1 else {c: den * v for c, v in out.items()}),
-             **{c: -num * v for c, v in inn.items()}}
-            for (out, inn), (num, den) in zip(evaluations, gluing)]
+    rows = []
+    for (out, inn), num, den in zip(evaluations, nums, dens):
+        row = out.copy() if den == 1 else {c: den * v for c, v in out.items()}
+        for c, v in inn.items():
+            row[c] = -num * v
+        rows.append(row)
     return total - linalg.rank(rows)
 
 
@@ -208,14 +214,15 @@ def h0_oracle(bundle: CycleLineBundle, seed: int | None = None, *,
 
     The evaluation rows are built once per call.  With explicit
     ``bundle.gluing`` the computation is done once.  Otherwise
-    ``ORACLE_DRAWS`` independent gluings come from a seeded generator, an
-    integer g_i in [1, 2^20] per node, and the minimum (= generic) value is
-    returned.  Integers are generic enough: a draw overshoots only where a
-    minor that is not identically zero vanishes, a polynomial of degree at
-    most m in the g_i, so by the Schwartz-Zippel lemma with probability at
-    most m / 2^20.  By the closed form the draws agree except on all-zero
-    degrees, where the generic value is 0 and only scalars multiplying to 1
-    give 1; a disagreement is surfaced as a warning.
+    ``ORACLE_DRAWS`` gluings are drawn, an integer g_i in [1, 2^20] per
+    node cut from 3 bytes of one SHAKE-128 digest of the seed's decimal
+    digits, and the minimum (= generic) value is returned.  Schwartz-Zippel
+    asks only that the draws not depend on the bundle: a draw overshoots
+    only where a minor that is not identically zero vanishes, a polynomial
+    of degree at most m in the g_i, so with probability at most m / 2^20.
+    By the closed form the draws agree except on all-zero degrees, where
+    the generic value is 0 and only scalars multiplying to 1 give 1; a
+    disagreement is surfaced as a warning.
 
     The two node preimages on each component sit at (1:0) and (0:1); any
     other placement gives the same dimension (Moebius invariance), which the
@@ -226,12 +233,13 @@ def h0_oracle(bundle: CycleLineBundle, seed: int | None = None, *,
     placements = _placements if _placements is not None else _default_placements(m)
     total, evaluations = _evaluations(degrees, placements)
     if bundle.gluing is not None:
-        gluings = [[(g.numerator, g.denominator) for g in bundle.gluing]]
+        gluings = [zip(*map(Fraction.as_integer_ratio, bundle.gluing))]
     else:
-        rng = random.Random(DEFAULT_ORACLE_SEED if seed is None else seed)
-        gluings = [[(rng.getrandbits(20) + 1, 1) for _ in range(m)]
-                   for _ in range(ORACLE_DRAWS)]
-    dims = [_kernel_dim(total, evaluations, gluing) for gluing in gluings]
+        seed = DEFAULT_ORACLE_SEED if seed is None else seed
+        b = iter(hashlib.shake_128(b"%d" % seed).digest(3 * ORACLE_DRAWS * m))
+        draws = [(x << 12 | y << 4 | z >> 4) + 1 for x, y, z in zip(b, b, b)]
+        gluings = [(draws[k:k + m], (1,) * m) for k in range(0, len(draws), m)]
+    dims = [_kernel_dim(total, evaluations, *gluing) for gluing in gluings]
     if len(set(dims)) > 1:
         warnings.warn(
             f"h0_oracle draws disagree for degrees {degrees}: {dims}; "

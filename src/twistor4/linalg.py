@@ -14,14 +14,15 @@ of basis names, for every class type's ``str()``.
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import check
+from .errors import ScheduleError, check
 
 
 def _width(rows):
     """The common length of the sequence (non-dict) rows; 0 if none."""
-    widths = {len(row) for row in rows if not isinstance(row, dict)} or {0}
-    check(len(widths) == 1, "matrix rows differ in length: {}", sorted(widths))
-    return widths.pop()
+    widths = {len(row) for row in rows if not isinstance(row, dict)}
+    if len(widths) > 1:
+        raise ScheduleError(f"matrix rows differ in length: {sorted(widths)}")
+    return widths.pop() if widths else 0
 
 
 def _integral(row):
@@ -29,9 +30,12 @@ def _integral(row):
     of nonzero ints is returned as it is, never copied or changed."""
     if not isinstance(row, dict):
         row = {c: x for c, x in enumerate(row) if x}
-    elif not all(row.values()):
+    elif 0 in row.values():
         row = {c: x for c, x in row.items() if x}
-    if set(map(type, row.values())) <= {int}:
+    for x in row.values():
+        if type(x) is not int:
+            break
+    else:
         return row, 1
     fr = {c: Fraction(x) for c, x in row.items()}
     scale = lcm(*(x.denominator for x in fr.values()))
@@ -53,17 +57,16 @@ def _reduce(row, prow, col):
     return ({c: x // g for c, x in new.items()} if g > 1 else new), g
 
 
-def _eliminate(rows, *, reduced=False, determinant=False):
+def _eliminate(rows, *, determinant=False):
     """Echelon form over Z of an int/Fraction matrix.
 
     Returns ``(pivots, factor)``: ``pivots`` maps each pivot column to its
-    integer row, in the order the rows became pivots (reduced echelon form
-    when ``reduced``: every pivot column is zero outside its pivot row).
-    When ``determinant``, det(input) = factor * det(the pivot rows in that
-    order), and a row that reduces to zero stops the elimination with
-    factor 0; else factor is ``None``.
+    integer row, in the order the rows became pivots; a pivot row holds no
+    column below its own.  When ``determinant``, det(input) = factor *
+    det(the pivot rows in that order), and a row that reduces to zero stops
+    the elimination with factor 0; else factor is ``None``.
     """
-    pivots, factor = {}, Fraction(1)
+    pivots, factor = {}, Fraction(1) if determinant else None
     for row in rows:
         row, scale = _integral(row)
         contents = dividers = 1
@@ -77,13 +80,7 @@ def _eliminate(rows, *, reduced=False, determinant=False):
             return pivots, Fraction(0)
         if determinant:
             factor *= Fraction(contents, scale * dividers)
-    # clear the greatest pivot column first: a row with a greater pivot
-    # column holds no entry in this one, and the clearing row is already clear
-    for col in sorted(pivots, reverse=True) if reduced else ():
-        for other, row in pivots.items():
-            if other != col and col in row:
-                pivots[other] = _reduce(row, pivots[col], col)[0]
-    return pivots, factor if determinant else None
+    return pivots, factor
 
 
 def bareiss_determinant(rows):
@@ -120,18 +117,23 @@ def nullspace(rows):
     entry positive, listed in order of their free column.
     """
     ncols = _width(rows)
-    pivots, _ = _eliminate(rows, reduced=True)
+    pivots = _eliminate(rows)[0]
+    last_first = sorted(pivots.items(), reverse=True)
     basis = []
     for fc in range(ncols):
         if fc in pivots:
             continue
-        # with the other free entries 0, the pivot row of column pc reads
-        # row[pc] * x[pc] + row[fc] * x[fc] = 0
-        scale = lcm(*(row[pc] for pc, row in pivots.items() if fc in row))
-        v = [0] * ncols
-        v[fc] = scale
-        for pc, row in pivots.items():
-            v[pc] = -row.get(fc, 0) * scale // row[pc]
+        # the other free entries 0; back-substitute from the last pivot row
+        # up, scaling sol so that each row's p*sol[pc] + s = 0 solves in ints
+        sol = {fc: 1}
+        for pc, row in last_first:
+            s = sum([x * sol[c] for c, x in row.items() if c in sol])
+            if s:
+                g = gcd(s, p := row[pc])
+                if p != g:
+                    sol = {c: p // g * x for c, x in sol.items()}
+                sol[pc] = -s // g
+        v = [sol.get(c, 0) for c in range(ncols)]
         g = gcd(*v) if next(x for x in v if x) > 0 else -gcd(*v)
         basis.append(tuple(x // g for x in v))
     return basis

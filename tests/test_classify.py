@@ -313,6 +313,18 @@ def test_negative_curves_rejects_what_classify_rejects(degrees, tag):
         assert info.value.tag == tag
 
 
+def test_four_conjugate_minus_one_pairs_are_no_realizable_pattern():
+    # the abstract allows one to three conjugate -1 pairs: the count refuses
+    # a fourth pair before the sign check could name it a bad case c
+    degrees = (-1, 2, -1, -1, 2, -1) * 2
+    half_turn = tuple((p + 6) % 12 for p in range(12))
+    necklace = Necklace(tuple("ABCDEFGHIJKL"), degrees, half_turn, False, None, 4)
+    for reader in (negative_curves, classify):
+        with pytest.raises(RealizabilityError) as info:
+            reader(necklace)
+        assert info.value.tag == "negative-pattern"
+
+
 def test_negative_curves_agrees_with_classify_on_every_leaf():
     for count, (_, leaf) in enumerate(_walked_leaves(), 1):
         necklace = leaf.necklace(TAU_ONE)

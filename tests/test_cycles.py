@@ -1,5 +1,6 @@
 """Line bundles on cycles of rational curves: formula vs kernel oracle."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -7,9 +8,11 @@ from itertools import product
 
 import pytest
 
+from twistor4 import cycles
 from twistor4.errors import ScheduleError
 from twistor4.cycles import (
     DEFAULT_ORACLE_SEED,
+    ORACLE_DRAWS,
     CycleLineBundle,
     TorsionSpec,
     cyclic_arcs,
@@ -269,6 +272,126 @@ def test_oracle_with_rational_placements_and_gluings(degrees, gluing, expected):
     assert h0_oracle(bundle, _placements=placements) == expected
     assert h0_oracle(bundle) == expected
     assert h0_formula(bundle) == expected
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments and result of every call to ``cycles.<name>``."""
+    calls, real = [], getattr(cycles, name)
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(cycles, name, spy)
+    return calls
+
+
+def _plain_evaluations(degrees, placements):
+    """The evaluation rows by the plain formula: every basis monomial
+    u^(l-j) v^j of each component at both node points, zeros dropped."""
+    offsets = [sum(max(0, l + 1) for l in degrees[:k])
+               for k in range(len(degrees) + 1)]
+
+    def row(k, point):
+        l, (alpha, beta) = degrees[k], point
+        values = {offsets[k] + j: alpha ** (l - j) * beta ** j
+                  for j in range(l + 1)}
+        return {c: v for c, v in values.items() if v != 0}
+    m = len(degrees)
+    return offsets[-1], [(row(i, out_point), row((i + 1) % m, in_point))
+                         for i, (out_point, in_point) in enumerate(placements)]
+
+
+def _point(rng, kind):
+    """A point of P^1 with a zero coordinate, Fraction coordinates, or one
+    int and one Fraction coordinate."""
+    def scalar(exact):
+        value = rng.choice([-1, 1]) * rng.randint(1, 7)
+        return Fraction(value, rng.randint(2, 5)) if exact else value
+    if kind == "zero":
+        other = scalar(rng.random() < 0.5)
+        return rng.choice([(other, 0), (0, other)])
+    if kind == "fraction":
+        return scalar(True), scalar(True)
+    return tuple(rng.sample([scalar(True), scalar(False)], 2))
+
+
+@pytest.mark.parametrize("kind", ["zero", "fraction", "mixed"])
+def test_evaluations_equal_the_plain_monomial_formula(kind, monkeypatch):
+    # the rows h0_oracle builds through the _placements hook are the plain
+    # evaluations of every monomial; only the ones that vanish are skipped
+    built = _spy(monkeypatch, "_evaluations")
+    rng = random.Random(f"evaluations-{kind}")
+    for _ in range(40):
+        degrees = tuple(rng.randint(-3, 5) for _ in range(rng.randint(2, 7)))
+        points = []
+        for _ in degrees:
+            out_point, in_point = _point(rng, kind), _point(rng, kind)
+            while out_point[0] * in_point[1] == out_point[1] * in_point[0]:
+                in_point = _point(rng, kind)
+            points.append((out_point, in_point))
+        m = len(degrees)
+        placements = [(points[i][0], points[(i + 1) % m][1]) for i in range(m)]
+        bundle = CycleLineBundle(degrees)
+        assert h0_oracle(bundle, seed=rng.randrange(1 << 30),
+                         _placements=placements) == h0_formula(bundle)
+        (args, result), = built
+        assert args == (degrees, placements)
+        assert result == _plain_evaluations(degrees, placements), degrees
+        built.clear()
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    return _spy(monkeypatch, "_kernel_dim")
+
+
+def _draws(calls, bundle, seeds):
+    """The gluings h0_oracle draws for ``bundle``, one tuple per seed, read
+    off the spied ``_kernel_dim`` calls."""
+    drawn = []
+    for seed in seeds:
+        h0_oracle(bundle, seed=seed)
+        assert all(tuple(dens) == (1,) * bundle.m
+                   for (_, _, _, dens), _ in calls)
+        drawn.append(tuple(tuple(nums) for (_, _, nums, _), _ in calls))
+        calls.clear()
+    return drawn
+
+
+def test_oracle_draws_are_reproducible_per_seed(kernel_calls):
+    # every int seed is accepted, as random.Random accepted them
+    bundle = CycleLineBundle((2, -1, 0, 3, -2))
+    seeds = [-5, 0, 1, 2, 99, DEFAULT_ORACLE_SEED, 2 ** 70, -2 ** 70]
+    first = _draws(kernel_calls, bundle, seeds)
+    assert _draws(kernel_calls, bundle, seeds) == first
+    default = first[seeds.index(DEFAULT_ORACLE_SEED)]
+    assert _draws(kernel_calls, bundle, [None]) == [default]
+    assert len(set(first)) == len(seeds)
+    for gluings in first:
+        assert len(gluings) == ORACLE_DRAWS
+        assert all(len(gluing) == bundle.m for gluing in gluings)
+
+
+def test_oracle_draws_are_cut_from_the_digest_of_the_seed(kernel_calls):
+    # 3 bytes of SHAKE-128 of the seed's decimal digits per draw, its top
+    # 20 bits plus 1, node by node and then draw by draw
+    bundle = CycleLineBundle((3, -1, 2, -2))
+    for seed in (-5, 0, DEFAULT_ORACLE_SEED):
+        digest = hashlib.shake_128(str(seed).encode()).digest(
+            3 * ORACLE_DRAWS * bundle.m)
+        values = [(int.from_bytes(digest[i:i + 3], "big") >> 4) + 1
+                  for i in range(0, len(digest), 3)]
+        expected = tuple(tuple(values[k:k + bundle.m])
+                         for k in range(0, len(values), bundle.m))
+        assert _draws(kernel_calls, bundle, [seed]) == [expected]
+
+
+def test_oracle_draws_span_one_to_two_to_the_twenty(kernel_calls):
+    drawn = _draws(kernel_calls, CycleLineBundle((1, -1, 1, -1, 0)), range(300))
+    values = [g for gluings in drawn for gluing in gluings for g in gluing]
+    assert all(type(g) is int and 1 <= g <= 2 ** 20 for g in values)
+    # 4,500 draws reach both ends of the range: all 20 bits are used
+    assert min(values) < 2 ** 20 // 100 and max(values) > 2 ** 20 - 2 ** 20 // 100
 
 
 def test_formula_matches_oracle_on_large_band_cycles():

@@ -485,6 +485,13 @@ def test_cli_seed_resolution(capsys, monkeypatch):
     assert data["seed"] == 5
 
 
+def test_cli_oracle_takes_every_int_seed(capsys):
+    for seed in ("-5", "0", str(2 ** 70)):
+        data = _run_json(capsys, "cycle-h0", "--degrees", "0,0,0", "--oracle",
+                         "--seed", seed, "--json")
+        assert (data["seed"], data["oracle"], data["agree"]) == (int(seed), 0, True)
+
+
 # -- CLI: classify ------------------------------------------------------------------
 
 def test_cli_classify_golden_files(capsys):
