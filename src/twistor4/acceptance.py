@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
-from typing import Callable
 
 from . import schema
 from .classify import (
@@ -286,21 +285,11 @@ def _criterion_elementary_transform():
     )
 
 
-@dataclass(frozen=True)
-class Criterion:
-    number: int
-    name: str
-    budget_seconds: float | None
-    func: Callable[[], tuple[bool, str]]
-
-
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+#: ``func`` takes no argument and returns (passed, detail); a criterion
+#: without a budget has ``budget_seconds`` None
+Criterion = namedtuple("Criterion", ("number", "name", "budget_seconds", "func"))
+CriterionResult = namedtuple("CriterionResult",
+                             ("number", "name", "passed", "detail", "seconds"))
 
 
 CRITERIA = (

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 
 from . import schema
 from .cycles import CycleLineBundle, TorsionSpec, h0_formula
@@ -161,23 +160,18 @@ def _match_case(necklace: Necklace, degrees):
     )
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(namedtuple("ClassificationReport", (
+        "case", "negative_curves", "cycle_length", "smooth_anticanonical",
+        "h0_fundamental", "base_locus", "degree_one_count", "algebraic_dimension",
+        "tau", "dim_minus2KS"))):
     """Everything the classification determines for one configuration.
 
-    The five properties are read off the fields, so no report can
-    contradict them; ``as_dict`` emits them with the fields."""
+    ``degree_one_count`` and ``tau`` may be ``math.inf``, and ``tau`` and
+    ``dim_minus2KS`` None.  The five properties are read off the fields,
+    so no report can contradict them; ``as_dict`` emits them with the
+    fields."""
 
-    case: str
-    negative_curves: tuple[tuple[str, int], ...]
-    cycle_length: int
-    smooth_anticanonical: bool
-    h0_fundamental: int
-    base_locus: str
-    degree_one_count: int | float
-    algebraic_dimension: int
-    tau: int | float | None
-    dim_minus2KS: int | None
+    __slots__ = ()
 
     # F is nef exactly when no component has negative degree, and never big:
     # F^3 = c_1^3 / 8 = 2(4 - n) = 0 at n = 4, the only n classified; Z holds
@@ -202,9 +196,8 @@ class ClassificationReport:
         return out
 
 
-_REPORT_KEYS = (*(f.name for f in fields(ClassificationReport)),
-                "nef", "nef_and_big", "dim_fundamental_system", "lebrun",
-                "dim_antican_Z")
+_REPORT_KEYS = (*ClassificationReport._fields, "nef", "nef_and_big",
+                "dim_fundamental_system", "lebrun", "dim_antican_Z")
 
 
 def check_report(report: ClassificationReport) -> ClassificationReport:
@@ -329,33 +322,28 @@ def classify(necklace: Necklace) -> ClassificationReport:
 _TAU_ONE = TorsionSpec.finite(1)
 
 
-@dataclass(frozen=True)
-class EnumeratedEntry:
-    """One representative configuration discovered by the enumerator.
+class EnumeratedEntry(namedtuple("EnumeratedEntry", (
+        "schedule", "shape", "report", "error", "document", "digest"))):
+    """One representative configuration discovered by the enumerator: its
+    schedule, shape, and report or rejection tag, and the schedule's
+    document and digest, derived once on construction (the enumerator
+    builds an entry only for a key it keeps, and sorts the entries by
+    digest).  ``_make``, and so ``_replace``, derive them again."""
 
-    The document and its digest are built on first use, so the enumerator
-    pays for them only on the entries it keeps."""
+    __slots__ = ()
 
-    schedule: BlowupSchedule
-    shape: tuple
-    report: ClassificationReport | None
-    error: str | None
+    def __new__(cls, schedule, shape, report, error):
+        nef = report is not None and report.nef
+        document = schema.document_for(schedule, _TAU_ONE if nef else None)
+        return tuple.__new__(cls, (schedule, shape, report, error, document,
+                                   schema.document_digest(document)))
 
-    @cached_property
-    def document(self) -> dict:
-        nef = self.report is not None and self.report.nef
-        return schema.document_for(self.schedule, _TAU_ONE if nef else None)
-
-    @cached_property
-    def digest(self) -> str:
-        return schema.document_digest(self.document)
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*tuple(iterable)[:4])
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    entries: tuple[EnumeratedEntry, ...]
-    visited: int
-    exhausted: bool
+EnumerationResult = namedtuple("EnumerationResult", ("entries", "visited", "exhausted"))
 
 
 def _shape_key(squares: tuple[int, ...], partners: tuple[int, ...]) -> tuple:
@@ -568,7 +556,7 @@ def enumerate_configurations(max_reports: int | None = None) -> EnumerationResul
     before is counted and skipped: the depth and, up to rotation and
     reflection (fixing type II's F), the necklace and the open hosts'
     orbits fix the leaves below (see ``_Walk``).  Only kept entries build
-    their schedule and, on first use, their document.
+    their schedule and document.
     """
     if max_reports is not None and (type(max_reports) is not int or max_reports < 1):
         raise ScheduleError(f"max_reports must be a positive int, got {max_reports!r}")

@@ -19,8 +19,8 @@ import argparse
 import re
 import shutil
 import sys
+from collections import namedtuple
 from functools import partial
-from typing import NamedTuple
 
 from . import schema
 from .classify import classify, enumerate_configurations, model_from_document
@@ -66,15 +66,13 @@ class _Parser(argparse.ArgumentParser):
         raise ScheduleError(message)
 
 
-class _Result(NamedTuple):
+class _Result(namedtuple("_Result", ("payload", "lines", "failure", "code"),
+                         defaults=(None, 0))):
     """A subcommand's result: ``payload`` for ``--json``, else ``lines``.
     ``failure`` is raised once the result is printed; otherwise ``main``
     exits with ``code``."""
 
-    payload: dict | None
-    lines: list
-    failure: TwistorError | None = None
-    code: int = 0
+    __slots__ = ()
 
 
 def _emit(args, result):

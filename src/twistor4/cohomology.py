@@ -29,8 +29,7 @@ Everything is exact integer arithmetic on immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import linalg
 from .errors import DegreeError, check
@@ -58,9 +57,9 @@ _BASIS_LEN = {0: lambda n: 1, 2: lambda n: n + 1, 4: lambda n: n + 1, 6: lambda 
 _CLOSED_FORM = "computed {}, closed form {} at n={}"
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
-    """An element of one graded piece of H*(Z, Z).
+class CohomologyClass(namedtuple("CohomologyClass", ("n", "degree", "coeffs"))):
+    """An element of one graded piece of H*(Z, Z), its coefficients stored
+    as a tuple; checked on construction and by ``_make``.
 
     >>> cup(w(2), w(2))
     CohomologyClass(n=2, degree=4, coeffs=(-1, -1, -1))
@@ -68,20 +67,22 @@ class CohomologyClass:
     -3
     """
 
-    n: int
-    degree: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        expected = _basis_len(self.n, self.degree)
-        if len(self.coeffs) != expected:
+    def __new__(cls, n, degree, coeffs):
+        expected = _basis_len(n, degree)
+        if len(coeffs) != expected:
             raise DegreeError(
-                f"degree-{self.degree} class over n={self.n} needs "
-                f"{expected} coefficients, got {len(self.coeffs)}"
+                f"degree-{degree} class over n={n} needs "
+                f"{expected} coefficients, got {len(coeffs)}"
             )
-        if not set(map(type, self.coeffs)) <= {int}:
-            raise DegreeError(f"coefficients must be ints, got {self.coeffs}")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        if not set(map(type, coeffs)) <= {int}:
+            raise DegreeError(f"coefficients must be ints, got {coeffs}")
+        return tuple.__new__(cls, (n, degree, tuple(coeffs)))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __str__(self):
         return linalg.format_combination(self.coeffs, _basis_names(self.n, self.degree))
@@ -205,10 +206,7 @@ def evaluate(c: CohomologyClass) -> int:
 
 # -- derived invariants ----------------------------------------------------
 
-class ChernData(NamedTuple):
-    c1_cubed: int
-    c1_c2: int
-    c3: int
+ChernData = namedtuple("ChernData", ("c1_cubed", "c1_c2", "c3"))
 
 
 def chern_numbers(n: int) -> ChernData:
@@ -229,9 +227,7 @@ def chern_numbers(n: int) -> ChernData:
     return data
 
 
-class PairingData(NamedTuple):
-    matrix: tuple[tuple[int, ...], ...]
-    det: int
+PairingData = namedtuple("PairingData", ("matrix", "det"))
 
 
 def pairing_matrix(n: int) -> PairingData:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import gt
 
@@ -50,48 +50,54 @@ DEFAULT_ORACLE_SEED = 20260816
 ORACLE_DRAWS = 3
 
 
-@dataclass(frozen=True)
-class CycleLineBundle:
+class CycleLineBundle(namedtuple("CycleLineBundle", ("degrees", "gluing"))):
     """Degrees (l_1..l_m) around the cycle, plus optional explicit gluings
-    (nonzero ints or Fractions, one per node, stored as Fractions)."""
+    (nonzero ints or Fractions, one per node, stored as Fractions).  It is
+    checked on construction and by ``_make``, as ``TorsionSpec`` is."""
 
-    degrees: tuple[int, ...]
-    gluing: tuple[Fraction, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        degrees = tuple(self.degrees)
+    def __new__(cls, degrees, gluing=None):
+        degrees = tuple(degrees)
         if not set(map(type, degrees)) <= {int}:
             raise ScheduleError(f"degrees must be ints, got {degrees}")
         if len(degrees) < 2:
             raise ScheduleError("a cycle has at least two components")
-        object.__setattr__(self, "degrees", degrees)
-        if self.gluing is not None:
-            gl = tuple(self.gluing)
+        if gluing is not None:
+            gl = tuple(gluing)
             if not set(map(type, gl)) <= {int, Fraction}:
                 raise ScheduleError(
                     f"gluing scalars must be ints or Fractions, got {gl}")
-            gl = tuple(map(Fraction, gl))
-            if len(gl) != len(degrees):
+            gluing = tuple(map(Fraction, gl))
+            if len(gluing) != len(degrees):
                 raise ScheduleError("need one gluing scalar per node")
-            if any(g == 0 for g in gl):
+            if any(g == 0 for g in gluing):
                 raise ScheduleError("gluing scalars must be nonzero")
-            object.__setattr__(self, "gluing", gl)
+        return tuple.__new__(cls, (degrees, gluing))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def m(self):
         return len(self.degrees)
 
 
-@dataclass(frozen=True)
-class TorsionSpec:
+class TorsionSpec(namedtuple("TorsionSpec", ("tau",))):
     """Order tau of the restricted anticanonical bundle in Pic(C): an int
     k >= 1, or ``math.inf`` when the bundle is not torsion."""
 
-    tau: int | float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tau != math.inf and (type(self.tau) is not int or self.tau < 1):
-            raise ScheduleError(f"tau must be an int >= 1 or inf, got {self.tau!r}")
+    def __new__(cls, tau):
+        if tau != math.inf and (type(tau) is not int or tau < 1):
+            raise ScheduleError(f"tau must be an int >= 1 or inf, got {tau!r}")
+        return tuple.__new__(cls, (tau,))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def finite(cls, k):
@@ -216,7 +222,8 @@ def h0_oracle(bundle: CycleLineBundle, seed: int | None = None, *,
     ``bundle.gluing`` the computation is done once.  Otherwise
     ``ORACLE_DRAWS`` gluings are drawn, an integer g_i in [1, 2^20] per
     node cut from 3 bytes of one SHAKE-128 digest of the seed's decimal
-    digits, and the minimum (= generic) value is returned.  Schwartz-Zippel
+    digits, and the minimum (= generic) value is returned; a seed that is
+    not an int (a bool included) raises ScheduleError.  Schwartz-Zippel
     asks only that the draws not depend on the bundle: a draw overshoots
     only where a minor that is not identically zero vanishes, a polynomial
     of degree at most m in the g_i, so with probability at most m / 2^20.
@@ -228,6 +235,8 @@ def h0_oracle(bundle: CycleLineBundle, seed: int | None = None, *,
     other placement gives the same dimension (Moebius invariance), which the
     test-suite exercises through the private ``_placements`` hook.
     """
+    if seed is not None and type(seed) is not int:
+        raise ScheduleError(f"seed must be an int, got {type(seed).__name__}")
     degrees = bundle.degrees
     m = len(degrees)
     placements = _placements if _placements is not None else _default_placements(m)

@@ -38,7 +38,6 @@ with no class replayed.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import itemgetter, mul
@@ -66,21 +65,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SurfaceLattice:
+class SurfaceLattice(namedtuple("SurfaceLattice", ("pairs",))):
     """Pic of a blow-up of P^1 x P^1 at ``pairs`` conjugate point pairs.
 
     ``pairs`` = 0 is the un-blown ruled surface itself (rank 2); the n = 4
-    requirement belongs to the classifier, not to the lattice.
+    requirement belongs to the classifier, not to the lattice.  Like
+    ``DivisorClass`` and ``BlowupSchedule`` it is checked on construction
+    and by ``_make``, which call ``__post_init__`` through the class, so a
+    counter patched onto it sees every record built.
     """
 
-    pairs: int
+    __slots__ = ()
+
+    def __new__(cls, pairs):
+        self = tuple.__new__(cls, (pairs,))
+        cls.__post_init__(self)
+        return self
 
     def __post_init__(self):
         if type(self.pairs) is not int:
             raise ScheduleError(f"pairs must be an int, got {self.pairs!r}")
         if self.pairs < 0:
             raise ScheduleError("pairs must be non-negative")
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def rank(self):
@@ -115,12 +125,16 @@ class SurfaceLattice:
         return self.divisor(2, 2, (-1,) * (2 * self.pairs))
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    """Integer vector (a, b, m_1..m_2n) = a*l + b*f + sum(m_i E_i)."""
+class DivisorClass(namedtuple("DivisorClass", ("lattice", "coeffs"))):
+    """Integer vector (a, b, m_1..m_2n) = a*l + b*f + sum(m_i E_i), its
+    coefficients stored as a tuple."""
 
-    lattice: SurfaceLattice
-    coeffs: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, lattice, coeffs):
+        self = tuple.__new__(cls, (lattice, tuple(coeffs)))
+        cls.__post_init__(self)
+        return self
 
     def __post_init__(self):
         if len(self.coeffs) != self.lattice.rank:
@@ -130,7 +144,10 @@ class DivisorClass:
             )
         if not set(map(type, self.coeffs)) <= {int}:
             raise ScheduleError(f"class coefficients must be ints, got {self.coeffs}")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def dot(self, other: "DivisorClass") -> int:
         if self.lattice is not other.lattice and self.lattice != other.lattice:
@@ -270,21 +287,27 @@ class BlowupStep(namedtuple("BlowupStep", ("kind", "component", "components",
         return cls("infinitely_near", None, None, over_pair, on_strict_transform)
 
 
-@dataclass(frozen=True)
-class BlowupSchedule:
-    """Initial cycle type plus one location per conjugate pair."""
+class BlowupSchedule(namedtuple("BlowupSchedule", ("initial_type", "steps"))):
+    """Initial cycle type plus one location per conjugate pair, the steps
+    stored as a tuple."""
 
-    initial_type: str
-    steps: tuple[BlowupStep, ...]
+    __slots__ = ()
+
+    def __new__(cls, initial_type, steps):
+        self = tuple.__new__(cls, (initial_type, tuple(steps)))
+        cls.__post_init__(self)
+        return self
 
     def __post_init__(self):
         _check_initial_type(self.initial_type)
-        steps = tuple(self.steps)
-        for idx, step in enumerate(steps, start=1):
+        for idx, step in enumerate(self.steps, start=1):
             if not isinstance(step, BlowupStep):
                 raise ScheduleError("steps must be BlowupStep values")
             _check_step_index(idx, step.kind, step.over_pair)
-        object.__setattr__(self, "steps", steps)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def pairs(self):
@@ -334,8 +357,9 @@ class Necklace(namedtuple("Necklace", ("order", "degrees", "partners",
         return cls(*iterable)
 
 
-@dataclass
-class AnticanonicalCycle:
+class AnticanonicalCycle(namedtuple("AnticanonicalCycle", (
+        "lattice", "order", "classes", "conjugate_names", "smooth_variant"),
+        defaults=(False,))):
     """The realized cycle C = sum C_i in |-K_S| (or its smooth variant).
 
     ``order`` is the cyclic component order; ``conjugate_names`` the real
@@ -345,11 +369,7 @@ class AnticanonicalCycle:
     construction.
     """
 
-    lattice: SurfaceLattice
-    order: tuple[str, ...]
-    classes: dict[str, DivisorClass]
-    conjugate_names: dict[str, str]
-    smooth_variant: bool = False
+    __slots__ = ()
 
     @property
     def m(self):

@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cycles import TorsionSpec
 from .errors import ScheduleError
@@ -67,13 +67,10 @@ _FINITE_KEYS, _KIND_KEY = frozenset({"kind", "order"}), frozenset({"kind"})
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class ParsedDocument:
+class ParsedDocument(namedtuple("ParsedDocument", ("n", "schedule", "torsion"))):
     """Validated document: a schedule, or None for the smooth variant."""
 
-    n: int
-    schedule: BlowupSchedule | None
-    torsion: TorsionSpec | None
+    __slots__ = ()
 
 
 def _require_object(value, what):

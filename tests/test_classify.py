@@ -1,7 +1,6 @@
 """Algebraic-dimension classification and the configuration enumerator."""
 
 import ast
-import dataclasses
 import gc
 import hashlib
 import importlib
@@ -32,8 +31,10 @@ from twistor4.classify import (
     negative_curves,
     walk_schedules,
 )
+from twistor4.cohomology import chern_numbers, w
 from twistor4.cycles import CycleLineBundle, TorsionSpec, cyclic_arcs
 from twistor4.errors import (
+    DegreeError,
     InvariantError,
     RealizabilityError,
     ScheduleError,
@@ -394,7 +395,7 @@ def test_check_report_rejects_inconsistent_reports():
         (case_c, {"dim_minus2KS": 1}, "case-c"),
     ):
         with pytest.raises(InvariantError) as info:
-            check_report(dataclasses.replace(good, **change))
+            check_report(good._replace(**change))
         assert info.value.tag == f"invariant-report-{fact}", change
 
 
@@ -410,7 +411,7 @@ def test_report_as_dict_round_trips_fields():
     assert data["dim_minus2KS"] == 2
     assert (data["nef"], data["dim_fundamental_system"], data["lebrun"],
             data["dim_antican_Z"]) == (False, 1, False, 4)
-    fields = {f.name for f in dataclasses.fields(report)}
+    fields = set(report._fields)
     assert len(fields) == 10 and len(data) == 15
     assert set(data) == fields | set(_DERIVED)
 
@@ -419,18 +420,18 @@ def test_derived_report_facts_cannot_be_set():
     # nef, nef and big, dim|F|, the LeBrun flag and dim|-K_Z| are read off
     # the fields
     report = classify(model_from_schedule(golden_case_b()))
-    kept = dataclasses.asdict(report)
+    kept = report._asdict()
     for name in _DERIVED:
         with pytest.raises(AttributeError):
             setattr(report, name, None)
-        with pytest.raises(TypeError):
-            dataclasses.replace(report, **{name: None})
+        with pytest.raises(ValueError, match="unexpected field"):
+            report._replace(**{name: None})
         with pytest.raises(TypeError):
             ClassificationReport(**kept, **{name: None})
     assert (report.nef, report.dim_fundamental_system, report.lebrun,
             report.dim_antican_Z) == (False, 3, True, None)
-    nef = dataclasses.replace(report, case=CASE_NEF, negative_curves=(),
-                              h0_fundamental=2, dim_minus2KS=5)
+    nef = report._replace(case=CASE_NEF, negative_curves=(),
+                          h0_fundamental=2, dim_minus2KS=5)
     assert (nef.nef, nef.nef_and_big, nef.dim_fundamental_system, nef.lebrun,
             nef.dim_antican_Z) == (True, False, 1, False, 7)
 
@@ -827,10 +828,10 @@ def test_a_synthetic_cycle_gives_a_checked_necklace():
     lone = AnticanonicalCycle(lattice, ("C",), {"C": k}, {"C": "C"})
     with pytest.raises(ScheduleError, match="necklace"):
         lone.necklace(TAU_ONE)
-    smooth = dataclasses.replace(lone, smooth_variant=True)
+    smooth = lone._replace(smooth_variant=True)
     assert smooth.necklace(TorsionSpec.non_torsion()).tau == math.inf
     cycle = realize_cycle(golden_nef())
-    cycle.conjugate_names = dict.fromkeys(cycle.order, "F")
+    cycle = cycle._replace(conjugate_names=dict.fromkeys(cycle.order, "F"))
     with pytest.raises(ScheduleError, match="involution"):
         cycle.necklace(TAU_ONE)
     # a conjugate outside the cycle, a missing conjugate, a missing class
@@ -935,6 +936,92 @@ def test_a_checked_constructor_refuses_with_its_pinned_message(build, cls, messa
     with pytest.raises(cls) as info:
         build()
     assert type(info.value) is cls and str(info.value) == message
+
+
+# -- every checked record refuses alike, however it is built -------------------
+
+def _record_refusals():
+    """(id, a valid record, a change to its fields, error class, message)."""
+    lattice, bundle = SurfaceLattice(1), CycleLineBundle((1, -1))
+    schedule = BlowupSchedule("I", (S("G"), S("F")))
+    return [
+        ("lattice-negative", lattice, {"pairs": -1}, ScheduleError,
+         "pairs must be non-negative"),
+        ("lattice-float", lattice, {"pairs": 1.0}, ScheduleError,
+         "pairs must be an int, got 1.0"),
+        ("divisor-short", lattice.line(), {"coeffs": [1, 0]}, ScheduleError,
+         "class needs 4 coefficients, got 2"),
+        ("divisor-float", lattice.line(), {"coeffs": (1, 0, 0.5, 0)}, ScheduleError,
+         "class coefficients must be ints, got (1, 0, 0.5, 0)"),
+        ("schedule-type", schedule, {"initial_type": "IV"}, ScheduleError,
+         "initial_type must be one of ('I', 'II', 'III'), got 'IV'"),
+        ("schedule-step", schedule, {"steps": [S("G"), "G"]}, ScheduleError,
+         "steps must be BlowupStep values"),
+        ("schedule-over-pair", schedule, {"steps": (S("G"), INF(2, "G"))},
+         ScheduleError,
+         "step 2 is infinitely near over pair 2, which is not strictly earlier"),
+        ("step-kind", S("G"), {"kind": "bogus"}, ScheduleError,
+         "unknown step kind 'bogus'"),
+        ("step-foreign", S("G"), {"over_pair": 1}, ScheduleError,
+         "smooth step carries only component, not over_pair"),
+        ("necklace-pairs", _NEF, {"pairs": -1}, ScheduleError, "a necklace on -1 "
+         "pairs needs pairs >= 0 and at most 4 + 2 * pairs components, got 4"),
+        ("bundle-short", bundle, {"degrees": (1,)}, ScheduleError,
+         "a cycle has at least two components"),
+        ("bundle-gluing", bundle, {"gluing": (1, 0)}, ScheduleError,
+         "gluing scalars must be nonzero"),
+        ("torsion-zero", TAU_ONE, {"tau": 0}, ScheduleError,
+         "tau must be an int >= 1 or inf, got 0"),
+        ("torsion-bool", TAU_ONE, {"tau": True}, ScheduleError,
+         "tau must be an int >= 1 or inf, got True"),
+        ("cohomology-length", w(2), {"coeffs": (1, 2)}, DegreeError,
+         "degree-2 class over n=2 needs 3 coefficients, got 2"),
+        ("cohomology-degree", w(2), {"degree": 3}, DegreeError,
+         "degree must be one of 0,2,4,6, got 3"),
+        ("cohomology-float", w(2), {"coeffs": (0, 0, 1.0)}, DegreeError,
+         "coefficients must be ints, got (0, 0, 1.0)"),
+    ]
+
+
+_RECORD_REFUSALS = _record_refusals()
+
+
+@pytest.mark.parametrize("record,change,cls,message",
+                         [row[1:] for row in _RECORD_REFUSALS],
+                         ids=[row[0] for row in _RECORD_REFUSALS])
+def test_a_checked_record_refuses_alike_however_it_is_built(record, change, cls,
+                                                            message):
+    # construction, ``_make`` and ``_replace`` run the same checks, and no
+    # field of a record can be set
+    fields = record._asdict() | change
+    for build in (lambda: type(record)(**fields),
+                  lambda: type(record)._make(fields.values()),
+                  lambda: record._replace(**change)):
+        with pytest.raises(cls) as info:
+            build()
+        assert type(info.value) is cls and str(info.value) == message
+    for name in (*record._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name, None))
+
+
+def test_no_record_can_be_set(enumeration):
+    entry = enumeration.entries[0]
+    records = (entry, entry.report, enumeration, realize_cycle(golden_nef()),
+               schema.parse_document(entry.document), chern_numbers(4))
+    for record in records:
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+def test_an_entry_derives_its_document_and_digest_again_when_replaced(enumeration):
+    nef = next(e for e in enumeration.entries if e.report is not None and e.report.nef)
+    assert nef.document["torsion"] == {"kind": "finite", "order": 1}
+    rejected = nef._replace(report=None, error="negative-pattern")
+    assert "torsion" not in rejected.document
+    assert rejected.digest == schema.document_digest(rejected.document) != nef.digest
+    assert nef._replace(digest="stale", document={}) == nef
 
 
 def _found_key(entry):

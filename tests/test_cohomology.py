@@ -229,7 +229,6 @@ def test_invariants_survive_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     script = (
-        "import dataclasses\n"
         "from twistor4 import cohomology, linalg\n"
         "from twistor4.acceptance import golden_case_a\n"
         "from twistor4.classify import check_report, classify, "
@@ -237,7 +236,7 @@ def test_invariants_survive_python_O():
         "from twistor4.errors import InvariantError\n"
         "assert False, 'asserts are on'\n"
         "good = classify(model_from_schedule(golden_case_a()))\n"
-        "bad = dataclasses.replace(good, algebraic_dimension=0)\n"
+        "bad = good._replace(algebraic_dimension=0)\n"
         "try:\n"
         "    check_report(bad)\n"
         "except InvariantError as exc:\n"

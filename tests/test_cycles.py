@@ -376,7 +376,7 @@ def test_oracle_draws_are_cut_from_the_digest_of_the_seed(kernel_calls):
     # 3 bytes of SHAKE-128 of the seed's decimal digits per draw, its top
     # 20 bits plus 1, node by node and then draw by draw
     bundle = CycleLineBundle((3, -1, 2, -2))
-    for seed in (-5, 0, DEFAULT_ORACLE_SEED):
+    for seed in (-5, 0, DEFAULT_ORACLE_SEED, 2 ** 70):
         digest = hashlib.shake_128(str(seed).encode()).digest(
             3 * ORACLE_DRAWS * bundle.m)
         values = [(int.from_bytes(digest[i:i + 3], "big") >> 4) + 1
@@ -384,6 +384,19 @@ def test_oracle_draws_are_cut_from_the_digest_of_the_seed(kernel_calls):
         expected = tuple(tuple(values[k:k + bundle.m])
                          for k in range(0, len(values), bundle.m))
         assert _draws(kernel_calls, bundle, [seed]) == [expected]
+
+
+@pytest.mark.parametrize("seed", [1.9, "7", True], ids=["float", "str", "bool"])
+def test_oracle_refuses_a_seed_that_is_not_an_int(kernel_calls, seed):
+    # a float would draw what its truncation draws and a str would raise a
+    # bare TypeError; both, and a bool, are refused before any draw, also
+    # when the bundle fixes its gluings and no draw would be made
+    for bundle in (CycleLineBundle((3, -1, 2, -2)),
+                   CycleLineBundle((0, 0), gluing=(2, Fraction(1, 2)))):
+        with pytest.raises(ScheduleError,
+                           match=f"seed must be an int, got {type(seed).__name__}$"):
+            h0_oracle(bundle, seed=seed)
+    assert kernel_calls == []
 
 
 def test_oracle_draws_span_one_to_two_to_the_twenty(kernel_calls):

@@ -786,6 +786,21 @@ def test_cli_under_python_O_keeps_its_results():
     assert hashlib.sha256(oracle).hexdigest() == _CYCLE_H0_ORACLE_JSON_SHA256
 
 
+def test_a_cold_start_loads_no_dataclasses_inspect_or_typing():
+    # the records are namedtuples, so importing the CLI, or the acceptance
+    # suite after it, loads none of these three and what they pull in; a
+    # fresh interpreter without site, as pytest imports all three itself
+    script = ("import sys, twistor4.cli\n"
+              "heavy = {'dataclasses', 'inspect', 'typing'}\n"
+              "print(sorted(heavy & set(sys.modules)))\n"
+              "import twistor4.acceptance\n"
+              "print(sorted(heavy & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    loaded = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                            text=True, env=env, check=True).stdout
+    assert loaded.splitlines() == ["[]", "[]"]
+
+
 def test_ci_and_the_benchmark_pin_the_tests_digests():
     # each pinned digest has one value: CI and the benchmark's expected
     # results repeat the tests' constants, so a re-pin cannot leave one behind
