@@ -53,7 +53,7 @@ __all__ = ["main"]
 
 # caps on the inputs whose cost grows without bound: ``--n`` of chern,
 # pairing and ring at ``schema.MAX_N`` (coefficient tuples of length n, and
-# the pairing determinant), and the kernel oracle, whose linear system
+# the pairing's (n+1)^2 matrix), and the kernel oracle, whose linear system
 # grows with the total degree and has a row per component
 _ORACLE_MAX_DEGREE = 1000
 _ORACLE_MAX_COMPONENTS = 1000

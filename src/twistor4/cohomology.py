@@ -230,6 +230,14 @@ def chern_numbers(n: int) -> ChernData:
 PairingData = namedtuple("PairingData", ("matrix", "det"))
 
 
+def _arrowhead(n):
+    """The matrix of ``pairing_matrix``, rows as int tuples."""
+    _check_int("n", n)
+    return tuple(
+        (0,) * i + (2,) + (0,) * (n - 1 - i) + (1,) for i in range(n)
+    ) + ((-1,) * n + (-2,),)
+
+
 def pairing_matrix(n: int) -> PairingData:
     """Matrix of (alpha -> alpha cup s) on H^2, s = 2w + sum(x_i).
 
@@ -247,10 +255,7 @@ def pairing_matrix(n: int) -> PairingData:
     from the cups); its determinant is found by fraction-free elimination,
     never floats, and checked against the signed closed form.
     """
-    _check_int("n", n)
-    matrix = tuple(
-        (0,) * i + (2,) + (0,) * (n - 1 - i) + (1,) for i in range(n)
-    ) + ((-1,) * n + (-2,),)
+    matrix = _arrowhead(n)
     det, closed = linalg.bareiss_determinant(matrix), 2 ** (n - 1) * (n - 4)
     check(det == closed, _CLOSED_FORM, det, closed, n,
           invariant="pairing-determinant")
@@ -261,10 +266,16 @@ def pairing_kernel(n: int):
     """Primitive integer generators of {alpha in H^2 : alpha cup s = 0}.
 
     Empty unless n = 4, where the kernel is spanned by the half-canonical
-    class itself, coordinates (1, 1, 1, 1, 2).
+    class itself, coordinates (1, 1, 1, 1, 2).  Checked on every call: each
+    generator v has v.A = 0, and one comes back iff n = 4.
     """
-    matrix, _ = pairing_matrix(n)
-    return tuple(linalg.left_nullspace(matrix))
+    matrix = _arrowhead(n)
+    kernel = tuple(linalg.left_nullspace(matrix))
+    images = [sum(a * b for a, b in zip(v, c)) for v in kernel for c in zip(*matrix)]
+    check(len(kernel) == (n == 4) and not any(images),
+          "kernel {} at n={}: needs v.A = 0, one vector iff n = 4", kernel, n,
+          invariant="pairing-kernel")
+    return kernel
 
 
 def euler_char_fundamental(n: int, m: int) -> int:

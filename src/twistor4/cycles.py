@@ -167,12 +167,7 @@ def h0_formula(bundle: CycleLineBundle) -> int:
 
 # -- the oracle ------------------------------------------------------------
 
-def _default_placements(m):
-    """Node i sits at (1:0) on component i and at (0:1) on component i+1."""
-    return [((1, 0), (0, 1)) for _ in range(m)]
-
-
-def _evaluations(degrees, placements):
+def _evaluations(degrees, placements=None):
     """(total, evaluations): the number of section coefficients and, for
     each node i, its two evaluation functionals as sparse rows {column:
     value}: at its point on C_i (ev_out) and on C_{i+1} (ev_in).
@@ -181,10 +176,16 @@ def _evaluations(degrees, placements):
     evaluates in exact ints for an integral point, Fractions otherwise; a
     negative component has no sections and so no columns.  Only u^l is
     nonzero at (alpha:0) and only v^l at (0:beta), so no other is computed.
+    Without ``placements``, node i sits at (1:0) on C_i and at (0:1) on
+    C_{i+1}, so each row is one entry 1 (none on a negative component).
     """
     offsets = [0]
     for l in degrees:
         offsets.append(offsets[-1] + max(0, l + 1))
+    if placements is None:
+        out = [{o: 1} if l >= 0 else {} for o, l in zip(offsets, degrees)]
+        inn = [{o + l: 1} if l >= 0 else {} for o, l in zip(offsets, degrees)]
+        return offsets[-1], list(zip(out, inn[1:] + inn[:1]))
 
     def ev(k, point):
         l, (alpha, beta) = degrees[k], point
@@ -239,8 +240,7 @@ def h0_oracle(bundle: CycleLineBundle, seed: int | None = None, *,
         raise ScheduleError(f"seed must be an int, got {type(seed).__name__}")
     degrees = bundle.degrees
     m = len(degrees)
-    placements = _placements if _placements is not None else _default_placements(m)
-    total, evaluations = _evaluations(degrees, placements)
+    total, evaluations = _evaluations(degrees, _placements)
     if bundle.gluing is not None:
         gluings = [zip(*map(Fraction.as_integer_ratio, bundle.gluing))]
     else:

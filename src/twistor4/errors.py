@@ -72,7 +72,7 @@ class InvariantError(TaggedError):
 
     ``tag`` is ``invariant-<name>``: ``fundamental-class``,
     ``chern-c1-cubed``, ``chern-c1-c2``, ``pairing-determinant``,
-    ``anticanonical-square``, ``adjunction-integral``,
+    ``pairing-kernel``, ``anticanonical-square``, ``adjunction-integral``,
     ``realization-fresh-pair``, ``realization-conjugate-edge``,
     ``anticanonical-degree-sum``, ``case-c-minus-2k`` or ``report-<fact>``,
     where a classification report breaks a fact ``classify.check_report``

@@ -2,16 +2,19 @@
 
 One sparse, fraction-free elimination serves the determinant, the rank and
 the nullspace.  Each row is stored once as a dict ``{column: nonzero int}``
-(denominators cleared) and reduced in turn against the earlier pivot rows:
-while its least column holds a pivot, it becomes the primitive part of
-``p*row - f*pivot_row``.  A row that stays nonzero becomes a pivot at its
-least column.  A step touches only the columns the two rows hold, so sparse
+(denominators cleared) and reduced in turn against the earlier pivot rows
+while its least column holds a pivot.  A step is one of two kinds: when the
+pivot entry p divides the row's entry f, the row becomes ``row - (f/p)*
+pivot_row`` in place, touching only the pivot row's columns (Bareiss's exact
+quotient); otherwise it becomes the primitive part of ``p*row - f*pivot_row``.
+A row that stays nonzero becomes a pivot at its least column.  Sparse
 matrices (the oracle's two-entry rows, the pairing's arrowhead) stay cheap.
 No floats anywhere.  ``format_combination`` prints an integer combination
 of basis names, for every class type's ``str()``.
 """
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm, prod
 
 from .errors import ScheduleError, check
@@ -29,7 +32,7 @@ def _integral(row):
     """``row`` as {column: nonzero int} times 1/scale: (dict, scale).  A dict
     of nonzero ints is returned as it is, never copied or changed."""
     if not isinstance(row, dict):
-        row = {c: x for c, x in enumerate(row) if x}
+        row = {c: row[c] for c in compress(range(len(row)), row)}
     elif 0 in row.values():
         row = {c: x for c, x in row.items() if x}
     for x in row.values():
@@ -42,19 +45,25 @@ def _integral(row):
     return {c: x.numerator * (scale // x.denominator) for c, x in fr.items()}, scale
 
 
-def _reduce(row, prow, col):
-    """(primitive part of ``p*row - f*prow``, its content), p and f the two
-    rows' entries at ``col``, where the result is 0."""
+def _reduce(row, prow, col, given):
+    """Clear ``row`` at ``col`` against ``prow``: (new row, g, p), the new
+    row scaling the determinant by p/g.  With p, f the entries at ``col``:
+    when p divides f, the exact step ``row - (f/p)*prow`` (g = p = 1), made
+    in place unless ``row`` is the caller's dict ``given``, then on a copy;
+    else the scaled step, the primitive part of ``p*row - f*prow``."""
     p, f = prow[col], row[col]
-    new = {c: p * x for c, x in row.items()}
+    if f % p:
+        new = {c: p * x for c, x in row.items()}
+    else:
+        new, f, p = row.copy() if row is given else row, f // p, 1
     for c, y in prow.items():
         x = new.get(c, 0) - f * y
         if x:
             new[c] = x
         else:
             del new[c]
-    g = gcd(*new.values())
-    return ({c: x // g for c, x in new.items()} if g > 1 else new), g
+    g = gcd(*new.values()) if p != 1 else 1
+    return ({c: x // g for c, x in new.items()} if g > 1 else new), g, p
 
 
 def _eliminate(rows, *, determinant=False):
@@ -64,42 +73,46 @@ def _eliminate(rows, *, determinant=False):
     integer row, in the order the rows became pivots; a pivot row holds no
     column below its own.  When ``determinant``, det(input) = factor *
     det(the pivot rows in that order), and a row that reduces to zero stops
-    the elimination with factor 0; else factor is ``None``.
+    the elimination with factor 0; else factor is ``None``.  Only a scaled
+    step (its g/p) and a scaled row (its 1/scale) change the factor, which
+    is kept as an integer numerator and denominator until the end.
     """
-    pivots, factor = {}, Fraction(1) if determinant else None
-    for row in rows:
-        row, scale = _integral(row)
-        contents = dividers = 1
+    pivots, num, den = {}, 1, 1
+    for given in rows:
+        row, scale = _integral(given)
         while row and (col := min(row)) in pivots:
-            row, g = _reduce(row, pivots[col], col)
-            contents *= g
-            dividers *= pivots[col][col]
+            row, g, p = _reduce(row, pivots[col], col, given)
+            if determinant and p != 1:
+                num, den = num * g, den * p
         if row:
             pivots[col] = row
         elif determinant:
             return pivots, Fraction(0)
-        if determinant:
-            factor *= Fraction(contents, scale * dividers)
-    return pivots, factor
+        if determinant and scale != 1:
+            den *= scale
+    return pivots, Fraction(num, den) if determinant else None
 
 
 def bareiss_determinant(rows):
-    """Determinant of a square matrix of ints/Fractions.
+    """Determinant of a square matrix of ints/Fractions; a row is a sequence
+    of length n or a dict {column: value} with columns in range(n).
 
-    Computed by the sparse elimination of this module, not by Bareiss's
-    scheme any more; the name stays because callers and tools look the
-    function up by it.  The factor p/g of every reduce step is recorded, and
-    the sign is that of the permutation taking each row to its pivot column,
-    so the result is exact: an int when it is integral, else a Fraction.
+    Computed by the sparse elimination of this module, whose exact step is
+    Bareiss's exact quotient; the name stays because callers and tools look
+    the function up by it.  The factor g/p of every scaled step is
+    recorded, and the sign is that of the permutation taking each row to its
+    pivot column, so the result is exact: an int when it is integral, else
+    a Fraction.
     """
-    n = len(rows)
-    check(all(len(row) == n for row in rows), "matrix is not square")
+    n, cols = len(rows), set(range(len(rows)))
+    check(all(row.keys() <= cols if isinstance(row, dict) else len(row) == n
+              for row in rows), "matrix is not square")
     pivots, factor = _eliminate(rows, determinant=True)
-    perm = list(pivots) if factor else []  # singular: stopped early, det 0
+    perm, sign = list(pivots) if factor else [], 1  # singular: det 0
     for i in range(len(perm)):
         while (j := perm[i]) != i:
-            perm[i], perm[j], factor = perm[j], j, -factor
-    factor *= prod(row[col] for col, row in pivots.items())
+            perm[i], perm[j], sign = perm[j], j, -sign
+    factor *= sign * prod(row[col] for col, row in pivots.items())
     return int(factor) if factor.denominator == 1 else factor
 
 

@@ -211,6 +211,20 @@ def test_kernel_vector_kills_the_pairing():
         assert sum(v[i] * matrix[i][j] for i in range(len(matrix))) == 0
 
 
+def test_pairing_kernel_checks_its_output_and_skips_the_determinant(monkeypatch):
+    # the kernel never computes the determinant; a wrong vector, a missing
+    # one at n = 4 or an extra one elsewhere trips its own check
+    monkeypatch.setattr(cohomology.linalg, "bareiss_determinant", None)
+    assert pairing_kernel(4) == ((1, 1, 1, 1, 2),) and pairing_kernel(80) == ()
+    for n, kernel in ((4, [(1, 1, 1, 1, 3)]), (4, []), (5, [(1,) * 6]),
+                      (4, [(1, 1, 1, 1, 2)] * 2)):
+        monkeypatch.setattr(cohomology.linalg, "left_nullspace", lambda rows: kernel)
+        with pytest.raises(InvariantError) as err:
+            pairing_kernel(n)
+        assert err.value.tag == "invariant-pairing-kernel"
+        assert str(err.value).endswith(f"at n={n}: needs v.A = 0, one vector iff n = 4")
+
+
 # -- invariants are explicit raises ------------------------------------------------
 
 def test_chern_and_fundamental_class_checks_raise(monkeypatch):

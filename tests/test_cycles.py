@@ -340,6 +340,24 @@ def test_evaluations_equal_the_plain_monomial_formula(kind, monkeypatch):
         built.clear()
 
 
+def test_default_evaluations_equal_the_plain_monomial_formula(monkeypatch):
+    # without the _placements hook every node sits at (1:0) on C_i and (0:1)
+    # on C_{i+1}, and the one-entry rows are built directly
+    built = _spy(monkeypatch, "_evaluations")
+    rng = random.Random("default-evaluations")
+    lists = [(0, 0), (-1, 1), (3, -3), (-2, -1), (0, -2, 0, 4)]
+    lists += [tuple(rng.randint(-3, 5) for _ in range(rng.randint(2, 9)))
+              for _ in range(60)]
+    for degrees in lists:
+        bundle = CycleLineBundle(degrees)
+        assert h0_oracle(bundle, seed=rng.randrange(1 << 30)) == h0_formula(bundle)
+        (args, result), = built
+        default = [((1, 0), (0, 1))] * len(degrees)
+        assert args == (degrees, None)
+        assert result == _plain_evaluations(degrees, default), degrees
+        built.clear()
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     return _spy(monkeypatch, "_kernel_dim")

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from twistor4 import linalg
 from twistor4.cohomology import CohomologyClass, pairing_matrix
 from twistor4.errors import ScheduleError
 from twistor4.lattice import SurfaceLattice
@@ -208,6 +209,134 @@ def test_rank_on_dict_rows_equals_rank_on_the_dense_rows():
 def test_ragged_rows_are_refused_with_a_tag(call, rows):
     with pytest.raises(ScheduleError, match="matrix rows differ in length"):
         call(rows)
+
+
+# -- the two step kinds: exact quotient and scaled ----------------------------
+
+def _arrowhead(n):
+    """The pairing matrix at n as dict rows: {i: 2, n: 1}, then -1s and -2."""
+    last = dict.fromkeys(range(n), -1)
+    last[n] = -2
+    return [{i: 2, n: 1} for i in range(n)] + [last]
+
+
+def _unit_lower(rng, n, cols):
+    """An n x cols matrix, 1 on the diagonal and 0 above it: every pivot is 1."""
+    return [[rng.randint(-9, 9) if c < r else int(c == r) for c in range(cols)]
+            for r in range(n)]
+
+
+def _odd_below_twos(rng, n, cols):
+    """n - 1 rows with pivot 2 and odd entries to its right, then a row of odd
+    entries: every step has p = 2 and an odd f, and leaves its row odd."""
+    def odd():
+        return rng.choice([-1, 1]) * rng.randrange(1, 10, 2)
+    return [[0] * r + [2] + [odd() for _ in range(cols - r - 1)]
+            for r in range(n - 1)] + [[odd() for _ in range(cols)]]
+
+
+def _exact_quotient_matrices(seed):
+    rng = random.Random(seed)
+    for n in (1, 2, 3, 4, 5, 9, 17):
+        yield "arrowhead", _arrowhead(n)
+    for _ in range(20):
+        n = rng.randint(1, 12)
+        yield "unit-lower", _unit_lower(rng, n, rng.randint(n, n + 3))
+
+
+def _scaled_matrices(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        n = rng.randint(2, 12)
+        yield "odd-below-twos", _odd_below_twos(rng, n, rng.randint(n, n + 3))
+
+
+def _dense(m):
+    ncols = max(max(row, default=-1) + 1 if isinstance(row, dict) else len(row)
+                for row in m)
+    return [[row.get(c, 0) for c in range(ncols)] if isinstance(row, dict)
+            else list(row) for row in m]
+
+
+def _with_width(m):
+    """``m`` with its first row dense: nullspace reads the number of columns
+    off the sequence rows."""
+    return [_dense(m)[0]] + m[1:]
+
+
+@pytest.mark.parametrize("family", [_exact_quotient_matrices, _scaled_matrices])
+def test_both_step_kinds_match_sympy(family):
+    for kind, m in family(4105):
+        want = _sympy(_dense(m))
+        assert rank(m) == want.rank(), (kind, m)
+        assert nullspace(_with_width(m)) == [_primitive(v) for v in want.nullspace()]
+        if want.is_square:
+            assert bareiss_determinant(m) == int(want.det()), (kind, m)
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Counts of the elimination's steps and of the gcds they take."""
+    calls = {"_reduce": 0, "gcd": 0}
+    for name in calls:
+        def spy(*args, _real=getattr(linalg, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(linalg, name, spy)
+    return calls
+
+
+def test_the_exact_quotient_step_takes_no_gcd(steps):
+    # a unit pivot divides every entry, so no step scales its row; the
+    # arrowhead's last row is scaled once (f = -1, p = 2), then every f is -2
+    for kind, m in _exact_quotient_matrices(4106):
+        square = len(m) == len(_dense(m)[0])
+        for call in (rank, bareiss_determinant) if square else (rank,):
+            steps.update(_reduce=0, gcd=0)
+            call(m)
+            assert steps["gcd"] == (kind == "arrowhead"), (kind, call.__name__)
+    steps.update(_reduce=0, gcd=0)
+    bareiss_determinant(_arrowhead(150))
+    assert steps == {"_reduce": 150, "gcd": 1}
+
+
+def test_the_scaled_step_takes_one_gcd_each(steps):
+    for kind, m in _scaled_matrices(4107):
+        steps.update(_reduce=0, gcd=0)
+        rank(m)
+        assert steps["gcd"] == steps["_reduce"] > 0, (kind, m)
+
+
+def test_no_entry_point_changes_its_input():
+    # the exact step works in place, on a copy when the row is the caller's
+    rng = random.Random(4108)
+    matrices = [m for _, m in _exact_quotient_matrices(4109)]
+    matrices += [m for _, m in _scaled_matrices(4110)]
+    matrices += [m for _, m in _matrices(4111, 20)]
+    for m in matrices:
+        dense = _dense(m)
+        sparse = [{c: x for c, x in enumerate(row) if x or rng.random() < 0.3}
+                  for row in dense]
+        for rows in (m, _with_width(m), dense, sparse, _with_width(sparse)):
+            before = copy.deepcopy(rows)
+            calls = (rank, nullspace)
+            if len(dense) == len(dense[0]):
+                calls += (bareiss_determinant,)
+            for call in calls:
+                call(rows)
+                assert rows == before, (call.__name__, rows)
+    row = {0: 1, 1: 2}
+    assert bareiss_determinant([row, row]) == 0 and row == {0: 1, 1: 2}
+    assert rank([row, {0: 3, 1: 1}, row]) == 2 and row == {0: 1, 1: 2}
+
+
+def test_a_dict_row_outside_the_square_is_refused():
+    # judged by its length alone, the first row would pass (det 1, column 2
+    # ignored) and the column -1 would send the sign loop round forever
+    for rows in ([{0: 1, 2: 1}, {1: 1, 0: 1}], [{-1: 1}],
+                 [[1, 0], {0: 1, 1: 2, 2: 3}]):
+        with pytest.raises(ScheduleError, match="matrix is not square"):
+            bareiss_determinant(rows)
 
 
 # -- the pairing: an arrowhead matrix, almost every entry zero ------------------

@@ -750,6 +750,23 @@ def test_cli_cycle_h0_oracle_json_bytes_are_pinned(capsys):
         _CYCLE_H0_ORACLE_JSON_SHA256)
 
 
+# pairing --json at fixed n: the small cases around the kernel at n = 4, a
+# middle size, and the cap, each with its matrix, determinant and kernel
+_PAIRING_NS = ("1", "2", "3", "4", "5", "40", "150")
+_PAIRING_JSON_SHA256 = (
+    "bb4a468715945686b62ef671ed19c36a9b84d3a1a17ac8a92a73974e9b951cd7"
+)
+
+
+def test_cli_pairing_json_bytes_are_pinned(capsys):
+    out = ""
+    for n in _PAIRING_NS:
+        code, text, _ = _run(capsys, "pairing", "--n", n, "--json")
+        assert code == 0
+        out += text
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _PAIRING_JSON_SHA256
+
+
 # every criterion's detail line, byte for byte; no line carries a timing
 _SELFTEST_SHA256 = (
     "ed6266c675b099b0620ba4e2be3d75ccfb42e313cccc68bc14390d7344733108"
@@ -784,6 +801,8 @@ def test_cli_under_python_O_keeps_its_results():
          "for d in sys.argv[1:]: main(['cycle-h0', '--oracle', '--json', '--degrees', d])",
          *_CYCLE_H0_ORACLE_DEGREES], capture_output=True, env=env, check=True).stdout
     assert hashlib.sha256(oracle).hexdigest() == _CYCLE_H0_ORACLE_JSON_SHA256
+    paired = b"".join(run("pairing", "--n", n, "--json") for n in _PAIRING_NS)
+    assert hashlib.sha256(paired).hexdigest() == _PAIRING_JSON_SHA256
 
 
 def test_a_cold_start_loads_no_dataclasses_inspect_or_typing():
@@ -818,10 +837,14 @@ def test_ci_and_the_benchmark_pin_the_tests_digests():
                     "enumerate --limit 10 --json": [_ENUMERATE_LIMIT_10_JSON_SHA256],
                     "classify --json": [_GOLDENS_CLASSIFY_JSON_SHA256],
                     "selftest": [_SELFTEST_SHA256],
-                    "cycle-h0 --oracle --json": [_CYCLE_H0_ORACLE_JSON_SHA256]}
+                    "cycle-h0 --oracle --json": [_CYCLE_H0_ORACLE_JSON_SHA256],
+                    "pairing": [_PAIRING_JSON_SHA256]}
     degrees = re.search(r"for degrees in ([^;\n]+); do python \$flags -m twistor4 "
                         r"cycle-h0 --oracle --json", workflow).group(1)
     assert tuple(degrees.split()) == _CYCLE_H0_ORACLE_DEGREES
+    ns = re.search(r"for n in ([^;\n]+); do python \$flags -m twistor4 pairing "
+                   r"--n \$n --json", workflow).group(1)
+    assert tuple(ns.split()) == _PAIRING_NS
     expected = json.loads((_ROOT / "perfbench" / "expected.json").read_text(
         encoding="utf-8"))
     assert expected["enumerate_json"]["sha256"] == _ENUMERATE_JSON_SHA256
