@@ -424,7 +424,7 @@ class _Walk:
     open host, a pair placed at a smooth point and not yet consumed.  No
     state carries classes, and ``classify`` reads only the leaf's
     ``Necklace``, which ``RealizationState.necklace`` takes from the key:
-    the walk builds no coefficient list, no ``cycle()`` and no
+    the walk builds no coefficient list, no cycle and no
     ``DivisorClass``.  A leaf's ``EnumeratedEntry`` and its
     ``BlowupSchedule`` are built only when its (initial type, shape, case)
     key is new, once per kept entry.

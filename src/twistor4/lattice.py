@@ -24,22 +24,21 @@ pair sits (the other location is implied by equivariance):
     point of the exceptional curve.
 
 A ``RealizationState`` is the cycle after the first k steps, held by
-position; ``realize_cycle`` folds its ``extend`` over a schedule's steps and
-takes its ``cycle``, which replays them on the classes and is valid by
-construction (see ``RealizationState``).  An ``AnticanonicalCycle`` holds
-its components' classes and the conjugation on their names, and nothing
-derived from them; ``validate`` stays the full oracle for cycles built
-elsewhere.  A ``Necklace`` is what the classification reads of a cycle:
-names, degrees and conjugation by position, with tau passed in; a cycle
-and a state each give theirs, and a state reads it off its positional key,
-with no class replayed.
+position only.  The one class route is ``realize_cycle``: it folds
+``extend`` over a schedule's steps, then replays those states once on the
+classes, and its cycle is valid by construction (see ``realize_cycle``).
+An ``AnticanonicalCycle`` holds its components' classes and the
+conjugation on their names, and nothing derived from them; ``validate``
+stays the full oracle for cycles built elsewhere.  A ``Necklace`` is what
+the classification reads of a cycle: names, degrees and conjugation by
+position, with tau passed in; a cycle and a state each give theirs, and a
+state reads it off its positional key, with no class replayed.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import reduce
-from itertools import compress
+from itertools import accumulate, compress
 from operator import itemgetter, mul
 
 from .cycles import TorsionSpec
@@ -65,6 +64,13 @@ __all__ = [
 ]
 
 
+def _check_pairs(pairs):
+    if type(pairs) is not int:
+        raise ScheduleError(f"pairs must be an int, got {pairs!r}")
+    if pairs < 0:
+        raise ScheduleError("pairs must be non-negative")
+
+
 class SurfaceLattice(namedtuple("SurfaceLattice", ("pairs",))):
     """Pic of a blow-up of P^1 x P^1 at ``pairs`` conjugate point pairs.
 
@@ -83,10 +89,7 @@ class SurfaceLattice(namedtuple("SurfaceLattice", ("pairs",))):
         return self
 
     def __post_init__(self):
-        if type(self.pairs) is not int:
-            raise ScheduleError(f"pairs must be an int, got {self.pairs!r}")
-        if self.pairs < 0:
-            raise ScheduleError("pairs must be non-negative")
+        _check_pairs(self.pairs)
 
     @classmethod
     def _make(cls, iterable):
@@ -502,53 +505,19 @@ class RealizationState:
     placed pair's host position or None for a node pair, the pairs whose
     point on a strict transform is blown up).  ``extend`` validates a step
     and derives the child in O(m), recording the step as its ``move`` and in
-    ``lose`` the positions it takes E_{2k-1} and E_{2k} from.
-
-    No state holds divisor classes or a lattice, and ``necklace`` reads the
-    key alone.  ``cycle`` replays the steps on coefficient lists, each state
-    on its path once: a state copies its parent's lists (the root builds the
-    literal ones) and subtracts its pair from the components ``lose``
-    names, once no list meets that pair yet (checked, O(m)); ``extend``
-    lowered the same components' squares.  Every replayed cycle passes
-    ``AnticanonicalCycle.validate``.  The fresh-pair check guards only these
-    lists: pair k's columns, coefficients 2k and 2k + 1, are zero on the root
-    and written only by step k, so it fails only if
-    ``SurfaceLattice._exceptional_coeffs`` is broken, and then only ``cycle``
-    is wrong, since ``necklace`` reads no list.  Step k removes
-    E = E_{2k-1} and E' = E_{2k} from some components and adds E, E' as new
-    components after a node step.  If every class has coefficient 0 at E and
-    E', then X.E = X.E' = 0 for each component X, and:
-
-      * (X - E)^2 = X^2 - 1 and (X - E).(-K) drops by 1 as well, since -K
-        loses E and E'; so each removal lowers the carried square by 1, a
-        real component losing both drops by 2, and genus 0
-        (X.(-K) = X^2 + 2) carries over.  A new E has E^2 = -1, E.(-K) = 1.
-      * (X - a).(Y - b) = X.Y + a.b, so X.Y falls by 1 for each new class
-        that X and Y both lost and is unchanged otherwise.  A smooth or
-        infinitely-near step removes E from the component its point lies on
-        and E' from that component's conjugate (both from a real one): no
-        product changes, only those squares.  A node step removes E
-        from c and d, so c.d falls from 1 to 0 (from 2 to 0 on a
-        two-component cycle, which loses E and E' on both), and E, inserted
-        between them, meets each with product 1 and the rest with 0; E'
-        does the same at the conjugate node.  The products again match the
-        adjacency.
-      * A step removes E + E' in total net of the new components, as -K
-        does, so the classes still sum to -K; E' is placed wherever the
-        involution sends E, so conjugate classes stay conjugate.
-
-    The root is a literal: ``cycle`` validates it and no other cycle.
+    ``lose`` the positions it takes E_{2k-1} and E_{2k} from.  No state
+    holds divisor classes or a lattice, and ``necklace`` reads the key
+    alone; ``realize_cycle`` replays a schedule's states on the classes.
     """
 
-    __slots__ = ("pairs", "order", "key", "parent", "move", "lose", "_classes")
+    __slots__ = ("pairs", "order", "key", "parent", "move", "lose")
 
     def __init__(self, initial_type: str, pairs: int):
         _check_initial_type(initial_type)
-        if type(pairs) is not int or pairs < 0:
-            SurfaceLattice(pairs)  # refuses it with the lattice's message
+        _check_pairs(pairs)
         self.pairs, self.order = pairs, _INITIAL_CYCLES[initial_type][0]
         self.key = _ROOT_KEYS[initial_type]
-        self.parent = self.move = self.lose = self._classes = None
+        self.parent = self.move = self.lose = None
 
     initial_type = property(lambda self: self.key[0])
     squares = property(lambda self: self.key[1])
@@ -592,53 +561,15 @@ class RealizationState:
             squares[p] -= 1  # the pair is fresh: X.E = 0 and E^2 = -1
         child = object.__new__(RealizationState)
         child.pairs, child.order, child.parent = self.pairs, order, self
-        child.move, child.lose, child._classes = step, lose, None
+        child.move, child.lose = step, lose
         child.key = (initial, tuple(squares), partners, hosts, consumed)
         return child
 
-    def cycle(self) -> AnticanonicalCycle:
-        """The cycle in the lattice of the pairs placed so far, its classes
-        replayed; valid by construction past the root."""
-        lattice = SurfaceLattice(len(self.key[3]))  # only the pairs placed so far
-        rank, order, partners = lattice.rank, self.order, self.key[2]
-        result = AnticanonicalCycle(
-            lattice, order,
-            {n: DivisorClass(lattice, c[:rank]) for n, c in self._replay().items()},
-            {name: order[p] for name, p in zip(order, partners)},
-        )
-        return result if lattice.pairs else result.validate()
-
     def necklace(self, torsion: TorsionSpec | None = None) -> Necklace:
-        """The necklace of ``cycle()`` with ``torsion``, read off the key."""
+        """The realized cycle's necklace with ``torsion``, read off the key."""
         _, squares, partners, hosts, _ = self.key
         return Necklace(self.order, tuple([c2 + 2 for c2 in squares]), partners,
                         False, None if torsion is None else torsion.tau, len(hosts))
-
-    def _replay(self):
-        """The classes by name as coefficient lists on all the pairs, once per
-        state: the root's literal ones, or the parent's, copied, minus this
-        step's pair at ``lose``."""
-        if self._classes is None and self.parent is None:  # the literal root
-            pad, lf = [0] * (2 * self.pairs), _INITIAL_CYCLES[self.key[0]][1]
-            self._classes = {name: [*c, *pad] for name, c in zip(self.order, lf)}
-        if self._classes is not None:
-            return self._classes
-        classes = {name: c[:] for name, c in self.parent._replay().items()}
-        k = len(self.key[3])
-        lo, values = 2 * k, classes.values()  # E_{2k-1} sits at coefficient 2k
-        if any(map(itemgetter(lo), values)) or any(map(itemgetter(lo + 1), values)):
-            stale = [name for name, c in classes.items() if c[lo] or c[lo + 1]]
-            check(not stale, "components {} already meet E{} or E{} before step {}",
-                  stale, 2 * k - 1, 2 * k, k, invariant="realization-fresh-pair")
-        for column, lost in enumerate(self.lose, lo):
-            for p in lost:
-                classes[self.order[p]][column] -= 1
-        if self.key[3][-1] is None:  # a node pair: E and E' are components
-            lattice = SurfaceLattice(self.pairs)
-            for e in (lo - 1, lo):
-                classes[f"E{e}"] = list(lattice._exceptional_coeffs(e))
-        self._classes = classes
-        return classes
 
     # -- the next step ------------------------------------------------------
     def _on_real_fibre(self, name):
@@ -748,12 +679,67 @@ class RealizationState:
 
 
 def realize_cycle(schedule: BlowupSchedule) -> AnticanonicalCycle:
-    """Apply every step of the schedule and return its cycle, valid by
-    construction: ``RealizationState.extend`` folded over the steps, then
-    its ``cycle``.  The component count grows by 2 per node step; smooth and
-    infinitely-near steps keep it fixed."""
-    start = RealizationState(schedule.initial_type, schedule.pairs)
-    return reduce(RealizationState.extend, schedule.steps, start).cycle()
+    """Apply every step of the schedule and return its cycle in the lattice
+    of ``schedule.pairs`` pairs, valid by construction.
+
+    ``RealizationState.extend`` is folded over the steps; then the states
+    are replayed once on coefficient lists, from the root's literal ones.
+    Step k removes E = E_{2k-1} and E' = E_{2k} from the components its
+    ``lose`` names, whose squares ``extend`` lowered, once no list meets
+    that pair yet (checked, O(m)), and adds E, E' as new components after a
+    node step.  The fresh-pair check guards only these lists: pair k's
+    columns, coefficients 2k and 2k + 1, are zero on the root and written
+    only by step k, so it fails only if ``SurfaceLattice._exceptional_coeffs``
+    is broken, and then only this replay is wrong, since
+    ``RealizationState.necklace`` reads no list.  If every class has
+    coefficient 0 at E and E', then X.E = X.E' = 0 for each component X,
+    and:
+
+      * (X - E)^2 = X^2 - 1 and (X - E).(-K) drops by 1 as well, since -K
+        loses E and E'; so each removal lowers the carried square by 1, a
+        real component losing both drops by 2, and genus 0
+        (X.(-K) = X^2 + 2) carries over.  A new E has E^2 = -1, E.(-K) = 1.
+      * (X - a).(Y - b) = X.Y + a.b, so X.Y falls by 1 for each new class
+        that X and Y both lost and is unchanged otherwise.  A smooth or
+        infinitely-near step removes E from the component its point lies on
+        and E' from that component's conjugate (both from a real one): no
+        product changes, only those squares.  A node step removes E
+        from c and d, so c.d falls from 1 to 0 (from 2 to 0 on a
+        two-component cycle, which loses E and E' on both), and E, inserted
+        between them, meets each with product 1 and the rest with 0; E'
+        does the same at the conjugate node.  The products again match the
+        adjacency.
+      * A step removes E + E' in total net of the new components, as -K
+        does, so the classes still sum to -K; E' is placed wherever the
+        involution sends E, so conjugate classes stay conjugate.
+
+    The root is a literal: it alone is validated.  The component count
+    grows by 2 per node step; smooth and infinitely-near steps keep it
+    fixed.
+    """
+    root = RealizationState(schedule.initial_type, schedule.pairs)
+    states = list(accumulate(schedule.steps, RealizationState.extend, initial=root))
+    lattice, pad = SurfaceLattice(schedule.pairs), [0] * (2 * schedule.pairs)
+    names, lf, _ = _INITIAL_CYCLES[schedule.initial_type]
+    classes = {name: [*c, *pad] for name, c in zip(names, lf)}
+    for k, state in enumerate(states[1:], 1):
+        lo, values = 2 * k, classes.values()  # E_{2k-1} sits at coefficient 2k
+        if any(map(itemgetter(lo), values)) or any(map(itemgetter(lo + 1), values)):
+            stale = [name for name, c in classes.items() if c[lo] or c[lo + 1]]
+            check(not stale, "components {} already meet E{} or E{} before step {}",
+                  stale, 2 * k - 1, 2 * k, k, invariant="realization-fresh-pair")
+        for column, lost in enumerate(state.lose, lo):
+            for p in lost:
+                classes[state.order[p]][column] -= 1
+        if state.move.kind == "node":  # E and E' are components
+            for e in (lo - 1, lo):
+                classes[f"E{e}"] = list(lattice._exceptional_coeffs(e))
+    order = states[-1].order
+    cycle = AnticanonicalCycle(
+        lattice, order, {name: DivisorClass(lattice, c) for name, c in classes.items()},
+        {name: order[p] for name, p in zip(order, states[-1].key[2])},
+    )
+    return cycle if schedule.steps else cycle.validate()
 
 
 _ELEMENTARY_MAP = {"A": "G", "Abar": "Gbar", "E1": "F", "E2": "Fbar"}

@@ -21,11 +21,17 @@ from .errors import ScheduleError, check
 
 
 def _width(rows):
-    """The common length of the sequence (non-dict) rows; 0 if none."""
+    """The common length of the sequence (non-dict) rows, below which every
+    dict row's columns must lie; None if there is no sequence row."""
     widths = {len(row) for row in rows if not isinstance(row, dict)}
     if len(widths) > 1:
         raise ScheduleError(f"matrix rows differ in length: {sorted(widths)}")
-    return widths.pop() if widths else 0
+    if not widths:
+        return None
+    width = widths.pop()
+    if not all(0 <= c < width for row in rows if isinstance(row, dict) for c in row):
+        raise ScheduleError(f"a dict row has a column outside range({width})")
+    return width
 
 
 def _integral(row):
@@ -126,10 +132,13 @@ def rank(rows):
 def nullspace(rows):
     """Primitive integer basis of {x : A.x = 0} for an int/Fraction matrix A.
 
+    A sequence row fixes the width, so dict rows need one beside them.
     Returned vectors are tuples of ints with content 1 and first nonzero
     entry positive, listed in order of their free column.
     """
-    ncols = _width(rows)
+    ncols = _width(rows) if rows else 0
+    if ncols is None:
+        raise ScheduleError("nullspace needs a sequence row to fix the width")
     pivots = _eliminate(rows)[0]
     last_first = sorted(pivots.items(), reverse=True)
     basis = []
@@ -153,7 +162,10 @@ def nullspace(rows):
 
 
 def left_nullspace(rows):
-    """Primitive integer basis of {v : v.A = 0} (nullspace of the transpose)."""
+    """Primitive integer basis of {v : v.A = 0} (nullspace of the transpose);
+    the rows are sequences."""
+    if any(isinstance(row, dict) for row in rows):
+        raise ScheduleError("left_nullspace takes sequence rows, not dict rows")
     _width(rows)
     return nullspace(list(zip(*rows)))
 

@@ -253,8 +253,8 @@ def _walked_leaf_cycles():
     """Every n = 4 leaf the walk reaches from each initial cycle, and the
     nodes-first type III leaves through the elementary transform."""
     for initial in INITIAL_TYPES:
-        for _, leaf in walk_schedules(RealizationState(initial, 4)):
-            yield leaf.cycle()
+        for schedule, _ in walk_schedules(RealizationState(initial, 4)):
+            yield realize_cycle(schedule)
     nodes_first = RealizationState("III", 4).extend(N(("A", "Abar")))
     for schedule, _ in walk_schedules(nodes_first):
         yield realize_cycle(elementary_transform(schedule))
@@ -505,27 +505,37 @@ def test_type_iii_without_node_realizes_directly():
 
 # -- the walk -------------------------------------------------------------------
 
+#: sha256 of every realized n = 4 leaf's (order, classes and conjugates in
+#: that order, pairs, smooth-variant flag), pinned on the engine whose
+#: states replayed and cached their own classes
+_REALIZED_LEAVES_SHA256 = {
+    ("I", 0): "824ec72cd145bb18e8d225cd13f14f880a2779e34c547225922dc5ac8d6d4290",
+    ("II", 0): "693a5e8fe1c42cea0041b7c21c6714e8587528614071f462f21fe981ca868668",
+    ("III", 0): "4425cdfdce1ff554c9290cc6df205911823e64ddc53ae6c7ff412d6b52e469a9",
+    ("III", 1): "851a16211b8fad689f6af46ab50d8df3e61edd161bb06361e63ae0592bf5cb8f",
+}
+
+
 @pytest.mark.parametrize(
     "initial, prefix, leaves",
-    [("I", (), 1266), ("II", (), 214), ("III", (N(("A", "Abar")),), 152)],
+    [("I", (), 1266), ("II", (), 214), ("III", (), 214),
+     ("III", (N(("A", "Abar")),), 152)],
 )
-def test_walk_leaf_states_match_realize_cycle(initial, prefix, leaves):
+def test_walk_leaves_realize_to_the_pinned_cycles(initial, prefix, leaves):
     root = RealizationState(initial, 4)
     for step in prefix:
         root = root.extend(step)
-    before = root.cycle()
-    count = 0
+    h, count = hashlib.sha256(), 0
     for schedule, leaf in walk_schedules(root):
         assert schedule.steps[: len(prefix)] == prefix
         assert leaf.steps == schedule.steps
-        direct = realize_cycle(schedule)
-        cycle = leaf.cycle()
-        assert cycle.order == direct.order
-        assert cycle.classes == direct.classes
-        assert cycle.conjugate_names == direct.conjugate_names
+        c = realize_cycle(schedule)
+        h.update(repr((c.order, tuple(c.classes[x].coeffs for x in c.order),
+                       tuple(c.conjugate_names[x] for x in c.order),
+                       c.lattice.pairs, c.smooth_variant)).encode())
         count += 1
     assert count == leaves
-    assert root.cycle() == before
+    assert h.hexdigest() == _REALIZED_LEAVES_SHA256[initial, len(prefix)]
 
 
 @pytest.mark.parametrize(
@@ -538,8 +548,8 @@ def test_every_walked_leaf_is_valid_with_its_carried_squares(initial, pairs, lea
     # self-intersection, conjugate position and degree from the classes
     # must agree with what the state carried in its key
     count = 0
-    for _, leaf in walk_schedules(RealizationState(initial, pairs)):
-        cycle = leaf.cycle()
+    for schedule, leaf in walk_schedules(RealizationState(initial, pairs)):
+        cycle = realize_cycle(schedule)
         assert cycle.validate() is cycle
         minus_k = cycle.lattice.anticanonical()
         classes = [cycle.classes[name] for name in cycle.order]
@@ -578,11 +588,11 @@ def test_the_walk_on_positions_hands_out_the_same_schedules(initial, pairs,
 def test_walk_leaves_a_deep_parent_untouched():
     parent = RealizationState("I", 4).extend(N(("F", "G"))).extend(S("G"))
     parent = parent.extend(INF(2, "G"))
-    before = parent.cycle()
-    first = [(s, leaf.cycle()) for s, leaf in walk_schedules(parent)]
+    before = parent.order, parent.key, parent.steps
+    first = [(s, leaf.key) for s, leaf in walk_schedules(parent)]
     assert len(first) == len(parent.candidates())
-    assert parent.cycle() == before
-    assert [(s, leaf.cycle()) for s, leaf in walk_schedules(parent)] == first
+    assert (parent.order, parent.key, parent.steps) == before
+    assert [(s, leaf.key) for s, leaf in walk_schedules(parent)] == first
 
 
 def test_walk_of_a_complete_state_yields_it():
@@ -610,7 +620,7 @@ def test_necklace_is_read_off_the_leaf_cycle():
     # so classify reaches the same report or the same rejection on both
     for schedule, leaf in _walked_leaves():
         squares, partners = leaf.key[1:3]
-        cycle = leaf.cycle()
+        cycle = realize_cycle(schedule)
         assert cycle.validate() is cycle
         assert squares == cycle.self_intersections()
         assert tuple(cycle.order[p] for p in partners) == tuple(
@@ -652,17 +662,12 @@ def test_enumeration_keeps_what_classifying_every_leaf_keeps(enumeration):
 
 def test_enumeration_classifies_each_necklace_once(monkeypatch):
     calls = Counter()
-    classify_, cycle = classify_module.classify, RealizationState.cycle
-    extend, post_init = RealizationState.extend, BlowupSchedule.__post_init__
-    divisor_init, replay = DivisorClass.__post_init__, RealizationState._replay
+    classify_, extend = classify_module.classify, RealizationState.extend
+    post_init, divisor_init = BlowupSchedule.__post_init__, DivisorClass.__post_init__
 
     def counting_classify(*args):
         calls["classify"] += 1
         return classify_(*args)
-
-    def counting_cycle(self):
-        calls["cycle"] += 1
-        return cycle(self)
 
     def counting_divisor(self):
         calls["divisor"] += 1
@@ -678,14 +683,8 @@ def test_enumeration_classifies_each_necklace_once(monkeypatch):
         calls["schedule"] += 1
         post_init(self)
 
-    def counting_replay(self):
-        calls["replay"] += 1
-        return replay(self)
-
     monkeypatch.setattr(classify_module, "classify", counting_classify)
-    monkeypatch.setattr(RealizationState, "cycle", counting_cycle)
     monkeypatch.setattr(RealizationState, "extend", counting_extend)
-    monkeypatch.setattr(RealizationState, "_replay", counting_replay)
     monkeypatch.setattr(BlowupSchedule, "__post_init__", counting_post_init)
     monkeypatch.setattr(DivisorClass, "__post_init__", counting_divisor)
     result = enumerate_configurations()
@@ -694,23 +693,20 @@ def test_enumeration_classifies_each_necklace_once(monkeypatch):
     # subtrees, twins under rotation and reflection included, save 1,412 of
     # the 1,701 extends and 1,276 of the 1,480 leaf states a plain walk
     # builds, and leave 80 necklaces to classify.  Each classified leaf's
-    # necklace is read off its key, so no class is replayed, no cycle and no
-    # divisor class is built, and a schedule is built only for each of the
-    # 58 kept entries
+    # necklace is read off its key, so no divisor class is built, and a
+    # schedule is built only for each of the 58 kept entries
     assert calls == Counter({"classify": 80, "extend": 289, "leaf": 204,
                              "schedule": 58})
-    assert calls["cycle"] == calls["divisor"] == calls["replay"] == 0
+    assert calls["divisor"] == 0
 
 
 def test_a_schedule_document_realizes_with_no_divisor_class(monkeypatch):
     # model_from_document folds the steps into a state and reads the
-    # necklace off its key: no replay, no cycle and no class, as in the
-    # enumerator, and no lattice or root coefficient lists either; the
-    # report is emitted through the one module-level encoder.  The smooth
-    # variant alone builds (and validates) its cycle
+    # necklace off its key: no class, as in the enumerator, and no lattice
+    # either; the report is emitted through the one module-level encoder.
+    # The smooth variant alone builds (and validates) its cycle
     calls, roots = Counter(), []
-    cycle, divisor_init = RealizationState.cycle, DivisorClass.__post_init__
-    replay, state_init = RealizationState._replay, RealizationState.__init__
+    divisor_init, state_init = DivisorClass.__post_init__, RealizationState.__init__
     lattice_init, encoder_init = SurfaceLattice.__post_init__, json.JSONEncoder.__init__
 
     def counting(name, method):
@@ -723,8 +719,6 @@ def test_a_schedule_document_realizes_with_no_divisor_class(monkeypatch):
         state_init(self, *args)
         roots.append(self)
 
-    monkeypatch.setattr(RealizationState, "cycle", counting("cycle", cycle))
-    monkeypatch.setattr(RealizationState, "_replay", counting("replay", replay))
     monkeypatch.setattr(RealizationState, "__init__", recording_init)
     monkeypatch.setattr(DivisorClass, "__post_init__",
                         counting("divisor", divisor_init))
@@ -743,12 +737,10 @@ def test_a_schedule_document_realizes_with_no_divisor_class(monkeypatch):
         emitted(schema.load_document(path))
     emitted(schema.document_for(
         BlowupSchedule("III", (N(("A", "Abar")), S("A"), S("A"), S("A")))))
-    calls["root coefficient lists"] = sum(root._classes is not None
-                                          for root in roots)
     assert len(roots) == 5 and calls == Counter()
     emitted({"n": 4, "initial_type": "I", "steps": [],
              "smooth_anticanonical": True, "torsion": {"kind": "infinite"}})
-    assert calls["cycle"] == calls["replay"] == calls["encoder"] == 0
+    assert calls["encoder"] == 0
     assert calls["divisor"] > 0 and calls["lattice"] == 1
 
 

@@ -1,6 +1,8 @@
 """Picard lattice, blow-up schedules, and anticanonical-cycle realization."""
 
+import ast
 import hashlib
+import inspect
 import operator
 import os
 import random
@@ -525,8 +527,7 @@ def test_cycle_validation_survives_python_O():
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     script = (
         "from twistor4.errors import InvariantError, ScheduleError\n"
-        "from twistor4.lattice import (BlowupSchedule, BlowupStep,\n"
-        "                              RealizationState, realize_cycle)\n"
+        "from twistor4.lattice import BlowupSchedule, BlowupStep, realize_cycle\n"
         "assert False, 'asserts are on'\n"
         "cycle = realize_cycle(BlowupSchedule('I', (BlowupStep.smooth('G'),) * 4))\n"
         "try:\n"
@@ -539,10 +540,9 @@ def test_cycle_validation_survives_python_O():
         "SurfaceLattice._exceptional_coeffs = lambda self, i: (\n"
         "    tuple(map(add, exceptional(self, 1), exceptional(self, 3)))\n"
         "    if i == 1 else exceptional(self, i))\n"
-        "state = RealizationState('I', 2).extend(BlowupStep.node(('F', 'G')))\n"
-        "state = state.extend(BlowupStep.smooth('G'))\n"
+        "steps = (BlowupStep.node(('F', 'G')), BlowupStep.smooth('G'))\n"
         "try:\n"
-        "    state.cycle()\n"
+        "    realize_cycle(BlowupSchedule('I', steps))\n"
         "except InvariantError as exc:\n"
         "    print(exc.tag)\n"
     )
@@ -564,6 +564,22 @@ def test_smooth_anticanonical_cycle():
 
 # -- realization: the incremental state ----------------------------------------
 
+def _realized(state):
+    """The cycle of a state's steps, on the pairs placed so far."""
+    return realize_cycle(BlowupSchedule(state.initial_type, state.steps))
+
+
+def test_realization_state_holds_no_class_route():
+    # a state is positions only: the classes live in realize_cycle alone
+    body = ast.parse(inspect.getsource(RealizationState))
+    named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    route = {"SurfaceLattice", "DivisorClass", "AnticanonicalCycle",
+             "_exceptional_coeffs"}
+    assert named & route == set()
+    assert not {"_classes", "cycle", "_replay"} & set(dir(RealizationState))
+
+
 def test_realization_state_extend_leaves_the_parent_untouched():
     parent = RealizationState("I", 2)
     key = parent.key
@@ -572,13 +588,11 @@ def test_realization_state_extend_leaves_the_parent_untouched():
     assert parent.order == ("F", "G", "Fbar", "Gbar") and parent.key == key
     assert child.order == ("F", "E1", "G", "Fbar", "E2", "Gbar")
     # classes exist only in a replayed cycle, on the pairs placed so far
-    assert parent.cycle().classes["F"] == SurfaceLattice(0).fibre()
+    assert _realized(parent).classes["F"] == SurfaceLattice(0).fibre()
     grandchild = child.extend(BlowupStep.smooth("E1"))
-    assert "E1" not in parent.cycle().classes
-    assert child.cycle().classes["E1"] == SurfaceLattice(1).exceptional(1)
-    assert grandchild.cycle() == realize_cycle(
-        BlowupSchedule("I", grandchild.steps)
-    )
+    assert "E1" not in _realized(parent).classes
+    assert _realized(child).classes["E1"] == SurfaceLattice(1).exceptional(1)
+    assert _realized(grandchild).lattice == SurfaceLattice(2)
 
 
 def test_realization_state_cycle_of_a_prefix():
@@ -586,10 +600,10 @@ def test_realization_state_cycle_of_a_prefix():
     steps = (BlowupStep.smooth("G"), BlowupStep.infinitely_near(1, "G"))
     for step in steps:
         state = state.extend(step)
-    cycle = state.cycle()
+    cycle = _realized(state)
     assert cycle.lattice == SurfaceLattice(2)
     assert cycle == realize_cycle(BlowupSchedule("I", steps))
-    assert RealizationState("III", 0).cycle().order == ("A", "Abar")
+    assert _realized(RealizationState("III", 0)).order == ("A", "Abar")
 
 
 def test_realization_state_candidates_one_per_orbit():
@@ -619,13 +633,13 @@ def test_realization_state_candidates_one_per_orbit():
 
 def test_realization_state_carries_self_intersections():
     state = RealizationState("II", 2)
-    assert state.squares == state.cycle().self_intersections() == (0, 4)
+    assert state.squares == _realized(state).self_intersections() == (0, 4)
     state = state.extend(BlowupStep.node(("F", "C0")))
     # each original component loses both new exceptionals: -2 apiece
     assert dict(zip(state.order, state.squares)) == {
         "F": -2, "C0": 2, "E1": -1, "E2": -1}
     state = state.extend(BlowupStep.smooth("C0"))
-    cycle = state.cycle()
+    cycle = _realized(state)
     assert state.squares == cycle.self_intersections() == (-2, -1, 0, -1)
     assert cycle.degrees() == (0, 1, 2, 1)
     assert cycle.validate() is cycle
@@ -641,11 +655,9 @@ def test_replay_refuses_a_pair_that_is_not_fresh(monkeypatch):
     state = RealizationState("I", 2).extend(BlowupStep.node(("F", "G")))
     state = state.extend(BlowupStep.smooth("G"))  # positions only: no check
     stale = r"\['E1'\] already meet E3 or E4 before step 2"
-    for replay in (state.cycle,
-                   lambda: realize_cycle(BlowupSchedule("I", state.steps))):
-        with pytest.raises(InvariantError, match=stale) as info:
-            replay()
-        assert info.value.tag == "invariant-realization-fresh-pair"
+    with pytest.raises(InvariantError, match=stale) as info:
+        _realized(state)
+    assert info.value.tag == "invariant-realization-fresh-pair"
 
 
 def test_node_step_needs_the_conjugate_edge():

@@ -319,7 +319,10 @@ def test_no_entry_point_changes_its_input():
                   for row in dense]
         for rows in (m, _with_width(m), dense, sparse, _with_width(sparse)):
             before = copy.deepcopy(rows)
-            calls = (rank, nullspace)
+            # nullspace needs a sequence row to fix the width
+            calls = (rank,)
+            if not all(isinstance(row, dict) for row in rows):
+                calls += (nullspace,)
             if len(dense) == len(dense[0]):
                 calls += (bareiss_determinant,)
             for call in calls:
@@ -337,6 +340,21 @@ def test_a_dict_row_outside_the_square_is_refused():
                  [[1, 0], {0: 1, 1: 2, 2: 3}]):
         with pytest.raises(ScheduleError, match="matrix is not square"):
             bareiss_determinant(rows)
+
+
+@pytest.mark.parametrize("call,rows,message", [
+    # no sequence row fixes the width: columns 0 and 2 of how many?
+    (nullspace, [{0: 1}, {2: 1}], "needs a sequence row"),
+    # zip would walk each dict's keys, not its entries
+    (left_nullspace, [{0: 1}, {1: 1}], "takes sequence rows"),
+    (left_nullspace, [[1, 0], {1: 1}], "takes sequence rows"),
+    # the sequence row sets the width 3, and column 5 lies outside it
+    (rank, [{5: 1}, [0, 0, 1]], r"outside range\(3\)"),
+    (nullspace, [[0, 0, 1], {-1: 1}], r"outside range\(3\)"),
+])
+def test_a_dict_row_without_a_width_is_refused(call, rows, message):
+    with pytest.raises(ScheduleError, match=message):
+        call(rows)
 
 
 # -- the pairing: an arrowhead matrix, almost every entry zero ------------------
