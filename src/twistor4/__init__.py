@@ -17,16 +17,46 @@ The package computes, in exact integer/rational arithmetic:
   conjugation symmetry.
 """
 
-# The package re-exports five modules' ``__all__``; ``classify`` is read
-# through an alias first, as the wildcard import rebinds it to the function.
-from . import classify as _classify, cohomology, cycles, errors, lattice
-from .classify import *
-from .cohomology import *
-from .cycles import *
-from .errors import *
-from .lattice import *
+import sys
+
+# ``twistor4.classify`` is the function: bound here, it stays so whichever
+# import loads the submodule of that name first
+from .classify import classify
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__", *cohomology.__all__, *cycles.__all__, *errors.__all__,
-           *lattice.__all__, *_classify.__all__]
+#: The modules whose ``__all__`` the package re-exports, in this order.
+_REEXPORTED = ("cohomology", "cycles", "errors", "lattice", "classify")
+
+
+def _submodule(name):
+    # ``importlib.import_module``, without the cost of importing importlib
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
+def __getattr__(name):
+    """A submodule or a name of a re-exported ``__all__`` (PEP 562), loaded
+    on first use and bound here, so a process imports only what it uses.
+    A submodule is tried first: ``from . import schema`` asks for its name
+    here before importing it, and must not load every re-exported module."""
+    if name == "__all__":
+        value = ["__version__"]
+        for module in map(_submodule, _REEXPORTED):
+            value += module.__all__
+    elif name.startswith("_"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    else:
+        try:
+            value = _submodule(name)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+            module = next((module for module in map(_submodule, _REEXPORTED)
+                           if name in module.__all__), None)
+            if module is None:
+                raise AttributeError(
+                    f"module {__name__!r} has no attribute {name!r}") from None
+            value = getattr(module, name)
+    globals()[name] = value
+    return value

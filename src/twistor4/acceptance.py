@@ -36,22 +36,10 @@ from .cohomology import (
     pairing_kernel,
     pairing_matrix,
 )
-from .cycles import (
-    DEFAULT_ORACLE_SEED,
-    CycleLineBundle,
-    TorsionSpec,
-    h0_formula,
-    h0_oracle,
-)
+from .cycles import DEFAULT_ORACLE_SEED, CycleLineBundle, TorsionSpec, h0_formula
 from .errors import TorsionRequiredError
-from .lattice import (
-    BlowupSchedule,
-    BlowupStep,
-    RealizationState,
-    SurfaceLattice,
-    anticanonical_class,
-    realize_cycle,
-)
+from .lattice import BlowupSchedule, BlowupStep, RealizationState
+from .oracle import SurfaceLattice, anticanonical_class, h0_oracle, realize_cycle
 
 __all__ = ["CRITERIA", "Criterion", "CriterionResult", "run_all", "run_criterion"]
 

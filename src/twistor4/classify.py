@@ -37,7 +37,7 @@ import math
 from collections import namedtuple
 from functools import cache, reduce
 
-from . import schema
+from . import lattice, schema
 from .cycles import CycleLineBundle, TorsionSpec, h0_formula
 from .errors import RealizabilityError, ScheduleError, TorsionRequiredError, check
 from .lattice import (
@@ -45,7 +45,6 @@ from .lattice import (
     Necklace,
     RealizationState,
     elementary_transform,
-    smooth_anticanonical_cycle,
 )
 
 __all__ = [
@@ -259,10 +258,12 @@ def model_from_schedule(
 
 def model_from_document(doc: dict) -> Necklace:
     """The necklace of a schedule document's cycle, with its torsion record;
-    the smooth variant's comes from its validated cycle."""
+    the smooth variant's comes from its validated cycle, whose class route
+    ``lattice`` loads on the first such document only."""
     parsed = schema.parse_document(doc)
     if parsed.schedule is None:
-        return smooth_anticanonical_cycle(parsed.n).necklace(parsed.torsion)
+        cycle = lattice.smooth_anticanonical_cycle(parsed.n)
+        return cycle.necklace(parsed.torsion)
     return model_from_schedule(parsed.schedule, parsed.torsion)
 
 

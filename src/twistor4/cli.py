@@ -16,32 +16,15 @@ diagnoses to stderr, so output can be piped.
 from __future__ import annotations
 
 import argparse
+import os
 import re
-import shutil
 import sys
 from collections import namedtuple
 from functools import partial
 
 from . import schema
 from .classify import classify, enumerate_configurations, model_from_document
-from .cohomology import (
-    chern_numbers,
-    cup,
-    euler_char_fundamental,
-    evaluate,
-    pairing_kernel,
-    pairing_matrix,
-    scalar,
-    w,
-    x,
-)
-from .cycles import (
-    DEFAULT_ORACLE_SEED,
-    CycleLineBundle,
-    euler_char_cycle,
-    h0_formula,
-    h0_oracle,
-)
+from .cycles import DEFAULT_ORACLE_SEED, CycleLineBundle, euler_char_cycle, h0_formula
 from .errors import (
     DegreeError,
     ScheduleError,
@@ -83,6 +66,8 @@ def _emit(args, result):
 
 
 # -- subcommands -------------------------------------------------------------
+# each imports the cohomology ring and the oracles itself, so a process
+# loads only what its subcommand runs
 
 
 def _check_n(n):
@@ -91,6 +76,8 @@ def _check_n(n):
 
 
 def _cmd_chern(args):
+    from .cohomology import chern_numbers
+
     _check_n(args.n)
     data = chern_numbers(args.n)
     payload = {"n": args.n, "c1_cubed": data.c1_cubed, "c1_c2": data.c1_c2,
@@ -100,6 +87,8 @@ def _cmd_chern(args):
 
 
 def _cmd_pairing(args):
+    from .cohomology import pairing_kernel, pairing_matrix
+
     _check_n(args.n)
     data = pairing_matrix(args.n)
     matrix = [list(row) for row in data.matrix]
@@ -115,6 +104,8 @@ def _cmd_pairing(args):
 
 
 def _cmd_euler(args):
+    from .cohomology import euler_char_fundamental
+
     value = euler_char_fundamental(args.n, args.m)
     return _Result({"n": args.n, "m": args.m, "chi": value}, [str(value)])
 
@@ -123,6 +114,8 @@ _TOKEN_SPLIT = re.compile(r"[\s*]+")
 
 
 def _parse_ring_expr(n, expr):
+    from .cohomology import cup, scalar, w, x
+
     tokens = [t for t in _TOKEN_SPLIT.split(expr.strip()) if t]
     if not tokens:
         raise ScheduleError("empty ring expression")
@@ -142,6 +135,8 @@ def _parse_ring_expr(n, expr):
 
 
 def _cmd_ring(args):
+    from .cohomology import evaluate
+
     _check_n(args.n)
     product = _parse_ring_expr(args.n, args.expr)
     value = evaluate(product) if product.degree == 6 else None
@@ -176,6 +171,8 @@ def _cmd_cycle_h0(args):
         raise DegreeError(f"--oracle is capped at {cap} components, got {m}")
     formula, oracle, seed = h0_formula(bundle), None, None
     if args.oracle:
+        from .oracle import h0_oracle
+
         seed = args.seed
         oracle = h0_oracle(bundle, seed=seed)
     agree = None if oracle is None else formula == oracle
@@ -268,11 +265,25 @@ def _cmd_selftest(args):
 # -- parser ------------------------------------------------------------------
 
 
+def _terminal_columns():
+    """``shutil.get_terminal_size().columns`` without importing ``shutil``:
+    a positive ``COLUMNS`` wins, else stdout's terminal, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        return os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+    except (AttributeError, ValueError, OSError):
+        return 80
+
+
 def _build_parser():
     # argparse makes a formatter, which reads the terminal size, for each
     # argument it adds; the same width, read once, prints the same help
-    formatter = partial(argparse.HelpFormatter,
-                        width=shutil.get_terminal_size().columns - 2)
+    formatter = partial(argparse.HelpFormatter, width=_terminal_columns() - 2)
     parser = _Parser(
         prog="twistor4",
         description=(

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from . import linalg
 from .errors import DegreeError, check
 
 __all__ = [
@@ -55,6 +54,18 @@ __all__ = [
 _BASIS_LEN = {0: lambda n: 1, 2: lambda n: n + 1, 4: lambda n: n + 1, 6: lambda n: 1}
 #: message of every check of a computed value against its closed form
 _CLOSED_FORM = "computed {}, closed form {} at n={}"
+#: ``linalg``, once ``_linalg`` has imported it: importing this module loads
+#: neither it nor the ``fractions`` it needs
+linalg = None
+
+
+def _linalg():
+    """The ``linalg`` module, imported by the first pairing or ``str()`` that
+    needs it; later calls cost a global lookup, not an import statement."""
+    global linalg
+    if linalg is None:
+        from . import linalg
+    return linalg
 
 
 class CohomologyClass(namedtuple("CohomologyClass", ("n", "degree", "coeffs"))):
@@ -85,7 +96,8 @@ class CohomologyClass(namedtuple("CohomologyClass", ("n", "degree", "coeffs"))):
         return cls(*iterable)
 
     def __str__(self):
-        return linalg.format_combination(self.coeffs, _basis_names(self.n, self.degree))
+        names = _basis_names(self.n, self.degree)
+        return _linalg().format_combination(self.coeffs, names)
 
 
 def _check_int(name, value, least=1):
@@ -256,7 +268,7 @@ def pairing_matrix(n: int) -> PairingData:
     never floats, and checked against the signed closed form.
     """
     matrix = _arrowhead(n)
-    det, closed = linalg.bareiss_determinant(matrix), 2 ** (n - 1) * (n - 4)
+    det, closed = _linalg().bareiss_determinant(matrix), 2 ** (n - 1) * (n - 4)
     check(det == closed, _CLOSED_FORM, det, closed, n,
           invariant="pairing-determinant")
     return PairingData(matrix, det)
@@ -270,7 +282,7 @@ def pairing_kernel(n: int):
     generator v has v.A = 0, and one comes back iff n = 4.
     """
     matrix = _arrowhead(n)
-    kernel = tuple(linalg.left_nullspace(matrix))
+    kernel = tuple(_linalg().left_nullspace(matrix))
     images = [sum(a * b for a, b in zip(v, c)) for v in kernel for c in zip(*matrix)]
     check(len(kernel) == (n == 4) and not any(images),
           "kernel {} at n={}: needs v.A = 0, one vector iff n = 4", kernel, n,

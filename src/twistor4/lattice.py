@@ -1,16 +1,8 @@
-"""Intersection theory on real blow-ups of P^1 x P^1 and anticanonical cycles.
+"""Real blow-ups of P^1 x P^1 and their anticanonical cycles, by position.
 
 The surface S is P^1 x P^1 blown up in n conjugate pairs of (possibly
-infinitely near) points.  Pic(S) gets the total-transform basis
-
-    l  = class of O(1,0) ("lines")
-    f  = class of O(0,1) ("fibres")
-    E_1, ..., E_2n  = exceptional classes,  E_i^2 = -1, mutually orthogonal
-
-so the Gram matrix is constant (unimodular, determinant -1) and all
-infinitely-near structure lives in the blow-up schedule, not in the form.
-The anti-holomorphic involution fixes l and f and swaps E_{2k-1} <-> E_{2k}
-(the pair blown up at step k).
+infinitely near) points; its anticanonical cycle starts as one of three
+initial cycles of curves of bidegree (1,0), (0,1), (2,1) or (1,1).
 
 A ``BlowupSchedule`` records, per step, where ONE point of the conjugate
 pair sits (the other location is implied by equivariance):
@@ -24,26 +16,25 @@ pair sits (the other location is implied by equivariance):
     point of the exceptional curve.
 
 A ``RealizationState`` is the cycle after the first k steps, held by
-position only.  The one class route is ``realize_cycle``: it folds
-``extend`` over a schedule's steps, then replays those states once on the
-classes, and its cycle is valid by construction (see ``realize_cycle``).
-An ``AnticanonicalCycle`` holds its components' classes and the
-conjugation on their names, and nothing derived from them; ``validate``
-stays the full oracle for cycles built elsewhere.  A ``Necklace`` is what
-the classification reads of a cycle: names, degrees and conjugation by
-position, with tau passed in; a cycle and a state each give theirs, and a
-state reads it off its positional key, with no class replayed.
+position only.  A ``Necklace`` is what the classification reads of a
+cycle: names, degrees and conjugation by position, with tau passed in; a
+state reads it off its positional key, with no divisor class.
+
+The class route (``SurfaceLattice``, ``DivisorClass``,
+``AnticanonicalCycle``, ``realize_cycle`` and the rest of ``__all__`` not
+defined here) lives in ``oracle``, an independent check that the positional
+engine never runs.  This module's ``__getattr__`` still gives those names,
+each bound here on first use, so ``from twistor4.lattice import *`` is
+unchanged and ``import twistor4.lattice`` alone loads no class route.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate, compress
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .cycles import TorsionSpec
 from .errors import RealizabilityError, ScheduleError, check
-from .linalg import format_combination
 
 __all__ = [
     "SurfaceLattice",
@@ -64,143 +55,24 @@ __all__ = [
 ]
 
 
-def _check_pairs(pairs):
+def __getattr__(name):
+    # the class route's names of ``__all__`` live in ``oracle``; a caller
+    # that looks one up here (perfbench's tracer, the smooth variant in
+    # ``classify``) gets it bound here on first use, then as a dict hit
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value
+
+
+def check_pairs(pairs):
+    """Refuse a pair count that is not an int >= 0 (ScheduleError)."""
     if type(pairs) is not int:
         raise ScheduleError(f"pairs must be an int, got {pairs!r}")
     if pairs < 0:
         raise ScheduleError("pairs must be non-negative")
-
-
-class SurfaceLattice(namedtuple("SurfaceLattice", ("pairs",))):
-    """Pic of a blow-up of P^1 x P^1 at ``pairs`` conjugate point pairs.
-
-    ``pairs`` = 0 is the un-blown ruled surface itself (rank 2); the n = 4
-    requirement belongs to the classifier, not to the lattice.  Like
-    ``DivisorClass`` and ``BlowupSchedule`` it is checked on construction
-    and by ``_make``, which call ``__post_init__`` through the class, so a
-    counter patched onto it sees every record built.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, pairs):
-        self = tuple.__new__(cls, (pairs,))
-        cls.__post_init__(self)
-        return self
-
-    def __post_init__(self):
-        _check_pairs(self.pairs)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    @property
-    def rank(self):
-        return 2 * self.pairs + 2
-
-    def divisor(self, a, b, multiplicities=()):
-        """The class a*l + b*f + sum(m_i E_i); multiplicities as stored."""
-        ms = tuple(multiplicities)
-        if len(ms) > 2 * self.pairs:
-            raise ScheduleError("more multiplicities than exceptional classes")
-        return DivisorClass(self, (a, b, *ms) + (0,) * (2 * self.pairs - len(ms)))
-
-    def zero(self):
-        return self.divisor(0, 0)
-
-    def line(self):
-        return self.divisor(1, 0)
-
-    def fibre(self):
-        return self.divisor(0, 1)
-
-    def exceptional(self, i):
-        """E_i, 1-based, i in 1..2*pairs."""
-        return DivisorClass(self, self._exceptional_coeffs(i))
-
-    def _exceptional_coeffs(self, i):
-        if not 1 <= i <= 2 * self.pairs:
-            raise ScheduleError(f"E{i} does not exist (pairs={self.pairs})")
-        return (0,) * (1 + i) + (1,) + (0,) * (2 * self.pairs - i)
-
-    def anticanonical(self):
-        return self.divisor(2, 2, (-1,) * (2 * self.pairs))
-
-
-class DivisorClass(namedtuple("DivisorClass", ("lattice", "coeffs"))):
-    """Integer vector (a, b, m_1..m_2n) = a*l + b*f + sum(m_i E_i), its
-    coefficients stored as a tuple."""
-
-    __slots__ = ()
-
-    def __new__(cls, lattice, coeffs):
-        self = tuple.__new__(cls, (lattice, tuple(coeffs)))
-        cls.__post_init__(self)
-        return self
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.lattice.rank:
-            raise ScheduleError(
-                f"class needs {self.lattice.rank} coefficients, "
-                f"got {len(self.coeffs)}"
-            )
-        if not set(map(type, self.coeffs)) <= {int}:
-            raise ScheduleError(f"class coefficients must be ints, got {self.coeffs}")
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    def dot(self, other: "DivisorClass") -> int:
-        if self.lattice is not other.lattice and self.lattice != other.lattice:
-            raise ScheduleError("classes live in different lattices")
-        return _dot(self.coeffs, other.coeffs)
-
-    @property
-    def self_intersection(self):
-        return self.dot(self)
-
-    def __str__(self):
-        pairs = self.lattice.pairs
-        names = ("l", "f") + tuple(f"E{i}" for i in range(1, 2 * pairs + 1))
-        return format_combination(self.coeffs, names)
-
-
-def _dot(s, o):
-    """The intersection pairing of two coefficient tuples (Gram form)."""
-    return s[0] * o[1] + s[1] * o[0] - sum(map(mul, s[2:], o[2:]))
-
-
-def _involute(c):
-    """The real involution on a coefficient tuple (see ``real_involution``)."""
-    out = list(c)
-    out[2::2], out[3::2] = c[3::2], c[2::2]
-    return tuple(out)
-
-
-def anticanonical_class(lattice: SurfaceLattice) -> DivisorClass:
-    """-K = 2l + 2f - sum(E_i); self-intersection 8 - 2n."""
-    k = lattice.anticanonical()
-    check(k.self_intersection == 8 - 2 * lattice.pairs,
-          "(-K)^2 = {}, closed form {}", k.self_intersection,
-          8 - 2 * lattice.pairs, invariant="anticanonical-square")
-    return k
-
-
-def adjunction_genus(d: DivisorClass) -> int:
-    """Arithmetic genus (d^2 - d.(-K))/2 + 1 of a curve of class d."""
-    minus_k = d.lattice.anticanonical()
-    num = d.self_intersection - d.dot(minus_k)
-    # cannot fail on this even-pairing lattice; kept as a tripwire
-    check(num % 2 == 0, "adjunction is not integral for {}", d,
-          invariant="adjunction-integral")
-    return num // 2 + 1
-
-
-def real_involution(d: DivisorClass) -> DivisorClass:
-    """Swap each E_{2k-1} with E_{2k}; fixes l and f.  An isometry."""
-    return DivisorClass(d.lattice, _involute(d.coeffs))
 
 
 # -- blow-up schedules ------------------------------------------------------
@@ -360,142 +232,16 @@ class Necklace(namedtuple("Necklace", ("order", "degrees", "partners",
         return cls(*iterable)
 
 
-class AnticanonicalCycle(namedtuple("AnticanonicalCycle", (
-        "lattice", "order", "classes", "conjugate_names", "smooth_variant"),
-        defaults=(False,))):
-    """The realized cycle C = sum C_i in |-K_S| (or its smooth variant).
-
-    ``order`` is the cyclic component order; ``conjugate_names`` the real
-    involution on component ids.  The constructor performs no validation
-    so tests can build synthetic cycles; ``validate()`` is the invariant
-    oracle for a cycle built outside the engine, whose cycles are valid by
-    construction.
-    """
-
-    __slots__ = ()
-
-    @property
-    def m(self):
-        return len(self.order)
-
-    def self_intersections(self):
-        return tuple(self.classes[name].self_intersection for name in self.order)
-
-    def degrees(self):
-        minus_k = self.lattice.anticanonical().coeffs
-        return tuple(_dot(self.classes[name].coeffs, minus_k) for name in self.order)
-
-    def necklace(self, torsion: TorsionSpec | None = None) -> Necklace:
-        """The cycle by position, with the torsion order of ``torsion``."""
-        order, conj, names = self.order, self.conjugate_names, set(self.order)
-        check(names <= set(self.classes) and set(map(conj.get, order)) <= names,
-              "a necklace needs each component's class and a conjugate in {}", order)
-        return Necklace(
-            order, self.degrees(), tuple(map(order.index, map(conj.get, order))),
-            self.smooth_variant, None if torsion is None else torsion.tau,
-            self.lattice.pairs,
-        )
-
-    def validate(self):
-        """Check every cycle invariant on the classes; raise ScheduleError
-        at the first that fails.  The products of the components come from
-        one Gram matrix, accumulated over the nonzero coefficients only."""
-        order, m = self.order, self.m
-        check(len(set(order)) == m, "component names must be unique")
-        check(set(self.classes) == set(order), "classes must match order")
-        check(all(c.lattice == self.lattice for c in self.classes.values()),
-              "classes live in different lattices")
-        coeffs = {name: c.coeffs for name, c in self.classes.items()}
-        rows = [coeffs[name] for name in order]
-        columns = list(zip(*rows))
-        minus_k = self.lattice.anticanonical().coeffs
-        total = tuple(map(sum, columns))
-        check(total == minus_k, "cycle classes sum to {}, expected {}",
-              total, minus_k)
-        conj = self.conjugate_names
-        check(set(conj) == set(order), "conjugation must cover all components")
-        check(set(conj.values()) <= set(order),
-              "conjugation must map components to components")
-        for name, other in conj.items():
-            check(conj[other] == name, "conjugation must be an involution")
-            check(_involute(coeffs[name]) == coeffs[other],
-                  "class of {} must be the conjugate of {}", other, name)
-        gram = _gram(columns, m)
-        squares = tuple(gram[:: m + 1])
-        if self.smooth_variant:
-            check(m == 1, "smooth variant is a single component")
-            check(coeffs[order[0]] == minus_k,
-                  "smooth variant's class must be -K")
-            check(adjunction_genus(self.classes[order[0]]) == 1,
-                  "smooth variant must have arithmetic genus 1")
-        else:
-            check(m >= 2, "a cycle has at least two components")
-            # components i != j meet once per cyclic edge between them: twice
-            # on a two-component cycle, else once if adjacent and never if not
-            expected = [0] * (m * m)
-            for i in range(m):
-                j = (i + 1) % m
-                expected[i * m + j] += 1
-                expected[j * m + i] += 1
-            expected[:: m + 1] = squares
-            # a row of ``expected`` sums to its square + 2, and a row of
-            # ``gram`` to C.(-K), as the classes sum to -K: equal matrices
-            # make every component of genus 0 as well
-            if gram != expected:
-                for name, row, c2 in zip(order, range(0, m * m, m), squares):
-                    check(sum(gram[row:row + m]) == c2 + 2,
-                          "component {} must have arithmetic genus 0", name)
-                # the first pair i < j that a row-by-row scan meets
-                x = next(x for x, (g, e) in enumerate(zip(gram, expected)) if g != e)
-                check(False, "{}.{} = {}, expected {}", order[x // m],
-                      order[x % m], gram[x], expected[x])
-        return self
-
-
-def _gram(columns, m):
-    """The Gram matrix of m classes given by their coefficient ``columns``,
-    as one flat list, row by row.  It is accumulated column by column over
-    the nonzero coefficients only: l.f = 1 between the classes that carry l
-    or f (the initial components), and E_k^2 = -1 between the few that
-    carry each E_k."""
-    gram = [0] * (m * m)
-    lf = [(i, a, b) for i, (a, b) in enumerate(zip(*columns[:2])) if a or b]
-    for i, a, b in lf:
-        for j, a2, b2 in lf:
-            gram[i * m + j] = a * b2 + b * a2
-    positions = range(m)
-    for column in columns[2:]:
-        support = list(compress(positions, column))
-        for i in support:
-            row, v = i * m, column[i]
-            for j in support:
-                gram[row + j] -= v * column[j]
-    return gram
-
-
-def smooth_anticanonical_cycle(pairs):
-    """The smooth-elliptic anticanonical member (nef by construction)."""
-    lattice = SurfaceLattice(pairs)
-    cycle = AnticanonicalCycle(
-        lattice=lattice,
-        order=("C",),
-        classes={"C": lattice.anticanonical()},
-        conjugate_names={"C": "C"},
-        smooth_variant=True,
-    )
-    return cycle.validate()
-
-
 #: Each initial cycle: its component names in cycle order, their (l, f)
 #: coefficients and the position of each one's conjugate.
-_INITIAL_CYCLES = {
+INITIAL_CYCLES = {
     "I": (("F", "G", "Fbar", "Gbar"), ((0, 1), (1, 0), (0, 1), (1, 0)), (2, 3, 0, 1)),
     "II": (("F", "C0"), ((0, 1), (2, 1)), (0, 1)),
     "III": (("A", "Abar"), ((1, 1), (1, 1)), (1, 0)),
 }
 #: Each initial cycle's positional key (see ``RealizationState``)
 _ROOT_KEYS = {t: (t, tuple(2 * a * b for a, b in lf), partners, (), frozenset())
-              for t, (_, lf, partners) in _INITIAL_CYCLES.items()}
+              for t, (_, lf, partners) in INITIAL_CYCLES.items()}
 
 
 class RealizationState:
@@ -507,15 +253,16 @@ class RealizationState:
     and derives the child in O(m), recording the step as its ``move`` and in
     ``lose`` the positions it takes E_{2k-1} and E_{2k} from.  No state
     holds divisor classes or a lattice, and ``necklace`` reads the key
-    alone; ``realize_cycle`` replays a schedule's states on the classes.
+    alone; ``oracle.realize_cycle`` replays a schedule's states on the
+    classes.
     """
 
     __slots__ = ("pairs", "order", "key", "parent", "move", "lose")
 
     def __init__(self, initial_type: str, pairs: int):
         _check_initial_type(initial_type)
-        _check_pairs(pairs)
-        self.pairs, self.order = pairs, _INITIAL_CYCLES[initial_type][0]
+        check_pairs(pairs)
+        self.pairs, self.order = pairs, INITIAL_CYCLES[initial_type][0]
         self.key = _ROOT_KEYS[initial_type]
         self.parent = self.move = self.lose = None
 
@@ -677,69 +424,6 @@ class RealizationState:
             )
         return (h if target == host else partners[h]), consumed | {j}
 
-
-def realize_cycle(schedule: BlowupSchedule) -> AnticanonicalCycle:
-    """Apply every step of the schedule and return its cycle in the lattice
-    of ``schedule.pairs`` pairs, valid by construction.
-
-    ``RealizationState.extend`` is folded over the steps; then the states
-    are replayed once on coefficient lists, from the root's literal ones.
-    Step k removes E = E_{2k-1} and E' = E_{2k} from the components its
-    ``lose`` names, whose squares ``extend`` lowered, once no list meets
-    that pair yet (checked, O(m)), and adds E, E' as new components after a
-    node step.  The fresh-pair check guards only these lists: pair k's
-    columns, coefficients 2k and 2k + 1, are zero on the root and written
-    only by step k, so it fails only if ``SurfaceLattice._exceptional_coeffs``
-    is broken, and then only this replay is wrong, since
-    ``RealizationState.necklace`` reads no list.  If every class has
-    coefficient 0 at E and E', then X.E = X.E' = 0 for each component X,
-    and:
-
-      * (X - E)^2 = X^2 - 1 and (X - E).(-K) drops by 1 as well, since -K
-        loses E and E'; so each removal lowers the carried square by 1, a
-        real component losing both drops by 2, and genus 0
-        (X.(-K) = X^2 + 2) carries over.  A new E has E^2 = -1, E.(-K) = 1.
-      * (X - a).(Y - b) = X.Y + a.b, so X.Y falls by 1 for each new class
-        that X and Y both lost and is unchanged otherwise.  A smooth or
-        infinitely-near step removes E from the component its point lies on
-        and E' from that component's conjugate (both from a real one): no
-        product changes, only those squares.  A node step removes E
-        from c and d, so c.d falls from 1 to 0 (from 2 to 0 on a
-        two-component cycle, which loses E and E' on both), and E, inserted
-        between them, meets each with product 1 and the rest with 0; E'
-        does the same at the conjugate node.  The products again match the
-        adjacency.
-      * A step removes E + E' in total net of the new components, as -K
-        does, so the classes still sum to -K; E' is placed wherever the
-        involution sends E, so conjugate classes stay conjugate.
-
-    The root is a literal: it alone is validated.  The component count
-    grows by 2 per node step; smooth and infinitely-near steps keep it
-    fixed.
-    """
-    root = RealizationState(schedule.initial_type, schedule.pairs)
-    states = list(accumulate(schedule.steps, RealizationState.extend, initial=root))
-    lattice, pad = SurfaceLattice(schedule.pairs), [0] * (2 * schedule.pairs)
-    names, lf, _ = _INITIAL_CYCLES[schedule.initial_type]
-    classes = {name: [*c, *pad] for name, c in zip(names, lf)}
-    for k, state in enumerate(states[1:], 1):
-        lo, values = 2 * k, classes.values()  # E_{2k-1} sits at coefficient 2k
-        if any(map(itemgetter(lo), values)) or any(map(itemgetter(lo + 1), values)):
-            stale = [name for name, c in classes.items() if c[lo] or c[lo + 1]]
-            check(not stale, "components {} already meet E{} or E{} before step {}",
-                  stale, 2 * k - 1, 2 * k, k, invariant="realization-fresh-pair")
-        for column, lost in enumerate(state.lose, lo):
-            for p in lost:
-                classes[state.order[p]][column] -= 1
-        if state.move.kind == "node":  # E and E' are components
-            for e in (lo - 1, lo):
-                classes[f"E{e}"] = list(lattice._exceptional_coeffs(e))
-    order = states[-1].order
-    cycle = AnticanonicalCycle(
-        lattice, order, {name: DivisorClass(lattice, c) for name, c in classes.items()},
-        {name: order[p] for name, p in zip(order, states[-1].key[2])},
-    )
-    return cycle if schedule.steps else cycle.validate()
 
 
 _ELEMENTARY_MAP = {"A": "G", "Abar": "Gbar", "E1": "F", "E2": "Fbar"}

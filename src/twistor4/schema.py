@@ -32,7 +32,6 @@ identifier used by the enumeration tooling.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from collections import namedtuple
@@ -211,6 +210,8 @@ def canonical_json(obj) -> str:
 
 def document_digest(doc: dict) -> str:
     """Short stable identifier: sha256 of the canonical JSON, 12 hex chars."""
+    import hashlib  # loaded by the first digest, not by every document
+
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()[:12]
 
 

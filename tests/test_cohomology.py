@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 import sympy
 
-from twistor4 import cohomology
+from twistor4 import cohomology, linalg
 from twistor4.cohomology import (
     c1_class,
     c2_class,
@@ -214,11 +214,11 @@ def test_kernel_vector_kills_the_pairing():
 def test_pairing_kernel_checks_its_output_and_skips_the_determinant(monkeypatch):
     # the kernel never computes the determinant; a wrong vector, a missing
     # one at n = 4 or an extra one elsewhere trips its own check
-    monkeypatch.setattr(cohomology.linalg, "bareiss_determinant", None)
+    monkeypatch.setattr(linalg, "bareiss_determinant", None)
     assert pairing_kernel(4) == ((1, 1, 1, 1, 2),) and pairing_kernel(80) == ()
     for n, kernel in ((4, [(1, 1, 1, 1, 3)]), (4, []), (5, [(1,) * 6]),
                       (4, [(1, 1, 1, 1, 2)] * 2)):
-        monkeypatch.setattr(cohomology.linalg, "left_nullspace", lambda rows: kernel)
+        monkeypatch.setattr(linalg, "left_nullspace", lambda rows: kernel)
         with pytest.raises(InvariantError) as err:
             pairing_kernel(n)
         assert err.value.tag == "invariant-pairing-kernel"

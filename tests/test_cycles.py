@@ -8,11 +8,11 @@ from itertools import product
 
 import pytest
 
-from twistor4 import cycles
+from twistor4 import oracle
 from twistor4.errors import ScheduleError
+from twistor4.oracle import ORACLE_DRAWS
 from twistor4.cycles import (
     DEFAULT_ORACLE_SEED,
-    ORACLE_DRAWS,
     CycleLineBundle,
     TorsionSpec,
     cyclic_arcs,
@@ -275,13 +275,13 @@ def test_oracle_with_rational_placements_and_gluings(degrees, gluing, expected):
 
 
 def _spy(monkeypatch, name):
-    """Record the arguments and result of every call to ``cycles.<name>``."""
-    calls, real = [], getattr(cycles, name)
+    """Record the arguments and result of every call to ``oracle.<name>``."""
+    calls, real = [], getattr(oracle, name)
 
     def spy(*args):
         calls.append((args, real(*args)))
         return calls[-1][1]
-    monkeypatch.setattr(cycles, name, spy)
+    monkeypatch.setattr(oracle, name, spy)
     return calls
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import twistor4
-from twistor4 import cli, cohomology, errors, schema
+from twistor4 import cli, cohomology, errors, linalg, oracle, schema
 from twistor4.classify import classify, model_from_document
 from twistor4.cli import main
 from twistor4.cycles import DEFAULT_ORACLE_SEED, TorsionSpec
@@ -373,7 +373,7 @@ def test_cli_pairing_json_at_the_cap(capsys):
 
 def test_cli_reports_a_failed_invariant_as_a_violation(capsys, monkeypatch):
     # |det| is right, the sign is not: the signed closed form refuses it
-    monkeypatch.setattr(cohomology.linalg, "bareiss_determinant", lambda rows: 4)
+    monkeypatch.setattr(linalg, "bareiss_determinant", lambda rows: 4)
     code, out, err = _run(capsys, "pairing", "--n", "2")
     assert code == 2 and out == ""
     assert err == ("violation: invariant-pairing-determinant: "
@@ -457,7 +457,7 @@ def test_cli_cycle_h0_oracle_component_count_is_capped(capsys, monkeypatch):
     # every component adds a row to the oracle's system; a stub oracle,
     # returning the generic value 0, shows which calls get past the cap
     calls = []
-    monkeypatch.setattr(cli, "h0_oracle",
+    monkeypatch.setattr(oracle, "h0_oracle",
                         lambda bundle, seed: calls.append(bundle.m) or 0)
     code, out, _ = _run(capsys, "cycle-h0", "--degrees", ",".join(["0"] * 1000),
                         "--oracle")
@@ -816,6 +816,53 @@ def test_a_cold_start_loads_no_dataclasses_inspect_or_typing():
     assert loaded.splitlines() == ["[]", "[]"]
 
 
+#: The modules a subcommand may load only if it runs them.
+_WATCHED_MODULES = ("decimal", "fractions", "hashlib", "shutil", "twistor4.cohomology",
+                    "twistor4.linalg", "twistor4.oracle")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["classify", "--json", str(_ROOT / "schedules" / "case_b.json")], []),
+    (["enumerate", "--json"], ["hashlib"]),
+    (["cycle-h0", "--degrees", "2,-2,2,-2"], []),
+    (["cycle-h0", "--oracle", "--degrees", "2,-2,2,-2"],
+     ["decimal", "fractions", "hashlib", "twistor4.linalg", "twistor4.oracle"]),
+    (["chern", "--n", "4"], ["twistor4.cohomology"]),
+    (["pairing", "--n", "4", "--json"],
+     ["decimal", "fractions", "twistor4.cohomology", "twistor4.linalg"]),
+], ids=["classify", "enumerate", "cycle-h0", "cycle-h0-oracle", "chern", "pairing"])
+def test_a_subcommand_loads_only_what_it_runs(argv, loaded):
+    # a structural gate on the cold start, which timing noise cannot pass or
+    # fail: a fresh interpreter without site runs one subcommand, then lists
+    # which of the watched modules it loaded
+    script = ("import sys\nfrom twistor4.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              f"print(code, sorted(set({_WATCHED_MODULES!r}) & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", script, *argv],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    assert out.splitlines()[-1] == f"0 {loaded}"
+
+
+def test_the_positional_modules_reach_the_oracle_only_in_their_getattr():
+    # ``lattice`` and ``cycles`` forward the moved names; nothing else in
+    # them names the oracle module, so importing them loads none of it
+    package = Path(cli.__file__).parent
+    for name in ("lattice", "cycles"):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        forwarder = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                         and node.name == "__getattr__")
+        inside = {id(node) for node in ast.walk(forwarder)}
+        references = [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "oracle" in [
+                (getattr(node, "module", None) or "").rpartition(".")[2],
+                *(alias.name.rpartition(".")[2] for alias in node.names)]
+            or isinstance(node, ast.Name) and node.id == "oracle"]
+        assert references, name
+        assert [node.lineno for node in references if id(node) not in inside] == [], name
+
+
 def test_ci_and_the_benchmark_pin_the_tests_digests():
     # each pinned digest has one value: CI and the benchmark's expected
     # results repeat the tests' constants, so a re-pin cannot leave one behind
@@ -917,6 +964,72 @@ def test_twistor4_classify_is_the_function_and_the_submodule_stays_importable():
     module = importlib.import_module("twistor4.classify")
     assert module is sys.modules["twistor4.classify"]
     assert twistor4.classify is module.classify
+
+
+@pytest.mark.parametrize("first", [
+    "import twistor4", "import twistor4.cli", "import twistor4.classify"])
+def test_twistor4_classify_stays_the_function_in_every_import_order(first):
+    # the package binds the function on import; a lazy package would lose it
+    # once the import system binds the submodule of that name on the package
+    script = (f"{first}\n"
+              "import sys, twistor4.classify\n"
+              "namespace = {}\n"
+              "exec('from twistor4 import *', namespace)\n"
+              "function = sys.modules['twistor4.classify'].classify\n"
+              "print(twistor4.classify is namespace['classify'] is function)\n")
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out == "True\n"
+
+
+#: ``__all__`` of the two modules whose independent routes live in
+#: ``oracle``, and the names among them that ``oracle`` defines
+_LATTICE_ALL = [
+    "SurfaceLattice", "DivisorClass", "anticanonical_class", "adjunction_genus",
+    "real_involution", "BlowupStep", "BlowupSchedule", "AnticanonicalCycle",
+    "Necklace", "smooth_anticanonical_cycle", "INITIAL_TYPES", "STEP_FIELDS",
+    "RealizationState", "realize_cycle", "elementary_transform"]
+_CYCLES_ALL = ["CycleLineBundle", "TorsionSpec", "DEFAULT_ORACLE_SEED", "cyclic_arcs",
+               "euler_char_cycle", "h0_formula", "h0_oracle"]
+_MOVED = {"lattice": ["SurfaceLattice", "DivisorClass", "anticanonical_class",
+                      "adjunction_genus", "real_involution", "AnticanonicalCycle",
+                      "smooth_anticanonical_cycle", "realize_cycle"],
+          "cycles": ["h0_oracle"]}
+
+
+def test_the_surface_keeps_its_names_after_the_oracle_moved_out():
+    # the names of the package and of ``from twistor4.lattice import *``
+    # (and of ``cycles``) are the ones they were before the move
+    listed = " ".join(twistor4.__all__).encode()
+    assert hashlib.sha256(listed).hexdigest() == (
+        "fcc103bce2a1897eb9d0168b040bb3964ae12f0b539a2f9f4f6641cee540fd2e")
+    for module, names in (("lattice", _LATTICE_ALL), ("cycles", _CYCLES_ALL)):
+        assert importlib.import_module(f"twistor4.{module}").__all__ == names
+        namespace = {}
+        exec(f"from twistor4.{module} import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(names), module
+
+
+@pytest.mark.parametrize("module", sorted(_MOVED))
+def test_a_moved_name_is_the_oracles_own_object_bound_on_first_use(module):
+    # a fresh interpreter: importing the module loads no oracle, and the
+    # first lookup of each moved name binds the oracle's object in its dict
+    script = (f"import sys, twistor4.{module} as module\n"
+              "print('twistor4.oracle' in sys.modules)\n"
+              f"names = {_MOVED[module]!r}\n"
+              "print([name for name in names if name in vars(module)])\n"
+              "found = [getattr(module, name) for name in names]\n"
+              "oracle = sys.modules['twistor4.oracle']\n"
+              "print(all(vars(module)[name] is value is getattr(oracle, name)\n"
+              "          for name, value in zip(names, found)))\n"
+              "print(not any(name in vars(module) for name in dir(oracle)\n"
+              "              if name.startswith('_') and not name.endswith('__')))\n")
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.splitlines() == ["False", "[]", "True", "True"]
 
 
 def test_the_readme_library_example_gives_its_commented_values():
@@ -1065,9 +1178,23 @@ def test_python_m_twistor4_help_exits_zero():
     assert package.stdout.startswith(b"usage: twistor4 ")
 
 
+@pytest.mark.parametrize("columns", ["123", "0", "-5", "wide", None])
+def test_the_help_width_is_the_shutil_terminal_width(monkeypatch, columns):
+    # the CLI reads the width without importing shutil; COLUMNS, a terminal
+    # on stdout and the 80-column fallback decide it as they decide shutil's
+    import shutil
+
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    width = cli._build_parser().formatter_class.keywords["width"]
+    assert width == shutil.get_terminal_size().columns - 2
+
+
 def test_cli_prints_the_result_before_a_failure(capsys, monkeypatch):
     # a disagreeing oracle: the result, then the violation, exit 2
-    monkeypatch.setattr(cli, "h0_oracle", lambda bundle, seed: 99)
+    monkeypatch.setattr(oracle, "h0_oracle", lambda bundle, seed: 99)
     code, out, err = _run(capsys, "cycle-h0", "--degrees", "2,-2,2,-2", "--oracle")
     assert code == 2
     assert out == f"formula: 2\noracle (seed={DEFAULT_ORACLE_SEED}): 99\nagree: NO\n"
