@@ -243,11 +243,11 @@ PairingData = namedtuple("PairingData", ("matrix", "det"))
 
 
 def _arrowhead(n):
-    """The matrix of ``pairing_matrix``, rows as int tuples."""
+    """The matrix of ``pairing_matrix`` as dict rows of width n + 1."""
     _check_int("n", n)
-    return tuple(
-        (0,) * i + (2,) + (0,) * (n - 1 - i) + (1,) for i in range(n)
-    ) + ((-1,) * n + (-2,),)
+    last = dict.fromkeys(range(n), -1)
+    last[n] = -2
+    return [{i: 2, n: 1} for i in range(n)] + [last]
 
 
 def pairing_matrix(n: int) -> PairingData:
@@ -263,15 +263,19 @@ def pairing_matrix(n: int) -> PairingData:
         ( 0 0 .. 2 | 1 )
         (-1 -1 .. -1|-2 )
 
-    The matrix is written down in this closed form (the tests rebuild it
-    from the cups); its determinant is found by fraction-free elimination,
-    never floats, and checked against the signed closed form.
+    The matrix is written down in this closed form as dict rows (the tests
+    rebuild it from the cups), whose determinant is found by fraction-free
+    elimination, never floats, and checked against the signed closed form.
     """
-    matrix = _arrowhead(n)
-    det, closed = _linalg().bareiss_determinant(matrix), 2 ** (n - 1) * (n - 4)
+    rows = _arrowhead(n)
+    det, closed = _linalg().bareiss_determinant(rows), 2 ** (n - 1) * (n - 4)
     check(det == closed, _CLOSED_FORM, det, closed, n,
           invariant="pairing-determinant")
-    return PairingData(matrix, det)
+    matrix = [[0] * (n + 1) for _ in rows]
+    for dense, row in zip(matrix, rows):
+        for c, x in row.items():
+            dense[c] = x
+    return PairingData(tuple(map(tuple, matrix)), det)
 
 
 def pairing_kernel(n: int):
@@ -281,9 +285,10 @@ def pairing_kernel(n: int):
     class itself, coordinates (1, 1, 1, 1, 2).  Checked on every call: each
     generator v has v.A = 0, and one comes back iff n = 4.
     """
-    matrix = _arrowhead(n)
-    kernel = tuple(_linalg().left_nullspace(matrix))
-    images = [sum(a * b for a, b in zip(v, c)) for v in kernel for c in zip(*matrix)]
+    rows = _arrowhead(n)
+    kernel = tuple(_linalg().left_nullspace(rows, n + 1))
+    images = [sum(a * row.get(c, 0) for a, row in zip(v, rows))
+              for v in kernel for c in range(n + 1)]
     check(len(kernel) == (n == 4) and not any(images),
           "kernel {} at n={}: needs v.A = 0, one vector iff n = 4", kernel, n,
           invariant="pairing-kernel")

@@ -1,5 +1,8 @@
 """Exact linear algebra over Z and Q.
 
+A matrix is a list of dict rows ``{column: int or Fraction}`` and a width:
+every column is an int in ``range(width)`` and a missing one is 0; each
+entry point refuses any other row, column or width with a ScheduleError.
 One sparse, fraction-free elimination serves the determinant, the rank and
 the nullspace.  Each row is stored once as a dict ``{column: nonzero int}``
 (denominators cleared) and reduced in turn against the earlier pivot rows
@@ -14,39 +17,33 @@ of basis names, for every class type's ``str()``.
 """
 
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm, prod
 
-from .errors import ScheduleError, check
+from .errors import check
 
 
-def _width(rows):
-    """The common length of the sequence (non-dict) rows, below which every
-    dict row's columns must lie; None if there is no sequence row."""
-    widths = {len(row) for row in rows if not isinstance(row, dict)}
-    if len(widths) > 1:
-        raise ScheduleError(f"matrix rows differ in length: {sorted(widths)}")
-    if not widths:
-        return None
-    width = widths.pop()
-    if not all(0 <= c < width for row in rows if isinstance(row, dict) for c in row):
-        raise ScheduleError(f"a dict row has a column outside range({width})")
-    return width
+#: the refusal of a row, formatted with the width
+_ROW = "a row is not a dict of int columns in range({})"
 
 
-def _integral(row):
-    """``row`` as {column: nonzero int} times 1/scale: (dict, scale).  A dict
-    of nonzero ints is returned as it is, never copied or changed."""
-    if not isinstance(row, dict):
-        row = {c: row[c] for c in compress(range(len(row)), row)}
-    elif 0 in row.values():
-        row = {c: x for c, x in row.items() if x}
-    for x in row.values():
-        if type(x) is not int:
-            break
-    else:
-        return row, 1
-    fr = {c: Fraction(x) for c, x in row.items()}
+def _check_width(width):
+    check(type(width) is int and width >= 0,
+          "matrix width {!r} is not a non-negative int", width)
+
+
+def _integral(row, width, message=_ROW):
+    """``row`` as {column: nonzero int} times 1/scale: (dict, scale), refused
+    with ``message`` unless it is a dict of int columns in range(width).  A
+    dict of nonzero ints is returned as it is, never copied or changed."""
+    if type(row) is dict:
+        for c, x in row.items():
+            if type(x) is not int or not x or type(c) is not int or not 0 <= c < width:
+                break
+        else:
+            return row, 1
+    check(type(row) is dict and all(type(c) is int and 0 <= c < width for c in row),
+          message, width)
+    fr = {c: Fraction(x) for c, x in row.items() if x}
     scale = lcm(*(x.denominator for x in fr.values()))
     return {c: x.numerator * (scale // x.denominator) for c, x in fr.items()}, scale
 
@@ -72,20 +69,24 @@ def _reduce(row, prow, col, given):
     return ({c: x // g for c, x in new.items()} if g > 1 else new), g, p
 
 
-def _eliminate(rows, *, determinant=False):
-    """Echelon form over Z of an int/Fraction matrix.
+def _eliminate(rows, width, *, determinant=False, message=_ROW):
+    """Echelon form over Z of dict rows with int/Fraction values, each row
+    refused with ``message`` unless its columns lie in range(width).
 
     Returns ``(pivots, factor)``: ``pivots`` maps each pivot column to its
     integer row, in the order the rows became pivots; a pivot row holds no
     column below its own.  When ``determinant``, det(input) = factor *
-    det(the pivot rows in that order), and a row that reduces to zero stops
-    the elimination with factor 0; else factor is ``None``.  Only a scaled
-    step (its g/p) and a scaled row (its 1/scale) change the factor, which
-    is kept as an integer numerator and denominator until the end.
+    det(the pivot rows in that order), and a zero row makes the factor 0
+    (the later rows are then only checked); else factor is ``None``.  Only
+    a scaled step (its g/p) and a scaled row (its 1/scale) change the
+    factor, kept as an integer numerator and denominator until the end.
     """
+    _check_width(width)
     pivots, num, den = {}, 1, 1
     for given in rows:
-        row, scale = _integral(given)
+        row, scale = _integral(given, width, message)
+        if not num:
+            continue
         while row and (col := min(row)) in pivots:
             row, g, p = _reduce(row, pivots[col], col, given)
             if determinant and p != 1:
@@ -93,15 +94,14 @@ def _eliminate(rows, *, determinant=False):
         if row:
             pivots[col] = row
         elif determinant:
-            return pivots, Fraction(0)
+            num = 0
         if determinant and scale != 1:
             den *= scale
     return pivots, Fraction(num, den) if determinant else None
 
 
 def bareiss_determinant(rows):
-    """Determinant of a square matrix of ints/Fractions; a row is a sequence
-    of length n or a dict {column: value} with columns in range(n).
+    """Determinant of the square matrix of n dict rows, width n.
 
     Computed by the sparse elimination of this module, whose exact step is
     Bareiss's exact quotient; the name stays because callers and tools look
@@ -110,10 +110,8 @@ def bareiss_determinant(rows):
     pivot column, so the result is exact: an int when it is integral, else
     a Fraction.
     """
-    n, cols = len(rows), set(range(len(rows)))
-    check(all(row.keys() <= cols if isinstance(row, dict) else len(row) == n
-              for row in rows), "matrix is not square")
-    pivots, factor = _eliminate(rows, determinant=True)
+    pivots, factor = _eliminate(rows, len(rows), determinant=True,
+                                message="matrix is not square: " + _ROW)
     perm, sign = list(pivots) if factor else [], 1  # singular: det 0
     for i in range(len(perm)):
         while (j := perm[i]) != i:
@@ -122,27 +120,21 @@ def bareiss_determinant(rows):
     return int(factor) if factor.denominator == 1 else factor
 
 
-def rank(rows):
-    """Rank over Q of a matrix with int/Fraction entries; a row is a
-    sequence or a dict {column: value}."""
-    _width(rows)
-    return len(_eliminate(rows)[0])
+def rank(rows, width):
+    """Rank over Q of the matrix of the rows."""
+    return len(_eliminate(rows, width)[0])
 
 
-def nullspace(rows):
-    """Primitive integer basis of {x : A.x = 0} for an int/Fraction matrix A.
+def nullspace(rows, width):
+    """Primitive integer basis of {x : A.x = 0}, A the matrix of the rows.
 
-    A sequence row fixes the width, so dict rows need one beside them.
-    Returned vectors are tuples of ints with content 1 and first nonzero
-    entry positive, listed in order of their free column.
+    Returned vectors are tuples of ints of length ``width``, with content 1
+    and first nonzero entry positive, listed in order of their free column.
     """
-    ncols = _width(rows) if rows else 0
-    if ncols is None:
-        raise ScheduleError("nullspace needs a sequence row to fix the width")
-    pivots = _eliminate(rows)[0]
+    pivots = _eliminate(rows, width)[0]
     last_first = sorted(pivots.items(), reverse=True)
     basis = []
-    for fc in range(ncols):
+    for fc in range(width):
         if fc in pivots:
             continue
         # the other free entries 0; back-substitute from the last pivot row
@@ -155,19 +147,21 @@ def nullspace(rows):
                 if p != g:
                     sol = {c: p // g * x for c, x in sol.items()}
                 sol[pc] = -s // g
-        v = [sol.get(c, 0) for c in range(ncols)]
+        v = [sol.get(c, 0) for c in range(width)]
         g = gcd(*v) if next(x for x in v if x) > 0 else -gcd(*v)
         basis.append(tuple(x // g for x in v))
     return basis
 
 
-def left_nullspace(rows):
-    """Primitive integer basis of {v : v.A = 0} (nullspace of the transpose);
-    the rows are sequences."""
-    if any(isinstance(row, dict) for row in rows):
-        raise ScheduleError("left_nullspace takes sequence rows, not dict rows")
-    _width(rows)
-    return nullspace(list(zip(*rows)))
+def left_nullspace(rows, width):
+    """Primitive integer basis of {v : v.A = 0}: the nullspace of A^T."""
+    _check_width(width)
+    columns = [{} for _ in range(width)]
+    for i, row in enumerate(rows):
+        _integral(row, width)  # refuses a bad row before its columns index
+        for c, x in row.items():
+            columns[c][i] = x
+    return nullspace(columns, len(rows))
 
 
 def format_combination(coeffs, names):

@@ -429,7 +429,7 @@ def _kernel_dim(total, evaluations, nums, dens):
         for c, v in inn.items():
             row[c] = -num * v
         rows.append(row)
-    return total - linalg.rank(rows)
+    return total - linalg.rank(rows, total)
 
 
 def h0_oracle(bundle: CycleLineBundle, seed: int | None = None, *,

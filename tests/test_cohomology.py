@@ -218,7 +218,7 @@ def test_pairing_kernel_checks_its_output_and_skips_the_determinant(monkeypatch)
     assert pairing_kernel(4) == ((1, 1, 1, 1, 2),) and pairing_kernel(80) == ()
     for n, kernel in ((4, [(1, 1, 1, 1, 3)]), (4, []), (5, [(1,) * 6]),
                       (4, [(1, 1, 1, 1, 2)] * 2)):
-        monkeypatch.setattr(linalg, "left_nullspace", lambda rows: kernel)
+        monkeypatch.setattr(linalg, "left_nullspace", lambda rows, width: kernel)
         with pytest.raises(InvariantError) as err:
             pairing_kernel(n)
         assert err.value.tag == "invariant-pairing-kernel"
