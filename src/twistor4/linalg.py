@@ -6,17 +6,20 @@ entry point refuses any other row, column or width with a ScheduleError.
 One sparse, fraction-free elimination serves the determinant, the rank and
 the nullspace.  Each row is stored once as a dict ``{column: nonzero int}``
 (denominators cleared) and reduced in turn against the earlier pivot rows
-while its least column holds a pivot.  A step is one of two kinds: when the
-pivot entry p divides the row's entry f, the row becomes ``row - (f/p)*
-pivot_row`` in place, touching only the pivot row's columns (Bareiss's exact
-quotient); otherwise it becomes the primitive part of ``p*row - f*pivot_row``.
-A row that stays nonzero becomes a pivot at its least column.  Sparse
-matrices (the oracle's two-entry rows, the pairing's arrowhead) stay cheap.
+while its least column holds a pivot: ``min(row)`` finds the first such
+column, and a heap of the row's columns each later one.  A step is one of
+two kinds: when the pivot entry p divides the row's entry f, the row
+becomes ``row - (f/p)*pivot_row`` in place, touching only the pivot row's
+columns (Bareiss's exact quotient); otherwise it becomes the primitive part
+of ``p*row - f*pivot_row``.  A row that stays nonzero becomes a pivot at
+its least column.  Sparse matrices (the oracle's two-entry rows, the
+pairing's arrowhead) stay cheap.
 No floats anywhere.  ``format_combination`` prints an integer combination
 of basis names, for every class type's ``str()``.
 """
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, lcm, prod
 
 from .errors import check
@@ -80,6 +83,10 @@ def _eliminate(rows, width, *, determinant=False, message=_ROW):
     (the later rows are then only checked); else factor is ``None``.  Only
     a scaled step (its g/p) and a scaled row (its 1/scale) change the
     factor, kept as an integer numerator and denominator until the end.
+
+    A row that meets a pivot at ``min(row)`` takes each later column off a
+    heap of its columns, sorted once: a step adds only pivot-row columns,
+    all above the one it clears, so the least live entry is the next one.
     """
     _check_width(width)
     pivots, num, den = {}, 1, 1
@@ -87,10 +94,22 @@ def _eliminate(rows, width, *, determinant=False, message=_ROW):
         row, scale = _integral(given, width, message)
         if not num:
             continue
-        while row and (col := min(row)) in pivots:
-            row, g, p = _reduce(row, pivots[col], col, given)
-            if determinant and p != 1:
-                num, den = num * g, den * p
+        if row and (col := min(row)) in pivots:
+            heap = None  # sorted after the first step, so that step pushes nothing
+            while col in pivots:
+                prow = pivots[col]
+                if heap:
+                    for c in prow:
+                        if c not in row:
+                            heappush(heap, c)
+                row, g, p = _reduce(row, prow, col, given)
+                if determinant and p != 1:
+                    num, den = num * g, den * p
+                if heap is None:
+                    heap = sorted(row)  # a sorted list is a heap
+                while heap and heap[0] not in row:
+                    heappop(heap)
+                col = heap[0] if heap else None
         if row:
             pivots[col] = row
         elif determinant:

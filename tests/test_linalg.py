@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -385,6 +386,117 @@ def test_the_scaled_step_takes_one_gcd_each(steps):
         steps.update(_reduce=0, gcd=0)
         rank(rows, width)
         assert steps["gcd"] == steps["_reduce"] > 0, (kind, rows)
+
+
+def _fill_in_matrices(seed):
+    """Yields (kind, dict rows, width): pivot rows, each with a few entries
+    right of its pivot, then rows that reduce through several of them.  A
+    step brings into such a row a column below one it already holds (the
+    row {3: 1, 9: 1} against the pivot row {3: 1, 5: 2} gains column 5, then
+    column 7 from {5: 1, 7: 3}); some rows are combinations of pivot rows
+    and cancel to zero.  Pivots 1 give exact steps, pivots 2 with odd
+    entries scaled ones, and every third matrix has Fraction entries."""
+    yield "fill-in", [{3: 1, 5: 2}, {5: 1, 7: 3}, {7: 4, 8: 1}, {3: 1, 9: 1},
+                      {3: 1, 5: 3, 7: 3}], 10
+    rng = random.Random(seed)
+    for index in range(60):
+        kind = ("exact", "scaled", "fractions")[index % 3]
+        width = rng.randint(6, 24)
+        if index % 2:  # a pivot at every column but the last: square below
+            pivot_columns = range(width - 1)
+        else:
+            pivot_columns = sorted(rng.sample(range(width - 1), rng.randint(2, width - 1)))
+
+        def entry():
+            if kind == "scaled":
+                return rng.choice([-1, 1]) * rng.randrange(1, 10, 2)
+            value = rng.choice([v for v in range(-5, 6) if v])
+            return Fraction(value, rng.randint(1, 4)) if kind == "fractions" else value
+
+        rows = []
+        for c in pivot_columns:
+            row = {c: {"exact": 1, "scaled": 2}.get(kind, Fraction(1, rng.randint(1, 3)))}
+            for right in rng.sample(range(c + 1, width), min(2, width - c - 1)):
+                row[right] = entry()
+            rows.append(row)
+        pivots = list(rows)
+        if index % 2:  # the last row meets every pivot from the least one up
+            rows.append({pivot_columns[0]: entry(), width - 1: entry()})
+        else:
+            for _ in range(3):
+                cancels = rng.sample(pivots, min(3, len(pivots)))
+                combination = {}
+                for row in cancels:
+                    f = rng.choice([-2, -1, 1, 3])
+                    for c, x in row.items():
+                        combination[c] = combination.get(c, 0) + f * x
+                rows.append({c: x for c, x in combination.items() if x})
+                rows.append({min(cancels[0]): entry(), width - 1: entry()})
+        yield kind, rows, width
+
+
+def test_a_step_that_brings_in_a_lower_column_matches_sympy(steps):
+    # the next pivot column is the row's least live column, which a step can
+    # bring in below the columns the row already holds; searching the row in
+    # its insertion order, or a heap that keeps cancelled columns, fails here
+    seen = Counter()
+    for kind, rows, width in _fill_in_matrices(4112):
+        want = _sympy(_dense(rows, width))
+        steps.update(_reduce=0, gcd=0)
+        assert rank(rows, width) == want.rank(), (kind, rows)
+        seen[kind, "scaled"] += steps["gcd"]
+        seen[kind, "exact"] += steps["_reduce"] - steps["gcd"]
+        seen[kind, "cancels"] += want.rank() < len(rows)
+        assert nullspace(rows, width) == [_primitive(v) for v in want.nullspace()], (kind, rows)
+        assert left_nullspace(rows, width) == [_primitive(v) for v in want.T.nullspace()]
+        if want.is_square:
+            det = want.det()
+            assert bareiss_determinant(rows) == Fraction(int(det.p), int(det.q)), (kind, rows)
+    # both step kinds in every family, and rows that cancel to zero
+    assert all(seen[kind, part] for kind in ("fill-in", "exact", "scaled", "fractions")
+               for part in ("exact", "scaled", "cancels")), seen
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The work of the pivot search: the columns that ``min`` and
+    ``sorted`` read, and the heap pushes and pops."""
+    work = Counter()
+
+    def reads(name, real):
+        def spy(keys, *args, **kwargs):
+            work[name] += len(keys)
+            return real(keys, *args, **kwargs)
+        return spy
+
+    def calls(name, real):
+        def spy(*args):
+            work[name] += 1
+            return real(*args)
+        return spy
+
+    monkeypatch.setattr(linalg, "min", reads("min", min), raising=False)
+    monkeypatch.setattr(linalg, "sorted", reads("sorted", sorted), raising=False)
+    for name in ("heappush", "heappop"):
+        monkeypatch.setattr(linalg, name, calls(name, getattr(linalg, name)))
+    return work
+
+
+def test_the_pivot_search_does_linear_work_on_the_arrowhead(searches):
+    # the last row meets all n pivots: a min over the row before every step
+    # would read about n^2 / 2 = 11,325 columns at n = 150.  Here each row
+    # is read by one min, the last row once more by sorted, and each later
+    # step pops one column; column n cancels at the fourth step and comes
+    # back at the fifth, the one push
+    n = 150
+    assert bareiss_determinant(_arrowhead(n)) == 2 ** (n - 1) * (n - 4)
+    assert searches == {"min": 3 * n + 1, "sorted": n, "heappop": n - 1, "heappush": 1}
+    # pairing_kernel's route, where the arrowhead's last column is the dense
+    # row; nullspace's back-substitution sorts the n + 1 pivot rows once
+    searches.clear()
+    assert left_nullspace(_arrowhead(n), n + 1) == []
+    assert searches == {"min": 3 * n + 1, "sorted": 2 * n + 1, "heappop": n - 1,
+                        "heappush": 1}
 
 
 def test_no_entry_point_changes_its_input():

@@ -817,8 +817,8 @@ def test_a_cold_start_loads_no_dataclasses_inspect_or_typing():
 
 
 #: The modules a subcommand may load only if it runs them.
-_WATCHED_MODULES = ("decimal", "fractions", "hashlib", "shutil", "twistor4.cohomology",
-                    "twistor4.linalg", "twistor4.oracle")
+_WATCHED_MODULES = ("decimal", "fractions", "hashlib", "heapq", "shutil",
+                    "twistor4.cohomology", "twistor4.linalg", "twistor4.oracle")
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -826,10 +826,10 @@ _WATCHED_MODULES = ("decimal", "fractions", "hashlib", "shutil", "twistor4.cohom
     (["enumerate", "--json"], ["hashlib"]),
     (["cycle-h0", "--degrees", "2,-2,2,-2"], []),
     (["cycle-h0", "--oracle", "--degrees", "2,-2,2,-2"],
-     ["decimal", "fractions", "hashlib", "twistor4.linalg", "twistor4.oracle"]),
+     ["decimal", "fractions", "hashlib", "heapq", "twistor4.linalg", "twistor4.oracle"]),
     (["chern", "--n", "4"], ["twistor4.cohomology"]),
     (["pairing", "--n", "4", "--json"],
-     ["decimal", "fractions", "twistor4.cohomology", "twistor4.linalg"]),
+     ["decimal", "fractions", "heapq", "twistor4.cohomology", "twistor4.linalg"]),
 ], ids=["classify", "enumerate", "cycle-h0", "cycle-h0-oracle", "chern", "pairing"])
 def test_a_subcommand_loads_only_what_it_runs(argv, loaded):
     # a structural gate on the cold start, which timing noise cannot pass or
