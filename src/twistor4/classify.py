@@ -114,8 +114,8 @@ def _match_case(necklace: Necklace, degrees):
     A ``Necklace``'s conjugation keeps the degrees, so it permutes the
     negative positions ``at``: case b's two non-real -2s are each other's
     partners, and case c's -1s are closed under it, unchecked."""
-    at = [p for p, d in enumerate(degrees) if d < 0]
-    negatives = tuple((necklace.order[p], degrees[p]) for p in at)
+    order, at = necklace.order, [p for p, d in enumerate(degrees) if d < 0]
+    negatives = tuple([(order[p], degrees[p]) for p in at])
     for name, d in negatives:
         if d <= -3:
             raise RealizabilityError(
@@ -139,11 +139,10 @@ def _match_case(necklace: Necklace, degrees):
                 f"{negatives[1][0]} must be disjoint",
             )
         return CASE_PAIR_MINUS_2, negatives
-    if (len(negatives) in (2, 4, 6) and all(d == -1 for d in degs)
-            and not any(real)):
+    if len(negatives) in (2, 4, 6) and degs == [-1] * len(degs) and not any(real):
         # disjoint positive components, one negative between neighbours
         signs = [d > 0 for d in degrees if d]
-        if any(p == q for p, q in zip(signs, signs[1:] + signs[:1])):
+        if signs[1:] + signs[:1] != [not s for s in signs]:
             raise RealizabilityError(
                 "case-c-structure",
                 "going round the cycle the nonzero degrees must alternate in "
@@ -187,16 +186,18 @@ class ClassificationReport(namedtuple("ClassificationReport", (
         return _CASES[self.case].letter
 
     def as_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in _REPORT_KEYS}
-        # math.inf is a value of the two fields typed int | float alone
-        out["degree_one_count"] = schema.encode_infinite(self.degree_one_count)
-        out["tau"] = schema.encode_infinite(self.tau)
-        out["negative_curves"] = [list(curve) for curve in self.negative_curves]
-        return out
-
-
-_REPORT_KEYS = (*ClassificationReport._fields, "nef", "nef_and_big",
-                "dim_fundamental_system", "lebrun", "dim_antican_Z")
+        """The ten fields, read once by unpacking, then the five properties;
+        math.inf is a value of the two fields typed int | float alone."""
+        case, negatives, m, smooth, h0, base, deg1, a, tau, dim_minus2ks = self
+        encode = schema.encode_infinite
+        return {"case": case, "negative_curves": [list(c) for c in negatives],
+                "cycle_length": m, "smooth_anticanonical": smooth,
+                "h0_fundamental": h0, "base_locus": base,
+                "degree_one_count": encode(deg1), "algebraic_dimension": a,
+                "tau": encode(tau), "dim_minus2KS": dim_minus2ks, "nef": self.nef,
+                "nef_and_big": self.nef_and_big, "lebrun": self.lebrun,
+                "dim_fundamental_system": self.dim_fundamental_system,
+                "dim_antican_Z": self.dim_antican_Z}
 
 
 def check_report(report: ClassificationReport) -> ClassificationReport:
@@ -292,26 +293,16 @@ def classify(necklace: Necklace) -> ClassificationReport:
         h0, base, a, deg1 = _CASES[case].fixed
         tau = None
     if case == CASE_PAIRS_MINUS_1:
-        positive = sum(d > 0 for d in degrees)
-        doubled = CycleLineBundle(tuple(2 * d for d in degrees))
+        positive = sum([d > 0 for d in degrees])
+        doubled = CycleLineBundle([2 * d for d in degrees])
         dim_minus2ks = h0_formula(doubled)
         check(dim_minus2ks == positive,
               "dim|-2K_S| = {}, but the cycle has {} positive components",
               dim_minus2ks, positive, invariant="case-c-minus-2k")
         deg1 = m
-    report = ClassificationReport(
-        case=case,
-        negative_curves=negatives,
-        cycle_length=m,
-        smooth_anticanonical=necklace.smooth_variant,
-        h0_fundamental=h0,
-        base_locus=base,
-        degree_one_count=deg1,
-        algebraic_dimension=a,
-        tau=tau,
-        dim_minus2KS=dim_minus2ks,
-    )
-    return check_report(report)
+    return check_report(ClassificationReport(  # by position, in field order
+        case, negatives, m, necklace.smooth_variant, h0, base, deg1, a, tau,
+        dim_minus2ks))
 
 
 # -- enumeration ------------------------------------------------------------

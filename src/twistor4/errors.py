@@ -16,8 +16,9 @@ tag is ``invariant-<name>``.  The CLI's exit code follows the tag alone: an
 error with a ``tag`` prints ``violation: <tag>: …`` and exits 2, any other
 prints ``error: …`` and exits 1.
 
-``check`` is the one helper for invariants and for checks of the cycles
-and states a caller built: an explicit raise, so ``python -O`` keeps every check.
+``check`` is the helper for invariants and for checks of the cycles and
+states a caller built; the per-step code raises inline.  Both are explicit
+raises, so ``python -O`` keeps every check.
 """
 
 __all__ = [
@@ -88,8 +89,9 @@ class InvariantError(TaggedError):
 def check(ok, message, *args, invariant=None):
     """Raise unless ``ok``: ``InvariantError(invariant)`` when the program
     broke one of its own invariants, else ``ScheduleError`` (a cycle, state
-    or schedule a caller built).  ``message`` is formatted with ``args`` only on
-    failure, so a passing check costs one comparison."""
+    or schedule a caller built).  ``message`` is formatted with ``args`` only
+    on failure, but a passing check still costs a Python call and the packing
+    of its arguments."""
     if not ok:
         text = message.format(*args)
         raise InvariantError(invariant, text) if invariant else ScheduleError(text)

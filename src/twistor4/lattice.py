@@ -34,7 +34,7 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .cycles import TorsionSpec
-from .errors import RealizabilityError, ScheduleError, check
+from .errors import InvariantError, RealizabilityError, ScheduleError
 
 __all__ = [
     "SurfaceLattice",
@@ -93,8 +93,8 @@ def _check_initial_type(initial_type):
         )
 
 
-def _check_step_index(idx, kind, over_pair):
-    if kind == "infinitely_near" and over_pair >= idx:
+def _check_step_index(idx, over_pair):  # of an infinitely-near step
+    if over_pair >= idx:
         raise ScheduleError(
             f"step {idx} is infinitely near over pair {over_pair}, "
             "which is not strictly earlier"
@@ -178,7 +178,8 @@ class BlowupSchedule(namedtuple("BlowupSchedule", ("initial_type", "steps"))):
         for idx, step in enumerate(self.steps, start=1):
             if not isinstance(step, BlowupStep):
                 raise ScheduleError("steps must be BlowupStep values")
-            _check_step_index(idx, step.kind, step.over_pair)
+            if step.kind == "infinitely_near":  # only it names another step
+                _check_step_index(idx, step.over_pair)
 
     @classmethod
     def _make(cls, iterable):
@@ -209,8 +210,8 @@ class Necklace(namedtuple("Necklace", ("order", "degrees", "partners",
         m = len(degrees) if isinstance(degrees, tuple) else 0
         if not (isinstance(order, tuple) and isinstance(partners, tuple)
                 and len(order) == len(partners) == m and type(smooth_variant) is bool
-                and (m == 1 if smooth_variant else m >= 2)
-                and set(map(type, degrees + partners + (pairs,))) == {int}
+                and (m == 1 if smooth_variant else m >= 2) and type(pairs) is int
+                and set(map(type, degrees + partners)) <= {int}
                 and (partners == (0,) if m == 1
                      else 0 <= min(partners) <= max(partners) < m
                      and (get := itemgetter(*partners))(partners) == tuple(range(m))
@@ -220,8 +221,9 @@ class Necklace(namedtuple("Necklace", ("order", "degrees", "partners",
                 " m >= 2 (1 for the smooth variant, a bool), int degrees and pairs,"
                 " and partners an involution on range(m) that keeps the degrees;"
                 f" got {order, degrees, partners, smooth_variant}")
-        check(0 <= pairs and m <= 4 + 2 * pairs, "a necklace on {} pairs needs"
-              " pairs >= 0 and at most 4 + 2 * pairs components, got {}", pairs, m)
+        if pairs < 0 or m > 4 + 2 * pairs:
+            raise ScheduleError(f"a necklace on {pairs} pairs needs pairs >= 0 and"
+                                f" at most 4 + 2 * pairs components, got {m}")
         if tau is not None and not (type(tau) is int and tau >= 1):
             TorsionSpec(tau)  # refuses all but inf, with its own message
         return tuple.__new__(cls, (order, degrees, partners, smooth_variant, tau,
@@ -293,19 +295,20 @@ class RealizationState:
         else:
             if kind == "smooth":
                 p = self._position(component)
-                if self._on_real_fibre(component):
+                if initial == "II" and component == "F":
                     raise RealizabilityError(
                         "real-fibre-location",
                         "no blown-up point may lie on a smooth point of the "
                         "real fibre F; only its nodes with C0 can be blown",
                     )
             else:
-                _check_step_index(k, kind, over_pair)
+                _check_step_index(k, over_pair)
                 p, consumed = self._infinitely_near(over_pair, target)
             order, squares, hosts = self.order, list(squares), hosts + (p,)
-            lose = ((p,), (partners[p],))
-        for p in lose[0] + lose[1]:
+            q = partners[p]
             squares[p] -= 1  # the pair is fresh: X.E = 0 and E^2 = -1
+            squares[q] -= 1  # and X.E' = 0 and E'^2 = -1 (a real p loses both)
+            lose = ((p,), (q,))
         child = object.__new__(RealizationState)
         child.pairs, child.order, child.parent = self.pairs, order, self
         child.move, child.lose = step, lose
@@ -319,9 +322,6 @@ class RealizationState:
                         False, None if torsion is None else torsion.tau, len(hosts))
 
     # -- the next step ------------------------------------------------------
-    def _on_real_fibre(self, name):
-        return self.key[0] == "II" and name == "F"
-
     def _position(self, name):
         try:
             return self.order.index(name)
@@ -333,10 +333,10 @@ class RealizationState:
         """Every location for the next step, one per conjugation orbit;
         smooth points of the real fibre are left out, as ``extend`` rejects
         them."""
-        order, (_, _, partners, hosts, consumed) = self.order, self.key
+        order, (initial, _, partners, hosts, consumed) = self.order, self.key
         conj = [order[p] for p in partners]
         out = [BlowupStep.smooth(name) for name, other in zip(order, conj)
-               if name <= other and not self._on_real_fibre(name)]
+               if name <= other and not (initial == "II" and name == "F")]
         if len(order) == 2:  # its two nodes are one conjugate pair
             out.append(BlowupStep.node(order))
         else:
@@ -353,7 +353,7 @@ class RealizationState:
 
     def _node(self, k, c, d):
         """Pair k at the node c-d and its conjugate node: the child's order,
-        squares before the pair's removals, partners, hosts and ``lose``."""
+        squares, partners, hosts and ``lose``."""
         order, (_, squares, partners, hosts, _) = self.order, self.key
         pc, pd = self._position(c), self._position(d)
         m = len(order)
@@ -366,29 +366,33 @@ class RealizationState:
                     f"components {c} and {d} are not adjacent; cycle is {order}"
                 )
             qc, qd = partners[pc], partners[pd]
-            if {qc, qd} == {pc, pd}:
+            if qc == pc and qd == pd or qc == pd and qd == pc:
                 raise ScheduleError(
                     f"node ({c},{d}) is its own conjugate and cannot host "
                     "a conjugate pair of points"
                 )
             j = qc if (qc + 1) % m == qd else qd if (qd + 1) % m == qc else None
-            check(j is not None, "conjugate edge ({},{}) of ({},{}) is missing",
-                  order[qc], order[qd], c, d,
-                  invariant="realization-conjugate-edge")
-        # E goes in after position i and E' after position j: a position x
-        # of this state becomes moved[x]
+            if j is None:
+                raise InvariantError("realization-conjugate-edge", f"conjugate edge"
+                                     f" ({order[qc]},{order[qd]}) of ({c},{d}) is missing")
+        # E goes in after position i and E' after position j, so a position
+        # x of this state becomes moved[x]: x + (x > lo) + (x > hi)
         lo, hi = (i, j) if i < j else (j, i)
-        moved = (*range(lo + 1), *range(lo + 2, hi + 2), *range(hi + 3, m + 2))
+        moved = list(range(m + 2))
+        del moved[hi + 2], moved[lo + 1]
         names, new_squares = list(order), list(squares)
-        new_partners = [*map(moved.__getitem__, partners)]
-        new = ((i + 1, f"E{2 * k - 1}", moved[j] + 1),
-               (j + 1, f"E{2 * k}", moved[i] + 1))
-        for at, name, partner in (new[::-1] if i < j else new):  # later first
-            names.insert(at, name)
-            new_squares.insert(at, -1)
-            new_partners.insert(at, partner)
+        new_partners = [moved[p] for p in partners]
+        lo_name, hi_name = f"E{2 * k - 1}", f"E{2 * k}"  # E after i, E' after j
+        if i > j:
+            lo_name, hi_name = hi_name, lo_name
+        for seq, at_lo, at_hi in ((names, lo_name, hi_name), (new_squares, -1, -1),
+                                  (new_partners, hi + 2, lo + 1)):
+            seq.insert(hi + 1, at_hi)  # the later position first
+            seq.insert(lo + 1, at_lo)
         hosts = tuple([h if h is None else moved[h] for h in hosts]) + (None,)
         lose = ((moved[pc], moved[pd]), (moved[qc], moved[qd]))
+        for p in lose[0] + lose[1]:
+            new_squares[p] -= 1  # the pair is fresh: X.E = 0 and E^2 = -1
         return tuple(names), new_squares, tuple(new_partners), hosts, lose
 
     def _infinitely_near(self, j, target):

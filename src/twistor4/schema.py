@@ -117,23 +117,25 @@ def parse_torsion(obj) -> TorsionSpec:
 
 
 def _parse_step(obj, position) -> BlowupStep:
-    """JSON shape only; ``BlowupStep`` checks the field values."""
-    what = f"step {position}"
-    _require_object(obj, what)
-    kind = obj.get("kind")
+    """JSON shape only; ``BlowupStep`` checks the field values.  The name
+    ``step <position>`` is formatted for a message only."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     keys = _STEP_KEYS.get(kind) if isinstance(kind, str) else None
-    if keys is None:
-        raise ScheduleError(
-            f"{what} kind must be 'smooth', 'node' or 'infinitely_near', "
-            f"got {kind!r}"
-        )
-    _check_fields(obj, *keys, what)
+    if keys is None or not keys[1] <= obj.keys() <= keys[0]:
+        what = f"step {position}"
+        _require_object(obj, what)
+        if keys is None:
+            raise ScheduleError(
+                f"{what} kind must be 'smooth', 'node' or 'infinitely_near', "
+                f"got {kind!r}"
+            )
+        _check_fields(obj, *keys, what)  # raises: the keys are not the kind's
     if kind == "node" and not isinstance(obj["components"], list):
-        raise ScheduleError(f"{what}: components must be a list of two ids")
+        raise ScheduleError(f"step {position}: components must be a list of two ids")
     try:  # the keys are the kind's own, so the other fields read None
         return BlowupStep(*map(obj.get, BlowupStep._fields))
     except ScheduleError as exc:
-        raise ScheduleError(f"{what}: {exc}") from None
+        raise ScheduleError(f"step {position}: {exc}") from None
 
 
 def parse_document(obj) -> ParsedDocument:

@@ -679,6 +679,82 @@ def test_the_arc_route_to_h0_disagrees_with_the_table_on_four_necklaces_only():
     }
 
 
+def _arc_route_base(degrees):
+    """The positions of the components that every section of F vanishes on,
+    by the arc route: Bs|F| meets S in Bs|-K_S|, as the restrictions are
+    onto.  It starts from the negative components, whose nodes are forced
+    zeros, and propagates them: node i joins components i and i + 1 (mod
+    m); a degree-0 component with a forced node is zero, so it forces its
+    other node; a degree-1 component vanishes once both its nodes are
+    forced; a component of degree >= 2 never vanishes whole."""
+    m = len(degrees)
+    base = {p for p, d in enumerate(degrees) if d < 0}
+    forced = {node for p in base for node in ((p - 1) % m, p)}
+    grown = True
+    while grown:
+        grown = False
+        for p, d in enumerate(degrees):
+            nodes = {(p - 1) % m, p}
+            if p not in base and (d == 0 and nodes & forced or d == 1 and nodes <= forced):
+                base.add(p)
+                forced |= nodes
+                grown = True
+    return base
+
+
+def test_the_arc_route_to_the_base_disagrees_with_the_table_on_five_necklaces_only():
+    # the table's base, by label: "free" (nef at tau = 1, as classified) is
+    # empty, "C" the whole cycle, and "C0" (case a) and "A+Abar" (case b)
+    # are the negative curves.  The route adds F, of degree 0, between case
+    # b's -2 pair on the four type II necklaces of the h0 test, and F's four
+    # degree-0 neighbours to case a's (-2, 0, 0, 2, 0, 0).  Which side is
+    # right is still open; this pins the set
+    disagree, leaves = Counter(), 0
+    roots = [RealizationState(initial, 4) for initial in ("I", "II")]
+    for _, leaf in chain.from_iterable(map(walk_schedules, roots)):
+        leaves += 1
+        necklace = leaf.necklace(TAU_ONE)
+        try:
+            report = classify(necklace)
+        except RealizabilityError:
+            continue
+        degrees, order = necklace.degrees, necklace.order
+        negative = {order.index(name) for name, _ in report.negative_curves}
+        table = {"free": set(), "C": set(range(len(degrees))), "C0": negative,
+                 "A+Abar": negative}[report.base_locus]
+        route = _arc_route_base(degrees)
+        if route != table:
+            disagree[leaf.initial_type, report.case, degrees,
+                     tuple(sorted(table)), tuple(sorted(route))] += 1
+    assert leaves == 1480
+    assert disagree == {
+        ("II", CASE_PAIR_MINUS_2, (0, -2, 4, -2), (1, 3), (0, 1, 3)): 5,
+        ("II", CASE_PAIR_MINUS_2, (0, -2, 1, 2, 1, -2), (1, 5), (0, 1, 5)): 6,
+        ("II", CASE_PAIR_MINUS_2, (0, -2, 1, 0, 2, 0, 1, -2), (1, 7), (0, 1, 7)): 3,
+        ("II", CASE_PAIR_MINUS_2, (0, -2, 1, 0, 0, 2, 0, 0, 1, -2), (1, 9),
+         (0, 1, 9)): 1,
+        ("II", CASE_REAL_MINUS_2, (-2, 0, 0, 2, 0, 0), (0,), (0, 1, 2, 4, 5)): 4,
+    }
+
+
+def test_two_case_a_entries_name_a_base_curve_outside_the_base(enumeration):
+    # base_locus is a label fixed per case: "C0" for case a, from the golden,
+    # where C0 is the -2 curve.  On exactly these two emitted entries the
+    # -2 curve is the real fibre F, and "C0" names a component of the cycle
+    # outside the base, by the table (the -2 curve) and by the arc route
+    outside = {}
+    for entry in enumeration.entries:
+        if entry.report is None:
+            continue
+        necklace = model_from_schedule(entry.schedule)
+        route = {necklace.order[p] for p in _arc_route_base(necklace.degrees)}
+        named = set(entry.report.base_locus.split("+")) & set(necklace.order)
+        if named - route:
+            outside[entry.digest] = entry.report.base_locus, entry.report.negative_curves
+    assert outside == {"8897060a0468": ("C0", (("F", -2),)),
+                       "a9be0be0686f": ("C0", (("F", -2),))}
+
+
 def test_enumeration_keeps_what_classifying_every_leaf_keeps(enumeration):
     found = {}
     roots = [RealizationState(initial, 4) for initial in ("I", "II")]
@@ -774,6 +850,41 @@ def test_a_schedule_document_realizes_with_no_divisor_class(monkeypatch):
              "smooth_anticanonical": True, "torsion": {"kind": "infinite"}})
     assert calls["encoder"] == 0
     assert calls["divisor"] > 0 and calls["lattice"] == 1
+
+
+def test_a_valid_document_runs_only_the_checks_it_can_fail(monkeypatch):
+    # a step whose keys are its kind's own reaches BlowupStep without the
+    # helpers that word a shape error, and only an infinitely-near step
+    # names an earlier pair: the schedule and extend check that index for
+    # steps 3 and 4 alone.  A malformed step still takes the helpers
+    calls = []
+    lattice_module = importlib.import_module("twistor4.lattice")
+    schema_module = importlib.import_module("twistor4.schema")
+    for module, name in ((lattice_module, "_check_step_index"),
+                         (schema_module, "_require_object"),
+                         (schema_module, "_check_fields")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls.append((_name, args[0] if _name == "_check_step_index" else args[-1]))
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    steps = [{"kind": "smooth", "component": "G"},
+             {"kind": "node", "components": ["F", "G"]},
+             {"kind": "infinitely_near", "over_pair": 1, "on_strict_transform": "G"},
+             {"kind": "infinitely_near", "over_pair": 3, "on_strict_transform": "Gbar"}]
+    doc = {"n": 4, "initial_type": "I", "steps": steps,
+           "torsion": {"kind": "finite", "order": 2}}
+    assert classify(model_from_document(doc)).case == CASE_PAIR_MINUS_2
+    assert calls == [("_require_object", "document"), ("_check_fields", "document"),
+                     ("_require_object", "torsion"), ("_check_fields", "torsion"),
+                     ("_check_step_index", 3), ("_check_step_index", 4),  # schedule
+                     ("_check_step_index", 3), ("_check_step_index", 4)]  # extend
+    calls.clear()
+    steps[1]["component"] = "G"
+    with pytest.raises(ScheduleError, match=r"unknown field\(s\) \['component'\] in step 2"):
+        model_from_document(doc)
+    assert calls == [("_require_object", "document"), ("_check_fields", "document"),
+                     ("_require_object", "torsion"), ("_check_fields", "torsion"),
+                     ("_require_object", "step 2"), ("_check_fields", "step 2")]
 
 
 def test_classify_takes_a_necklace_only():

@@ -895,13 +895,19 @@ def test_ci_and_the_benchmark_pin_the_tests_digests():
 
 # -- the names the benchmark traces ---------------------------------------------------
 
+def _perfbench_module(name):
+    """``perfbench/<name>.py`` loaded read-only, as the benchmark loads it."""
+    path = _ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_traced_name_resolves():
     # the benchmark's tracer patches twistor4 by name, and a deleted or
     # renamed name stops its traced runs: install it, then take it off
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _perfbench_module("spans")
     tracer = spans.Tracer()
     try:
         tracer.install()  # an AttributeError here names the missing attribute
@@ -915,6 +921,44 @@ def test_every_traced_name_resolves():
         *(name for methods in spans.METHODS.values() for _, name in methods)}
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original, f"{owner.__name__}.{attr}"
+
+
+# the classify_stream pass of seed 1: its outcome digest, with and without -O
+_STREAM_SCRIPT = """
+import importlib.util, sys
+from pathlib import Path
+bench = Path(sys.argv[1]) / "perfbench"
+sys.path.insert(0, str(bench))
+spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+stream = workloads.ClassifyStream(None)
+items = stream.generate(1)
+stream.bind()
+print(sys.flags.optimize, len(items),
+      stream.outcome_digest([stream.run(item) for item in items]))
+"""
+
+
+def test_the_stream_workload_reproduces_its_pinned_outcomes(monkeypatch):
+    # every document of seed 1's classify_stream pass, classified in this
+    # process and under -O: each report's bytes and each rejection's class
+    # and tag go into the digest that perfbench/expected.json pins
+    expected = json.loads((_ROOT / "perfbench" / "expected.json").read_text(
+        encoding="utf-8"))
+    pinned = expected["classify_stream_digests"]["1"]
+    monkeypatch.setitem(sys.modules, "inputs", _perfbench_module("inputs"))
+    stream = _perfbench_module("workloads").ClassifyStream(expected)
+    items = stream.generate(1)
+    stream.bind()
+    outputs = [stream.run(item) for item in items]
+    assert len(items) == 2000
+    assert stream.outcome_digest(outputs) == pinned
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(_ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    optimized = subprocess.run([sys.executable, "-O", "-c", _STREAM_SCRIPT, str(_ROOT)],
+                               capture_output=True, text=True, env=env, check=True)
+    assert optimized.stdout.split() == ["1", "2000", pinned]
 
 
 @pytest.mark.parametrize("module", ["twistor4"] + [
