@@ -405,117 +405,134 @@ def _memo_key(key: tuple) -> tuple:
 
 class _Walk:
     """One enumeration's depth-first walk: the entries kept, the (initial
-    type, necklace) pairs classified, the leaf count below each interior
-    state's memo key, and the leaves visited.
+    type, necklace) pairs met, the leaves queued, the leaf count below
+    each memo key, and the leaves visited.
 
-    ``candidates`` and ``extend`` act on positions: one smooth step per
-    conjugate orbit of components, leaving out the real fibre F of type
-    II, which sits at position 0 in every state (a node step inserts after
-    position 0 at the earliest); one node step per conjugate orbit of
-    edges that are not their own conjugate; one infinitely-near step per
-    open host, a pair placed at a smooth point and not yet consumed.  No
-    state carries classes, and ``classify`` reads only the leaf's
-    ``Necklace``, which ``RealizationState.necklace`` takes from the key:
-    the walk builds no coefficient list, no cycle and no
-    ``DivisorClass``.  A leaf's ``EnumeratedEntry`` and its
-    ``BlowupSchedule`` are built only when its (initial type, shape, case)
-    key is new, once per kept entry.
+    ``candidates`` lists, by position, one smooth step per conjugate orbit
+    of components but the real fibre F of type II (at position 0 in every
+    state: a node step inserts after it at the earliest), one node step
+    per orbit of edges that are not their own conjugate, and last one
+    infinitely-near step per open host (a pair at a smooth point, not yet
+    consumed).  ``classify`` reads a leaf's ``Necklace`` off its key, so
+    the walk builds no class, and a ``BlowupSchedule`` and an entry only
+    for a new (initial type, shape, case) key.
 
     The leaves below a state, as a count and as a set of necklaces up to
-    relabelling, depend only on its ``_memo_key``.  First with no
-    relabelling, by induction on the steps left: a leaf's necklace is in
-    the key, and two interior states with one (initial type, squares,
-    depth, sorted min(h, partners[h]) over the open hosts h), whatever
-    their names, have candidates matched one to one with children of one
-    such key.  The initial type and m fix the conjugate positions, as on
-    the roots: type I's half-turn p -> p + m/2 and type II's reflection
-    p -> -p mod m, as a node step subdivides two edges that the
-    conjugation swaps and keeps the positions' order, F at 0.
-      * A smooth step at p lowers the squares at p and partners[p] (a
-        real p by 2) and opens a host at p, folded to min(p, partners[p]);
-        which member of the orbit the names pick changes neither, and the
-        key moves no position, so F is left out at position 0 in both.
-      * A node step on an edge orbit inserts two -1 components after the
-        orbit's two edge positions and lowers the squares at their four
-        endpoints, whichever member is picked: the child's positional key
-        is the same, only the names E_{2k-1} and E_{2k} swap.  It opens
-        no host and renumbers each position x as moved[x], which
-        increases and commutes with the conjugation, so the child's
-        folded hosts are the images of the parent's.
+    relabelling, depend only on its ``_memo_key``.  With no relabelling,
+    by induction on the steps left: two states with one (initial type,
+    squares, depth, sorted min(h, partners[h]) over the open hosts h) have
+    candidates matched one to one with children of one such key; the
+    initial type and m fix the conjugate positions (type I's half-turn,
+    type II's reflection p -> -p mod m), as a node step subdivides two
+    edges the conjugation swaps and keeps the positions' order.
+      * A smooth step at p lowers the squares at p and partners[p] and
+        opens a host folded to min(p, partners[p]), whichever member of
+        the orbit the names pick.
+      * A node step inserts two -1 components after its orbit's two edges
+        and lowers their four endpoints' squares: only the names E_{2k-1}
+        and E_{2k} depend on the member picked.  It opens no host and
+        renumbers position x as moved[x], which increases and commutes
+        with the conjugation, so the folded hosts move along.
       * The infinitely-near step on an open host h lowers the squares at
-        h and partners[h]: ``lose`` is symmetric under the conjugation,
-        so the host's orbit is all the step reads.  It closes h and opens
-        the new pair at h, so the folded hosts stay as they were, and open
-        hosts of one orbit give one child key.  The multiset keeps their
-        number, which is the number of such steps; pair indices, node
-        pairs (host None) and consumed hosts offer no step and are left
-        out.
-    Then relabel the positions by a map g of ``_dihedral_maps``, which
-    commutes with the conjugation, as ``candidates`` and ``extend`` do: g
-    maps orbits of components, edges and open hosts to orbits, and a
-    relabelled state's child is the child relabelled by the rotation or
-    reflection g induces once the new pair is in; for type II both fix
-    position 0, as a node step inserts after it at the earliest, so F
-    keeps no smooth step.  A leaf's found key (initial type,
-    ``_shape_key``, case or tag) is invariant under g: the shape is a
-    multiset, and ``_match_case`` reads only degrees, the conjugation,
-    adjacency and the cyclic sign alternation.  So states with one memo
-    key have as many leaves and one set of found keys.
+        h and partners[h] and swaps the closed h for the new pair at h:
+        the folded hosts stay, and hosts of one orbit give one child key.
+        The multiset keeps their number; node pairs (host None) and
+        consumed hosts offer no step and are left out.
+    A map g of ``_dihedral_maps`` commutes with the conjugation and maps
+    orbits of components, edges and hosts to orbits, so a relabelled
+    state's children are the children relabelled; for type II it fixes
+    F's position 0.  A found key (initial type, ``_shape_key``, case or
+    tag) is invariant under g: the shape is a multiset, and ``_match_case``
+    reads degrees, the conjugation, adjacency and the cyclic signs.  The
+    key holds the depth, so a state's subtree is walked in full before a
+    later state with its key is met, whose leaves are then counted and
+    skipped: their found keys were all met, so a plain walk keeps none of
+    them and each kept entry is the one it finds first, also under
+    ``--limit``; a necklace only a skipped leaf had is classified later,
+    to a key already met.
 
-    The key holds the depth, so a state's subtree is walked in full
-    before any later state with its key is met: a state met inside it is
-    deeper.  The walk then adds the stored count to ``visited`` and skips
-    that subtree: its leaves' found keys were all met in the first one, so
-    a plain walk keeps none of them, and each kept entry is still the one
-    a plain walk finds first, also under ``--limit``.  ``seen`` stays
-    exact; a necklace only a skipped leaf had may be classified later, to
-    a found key already met.  The cap is checked first, as the plain walk
-    would at the subtree's first leaf (every subtree has one: an interior
-    state always has a smooth step on G or C0).  These are module-level
-    classes, and a state refers only to its parent, so a walk leaves no
-    reference cycle behind.
+    The last step counts the leaves it cannot keep.  With one pair left,
+    the infinitely-near child on h lowers the squares at h and partners[h]
+    and keeps the order and the partners, as the smooth step on h's orbit
+    does, which exists (F hosts no point) and comes first.  So that leaf
+    repeats a necklace in ``seen``: it is counted, not built.  The open
+    hosts then change only how many leaves such a state has, so its memo
+    key blanks every host (keeping the depth), and each state adds its
+    open hosts to the stored count.
+
+    Leaves are classified in one place, ``flush``, in walk order, so each
+    key keeps the plain walk's entry.  A leaf with a new (initial type,
+    necklace) is queued, and ``flush`` runs once the entries kept plus the
+    leaves queued reach ``max_reports``, and after the walk.  A leaf adds
+    at most one entry, so while that sum is below the cap the plain walk's
+    count is too, and at the cap ``found`` is exact.  The cap is checked
+    at each leaf, and before a skipped subtree or the last step's counted
+    leaves, as the plain walk checks it at their first leaf (an interior
+    state has a smooth step on G or C0), so the walk stops where the plain
+    walk stops, with the queue empty.  A state refers only to its parent,
+    so a walk leaves no reference cycle.
     """
 
     def __init__(self, max_reports: int | None):
-        self.max_reports = max_reports
+        self.cap = math.inf if max_reports is None else max_reports
         self.found: dict[tuple, EnumeratedEntry] = {}
         self.seen: set[tuple] = set()
+        self.pending: list[RealizationState] = []
         self.below: dict[tuple, int] = {}
         self.visited = 0
 
     def _count(self, leaves: int) -> None:
         """Visit ``leaves`` more leaves, stopping first once the cap is met."""
-        if self.max_reports is not None and len(self.found) >= self.max_reports:
+        if len(self.found) >= self.cap:
             raise _CapReached
         self.visited += leaves
 
+    def flush(self) -> None:
+        """Classify the queued leaves in walk order, keeping an entry for
+        each new (initial type, shape, case) key, and empty the queue."""
+        found = self.found
+        for leaf in self.pending:
+            report, error = _outcome(leaf)
+            initial, squares, partners = leaf.key[:3]
+            shape = _shape_key(squares, partners)
+            key = (initial, shape, report.case if report else f"error:{error}")
+            if key not in found:
+                schedule = BlowupSchedule(initial, leaf.steps)
+                found[key] = EnumeratedEntry(schedule, shape, report, error)
+        self.pending.clear()
+
     def visit(self, state: RealizationState) -> int:
-        """Walk ``state``'s subtree, classifying the first leaf of each
+        """Walk ``state``'s subtree, queueing the first leaf of each
         (initial type, necklace); returns the subtree's leaf count."""
         key = state.key
-        if len(key[3]) == state.pairs:
+        depth = len(key[3])
+        if depth == state.pairs:
             self._count(1)
-            initial, squares, partners = necklace_key = key[:3]
+            necklace_key = key[:3]
             if necklace_key not in self.seen:
                 self.seen.add(necklace_key)
-                report, error = _outcome(state)
-                shape = _shape_key(squares, partners)
-                found = (initial, shape, report.case if report else f"error:{error}")
-                if found not in self.found:
-                    schedule = BlowupSchedule(initial, state.steps)
-                    self.found[found] = EnumeratedEntry(schedule, shape, report,
-                                                        error)
+                self.pending.append(state)
+                if len(self.found) + len(self.pending) >= self.cap:
+                    self.flush()
             return 1
+        open_hosts = 0
+        if depth == state.pairs - 1:  # the last step: see the docstring
+            initial, squares, partners, hosts, consumed = key
+            open_hosts = sum([h is not None and j not in consumed
+                              for j, h in enumerate(hosts, 1)])
+            key = initial, squares, partners, (None,) * depth, consumed
         memo = _memo_key(key)
         leaves = self.below.get(memo)
-        if leaves is not None:
-            self._count(leaves)
-            return leaves
-        leaves = 0
-        for move in state.candidates():
-            leaves += self.visit(state.extend(move))
-        self.below[memo] = leaves
-        return leaves
+        if leaves is None:
+            moves, leaves = state.candidates(), 0
+            for move in moves[:len(moves) - open_hosts]:
+                leaves += self.visit(state.extend(move))
+            self.below[memo] = leaves
+            if open_hosts:
+                self._count(open_hosts)
+        else:
+            self._count(leaves + open_hosts)
+        return leaves + open_hosts
 
 
 def _entry_sort_key(entry: EnumeratedEntry):
@@ -541,14 +558,13 @@ def enumerate_configurations(max_reports: int | None = None) -> EnumerationResul
     with squares (-2, -2), a nef configuration left out.  ``max_reports``
     caps the number of kept entries; the result records whether the walk
     exhausted the space.  Only the first leaf of each (initial type,
-    necklace) is classified: the shape and the case come from the necklace
-    alone, so a later leaf with the same one maps to a key already found.
-    It is classified from its ``Necklace``, read off its positional key
-    with no class replayed.  A subtree whose root's memo key was met
-    before is counted and skipped: the depth and, up to rotation and
-    reflection (fixing type II's F), the necklace and the open hosts'
-    orbits fix the leaves below (see ``_Walk``).  Only kept entries build
-    their schedule and document.
+    necklace) is classified, from its ``Necklace``: the shape and the case
+    come from the necklace alone.  Such leaves are queued and classified
+    in walk order, as soon as the entries kept plus the leaves queued
+    reach the cap, and after the walk.  A subtree whose root's memo key
+    was met before is counted and skipped, and so are the last step's
+    infinitely-near leaves, which repeat a smooth sibling's necklace (see
+    ``_Walk``).  Only kept entries build their schedule and document.
     """
     if max_reports is not None and (type(max_reports) is not int or max_reports < 1):
         raise ScheduleError(f"max_reports must be a positive int, got {max_reports!r}")
@@ -557,8 +573,9 @@ def enumerate_configurations(max_reports: int | None = None) -> EnumerationResul
     try:
         for initial in ("I", "II"):
             walk.visit(RealizationState(initial, 4))
-    except _CapReached:
+    except _CapReached:  # the queue is empty: see ``_Walk``
         exhausted = False
+    walk.flush()
     entries = tuple(sorted(walk.found.values(), key=_entry_sort_key))
     return EnumerationResult(entries=entries, visited=walk.visited,
                              exhausted=exhausted)

@@ -791,21 +791,32 @@ def test_enumeration_classifies_each_necklace_once(monkeypatch):
         calls["schedule"] += 1
         post_init(self)
 
+    walks = []
+
+    class RecordedWalk(classify_module._Walk):
+        def __init__(self, max_reports):
+            super().__init__(max_reports)
+            walks.append(self)
+
     monkeypatch.setattr(classify_module, "classify", counting_classify)
+    monkeypatch.setattr(classify_module, "_Walk", RecordedWalk)
     monkeypatch.setattr(RealizationState, "extend", counting_extend)
     monkeypatch.setattr(BlowupSchedule, "__post_init__", counting_post_init)
     monkeypatch.setattr(DivisorClass, "__post_init__", counting_divisor)
     result = enumerate_configurations()
     assert result.visited == 1480
     # 1,480 leaves, 124 distinct necklaces in cycle order; the skipped
-    # subtrees, twins under rotation and reflection included, save 1,412 of
-    # the 1,701 extends and 1,276 of the 1,480 leaf states a plain walk
-    # builds, and leave 80 necklaces to classify.  Each classified leaf's
-    # necklace is read off its key, so no divisor class is built, and a
-    # schedule is built only for each of the 58 kept entries
-    assert calls == Counter({"classify": 80, "extend": 289, "leaf": 204,
+    # subtrees, twins under rotation and reflection included, and the last
+    # step's infinitely-near leaves, counted but not built, save 1,480 of
+    # the 1,701 extends and 1,344 of the 1,480 leaf states a plain walk
+    # builds, and leave 80 necklaces to classify.  The last step's memo
+    # keys leave its open hosts out, so 39 keys are stored.  Each
+    # classified leaf's necklace is read off its key, so no divisor class
+    # is built, and a schedule is built only for each of the 58 kept entries
+    assert calls == Counter({"classify": 80, "extend": 221, "leaf": 136,
                              "schedule": 58})
     assert calls["divisor"] == 0
+    assert [len(walk.below) for walk in walks] == [39]
 
 
 def test_a_schedule_document_realizes_with_no_divisor_class(monkeypatch):
@@ -1448,6 +1459,78 @@ def test_a_skipped_subtree_counts_its_leaves_unless_the_cap_is_met():
     with pytest.raises(classify_module._CapReached):
         walk.visit(state)
     assert walk.visited == 7
+
+
+class _InlineWalk(classify_module._Walk):
+    """The walk with each queued leaf classified before the next visit, as
+    a walk that classifies each leaf on the spot does."""
+
+    def visit(self, state):
+        leaves = super().visit(state)
+        self.flush()
+        return leaves
+
+
+@pytest.mark.parametrize("cap", range(1, 59))
+def test_a_capped_walk_classifies_what_classifying_on_the_spot_does(monkeypatch,
+                                                                    cap):
+    # the queue is flushed once the entries kept plus the leaves queued
+    # reach the cap, so the walk classifies the same necklaces in the same
+    # order as a walk that classifies each leaf on the spot, stops at the
+    # same leaf, and has nothing queued when the cap stops it
+    classify_, runs = classify_module.classify, []
+
+    def run(walk_class):
+        classified, queued_at_stop = [], []
+
+        class Watched(walk_class):
+            def _count(self, leaves):
+                try:
+                    super()._count(leaves)
+                except classify_module._CapReached:
+                    queued_at_stop.append(len(self.pending))
+                    raise
+
+        monkeypatch.setattr(classify_module, "_Walk", Watched)
+        monkeypatch.setattr(classify_module, "classify", lambda necklace: (
+            classified.append(necklace) or classify_(necklace)))
+        result = enumerate_configurations(max_reports=cap)
+        runs.append((queued_at_stop, result.exhausted))
+        return result.visited, result.exhausted, result.entries, classified
+
+    assert run(classify_module._Walk) == run(_InlineWalk)
+    # the cap stops the walk once, with the queue empty, unless the walk
+    # exhausts the space first
+    assert runs[0] in (([0], False), ([], True))
+
+
+def test_the_last_steps_infinitely_near_leaves_repeat_a_smooth_siblings_necklace():
+    # with one pair left, the infinitely-near child on a host lowers the
+    # squares its smooth sibling on the host's orbit lowers, and the
+    # sibling comes earlier in ``candidates``; the walk counts those
+    # children without building them, as many as the key's open hosts
+    children = 0
+    for initial in ("I", "II"):
+        for state in _interior_states(RealizationState(initial, 4)):
+            if len(state.steps) != state.pairs - 1:
+                continue
+            _, _, partners, hosts, consumed = state.key
+            moves = state.candidates()
+            near = [i for i, move in enumerate(moves)
+                    if move.kind == "infinitely_near"]
+            assert len(near) == sum(h is not None and j not in consumed
+                                    for j, h in enumerate(hosts, 1))
+            assert near == list(range(len(moves) - len(near), len(moves)))
+            for i in near:
+                h = hosts[moves[i].over_pair - 1]
+                orbit = {state.order[h], state.order[partners[h]]}
+                smooth = [move for move in moves[:i] if move.kind == "smooth"
+                          and move.component in orbit]
+                assert len(smooth) == 1
+                assert (state.extend(moves[i]).key[:3]
+                        == state.extend(smooth[0]).key[:3])
+                children += 1
+    assert children == 234
 
 
 def test_enumeration_leaves_no_cyclic_garbage():

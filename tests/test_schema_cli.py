@@ -704,6 +704,20 @@ def test_cli_enumerate_limit_json_bytes_are_pinned(capsys):
     assert digest == _ENUMERATE_LIMIT_10_JSON_SHA256
 
 
+# the command the benchmark's enumerate_json cold-start probe runs
+_ENUMERATE_LIMIT_1_JSON_SHA256 = (
+    "4a3296e612411f114bf986165f9e5a08d9aeddd80d558e8a62d8cf7ed8700336"
+)
+
+
+def test_cli_enumerate_limit_1_json_bytes_are_pinned(capsys):
+    # the first kept entry alone, classified as soon as it is met
+    code, out, _ = _run(capsys, "enumerate", "--limit", "1", "--json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == _ENUMERATE_LIMIT_1_JSON_SHA256
+
+
 _GOLDENS_CLASSIFY_JSON_SHA256 = (
     "003dd3e63a5570a2742fb38e63d57e5c6b8ea3431d30bcc52b757bf0e92aa00a"
 )
@@ -790,6 +804,8 @@ def test_cli_under_python_O_keeps_its_results():
     assert hashlib.sha256(table).hexdigest() == _ENUMERATE_TABLE_SHA256
     capped = run("enumerate", "--limit", "10", "--json")
     assert hashlib.sha256(capped).hexdigest() == _ENUMERATE_LIMIT_10_JSON_SHA256
+    probe = run("enumerate", "--limit", "1", "--json")
+    assert hashlib.sha256(probe).hexdigest() == _ENUMERATE_LIMIT_1_JSON_SHA256
     classified = b"".join(run("classify", "--json", str(path)) for path in _GOLDENS)
     assert hashlib.sha256(classified).hexdigest() == _GOLDENS_CLASSIFY_JSON_SHA256
     oracle = subprocess.run(
@@ -878,6 +894,7 @@ def test_ci_and_the_benchmark_pin_the_tests_digests():
     assert pins == {"enumerate --json": [_ENUMERATE_JSON_SHA256],
                     "enumerate": [_ENUMERATE_TABLE_SHA256],
                     "enumerate --limit 10 --json": [_ENUMERATE_LIMIT_10_JSON_SHA256],
+                    "enumerate --limit 1 --json": [_ENUMERATE_LIMIT_1_JSON_SHA256],
                     "classify --json": [_GOLDENS_CLASSIFY_JSON_SHA256],
                     "selftest": [_SELFTEST_SHA256],
                     "cycle-h0 --oracle --json": [_CYCLE_H0_ORACLE_JSON_SHA256],
