@@ -280,7 +280,9 @@ def _terminal_columns():
         return 80
 
 
-def _build_parser():
+def _build_parser(command=None):
+    """The parser of every subcommand, or of ``command`` alone when it names
+    one; ``main`` passes ``argv[0]``, so a subcommand builds two parsers."""
     # argparse makes a formatter, which reads the terminal size, for each
     # argument it adds; the same width, read once, prints the same help
     formatter = partial(argparse.HelpFormatter, width=_terminal_columns() - 2)
@@ -295,49 +297,47 @@ def _build_parser():
         formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def command(name, func, help):
+    required, flag = dict(required=True), dict(action="store_true")
+    n = dict(required, type=int)
+    # name: (function, help, {argument: keywords}), in help order
+    commands = {
+        "chern": (_cmd_chern, "Chern numbers c1^3, c1.c2, c3",
+                  {"--n": dict(n, help="number of CP^2 summands")}),
+        "pairing": (_cmd_pairing, "H2 x H2 -> H4 pairing determinant",
+                    {"--n": n, "--matrix": dict(flag, help="print the matrix")}),
+        "euler": (_cmd_euler, "chi(F^m) on the twistor space", {"--n": n, "--m": n}),
+        "ring": (_cmd_ring, "reduce a product of ring generators", {
+            "--n": n, "--expr": dict(required, help=(
+                "product of tokens w, x1..xn, e.g. 'w*w*w' or 'x1 x1 w'"))}),
+        "cycle-h0": (
+            _cmd_cycle_h0, "h0 of a line bundle on a cycle of rational curves", {
+                "--degrees": dict(required, help="comma-separated component degrees"),
+                "--oracle": dict(flag, help="also run the randomized kernel oracle"),
+                "--seed": dict(type=int, default=DEFAULT_ORACLE_SEED,
+                               help="oracle seed")}),
+        "classify": (_cmd_classify, "classify a schedule document",
+                     {"file": dict(help="path to a schedule JSON document")}),
+        "enumerate": (
+            _cmd_enumerate, "classify all schedules up to conjugation symmetry",
+            {"--limit": dict(type=int, default=None, help="cap kept entries")}),
+        "selftest": (_cmd_selftest, "run the acceptance suite", {}),
+    }
+    for name in (command,) if command in commands else commands:
+        func, help, arguments = commands[name]
         p = sub.add_parser(name, help=help, formatter_class=formatter)
         p.set_defaults(func=func)
-        return p
-
-    p = command("chern", _cmd_chern, "Chern numbers c1^3, c1.c2, c3")
-    p.add_argument("--n", type=int, required=True, help="number of CP^2 summands")
-    p = command("pairing", _cmd_pairing, "H2 x H2 -> H4 pairing determinant")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--matrix", action="store_true", help="print the matrix")
-    p = command("euler", _cmd_euler, "chi(F^m) on the twistor space")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p = command("ring", _cmd_ring, "reduce a product of ring generators")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--expr", required=True,
-                   help="product of tokens w, x1..xn, e.g. 'w*w*w' or 'x1 x1 w'")
-    p = command("cycle-h0", _cmd_cycle_h0,
-                "h0 of a line bundle on a cycle of rational curves")
-    p.add_argument("--degrees", required=True,
-                   help="comma-separated component degrees")
-    p.add_argument("--oracle", action="store_true",
-                   help="also run the randomized kernel oracle")
-    p.add_argument("--seed", type=int, default=DEFAULT_ORACLE_SEED,
-                   help="oracle seed")
-    p = command("classify", _cmd_classify, "classify a schedule document")
-    p.add_argument("file", help="path to a schedule JSON document")
-    p = command("enumerate", _cmd_enumerate,
-                "classify all schedules up to conjugation symmetry")
-    p.add_argument("--limit", type=int, default=None, help="cap kept entries")
-    command("selftest", _cmd_selftest, "run the acceptance suite")
-
-    for name, p in sub.choices.items():
+        for argument, keywords in arguments.items():
+            p.add_argument(argument, **keywords)
         if name != "selftest":
-            p.add_argument("--json", action="store_true")
+            p.add_argument("--json", **flag)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         try:
-            args = _build_parser().parse_args(argv)
+            args = _build_parser(argv[0] if argv else None).parse_args(argv)
         except SystemExit as shown:  # argparse exits only once --help is printed
             return shown.code
         result = args.func(args)

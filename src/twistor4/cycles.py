@@ -128,6 +128,10 @@ def cyclic_arcs(m, removed):
     Returns a list of lists ordered by their first index; empty if
     everything is removed, a single full-circle arc if nothing is.  A
     non-int m or index, m < 1, or an index outside 0..m-1 raises ScheduleError.
+
+    No code in the package calls it: it is kept as the reference that the
+    tests check ``h0_formula`` against, arc by arc, and as the helper of a
+    second route to h^0(F) and the base curve that walks these arcs.
     """
     given = tuple(removed)  # before a set merges True into 1
     if type(m) is not int or m < 1 or not all(

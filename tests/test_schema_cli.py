@@ -11,6 +11,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from collections import Counter
 from itertools import chain
 from pathlib import Path
 
@@ -1251,6 +1252,77 @@ def test_the_help_width_is_the_shutil_terminal_width(monkeypatch, columns):
         monkeypatch.setenv("COLUMNS", columns)
     width = cli._build_parser().formatter_class.keywords["width"]
     assert width == shutil.get_terminal_size().columns - 2
+
+
+# -- CLI: the invoked subcommand's parser alone ------------------------------------------
+
+def _subparsers(parser):
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+@pytest.mark.parametrize("command", _SUBCOMMANDS)
+def test_a_subcommands_own_parser_prints_the_full_builds_help(command):
+    alone = _subparsers(cli._build_parser(command))
+    assert list(alone) == [command]
+    expected = _subparsers(cli._build_parser())[command].format_help()
+    assert alone[command].format_help() == expected
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("chern", "--n", "4", "--no-such-flag"),
+     "error: unrecognized arguments: --no-such-flag\n"),
+    (("euler", "--n", "4"), "error: the following arguments are required: --m\n"),
+    (("selftest", "--json"), "error: unrecognized arguments: --json\n"),
+], ids=["unknown-flag", "missing-argument", "selftest-json"])
+def test_a_usage_error_reads_the_same_from_either_build(capsys, monkeypatch, argv, err):
+    assert _run(capsys, *argv) == (1, "", err)
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+    assert _run(capsys, *argv) == (1, "", err)
+
+
+def test_no_command_help_and_an_unknown_command_take_the_full_build(capsys):
+    assert _run(capsys, "-h") == (0, cli._build_parser().format_help(), "")
+    for argv in ((), ("bogus",)):
+        with pytest.raises(ScheduleError) as shown:
+            cli._build_parser().parse_args(list(argv))
+        assert _run(capsys, *argv) == (1, "", f"error: {shown.value}\n")
+    assert str(shown.value).startswith("argument command: invalid choice: ")
+    assert all(name in str(shown.value) for name in _SUBCOMMANDS)
+
+
+def test_main_builds_only_the_invoked_subcommands_parser(capsys, monkeypatch):
+    builds, init = Counter(), cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds[argv] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    named = [(name, "--help") for name in _SUBCOMMANDS]
+    named.append(("enumerate", "--limit", "1", "--json"))
+    for argv in (*named, ("-h",), (), ("bogus",), ("--",), named[-1]):
+        _run(capsys, *argv)
+    # a named subcommand builds the top-level parser and its own; help, a
+    # missing or unknown command and a leading -- build the top level and
+    # all eight; every call builds afresh, so the repeated one counts twice
+    assert builds == Counter({**dict.fromkeys(named, 2), named[-1]: 4,
+                              ("-h",): 9, (): 9, ("bogus",): 9, ("--",): 9})
+
+
+def test_main_reads_sys_argv_when_given_no_argv(capsys, monkeypatch):
+    # the installed console script calls main() with no argv
+    monkeypatch.setattr(sys, "argv", ["twistor4", "enumerate", "--limit", "1", "--json"])
+    code = main()
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == _ENUMERATE_LIMIT_1_JSON_SHA256
+    monkeypatch.setattr(sys, "argv", ["twistor4"])
+    assert main() == 1
+    assert capsys.readouterr() == (
+        "", "error: the following arguments are required: command\n")
 
 
 def test_cli_prints_the_result_before_a_failure(capsys, monkeypatch):
