@@ -335,6 +335,10 @@ def _build_parser(command=None):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse hands a leading "--" to the subparsers action as the command's
+    # name; the command is positional anyway, so a "--" before it is dropped
+    if argv[:1] == ["--"] and len(argv) > 1 and not argv[1].startswith("-"):
+        argv = argv[1:]
     try:
         try:
             args = _build_parser(argv[0] if argv else None).parse_args(argv)

@@ -31,6 +31,7 @@ from twistor4.lattice import (
     SurfaceLattice,
     realize_cycle,
 )
+from pins import PINS, Pin, PinError, check
 
 S, N, INF = BlowupStep.smooth, BlowupStep.node, BlowupStep.infinitely_near
 
@@ -649,15 +650,37 @@ def test_cli_enumerate_json_round_trip(capsys):
     assert data_again == data
 
 
-_ENUMERATE_JSON_SHA256 = (
-    "918cee63dc80362a4b3a22f0ab34c4348b0d58c2054960c37e84f306afb0a4bb"
-)
+# -- CLI: the pinned commands (tests/pins.py) -------------------------------------------
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_cli_enumerate_json_bytes_are_pinned(capsys):
-    code, out, _ = _run(capsys, "enumerate", "--json")
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _ENUMERATE_JSON_SHA256
+@pytest.mark.parametrize("flags", ["", "-O"], ids=["python", "python-O"])
+@pytest.mark.parametrize("name", PINS, ids=lambda name: name.replace(" ", "_"))
+def test_a_pinned_command_prints_its_pinned_bytes(name, flags):
+    # with asserts stripped, nothing the program computes may change: no
+    # control flow rests on an assert
+    check(name, flags)
+
+
+def test_a_wrong_digest_or_a_failing_call_fails_its_pin(monkeypatch):
+    name = "enumerate --limit 1 --json"
+    argvs, pinned = PINS[name]
+    monkeypatch.setitem(PINS, name, Pin(argvs, "0" * 64))
+    with pytest.raises(PinError, match=f"^python: {name}: sha256 {pinned}, pinned 0{{64}}$"):
+        check(name, "")
+    # the first call exits 1 and the run stops there, though the last succeeds
+    monkeypatch.setitem(PINS, name, Pin([["enumerate", "--limit", "0"], *argvs], pinned))
+    with pytest.raises(PinError, match=f"^python -O: {name}: exit 1\n") as failed:
+        check(name, "-O")
+    assert str(failed.value).endswith(
+        "error: --limit must be positive\nfailed: enumerate --limit 0")
+
+
+def test_the_classify_pin_runs_every_golden():
+    assert PINS["classify --json"].argvs == [
+        ["classify", "--json", path.relative_to(_ROOT).as_posix()]
+        for path in sorted(_ROOT.glob("schedules/*.json"))]
 
 
 def test_a_tampered_lattice_trips_the_class_route_alone(capsys, monkeypatch):
@@ -670,152 +693,13 @@ def test_a_tampered_lattice_trips_the_class_route_alone(capsys, monkeypatch):
         if i == 1 else exceptional(self, i)))
     code, out, _ = _run(capsys, "enumerate", "--json")
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _ENUMERATE_JSON_SHA256
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        PINS["enumerate --json"].sha256)
     schedule = BlowupSchedule("I", (N(("F", "G")), S("G"), S("G"), S("G")))
     with pytest.raises(InvariantError) as info:
         realize_cycle(schedule)
     assert info.value.tag == "invariant-realization-fresh-pair"
     assert "already meet E3 or E4 before step 2" in str(info.value)
-
-
-_ENUMERATE_TABLE_SHA256 = (
-    "c5adad34bd8cb68f5d162fc5ab052dc62abc5223c0245be696cdbe011e0bdfe6"
-)
-
-
-def test_cli_enumerate_table_bytes_are_pinned(capsys):
-    # the full text table, error rows included
-    code, out, _ = _run(capsys, "enumerate")
-    assert code == 0
-    assert "error:case-c-structure" in out
-    assert out.endswith("visited 1480 schedules; 58 entries; exhausted: yes\n")
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _ENUMERATE_TABLE_SHA256
-
-
-_ENUMERATE_LIMIT_10_JSON_SHA256 = (
-    "438eb58696d5ae852ef35d968bc307afcf74254376f4aefa2a188faac2ac73d2"
-)
-
-
-def test_cli_enumerate_limit_json_bytes_are_pinned(capsys):
-    # a capped walk keeps the same first representatives
-    code, out, _ = _run(capsys, "enumerate", "--limit", "10", "--json")
-    assert code == 0
-    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert digest == _ENUMERATE_LIMIT_10_JSON_SHA256
-
-
-# the command the benchmark's enumerate_json cold-start probe runs
-_ENUMERATE_LIMIT_1_JSON_SHA256 = (
-    "4a3296e612411f114bf986165f9e5a08d9aeddd80d558e8a62d8cf7ed8700336"
-)
-
-
-def test_cli_enumerate_limit_1_json_bytes_are_pinned(capsys):
-    # the first kept entry alone, classified as soon as it is met
-    code, out, _ = _run(capsys, "enumerate", "--limit", "1", "--json")
-    assert code == 0
-    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert digest == _ENUMERATE_LIMIT_1_JSON_SHA256
-
-
-_GOLDENS_CLASSIFY_JSON_SHA256 = (
-    "003dd3e63a5570a2742fb38e63d57e5c6b8ea3431d30bcc52b757bf0e92aa00a"
-)
-_ROOT = Path(__file__).resolve().parents[1]
-_GOLDENS = sorted(_ROOT.glob("schedules/*.json"))
-
-
-def test_cli_classify_json_on_the_goldens_is_pinned(capsys):
-    # the four golden documents, classified one after another
-    out = ""
-    for path in _GOLDENS:
-        code, text, _ = _run(capsys, "classify", "--json", str(path))
-        assert code == 0
-        out += text
-    assert len(_GOLDENS) == 4
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        _GOLDENS_CLASSIFY_JSON_SHA256)
-
-
-# cycle-h0 --oracle --json over a fixed list of degree lists: the README's
-# examples, then m = 2, one negative, an arc with no positive component, a
-# census necklace, all positive and all zero.  The oracle's value does not
-# depend on which generic gluings it draws, so neither does this digest
-_CYCLE_H0_ORACLE_DEGREES = ("2,-2,2,-2", "3,-1,0,0", "1,-1,1,-1", "3,-3",
-                            "1,1,-1", "2,-1,0,-1", "0,-2,4,-2", "2,3,4",
-                            "0,0", "0,0,0")
-_CYCLE_H0_ORACLE_JSON_SHA256 = (
-    "42264096bef44f6634aab41483d61444edf54348ebf6481799227abf49d526bb"
-)
-
-
-def test_cli_cycle_h0_oracle_json_bytes_are_pinned(capsys):
-    out = ""
-    for degrees in _CYCLE_H0_ORACLE_DEGREES:
-        code, text, _ = _run(capsys, "cycle-h0", "--oracle", "--json",
-                             "--degrees", degrees)
-        assert code == 0 and '"agree":true' in text
-        out += text
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        _CYCLE_H0_ORACLE_JSON_SHA256)
-
-
-# pairing --json at fixed n: the small cases around the kernel at n = 4, a
-# middle size, and the cap, each with its matrix, determinant and kernel
-_PAIRING_NS = ("1", "2", "3", "4", "5", "40", "150")
-_PAIRING_JSON_SHA256 = (
-    "bb4a468715945686b62ef671ed19c36a9b84d3a1a17ac8a92a73974e9b951cd7"
-)
-
-
-def test_cli_pairing_json_bytes_are_pinned(capsys):
-    out = ""
-    for n in _PAIRING_NS:
-        code, text, _ = _run(capsys, "pairing", "--n", n, "--json")
-        assert code == 0
-        out += text
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _PAIRING_JSON_SHA256
-
-
-# every criterion's detail line, byte for byte; no line carries a timing
-_SELFTEST_SHA256 = (
-    "ed6266c675b099b0620ba4e2be3d75ccfb42e313cccc68bc14390d7344733108"
-)
-
-
-def test_cli_under_python_O_keeps_its_results():
-    # with asserts stripped, nothing the program computes may change: no
-    # control flow rests on an assert
-    src = str(_ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-
-    def run(*argv):
-        return subprocess.run(
-            [sys.executable, "-O", "-m", "twistor4.cli", *argv],
-            capture_output=True, env=env, check=True,
-        ).stdout
-
-    selftest = run("selftest")
-    assert hashlib.sha256(selftest).hexdigest() == _SELFTEST_SHA256
-    enumerated = run("enumerate", "--json")
-    assert hashlib.sha256(enumerated).hexdigest() == _ENUMERATE_JSON_SHA256
-    table = run("enumerate")
-    assert hashlib.sha256(table).hexdigest() == _ENUMERATE_TABLE_SHA256
-    capped = run("enumerate", "--limit", "10", "--json")
-    assert hashlib.sha256(capped).hexdigest() == _ENUMERATE_LIMIT_10_JSON_SHA256
-    probe = run("enumerate", "--limit", "1", "--json")
-    assert hashlib.sha256(probe).hexdigest() == _ENUMERATE_LIMIT_1_JSON_SHA256
-    classified = b"".join(run("classify", "--json", str(path)) for path in _GOLDENS)
-    assert hashlib.sha256(classified).hexdigest() == _GOLDENS_CLASSIFY_JSON_SHA256
-    oracle = subprocess.run(
-        [sys.executable, "-O", "-c", "import sys; from twistor4.cli import main\n"
-         "for d in sys.argv[1:]: main(['cycle-h0', '--oracle', '--json', '--degrees', d])",
-         *_CYCLE_H0_ORACLE_DEGREES], capture_output=True, env=env, check=True).stdout
-    assert hashlib.sha256(oracle).hexdigest() == _CYCLE_H0_ORACLE_JSON_SHA256
-    paired = b"".join(run("pairing", "--n", n, "--json") for n in _PAIRING_NS)
-    assert hashlib.sha256(paired).hexdigest() == _PAIRING_JSON_SHA256
 
 
 def test_a_cold_start_loads_no_dataclasses_inspect_or_typing():
@@ -881,34 +765,20 @@ def test_the_positional_modules_reach_the_oracle_only_in_their_getattr():
 
 
 def test_ci_and_the_benchmark_pin_the_tests_digests():
-    # each pinned digest has one value: CI and the benchmark's expected
-    # results repeat the tests' constants, so a re-pin cannot leave one behind
+    # tests/pins.py holds every pinned digest: CI runs it and repeats none,
+    # and of the tests only pins.py names one.  The benchmark's expected
+    # results keep their copy of enumerate --json's, which must equal it
     workflow = (_ROOT / ".github" / "workflows" / "tier1.yml").read_text(
         encoding="utf-8")
-    pins = {}
-    for step in workflow.split("- name: ")[1:]:
-        for digest in re.findall(r'test "\$digest" = ([0-9a-f]{64})', step):
-            command = re.search(
-                r"-m twistor4 ([\w-]+(?: --limit \d+)?(?: --oracle)?(?: --json)?)",
-                step).group(1)
-            pins.setdefault(command, []).append(digest)
-    assert pins == {"enumerate --json": [_ENUMERATE_JSON_SHA256],
-                    "enumerate": [_ENUMERATE_TABLE_SHA256],
-                    "enumerate --limit 10 --json": [_ENUMERATE_LIMIT_10_JSON_SHA256],
-                    "enumerate --limit 1 --json": [_ENUMERATE_LIMIT_1_JSON_SHA256],
-                    "classify --json": [_GOLDENS_CLASSIFY_JSON_SHA256],
-                    "selftest": [_SELFTEST_SHA256],
-                    "cycle-h0 --oracle --json": [_CYCLE_H0_ORACLE_JSON_SHA256],
-                    "pairing": [_PAIRING_JSON_SHA256]}
-    degrees = re.search(r"for degrees in ([^;\n]+); do python \$flags -m twistor4 "
-                        r"cycle-h0 --oracle --json", workflow).group(1)
-    assert tuple(degrees.split()) == _CYCLE_H0_ORACLE_DEGREES
-    ns = re.search(r"for n in ([^;\n]+); do python \$flags -m twistor4 pairing "
-                   r"--n \$n --json", workflow).group(1)
-    assert tuple(ns.split()) == _PAIRING_NS
+    assert re.findall(r"[0-9a-f]{64}", workflow) == []
+    assert re.search(r"^ +run: python tests/pins\.py$", workflow, re.MULTILINE)
+    for path in chain(_ROOT.glob("tests/*.py"), _ROOT.glob(".github/**/*.yml")):
+        text = path.read_text(encoding="utf-8")
+        named = [name for name, pin in PINS.items() if pin.sha256 in text]
+        assert named == [] or path.name == "pins.py", (path, named)
     expected = json.loads((_ROOT / "perfbench" / "expected.json").read_text(
         encoding="utf-8"))
-    assert expected["enumerate_json"]["sha256"] == _ENUMERATE_JSON_SHA256
+    assert expected["enumerate_json"]["sha256"] == PINS["enumerate --json"].sha256
 
 
 # -- the names the benchmark traces ---------------------------------------------------
@@ -1311,6 +1181,30 @@ def test_main_builds_only_the_invoked_subcommands_parser(capsys, monkeypatch):
                               ("-h",): 9, (): 9, ("bogus",): 9, ("--",): 9})
 
 
+@pytest.mark.parametrize("command", _SUBCOMMANDS)
+def test_a_leading_double_dash_before_the_command_is_dropped(capsys, monkeypatch, command):
+    # argparse would take the "--" for the command's name
+    builds, init = [], cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    argv = (command, *_JSON_SAMPLES.get(command, ()))
+    expected = _run(capsys, *argv)
+    assert expected[0] == 0
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert _run(capsys, "--", *argv) == expected
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("argv", [("--",), ("--", "-h"), ("--", "bogus")],
+                         ids=["alone", "help", "unknown"])
+def test_a_double_dash_before_no_command_stays_a_usage_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("error: ")
+
+
 def test_main_reads_sys_argv_when_given_no_argv(capsys, monkeypatch):
     # the installed console script calls main() with no argv
     monkeypatch.setattr(sys, "argv", ["twistor4", "enumerate", "--limit", "1", "--json"])
@@ -1318,7 +1212,7 @@ def test_main_reads_sys_argv_when_given_no_argv(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert digest == _ENUMERATE_LIMIT_1_JSON_SHA256
+    assert digest == PINS["enumerate --limit 1 --json"].sha256
     monkeypatch.setattr(sys, "argv", ["twistor4"])
     assert main() == 1
     assert capsys.readouterr() == (
@@ -1388,4 +1282,4 @@ def test_cli_selftest_runs_all_criteria(capsys):
     assert len(lines) == 10
     assert all(": PASS - " in line for line in lines)
     assert out.strip().endswith("10/10 criteria passed")
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _SELFTEST_SHA256
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINS["selftest"].sha256
