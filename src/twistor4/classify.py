@@ -37,7 +37,7 @@ import math
 from collections import namedtuple
 from functools import cache, reduce
 
-from . import lattice, schema
+from . import schema
 from .cycles import CycleLineBundle, TorsionSpec, h0_formula
 from .errors import RealizabilityError, ScheduleError, TorsionRequiredError, check
 from .lattice import (
@@ -259,13 +259,12 @@ def model_from_schedule(
 
 def model_from_document(doc: dict) -> Necklace:
     """The necklace of a schedule document's cycle, with its torsion record;
-    the smooth variant's comes from its validated cycle, whose class route
-    ``lattice`` loads on the first such document only."""
-    parsed = schema.parse_document(doc)
-    if parsed.schedule is None:
-        cycle = lattice.smooth_anticanonical_cycle(parsed.n)
-        return cycle.necklace(parsed.torsion)
-    return model_from_schedule(parsed.schedule, parsed.torsion)
+    the smooth variant's is one real component of degree (-K)^2 = 8 - 2n."""
+    n, schedule, torsion = schema.parse_document(doc)
+    if schedule is None:
+        tau = None if torsion is None else torsion.tau
+        return Necklace(("C",), (8 - 2 * n,), (0,), True, tau, n)
+    return model_from_schedule(schedule, torsion)
 
 
 def classify(necklace: Necklace) -> ClassificationReport:

@@ -56,9 +56,9 @@ __all__ = [
 
 
 def __getattr__(name):
-    # the class route's names of ``__all__`` live in ``oracle``; a caller
-    # that looks one up here (perfbench's tracer, the smooth variant in
-    # ``classify``) gets it bound here on first use, then as a dict hit
+    # the class route's names of ``__all__`` live in ``oracle``; only the
+    # public surface and perfbench's tracer look one up here, and get it
+    # bound here on first use, then as a dict hit
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import oracle

@@ -4,8 +4,8 @@ The classification reads positions only (``lattice``) and h^0 by its closed
 form (``cycles.h0_formula``).  The routes here compute the same facts
 another way, for ``selftest``, ``cycle-h0 --oracle`` and the tests; nothing
 on the ``classify`` or ``enumerate`` path imports this module.  ``lattice``
-and ``cycles`` still answer for the names they list in ``__all__``, each
-bound there on first use.
+and ``cycles`` still answer for the names of their ``__all__`` (bound on
+first use), but no module of the package looks one up there.
 
 **The class route.**  The surface S is P^1 x P^1 blown up in n conjugate
 pairs of (possibly infinitely near) points.  Pic(S) gets the
@@ -306,7 +306,8 @@ def _gram(columns, m):
 
 
 def smooth_anticanonical_cycle(pairs):
-    """The smooth-elliptic anticanonical member (nef by construction)."""
+    """The smooth-elliptic anticanonical member (nef by construction): the
+    reference for the necklace ``model_from_document`` writes literally."""
     lattice = SurfaceLattice(pairs)
     cycle = AnticanonicalCycle(
         lattice=lattice,

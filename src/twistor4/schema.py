@@ -220,12 +220,16 @@ def document_digest(doc: dict) -> str:
 def loads_document(text: str) -> dict:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise ScheduleError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise ScheduleError("invalid JSON: nested too deeply to parse") from None
 
 
 def load_document(path) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads_document(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ScheduleError(f"invalid JSON: not UTF-8 text: {exc}") from None
+    return loads_document(text)

@@ -823,7 +823,7 @@ def test_a_schedule_document_realizes_with_no_divisor_class(monkeypatch):
     # model_from_document folds the steps into a state and reads the
     # necklace off its key: no class, as in the enumerator, and no lattice
     # either; the report is emitted through the one module-level encoder.
-    # The smooth variant alone builds (and validates) its cycle
+    # The smooth variant's necklace is a literal: no class, no lattice
     calls, roots = Counter(), []
     divisor_init, state_init = DivisorClass.__post_init__, RealizationState.__init__
     lattice_init, encoder_init = SurfaceLattice.__post_init__, json.JSONEncoder.__init__
@@ -859,8 +859,7 @@ def test_a_schedule_document_realizes_with_no_divisor_class(monkeypatch):
     assert len(roots) == 5 and calls == Counter()
     emitted({"n": 4, "initial_type": "I", "steps": [],
              "smooth_anticanonical": True, "torsion": {"kind": "infinite"}})
-    assert calls["encoder"] == 0
-    assert calls["divisor"] > 0 and calls["lattice"] == 1
+    assert len(roots) == 5 and calls == Counter()
 
 
 def test_a_valid_document_runs_only_the_checks_it_can_fail(monkeypatch):
@@ -923,6 +922,36 @@ def test_a_necklace_carries_degrees_not_squares():
     state = RealizationState("II", 1).extend(S("C0"))
     assert state.necklace() == Necklace(("F", "C0"), (2, 4), (0, 1), False,
                                         None, 1)
+
+
+def test_the_smooth_documents_literal_necklace_is_the_class_routes():
+    # model_from_document writes the smooth member's necklace without a
+    # class; the class route's validated cycle of class -K stays its
+    # reference, at every n a document accepts and with each kind of tau
+    torsions = {None: None, 1: TorsionSpec.finite(1), 2: TorsionSpec.finite(2),
+                math.inf: TorsionSpec.non_torsion()}
+    for n in range(schema.MAX_N + 1):
+        cycle = smooth_anticanonical_cycle(n)
+        for tau, torsion in torsions.items():
+            doc = {"n": n, "initial_type": "I", "steps": [],
+                   "smooth_anticanonical": True}
+            if torsion is not None:
+                doc["torsion"] = schema.torsion_document(torsion)
+            literal = model_from_document(doc)
+            assert literal == cycle.necklace(torsion), (n, tau)
+            assert type(literal) is Necklace and literal.tau == tau
+    for torsion in torsions.values():
+        doc = {"n": 4, "initial_type": "I", "steps": [], "smooth_anticanonical": True}
+        reference = smooth_anticanonical_cycle(4).necklace(torsion)
+        if torsion is None:
+            with pytest.raises(TorsionRequiredError):
+                classify(model_from_document(doc))
+            with pytest.raises(TorsionRequiredError):
+                classify(reference)
+            continue
+        doc["torsion"] = schema.torsion_document(torsion)
+        assert schema.canonical_json(classify(model_from_document(doc)).as_dict()) \
+            == schema.canonical_json(classify(reference).as_dict())
 
 
 _NEF = Necklace(("F", "G", "Fbar", "Gbar"), (0, 0, 0, 0), (2, 3, 0, 1), False, 1, 4)

@@ -8,6 +8,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import random
 import re
 import subprocess
 import sys
@@ -318,6 +319,59 @@ def test_loads_document_rejects_bad_json():
         schema.loads_document("{not json")
     with pytest.raises(ScheduleError, match="invalid JSON: nested too deeply"):
         schema.loads_document(_DEEP_JSON)
+
+
+def test_text_past_the_digit_limit_and_bytes_past_utf8_raise_schedule_errors(tmp_path):
+    # json.loads refuses an int of more than 4,300 digits with a plain
+    # ValueError on the Pythons that limit int-string conversion, and a file
+    # that is not UTF-8 fails in its read; both are malformed documents.
+    # Where no digit limit applies, the MAX_N cap refuses the same n
+    text = '{"n": ' + "7" * 5000 + ', "initial_type": "I", "steps": []}'
+    with pytest.raises(ScheduleError, match="^invalid JSON: |^n is capped at "):
+        classify(model_from_document(schema.loads_document(text)))
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 0, "initial_type": "I\xff", "steps": []}')
+    with pytest.raises(ScheduleError, match="^invalid JSON: not UTF-8 text: "):
+        classify(model_from_document(schema.load_document(path)))
+
+
+def _mutants(data, rng, count):
+    """``count`` seeded mutants of the bytes ``data``: byte flips,
+    truncations and runs of digits put in after a digit."""
+    digits = [i for i, byte in enumerate(data) if chr(byte).isdigit()]
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 0:
+            mutant = bytearray(data)
+            for _ in range(rng.randint(1, 3)):
+                mutant[rng.randrange(len(data))] = rng.randrange(256)
+            yield bytes(mutant)
+        elif kind == 1:
+            yield data[:rng.randrange(len(data))]
+        else:
+            at = rng.choice(digits) + 1
+            run = rng.choice((1, 3, 20, 4300, 5000)) * rng.choice("0179").encode()
+            yield data[:at] + run + data[at:]
+
+
+def test_no_mutant_of_a_golden_document_escapes_as_anything_but_a_twistor_error(
+        tmp_path):
+    # a seeded sweep over the four goldens' bytes, read from a file as the
+    # CLI reads them: whatever a mutant breaks, the library refuses it with
+    # a TwistorError, or classifies it
+    rng, path, outcomes = random.Random(40), tmp_path / "mutant.json", Counter()
+    for golden in sorted((_ROOT / "schedules").glob("*.json")):
+        for mutant in _mutants(golden.read_bytes(), rng, 600):
+            path.write_bytes(mutant)
+            try:
+                classify(model_from_document(schema.load_document(path)))
+                outcomes["classified"] += 1
+            except errors.TwistorError as exc:
+                outcomes[type(exc).__name__] += 1
+            except Exception as exc:  # the leak under test
+                pytest.fail(f"{type(exc).__name__} escaped on {mutant[:120]!r}: {exc}")
+    assert sum(outcomes.values()) == 2400 and outcomes["ScheduleError"] > 0
+    assert outcomes["classified"] > 0
 
 
 # -- CLI: helpers -----------------------------------------------------------------
@@ -724,6 +778,7 @@ _WATCHED_MODULES = ("decimal", "fractions", "hashlib", "heapq", "shutil",
 
 @pytest.mark.parametrize("argv, loaded", [
     (["classify", "--json", str(_ROOT / "schedules" / "case_b.json")], []),
+    (["classify", "--json", "smooth.json"], []),
     (["enumerate", "--json"], ["hashlib"]),
     (["cycle-h0", "--degrees", "2,-2,2,-2"], []),
     (["cycle-h0", "--oracle", "--degrees", "2,-2,2,-2"],
@@ -731,37 +786,72 @@ _WATCHED_MODULES = ("decimal", "fractions", "hashlib", "heapq", "shutil",
     (["chern", "--n", "4"], ["twistor4.cohomology"]),
     (["pairing", "--n", "4", "--json"],
      ["decimal", "fractions", "heapq", "twistor4.cohomology", "twistor4.linalg"]),
-], ids=["classify", "enumerate", "cycle-h0", "cycle-h0-oracle", "chern", "pairing"])
-def test_a_subcommand_loads_only_what_it_runs(argv, loaded):
+], ids=["classify", "classify-smooth", "enumerate", "cycle-h0", "cycle-h0-oracle",
+        "chern", "pairing"])
+def test_a_subcommand_loads_only_what_it_runs(argv, loaded, tmp_path):
     # a structural gate on the cold start, which timing noise cannot pass or
     # fail: a fresh interpreter without site runs one subcommand, then lists
-    # which of the watched modules it loaded
+    # which of the watched modules it loaded.  It runs in ``tmp_path``, where
+    # the smooth member's document is written
+    (tmp_path / "smooth.json").write_text(json.dumps({
+        "n": 4, "initial_type": "I", "steps": [], "smooth_anticanonical": True,
+        "torsion": {"kind": "finite", "order": 2}}), encoding="utf-8")
     script = ("import sys\nfrom twistor4.cli import main\n"
               "code = main(sys.argv[1:])\n"
               f"print(code, sorted(set({_WATCHED_MODULES!r}) & set(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
-    out = subprocess.run([sys.executable, "-S", "-c", script, *argv],
+    out = subprocess.run([sys.executable, "-S", "-c", script, *argv], cwd=tmp_path,
                          capture_output=True, text=True, env=env, check=True).stdout
     assert out.splitlines()[-1] == f"0 {loaded}"
 
 
+def _forwarded_names(tree):
+    """The names of a module's ``__all__`` that it does not define itself,
+    which its ``__getattr__`` forwards."""
+    defined, listed = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names = {target.id for target in node.targets if isinstance(target, ast.Name)}
+            if "__all__" in names:
+                listed = ast.literal_eval(node.value)
+            defined |= names
+    return set(listed) - defined
+
+
 def test_the_positional_modules_reach_the_oracle_only_in_their_getattr():
-    # ``lattice`` and ``cycles`` forward the moved names; nothing else in
-    # them names the oracle module, so importing them loads none of it
+    # ``lattice`` and ``cycles`` forward the moved names, for the public
+    # surface only; nothing else in them, nor in ``classify`` or ``schema``,
+    # names the oracle module, so importing them loads none of it.  No
+    # module of the package looks a forwarded name up through them either
     package = Path(cli.__file__).parent
-    for name in ("lattice", "cycles"):
-        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
-        forwarder = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
-                         and node.name == "__getattr__")
-        inside = {id(node) for node in ast.walk(forwarder)}
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    forwarded = {name: _forwarded_names(trees[name]) for name in ("lattice", "cycles")}
+    assert "smooth_anticanonical_cycle" in forwarded["lattice"]
+    assert forwarded["cycles"] == {"h0_oracle"}
+    for name in ("lattice", "cycles", "classify", "schema"):
+        tree = trees[name]
+        forwarder = next((node for node in tree.body if isinstance(node, ast.FunctionDef)
+                          and node.name == "__getattr__"), None)
+        inside = {id(node) for node in ast.walk(forwarder)} if forwarder else set()
         references = [
             node for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom)) and "oracle" in [
                 (getattr(node, "module", None) or "").rpartition(".")[2],
                 *(alias.name.rpartition(".")[2] for alias in node.names)]
             or isinstance(node, ast.Name) and node.id == "oracle"]
-        assert references, name
+        assert bool(references) == (forwarder is not None), name
         assert [node.lineno for node in references if id(node) not in inside] == [], name
+    for name, tree in trees.items():
+        lookups = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in forwarded
+            and {alias.name for alias in node.names} & forwarded[node.module]
+            or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.attr in forwarded.get(node.value.id, ())]
+        assert lookups == [], name
 
 
 def test_ci_and_the_benchmark_pin_the_tests_digests():
