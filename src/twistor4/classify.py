@@ -105,27 +105,29 @@ def negative_curves(necklace: Necklace) -> tuple[tuple[str, int], ...]:
     or up to three conjugate -1 pairs alternating with the positive
     components are the only other options.
     """
-    return _match_case(necklace, anticanonical_degrees(necklace))[1]
+    degrees = anticanonical_degrees(necklace)
+    case, negatives = _match_case(necklace, degrees)
+    if case not in _CASES:
+        raise _rejection(case, negatives, degrees)
+    return negatives
 
 
 def _match_case(necklace: Necklace, degrees):
-    """``(case, negative_curves)`` from the necklace's checked degrees.
+    """``(case, negative_curves)`` from the necklace's checked degrees, or
+    ``(tag, negative_curves)`` with the tag of the rule that rejects them;
+    ``_rejection`` words the tag, so a caller that keeps only the tag pays
+    for no text.
 
     A ``Necklace``'s conjugation keeps the degrees, so it permutes the
     negative positions ``at``: case b's two non-real -2s are each other's
     partners, and case c's -1s are closed under it, unchecked."""
     order, at = necklace.order, [p for p, d in enumerate(degrees) if d < 0]
     negatives = tuple([(order[p], degrees[p]) for p in at])
-    for name, d in negatives:
-        if d <= -3:
-            raise RealizabilityError(
-                "degree-below-minus-2",
-                f"component {name} has degree {d}; no component of degree "
-                "below -2 can appear on an anticanonical cycle here",
-            )
     if not negatives:
         return CASE_NEF, negatives
     degs = [d for _, d in negatives]
+    if min(degs) <= -3:
+        return "degree-below-minus-2", negatives
     partners = necklace.partners
     real = [partners[p] == p for p in at]
     if degs == [-2] and real == [True]:
@@ -133,29 +135,36 @@ def _match_case(necklace: Necklace, degrees):
     if degs == [-2, -2] and not any(real):
         # components of a valid cycle meet exactly when adjacent
         if at[1] - at[0] in (1, len(degrees) - 1):
-            raise RealizabilityError(
-                "pair-not-disjoint",
-                f"the degree -2 conjugate pair {negatives[0][0]}, "
-                f"{negatives[1][0]} must be disjoint",
-            )
+            return "pair-not-disjoint", negatives
         return CASE_PAIR_MINUS_2, negatives
     if len(negatives) in (2, 4, 6) and degs == [-1] * len(degs) and not any(real):
         # disjoint positive components, one negative between neighbours
         signs = [d > 0 for d in degrees if d]
         if signs[1:] + signs[:1] != [not s for s in signs]:
-            raise RealizabilityError(
-                "case-c-structure",
-                "going round the cycle the nonzero degrees must alternate in "
-                "sign, one negative component between consecutive positive "
-                f"ones; the degrees are {degrees}",
-            )
+            return "case-c-structure", negatives
         return CASE_PAIRS_MINUS_1, negatives
-    raise RealizabilityError(
-        "negative-pattern",
-        f"negative components {list(negatives)} match none of the realizable "
-        "patterns (one real -2, a conjugate -2 pair, or 1-3 conjugate "
-        "-1 pairs)",
-    )
+    return "negative-pattern", negatives
+
+
+def _rejection(tag: str, negatives, degrees) -> RealizabilityError:
+    """The error that ``classify`` and ``negative_curves`` raise for a
+    rejection ``tag`` of ``_match_case``."""
+    if tag == "degree-below-minus-2":
+        name, d = next(c for c in negatives if c[1] <= -3)
+        text = (f"component {name} has degree {d}; no component of degree "
+                "below -2 can appear on an anticanonical cycle here")
+    elif tag == "pair-not-disjoint":
+        text = (f"the degree -2 conjugate pair {negatives[0][0]}, "
+                f"{negatives[1][0]} must be disjoint")
+    elif tag == "case-c-structure":
+        text = ("going round the cycle the nonzero degrees must alternate in "
+                "sign, one negative component between consecutive positive "
+                f"ones; the degrees are {degrees}")
+    else:
+        text = (f"negative components {list(negatives)} match none of the "
+                "realizable patterns (one real -2, a conjugate -2 pair, or "
+                "1-3 conjugate -1 pairs)")
+    return RealizabilityError(tag, text)
 
 
 class ClassificationReport(namedtuple("ClassificationReport", (
@@ -270,6 +279,16 @@ def model_from_document(doc: dict) -> Necklace:
 def classify(necklace: Necklace) -> ClassificationReport:
     """The full classification for n = 4 (eight blown-up points), read off
     a ``Necklace``; any other model raises ScheduleError."""
+    report, rejected = _classify(necklace)
+    if rejected is not None:
+        raise _rejection(*rejected)
+    return report
+
+
+def _classify(necklace: Necklace):
+    """``(report, None)``, or ``(None, (tag, negative_curves, degrees))`` for
+    a necklace ``_match_case`` rejects: ``classify`` without the error, as
+    the enumerator keeps only the tag.  Every other error is raised."""
     degrees = anticanonical_degrees(necklace)
     if necklace.pairs != 4:
         raise ScheduleError(
@@ -277,6 +296,8 @@ def classify(necklace: Necklace) -> ClassificationReport:
             f"got n = {necklace.pairs}"
         )
     case, negatives = _match_case(necklace, degrees)
+    if case not in _CASES:
+        return None, (case, negatives, degrees)
     m, tau, dim_minus2ks = len(degrees), necklace.tau, None
     if case == CASE_NEF:
         if tau is None:
@@ -301,7 +322,7 @@ def classify(necklace: Necklace) -> ClassificationReport:
         deg1 = m
     return check_report(ClassificationReport(  # by position, in field order
         case, negatives, m, necklace.smooth_variant, h0, base, deg1, a, tau,
-        dim_minus2ks))
+        dim_minus2ks)), None
 
 
 # -- enumeration ------------------------------------------------------------
@@ -356,11 +377,9 @@ def walk_schedules(root: RealizationState):
 
 def _outcome(leaf: RealizationState) -> tuple[ClassificationReport | None, str | None]:
     """The leaf's report and None, or None and the tag that rejects it: its
-    necklace classified with tau = 1."""
-    try:
-        return classify(leaf.necklace(_TAU_ONE)), None
-    except RealizabilityError as exc:
-        return None, exc.tag
+    necklace classified with tau = 1, and no rejection worded."""
+    report, rejected = _classify(leaf.necklace(_TAU_ONE))
+    return report, None if rejected is None else rejected[0]
 
 
 def classify_leaf(leaf: RealizationState) -> EnumeratedEntry:
@@ -388,24 +407,31 @@ def _memo_key(key: tuple) -> tuple:
     depth and the least (squares, sorted folded open hosts) over
     ``_dihedral_maps``, without the conjugate positions (see ``_Walk``).
     Only a map whose image starts with the least first square can give the
-    least image: type I's images start at every position, type II's two at 0."""
+    least image: type I's images start at every position, type II's two at
+    0.  One pass keeps the least image and the maps that give it, and only
+    those fold the open hosts."""
     initial, squares, partners, hosts, consumed = key
     m, double = len(squares), squares * 2 + squares[::-1] * 2
     first = squares[0] if initial == "II" else min(squares)
-    maps = [(double[start:start + m], inv)
-            for start, inv in _dihedral_maps(m, initial == "II")
-            if double[start] == first]
-    least, open_hosts = min([image for image, _ in maps]), [
-        h for j, h in enumerate(hosts, 1) if h is not None and j not in consumed]
-    return initial, len(hosts), min(
-        (image, tuple(sorted([min(inv[h], inv[partners[h]]) for h in open_hosts])))
-        for image, inv in maps if image == least)
+    least, tied = None, []
+    for start, inv in _dihedral_maps(m, initial == "II"):
+        if double[start] == first:
+            image = double[start:start + m]
+            if least is None or image < least:
+                least, tied = image, [inv]
+            elif image == least:
+                tied.append(inv)
+    open_hosts = [h for j, h in enumerate(hosts, 1)
+                  if h is not None and j not in consumed]
+    return initial, len(hosts), (least, min([
+        tuple(sorted([min(inv[h], inv[partners[h]]) for h in open_hosts]))
+        for inv in tied]))
 
 
 class _Walk:
     """One enumeration's depth-first walk: the entries kept, the (initial
     type, necklace) pairs met, the leaves queued, the leaf count below
-    each memo key, and the leaves visited.
+    each memo key and each positional key met, and the leaves visited.
 
     ``candidates`` lists, by position, one smooth step per conjugate orbit
     of components but the real fibre F of type II (at position 0 in every
@@ -459,12 +485,22 @@ class _Walk:
     key blanks every host (keeping the depth), and each state adds its
     open hosts to the stored count.
 
+    A state looks its positional key (so blanked at the last step) up in
+    ``exact`` before it computes a memo key: equal positional keys have
+    equal memo keys, and a positional key is stored only once its memo
+    key's count is, so a hit is a memo hit that skips the canonical form.
+    A full walk computes 63 memo keys for the 87 states that reach the
+    memo; ``below`` keeps one count per memo key (39), ``exact`` one per
+    positional key.
+
     Leaves are classified in one place, ``flush``, in walk order, so each
-    key keeps the plain walk's entry.  A leaf with a new (initial type,
-    necklace) is queued, and ``flush`` runs once the entries kept plus the
-    leaves queued reach ``max_reports``, and after the walk.  A leaf adds
-    at most one entry, so while that sum is below the cap the plain walk's
-    count is too, and at the cap ``found`` is exact.  The cap is checked
+    key keeps the plain walk's entry; a rejected leaf keeps its tag, and no
+    ``RealizabilityError`` or message is built for it (see ``_classify``).
+    A leaf with a new (initial type, necklace) is queued, and ``flush``
+    runs once the entries kept plus the leaves queued reach
+    ``max_reports``, and after the walk.  A leaf adds at most one entry,
+    so while that sum is below the cap the plain walk's count is too, and
+    at the cap ``found`` is exact.  The cap is checked
     at each leaf, and before a skipped subtree or the last step's counted
     leaves, as the plain walk checks it at their first leaf (an interior
     state has a smooth step on G or C0), so the walk stops where the plain
@@ -478,6 +514,7 @@ class _Walk:
         self.seen: set[tuple] = set()
         self.pending: list[RealizationState] = []
         self.below: dict[tuple, int] = {}
+        self.exact: dict[tuple, int] = {}
         self.visited = 0
 
     def _count(self, leaves: int) -> None:
@@ -520,17 +557,20 @@ class _Walk:
             open_hosts = sum([h is not None and j not in consumed
                               for j, h in enumerate(hosts, 1)])
             key = initial, squares, partners, (None,) * depth, consumed
-        memo = _memo_key(key)
-        leaves = self.below.get(memo)
+        leaves = self.exact.get(key)
         if leaves is None:
-            moves, leaves = state.candidates(), 0
-            for move in moves[:len(moves) - open_hosts]:
-                leaves += self.visit(state.extend(move))
-            self.below[memo] = leaves
-            if open_hosts:
-                self._count(open_hosts)
-        else:
-            self._count(leaves + open_hosts)
+            memo = _memo_key(key)
+            leaves = self.below.get(memo)
+            if leaves is None:
+                moves, leaves = state.candidates(), 0
+                for move in moves[:len(moves) - open_hosts]:
+                    leaves += self.visit(state.extend(move))
+                self.below[memo] = self.exact[key] = leaves
+                if open_hosts:
+                    self._count(open_hosts)
+                return leaves + open_hosts
+            self.exact[key] = leaves
+        self._count(leaves + open_hosts)
         return leaves + open_hosts
 
 

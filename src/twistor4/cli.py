@@ -333,15 +333,31 @@ def _build_parser(command=None):
     return parser
 
 
+def _reject_command(parser, name):
+    """Raise the parser's invalid-choice error for the command ``name``,
+    which its ``parse_args`` would read as an option: no command starts
+    with "-"."""
+    action = next(a for a in parser._actions if a.dest == "command")
+    try:
+        parser._check_value(action, name)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse hands a leading "--" to the subparsers action as the command's
-    # name; the command is positional anyway, so a "--" before it is dropped
-    if argv[:1] == ["--"] and len(argv) > 1 and not argv[1].startswith("-"):
+    # name; the command is positional anyway, so a "--" before it is
+    # dropped, and what follows it is the command even if it starts with "-"
+    after_dashes = argv[:1] == ["--"] and len(argv) > 1
+    if after_dashes:
         argv = argv[1:]
     try:
         try:
-            args = _build_parser(argv[0] if argv else None).parse_args(argv)
+            parser = _build_parser(argv[0] if argv else None)
+            if after_dashes and argv[0].startswith("-"):
+                _reject_command(parser, argv[0])
+            args = parser.parse_args(argv)
         except SystemExit as shown:  # argparse exits only once --help is printed
             return shown.code
         result = args.func(args)

@@ -314,6 +314,33 @@ def test_negative_curves_rejects_what_classify_rejects(degrees, tag):
         assert info.value.tag == tag
 
 
+@pytest.mark.parametrize("degrees,partners,tag,text", [
+    ((-2, -3, 2, 3), (0, 1, 2, 3), "degree-below-minus-2",
+     "component B has degree -3; no component of degree below -2 can appear "
+     "on an anticanonical cycle here"),
+    ((-2, -2, 2, 2), (1, 0, 3, 2), "pair-not-disjoint",
+     "the degree -2 conjugate pair A, B must be disjoint"),
+    ((-1, -1, 1, 1), (1, 0, 3, 2), "case-c-structure",
+     "going round the cycle the nonzero degrees must alternate in sign, one "
+     "negative component between consecutive positive ones; the degrees are "
+     "(-1, -1, 1, 1)"),
+    ((-1, 2, -1, 0), (0, 1, 2, 3), "negative-pattern",
+     "negative components [('A', -1), ('C', -1)] match none of the realizable "
+     "patterns (one real -2, a conjugate -2 pair, or 1-3 conjugate -1 pairs)"),
+], ids=["below-minus-2", "pair-not-disjoint", "case-c-structure",
+        "negative-pattern"])
+def test_each_rejection_of_the_negative_pattern_keeps_its_text(degrees, partners,
+                                                              tag, text):
+    # the walk keeps only the tag; the public readers word each rejection
+    # as they always have, naming the first component below -2
+    necklace = Necklace(("A", "B", "C", "D"), degrees, partners, False, None, 4)
+    for reader in (classify, negative_curves):
+        with pytest.raises(RealizabilityError) as info:
+            reader(necklace)
+        assert type(info.value) is RealizabilityError
+        assert (info.value.tag, str(info.value)) == (tag, text)
+
+
 def test_four_conjugate_minus_one_pairs_are_no_realizable_pattern():
     # the abstract allows one to three conjugate -1 pairs: the count refuses
     # a fourth pair before the sign check could name it a bad case c
@@ -770,12 +797,21 @@ def test_enumeration_keeps_what_classifying_every_leaf_keeps(enumeration):
 
 def test_enumeration_classifies_each_necklace_once(monkeypatch):
     calls = Counter()
-    classify_, extend = classify_module.classify, RealizationState.extend
+    classify_, extend = classify_module._classify, RealizationState.extend
     post_init, divisor_init = BlowupSchedule.__post_init__, DivisorClass.__post_init__
+    memo_key, rejection_init = classify_module._memo_key, RealizabilityError.__init__
 
     def counting_classify(*args):
         calls["classify"] += 1
         return classify_(*args)
+
+    def counting_memo_key(key):
+        calls["memo_key"] += 1
+        return memo_key(key)
+
+    def counting_rejection(self, *args):
+        calls["rejection"] += 1
+        rejection_init(self, *args)
 
     def counting_divisor(self):
         calls["divisor"] += 1
@@ -798,7 +834,9 @@ def test_enumeration_classifies_each_necklace_once(monkeypatch):
             super().__init__(max_reports)
             walks.append(self)
 
-    monkeypatch.setattr(classify_module, "classify", counting_classify)
+    monkeypatch.setattr(classify_module, "_classify", counting_classify)
+    monkeypatch.setattr(classify_module, "_memo_key", counting_memo_key)
+    monkeypatch.setattr(RealizabilityError, "__init__", counting_rejection)
     monkeypatch.setattr(classify_module, "_Walk", RecordedWalk)
     monkeypatch.setattr(RealizationState, "extend", counting_extend)
     monkeypatch.setattr(BlowupSchedule, "__post_init__", counting_post_init)
@@ -810,12 +848,15 @@ def test_enumeration_classifies_each_necklace_once(monkeypatch):
     # step's infinitely-near leaves, counted but not built, save 1,480 of
     # the 1,701 extends and 1,344 of the 1,480 leaf states a plain walk
     # builds, and leave 80 necklaces to classify.  The last step's memo
-    # keys leave its open hosts out, so 39 keys are stored.  Each
-    # classified leaf's necklace is read off its key, so no divisor class
-    # is built, and a schedule is built only for each of the 58 kept entries
+    # keys leave its open hosts out, so 39 keys are stored.  A state whose
+    # exact positional key was met reuses its count, so 63 of the 87 states
+    # that reach the memo compute a memo key.  Each classified leaf's
+    # necklace is read off its key, so no divisor class is built, a
+    # rejected one keeps its tag and builds no error, and a schedule is
+    # built only for each of the 58 kept entries
     assert calls == Counter({"classify": 80, "extend": 221, "leaf": 136,
-                             "schedule": 58})
-    assert calls["divisor"] == 0
+                             "schedule": 58, "memo_key": 63})
+    assert calls["divisor"] == calls["rejection"] == 0
     assert [len(walk.below) for walk in walks] == [39]
 
 
@@ -1329,7 +1370,10 @@ def _hosts_key(fold=True, open_only=True, collect=lambda hosts: tuple(sorted(hos
 
 def _dihedral_class(squares, partners):
     """The least (squares, conjugate positions) over every rotation and
-    reflection of the cycle."""
+    reflection of the cycle.  Relabelling the positions by one of them
+    gives the same weighted cycle with its conjugation, so the least image
+    is an invariant of that class, and two necklaces of one class share
+    it."""
     images, ring = [], list(range(len(squares)))
     for order in (ring, ring[::-1]):
         for r in ring:
@@ -1409,6 +1453,96 @@ def test_the_memo_key_ignores_rotations_and_reflections():
             relabelled += 1
     assert relabelled > 1000
     assert moved == type_ii > 100
+
+
+def _reference_memo_key(key):
+    """The memo key by brute force: the least (squares relabelled, sorted
+    folded open hosts) over every map of ``_dihedral_maps``, each image
+    built from the map itself, with no first-square filter."""
+    initial, squares, partners, hosts, consumed = key
+    m = len(squares)
+    open_hosts = [h for j, h in enumerate(hosts, 1)
+                  if h is not None and j not in consumed]
+    images = []
+    for _, inv in classify_module._dihedral_maps(m, initial == "II"):
+        g = [None] * m  # position i of the image takes what sat at g[i]
+        for p, i in enumerate(inv):
+            g[i] = p
+        images.append((tuple(squares[p] for p in g), tuple(sorted(
+            min(inv[h], inv[partners[h]]) for h in open_hosts))))
+    return initial, len(hosts), min(images)
+
+
+def test_the_memo_key_is_the_least_image_over_every_map():
+    # the walk's key keeps only the maps whose image starts at the least
+    # first square, and folds the hosts for the maps that tie the least
+    # image; the last step's keys blank their hosts before they are keyed.
+    # On walked states the maps that tie fold the hosts alike, so keys
+    # with every pair open at one position p, which no walk builds, give
+    # ties that fold them differently
+    keys = 0
+    for initial in ("I", "II"):
+        for state in _interior_states(RealizationState(initial, 4)):
+            initial, squares, partners, hosts, consumed = state.key
+            blanked = initial, squares, partners, (None,) * len(hosts), consumed
+            stacked = [(initial, squares, partners, (p,) * len(hosts), frozenset())
+                       for p in range(len(squares))]
+            for key in (state.key, blanked, *stacked):
+                assert classify_module._memo_key(key) == _reference_memo_key(key), key
+                keys += 1
+    assert keys == 2 * 223 + 1438
+
+
+def _unreduced_moves(state):
+    """Every location for the next step, not one per conjugation orbit:
+    every component but type II's F, every edge (both orders at m = 2),
+    and both targets of every open host."""
+    order, (initial, _, partners, hosts, consumed) = state.order, state.key
+    moves = [S(name) for name in order if not (initial == "II" and name == "F")]
+    m = len(order)
+    moves += ([N(order), N(order[::-1])] if m == 2 else
+              [N((order[p], order[(p + 1) % m])) for p in range(m)])
+    for j, h in enumerate(hosts, 1):
+        if h is not None and j not in consumed:
+            moves += [INF(j, order[h]), INF(j, order[partners[h]])]
+    return moves
+
+
+def _unreduced_necklaces(root):
+    """The (squares, conjugate positions) of every leaf below ``root``,
+    walking every move of ``_unreduced_moves``.  The memo is the exact
+    positional key: a state's moves, taken by position, and so its leaves,
+    depend on its key alone, with no relabelling argument."""
+    below = {}
+
+    def necklaces(state):
+        key = state.key
+        if key not in below:
+            if len(key[3]) == state.pairs:
+                below[key] = frozenset([key[1:3]])
+            else:
+                below[key] = frozenset().union(*[
+                    necklaces(state.extend(move)) for move in _unreduced_moves(state)])
+        return below[key]
+
+    return necklaces(root)
+
+
+def test_an_unreduced_walk_reaches_the_classes_the_orbit_walk_reaches():
+    # ``candidates`` offers one step per conjugation orbit, and the
+    # enumerator's memo relabels states; a walk that offers every
+    # location and keys states by position shares neither reduction, and
+    # reaches the same rotation and reflection classes at n = 4: a
+    # ``candidates`` that dropped an orbit member with its own leaves
+    # would lose classes here
+    counts = {}
+    for initial in INITIAL_TYPES:
+        root = RealizationState(initial, 4)
+        walked = {leaf.key[1:3] for _, leaf in walk_schedules(root)}
+        unreduced = {_dihedral_class(*n) for n in _unreduced_necklaces(root)}
+        assert unreduced == {_dihedral_class(*n) for n in walked}, initial
+        counts[initial] = len(unreduced)
+    assert counts == {"I": 17, "II": 50, "III": 15}
 
 
 def test_the_initial_type_and_m_fix_the_conjugation_on_every_walked_state():
@@ -1507,7 +1641,7 @@ def test_a_capped_walk_classifies_what_classifying_on_the_spot_does(monkeypatch,
     # reach the cap, so the walk classifies the same necklaces in the same
     # order as a walk that classifies each leaf on the spot, stops at the
     # same leaf, and has nothing queued when the cap stops it
-    classify_, runs = classify_module.classify, []
+    classify_, runs = classify_module._classify, []
 
     def run(walk_class):
         classified, queued_at_stop = [], []
@@ -1521,7 +1655,7 @@ def test_a_capped_walk_classifies_what_classifying_on_the_spot_does(monkeypatch,
                     raise
 
         monkeypatch.setattr(classify_module, "_Walk", Watched)
-        monkeypatch.setattr(classify_module, "classify", lambda necklace: (
+        monkeypatch.setattr(classify_module, "_classify", lambda necklace: (
             classified.append(necklace) or classify_(necklace)))
         result = enumerate_configurations(max_reports=cap)
         runs.append((queued_at_stop, result.exhausted))

@@ -1288,11 +1288,15 @@ def test_a_leading_double_dash_before_the_command_is_dropped(capsys, monkeypatch
     assert len(builds) == 2
 
 
-@pytest.mark.parametrize("argv", [("--",), ("--", "-h"), ("--", "bogus")],
-                         ids=["alone", "help", "unknown"])
+@pytest.mark.parametrize("argv", [("--",), ("--", "-h"), ("--", "bogus"),
+                                  ("--", "--")],
+                         ids=["alone", "help", "unknown", "double-dash"])
 def test_a_double_dash_before_no_command_stays_a_usage_error(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (1, "") and err.startswith("error: ")
+    if argv[1:]:  # the word after the "--" is the rejected command, not help
+        bogus = _run(capsys, "bogus")[2]
+        assert err == bogus.replace(repr("bogus"), repr(argv[1]), 1), err
 
 
 def test_main_reads_sys_argv_when_given_no_argv(capsys, monkeypatch):
